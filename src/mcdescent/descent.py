@@ -35,6 +35,7 @@ from .semicosimplicial import (
     TotDelMorphism,
     TWElem,
     TwTruncMC,
+    _mvalued,
     elem_times_form,
     total_complex,
     totdel_assemble,
@@ -108,10 +109,6 @@ class McPair:
             and self.x.eq(other.x)
             and self.p.eq(other.p)
         )
-
-
-def _mvalued(e: Elem) -> bool:
-    return all(e.ctx.artin.level(k[2]) >= 1 for k in e.terms)
 
 
 def mc_pair_verify(pair: McPair) -> dict:

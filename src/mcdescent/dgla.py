@@ -362,9 +362,6 @@ class Elem:
     def total_degrees(self) -> set:
         return {d + len(S) for (d, _, _, _, S) in self.terms}
 
-    def is_homogeneous(self, deg: int) -> bool:
-        return all(d + len(S) == deg for (d, _, _, _, S) in self.terms)
-
     def component_total(self, deg: int) -> "Elem":
         return Elem(
             self.ctx,
@@ -381,9 +378,6 @@ class Elem:
         return Elem(
             self.ctx, {k: c for k, c in self.terms.items() if sum(k[2]) == level}
         )
-
-    def artin_levels(self) -> set:
-        return {sum(k[2]) for k in self.terms}
 
     # --- dgLa operations ----------------------------------------------------
 
@@ -506,9 +500,6 @@ class Elem:
             if d == deg and (am, pm, S) == key_tail:
                 v[i] = c
         return tuple(v)
-
-    def form_slots(self) -> set:
-        return {(pm, S) for (_, _, _, pm, S) in self.terms}
 
     def map_lie(self, dmap: "DglaMap") -> "Elem":
         """Push forward along a dgLa map, keeping the other slots."""

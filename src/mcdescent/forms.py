@@ -128,16 +128,6 @@ def f_is_zero(f: dict) -> bool:
     return not f
 
 
-def f_form_degree(f: dict):
-    """Common form degree of all keys, or None for 0 / ValueError if mixed."""
-    degs = {len(S) for (_, S) in f}
-    if not degs:
-        return None
-    if len(degs) > 1:
-        raise ValueError("inhomogeneous form")
-    return degs.pop()
-
-
 def poly_pow(f: dict, e: int, nvars: int) -> dict:
     out = f_const(1, nvars)
     for _ in range(e):
@@ -178,29 +168,6 @@ def f_eval(f: dict, point: list) -> "Q":
             v *= rat(x) ** e
         total += v
     return total
-
-
-def f_str(f: dict, names=None) -> str:
-    if not f:
-        return "0"
-    parts = []
-    for (p, S), c in sorted(f.items()):
-        nv = len(p)
-        if names is None:
-            nm = ["t"] if nv == 1 else [f"t{i + 1}" for i in range(nv)]
-        else:
-            nm = names
-        factors = []
-        for i, e in enumerate(p):
-            if e == 1:
-                factors.append(nm[i])
-            elif e > 1:
-                factors.append(f"{nm[i]}^{e}")
-        for i in S:
-            factors.append(f"d{nm[i]}")
-        body = "*".join(factors) if factors else "1"
-        parts.append(f"({c})*{body}")
-    return " + ".join(parts)
 
 
 # --- simplex structure -----------------------------------------------------

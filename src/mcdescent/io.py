@@ -8,9 +8,11 @@ Three input schemas, each carried in a top level "schema" field:
 
 Numbers are exact: JSON ints or strings like "3/4". Floats are rejected
 so a file can never smuggle in rounding error. Loaders check structure
-only (shapes, required keys, index ranges); algebraic axioms are the
-validate command's business, so a parseable file with a corrupted
-bracket loads fine and then fails validation by name.
+only (shapes, required keys, index ranges), so a parseable file with a
+corrupted bracket loads fine. The algebraic axioms are checked once, at
+the command line boundary: validate names every violation, and the
+commands that compute with a file input refuse it with its first
+violation. Builtin inputs are built by code and are not checked again.
 
 Serializers emit canonical content (sorted tables, one orientation of
 the bracket) so that dumps() output is byte stable.

@@ -29,17 +29,9 @@ def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vscale(c, v: Vec) -> Vec:
     c = rat(c)
     return tuple(c * a for a in v)
-
-
-def vneg(v: Vec) -> Vec:
-    return tuple(-a for a in v)
 
 
 def vis_zero(v: Vec) -> bool:
@@ -324,21 +316,6 @@ class Mat:
         return inv
 
 
-def mat_from_column_action(dim_src: int, dim_tgt: int, act) -> Mat:
-    """Matrix of a linear map given by its action on standard basis vectors.
-
-    act(j) must return the image of e_j as a length-dim_tgt iterable.
-    """
-    m = Mat(dim_tgt, dim_src)
-    for j in range(dim_src):
-        img = act(j)
-        for i, v in enumerate(img):
-            v = rat(v)
-            if v != 0:
-                m._rows[i][j] = v
-    return m
-
-
 class Subspace:
     """Subspace of Q^n with a canonical (RREF) basis."""
 
@@ -378,9 +355,6 @@ class Subspace:
             and self.contains_space(other)
         )
 
-    def sum_(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.ambient, list(self.basis) + list(other.basis))
-
     def intersect(self, other: "Subspace") -> "Subspace":
         # kernel of the stacked coefficient solve: v in both spans
         if self.dim == 0 or other.dim == 0:
@@ -407,12 +381,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} in Q^{self.ambient})"
-
-
-def quotient_dim(space: Subspace, sub: Subspace) -> int:
-    if not space.contains_space(sub):
-        raise ValueError("not a subspace")
-    return space.dim - sub.dim
 
 
 class ChainComplexQ:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from .dgla import Dgla, DglaMap, direct_sum
-from .linalg import ChainComplexQ, Mat, Subspace, vec, vis_zero, vzero
+from .linalg import ChainComplexQ, ChainMapQ, Mat, Subspace, cone, vec, vis_zero, vzero
 from .ratio import Q, rat
 from .semicosimplicial import ScDgla, total_complex
 
@@ -775,13 +775,6 @@ class HomBook:
                 raise PipelineError("map has a component outside the hom space")
         return tuple(out)
 
-    def block_mat(self, p: int, i: int, v) -> Mat:
-        for j, solver in self.blocks.get(p, ()):
-            if j == i:
-                off = self.offsets[(p, i)]
-                return solver.from_coords(v[off : off + len(solver.basis)])
-        return Mat(self.m.dim(i + p), self.k.dim(i))
-
 
 def hom_complex(k: BddComplex, m: BddComplex):
     """The complex of module maps with differential
@@ -1275,17 +1268,16 @@ def cone_comparison(j1: ChainMapM):
 # --- the two-level diagram of a morphism ------------------------------------------------
 
 
-def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM, n_opens: int = 1) -> ScDgla:
-    """The two-level diagram controlling deformations of the morphism:
-    level 0 the endomorphisms of the two resolutions together with the
-    endomorphisms of their direct sum preserving the graph of the lift,
-    level 1 the endomorphisms of the direct sum; one face includes the
-    pair as a block-diagonal, the other includes the graph-preserving
-    part. A zero tail makes the diagram three levels deep. With two
-    synthetic opens both levels double and carry identity gluings in
-    their metadata."""
-    if n_opens not in (1, 2):
-        raise PipelineError("only one or two synthetic opens are supported")
+def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> ScDgla:
+    """The diagram controlling deformations of the morphism, [level 0,
+    level 1, 0]: level 0 is the direct sum of the endomorphisms of the
+    two resolutions and the endomorphisms of their direct sum preserving
+    the graph of the lift; level 1 is the endomorphisms of the direct
+    sum. Face 0 includes the End pair as block-diagonal endomorphisms,
+    face 1 includes the graph-preserving part; a zero level 2 closes the
+    diagram. The faces are built unchecked: the diagram's own check is
+    the one validation of every face and of the coface identities. Cover
+    data (one open or two) enters only in h_cohomology."""
     graph, emb, ambient, _ = graph_complex(lift)
     l_g, l_incl, end_s, book_s = sub_preserving_dgla(emb)
     end_f, book_f = end_dgla_of_complex(res_f.cx, label="End(source res)")
@@ -1346,48 +1338,22 @@ def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM, n_opens: int 
                     if v:
                         m.set_entry(r, c, v)
         f1_mats[p] = m
-    face0 = DglaMap(level0, end_s, f0_mats, check=True)
-    face1 = DglaMap(level0, end_s, f1_mats, check=True)
+    face0 = DglaMap(level0, end_s, f0_mats, check=False)
+    face1 = DglaMap(level0, end_s, f1_mats, check=False)
 
     from .builders import zero_dgla
 
     z = zero_dgla()
-    if n_opens == 1:
-        lv0, lv1 = level0, end_s
-        cof = {
-            (1, 0): face0,
-            (1, 1): face1,
-            (2, 0): DglaMap(end_s, z, {}, check=False),
-            (2, 1): DglaMap(end_s, z, {}, check=False),
-            (2, 2): DglaMap(end_s, z, {}, check=False),
-        }
-    else:
-        lv0, i0, p0 = direct_sum([level0, level0])
-        lv1, i1, p1 = direct_sum([end_s, end_s])
-
-        def doubled(face):
-            mats = {}
-            for p in lv0.dims:
-                m = Mat(lv1.dim(p), lv0.dim(p))
-                for k in (0, 1):
-                    prod = i1[k].mat(p) @ face.mat(p) @ p0[k].mat(p)
-                    m = m.add(prod)
-                mats[p] = m
-            return DglaMap(lv0, lv1, mats, check=True)
-
-        cof = {
-            (1, 0): doubled(face0),
-            (1, 1): doubled(face1),
-            (2, 0): DglaMap(lv1, z, {}, check=False),
-            (2, 1): DglaMap(lv1, z, {}, check=False),
-            (2, 2): DglaMap(lv1, z, {}, check=False),
-        }
-    sc = ScDgla([lv0, lv1, z], cof, check=True, label="morphism diagram")
+    cof = {
+        (1, 0): face0,
+        (1, 1): face1,
+        (2, 0): DglaMap(end_s, z, {}, check=False),
+        (2, 1): DglaMap(end_s, z, {}, check=False),
+        (2, 2): DglaMap(end_s, z, {}, check=False),
+    }
+    sc = ScDgla([level0, end_s, z], cof, check=True, label="morphism diagram")
     sc.meta.update(
         {
-            "opens": n_opens,
-            "single_level0": level0,
-            "single_level1": end_s,
             "face0": face0,
             "face1": face1,
             "level0_injs": injs,
@@ -1415,98 +1381,39 @@ def _left_inverse(m: Mat) -> Mat:
     return out
 
 
-def h_cohomology(sc: ScDgla) -> dict:
-    """Cohomology dimensions of the totalisation of the two-level
-    diagram, computed from the shifted cone of the face difference; for
-    two synthetic opens the levelwise totals take one Čech step over the
-    identity gluings first."""
-    opens = sc.meta.get("opens", 1)
-    if opens == 1:
-        tot, _ = total_complex(sc)
-        return {d: h for d, h in tot.betti().items()}
-    level0 = sc.meta["single_level0"]
-    end_s = sc.meta["single_level1"]
-    face0, face1 = sc.meta["face0"], sc.meta["face1"]
+def _block_diagonal(m: Mat) -> Mat:
+    """The matrix acting as m on each of two stacked copies."""
+    out = Mat(2 * m.rows, 2 * m.cols)
+    for r in range(m.rows):
+        for c in range(m.cols):
+            v = m.entry(r, c)
+            if v:
+                out.set_entry(r, c, v)
+                out.set_entry(m.rows + r, m.cols + c, v)
+    return out
 
-    # slots per total degree: (level j, cech c) with internal degree
-    # n - j - c; differential = internal d, si face difference, and the
-    # overlap difference, with alternating signs fixed by the d^2 check.
-    def slot_dims(n):
-        out = {}
-        for j, c, g in ((0, 0, level0), (0, 1, level0), (1, 0, end_s), (1, 1, end_s)):
-            k = n - j - c
-            mult = 2 if c == 0 else 1
-            d = g.dim(k) * mult
-            if d:
-                out[(j, c)] = d
-        return out
 
-    degs = set()
-    for g in (level0, end_s):
-        for d in g.dims:
-            degs.add(d)
-            degs.add(d + 1)
-            degs.add(d + 2)
-    lo, hi = min(degs), max(degs)
-    dims = {}
-    offsets = {}
-    for n in range(lo, hi + 1):
-        sd = slot_dims(n)
-        off = {}
-        total = 0
-        for key in sorted(sd):
-            off[key] = total
-            total += sd[key]
-        if total:
-            dims[n] = total
-            offsets[n] = off
-    diffs = {}
-    for n in sorted(dims):
-        if n + 1 not in dims:
-            continue
-        m = Mat(dims[n + 1], dims[n])
-        offs, offt = offsets[n], offsets[n + 1]
-        for (j, c), off in offs.items():
-            k = n - j - c
-            g = level0 if j == 0 else end_s
-            face_mat0, face_mat1 = face0.mat(k), face1.mat(k)
-            copies = 2 if c == 0 else 1
-            gd = g.dim(k)
-            for copy in range(copies):
-                for col in range(gd):
-                    src = off + copy * gd + col
-                    # internal differential, sign (-1)^{j+c}
-                    if (j, c) in offt:
-                        sgn = Q(-1) if (j + c) % 2 else Q(1)
-                        dm = g.diff(k)
-                        for r in range(dm.rows):
-                            v = dm.entry(r, col)
-                            if v:
-                                m.set_entry(
-                                    offt[(j, c)] + copy * g.dim(k + 1) + r,
-                                    src,
-                                    v * sgn,
-                                )
-                    # face difference into level 1, same cech position
-                    if j == 0 and (1, c) in offt:
-                        for fm, s in ((face_mat0, Q(1)), (face_mat1, Q(-1))):
-                            for r in range(fm.rows):
-                                v = fm.entry(r, col)
-                                if v:
-                                    tgt = offt[(1, c)] + copy * end_s.dim(k) + r
-                                    m.set_entry(tgt, src, m.entry(tgt, src) + v * s)
-                    # cech difference into the overlap, sign (-1)^j to
-                    # commute past the level direction
-                    if c == 0 and (j, 1) in offt:
-                        s = Q(-1) if copy == 0 else Q(1)
-                        if j % 2:
-                            s = -s
-                        tgt0 = offt[(j, 1)]
-                        m.set_entry(tgt0 + col, src, m.entry(tgt0 + col, src) + s)
-        if not m.is_zero():
-            diffs[n] = m
-    cplx = ChainComplexQ(dims, diffs, check=True)
-    return {d: h for d, h in cplx.betti().items()}
+def h_cohomology(sc: ScDgla, n_opens: int = 1) -> dict:
+    """Cohomology dimensions of the totalisation T of the diagram, taken
+    over one or two synthetic opens. With two opens and identity gluings
+    the Čech complex has T on each open and T on their overlap, with the
+    Čech differential (a, b) -> b - a; it is the mapping cone of that
+    chain map T + T -> T shifted up one degree (Čech C^n = cone^(n-1))."""
+    if n_opens not in (1, 2):
+        raise PipelineError("only one or two synthetic opens are supported")
+    tot, _ = total_complex(sc)
+    if n_opens == 1:
+        return tot.betti()
+    pair = ChainComplexQ(
+        {n: 2 * k for n, k in tot.dims.items()},
+        {n: _block_diagonal(m) for n, m in tot.diffs.items()},
+        check=False,
+    )
+    difference = {
+        n: Mat.identity(k).neg().hstack(Mat.identity(k)) for n, k in tot.dims.items()
+    }
+    cech = cone(ChainMapQ(pair, tot, difference))
+    return {n + 1: h for n, h in cech.betti().items()}
 
 
 # --- the long exact sequence -----------------------------------------------------------
@@ -1519,11 +1426,9 @@ def les_check(sc: ScDgla) -> dict:
     pull along the lift), and (include as the corner block of the
     direct-sum endomorphisms one level up). Images and kernels are
     compared as subspaces, not merely by dimension."""
-    if sc.meta.get("opens", 1) != 1:
-        raise PipelineError("the junction checker runs on the one-open diagram")
     res_f, res_g = sc.meta["resolutions"]
     lift = sc.meta["lift"]
-    level0 = sc.meta["single_level0"]
+    level0 = sc.levels[0]
     end_f, end_g = sc.meta["ends"]["F"], sc.meta["ends"]["G"]
     book_s = sc.meta["books"]["S"]
     book_f, book_g = sc.meta["books"]["F"], sc.meta["books"]["G"]
@@ -1678,8 +1583,8 @@ def pipeline_report(fmod: FinMod, gmod: FinMod, alpha: Mat, n_opens: int = 1, n_
     """Run the whole chain on one morphism and collect every verdict."""
     res_g = resolve(gmod, n_max)
     res_f, lift = lift_morphism(alpha, fmod, gmod, res_g, n_max)
-    sc = build_H(res_f, res_g, lift, n_opens=n_opens)
-    hdims = h_cohomology(sc)
+    sc = build_H(res_f, res_g, lift)
+    hdims = h_cohomology(sc, n_opens)
     ext_ff = ext_bruteforce(fmod, fmod, n_max)
     ext_gg = ext_bruteforce(gmod, gmod, n_max)
     ext_fg = ext_bruteforce(fmod, gmod, n_max)

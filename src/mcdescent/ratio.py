@@ -40,12 +40,6 @@ def rat(value, den=None):
     return Q(value)
 
 
-def rat_str(x) -> str:
-    """Canonical string form: "p/q" or "p"."""
-    s = str(x)
-    return s
-
-
 def neg_one_pow(n: int) -> int:
     """(-1)**n as an exact int, valid for negative n as well (where the
     builtin power would produce a float)."""
