@@ -43,6 +43,7 @@ from .descent import (
 )
 from .dgla import DglaError, TensorCtx
 from .io import InputError, builtin_input_names, dumps, load_document
+from .linalg import ChainComplexQ
 from .mcgauge import (
     bch,
     decompose_path,
@@ -222,8 +223,26 @@ def cmd_cohomology(cfg: RunConfig) -> dict:
     results = []
     for spec in cfg.inputs:
         kind, value = load_document(spec)
+        if kind not in ("dgla", "sc"):
+            raise InputError(
+                "cohomology expects a dgla or diagram input; "
+                "use the pipeline command for module morphisms",
+                spec,
+            )
+        try:
+            cx = (
+                ChainComplexQ(value.dims, value.diffs)
+                if kind == "dgla"
+                else total_complex(value)[0]
+            )
+        except ValueError as e:
+            what = "differential" if kind == "dgla" else "total complex"
+            raise InputError(
+                f"the {what} is not a complex ({e}); "
+                "run validate to name the broken axiom",
+                spec,
+            ) from None
         if kind == "dgla":
-            cx = value.complex()
             results.append(
                 {
                     "input": spec,
@@ -232,15 +251,7 @@ def cmd_cohomology(cfg: RunConfig) -> dict:
                     "euler": cx.euler(),
                 }
             )
-        elif kind == "sc":
-            try:
-                total, _ = total_complex(value)
-            except ValueError as e:
-                raise InputError(
-                    f"the total complex is not a complex ({e}); "
-                    "run validate to name the broken axiom",
-                    spec,
-                ) from None
+        else:
             results.append(
                 {
                     "input": spec,
@@ -249,14 +260,8 @@ def cmd_cohomology(cfg: RunConfig) -> dict:
                         _betti_json(g.complex(), cfg.max_degree)
                         for g in value.levels
                     ],
-                    "total": _betti_json(total, cfg.max_degree),
+                    "total": _betti_json(cx, cfg.max_degree),
                 }
-            )
-        else:
-            raise InputError(
-                "cohomology expects a dgla or diagram input; "
-                "use the pipeline command for module morphisms",
-                spec,
             )
     return {
         "schema": "cli-cohomology/1",

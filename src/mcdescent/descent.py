@@ -14,8 +14,7 @@ orbit sets is computed as honest linear algebra on both sides.
 from __future__ import annotations
 
 from .artin import ArtinAlgebra, ArtinMorphism
-from .dgla import Elem, TensorCtx, elem_base_change
-from .forms import f_var
+from .dgla import Elem, elem_base_change
 from .linalg import Mat, Subspace
 from .mcgauge import (
     bch,
@@ -23,7 +22,6 @@ from .mcgauge import (
     decompose_path,
     gauge,
     is_mc,
-    morphism_equal,
     embed,
     stabilizer_log,
 )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .artin import ArtinAlgebra
 from .forms import fkey_d, fkey_mul
-from .linalg import ChainComplexQ, Mat, Vec, vzero
+from .linalg import ChainComplexQ, Mat, Vec
 from .ratio import Q, neg_one_pow, rat
 
 

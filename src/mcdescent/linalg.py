@@ -286,8 +286,9 @@ class Mat:
         R, pivots = self.transpose().rref()
         return [R.row(i) for i in range(len(pivots))]
 
-    def solve(self, b: Vec):
-        """Solve A x = b. Returns (particular, kernel_basis) or None."""
+    def solve(self, b: Vec) -> Vec | None:
+        """Solve A x = b. Returns the particular solution whose free
+        coordinates are zero, or None when the system is inconsistent."""
         if len(b) != self.rows:
             raise ValueError("solve shape mismatch")
         aug = self.hstack(Mat.from_cols([b], rows=self.rows))
@@ -297,7 +298,7 @@ class Mat:
         x = [Q(0)] * self.cols
         for i, p in enumerate(pivots):
             x[p] = R._rows[i].get(self.cols, Q(0))
-        return tuple(x), self.kernel_basis()
+        return tuple(x)
 
     def inverse(self):
         """Exact inverse, or None when the matrix is not invertible."""
@@ -490,7 +491,7 @@ class ChainComplexQ:
         sol = m.solve(tuple(rat(x) for x in v))
         if sol is None:  # pragma: no cover - cocycle always decomposes
             raise AssertionError("cocycle failed to decompose")
-        return tuple(sol[0][:hdim])
+        return sol[:hdim]
 
     def same_class(self, deg: int, u: Vec, v: Vec) -> bool:
         cu = self.class_of(deg, u)

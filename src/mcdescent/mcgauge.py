@@ -60,7 +60,7 @@ def elem_linear_solve(map_fn, target: Elem, basis: list):
     if sol is None:
         return None
     out = basis[0].ctx.zero()
-    for c, b in zip(sol[0], basis, strict=True):
+    for c, b in zip(sol, basis, strict=True):
         if c != 0:
             out = out.add(b.scale(c))
     return out

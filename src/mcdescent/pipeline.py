@@ -1,12 +1,16 @@
 """Deformations of a morphism of modules, end to end at desk scale.
 
 The chain: finite-dimensional algebras and modules, explicit projective
-resolutions by free covers, a lift of the morphism to the resolutions,
+resolutions by free covers (`resolve`, the one resolution routine), a
+lift of the morphism between the resolutions of source and target by
+the comparison theorem (one linear solve per degree, `factor_through`),
 the graph subcomplex and the dgLa of endomorphisms preserving it, the
 two-level diagram whose totalisation controls deformations of the
 morphism, and a long-exact-sequence checker that ties its cohomology to
-Ext groups computed by an independent brute-force oracle. Everything is
-exact rational linear algebra; "locally free" means projective with a
+Ext groups computed by an independent brute-force oracle. Any two
+choices of resolutions and lift give quasi-isomorphic diagrams, so the
+reported cohomology does not depend on them. Everything is exact
+rational linear algebra; "locally free" means projective with a
 witnessed splitting.
 """
 
@@ -261,7 +265,7 @@ class HomSolver:
         sol = self.mat.solve(_flatten(t))
         if sol is None:
             raise PipelineError("map does not lie in the hom space")
-        return tuple(sol[0])
+        return sol
 
     def from_coords(self, v) -> Mat:
         out = Mat(self.rows, self.cols)
@@ -304,23 +308,21 @@ def free_cover(m: FinMod):
     return free, pi
 
 
-def split_section(pi: Mat, src: FinMod, tgt: FinMod):
-    """A module map s with pi∘s = id on tgt, or None. pi: src -> tgt
-    must be a module map."""
-    basis = hom_basis(tgt, src)
-    if tgt.dim == 0:
-        return Mat(src.dim, 0)
+def factor_through(p: Mat, f: Mat, src: FinMod, mid: FinMod):
+    """A module map x: src -> mid with p∘x = f, or None when f does not
+    factor through p. Solved in the coordinates of hom_basis(src, mid);
+    the solution whose free coordinates are zero is returned."""
+    basis = hom_basis(src, mid)
     if not basis:
-        return None
-    cols = [_flatten(pi @ b) for b in basis]
-    m = Mat.from_cols(cols, rows=tgt.dim * tgt.dim)
-    sol = m.solve(_flatten(Mat.identity(tgt.dim)))
+        return Mat(mid.dim, src.dim) if f.is_zero() else None
+    m = Mat.from_cols([_flatten(p @ b) for b in basis], rows=f.rows * f.cols)
+    sol = m.solve(_flatten(f))
     if sol is None:
         return None
-    out = Mat(src.dim, tgt.dim)
-    for c, b in zip(sol[0], basis):
+    out = Mat(mid.dim, src.dim)
+    for c, b in zip(sol, basis):
         if c:
-            out = out.add(b.scale(rat(c)))
+            out = out.add(b.scale(c))
     return out
 
 
@@ -330,7 +332,7 @@ def projective_witness(m: FinMod):
     if m.dim == 0:
         return Mat(0, 0), Mat(0, 0), 0
     free, pi = free_cover(m)
-    s = split_section(pi, free, m)
+    s = factor_through(pi, Mat.identity(m.dim), m, free)
     if s is None:
         return None
     return s, pi, free.dim // m.alg.dim
@@ -352,29 +354,11 @@ def kernel_module(m: FinMod, t: Mat):
             s = incl.solve(img.col(c))
             if s is None:
                 raise PipelineError("kernel is not closed under the action")
-            for r, v in enumerate(s[0]):
+            for r, v in enumerate(s):
                 if v:
                     a.set_entry(r, c, v)
         acts.append(a)
     return FinMod(m.alg, k, acts, check=False), incl
-
-
-def fibre_product(m1: FinMod, f: Mat, m2: FinMod, g: Mat, tgt_dim: int):
-    """{(x, y) : f x = g y} inside the direct sum. Returns
-    (X, pr1, pr2)."""
-    s, i1, i2, p1, p2 = module_direct_sum(m1, m2)
-    t = Mat(tgt_dim, s.dim)
-    for r in range(tgt_dim):
-        for c in range(m1.dim):
-            v = f.entry(r, c)
-            if v:
-                t.set_entry(r, c, v)
-        for c in range(m2.dim):
-            v = g.entry(r, c)
-            if v:
-                t.set_entry(r, m1.dim + c, -v)
-    x, incl = kernel_module(s, t)
-    return x, p1 @ incl, p2 @ incl
 
 
 # --- bounded complexes of modules ----------------------------------------------
@@ -575,62 +559,31 @@ def resolve(m: FinMod, n_max: int = 8) -> Resolution:
 
 
 def lift_morphism(alpha: Mat, fmod: FinMod, gmod: FinMod, res_g: Resolution, n_max: int = 8):
-    """A resolution of the source together with a chain map to the given
-    resolution of the target lifting the morphism. Returns
-    (res_f, lift: ChainMapM)."""
+    """The resolution resolve(fmod) of the source together with a chain
+    map to the given resolution of the target lifting the morphism.
+    Returns (res_f, lift: ChainMapM).
+
+    The lift is built by the comparison theorem (Weibel, An Introduction
+    to Homological Algebra, Thm 2.2.6), walking down from degree 0: x_0
+    solves aug_g∘x_0 = α∘aug_f and x_d solves d_g∘x_d = x_{d+1}∘d_f.
+    Each right-hand side lands in the image of the map it is factored
+    through because the target resolution is exact, and each source term
+    is projective, so every solve succeeds."""
     if not is_module_map(fmod, gmod, alpha):
         raise PipelineError("the morphism is not a module map")
-    if alpha.is_zero():
-        res_f = resolve(fmod, n_max)
-        lift = ChainMapM(res_f.cx, res_g.cx, {}, check=True)
-        _check_lift(alpha, res_f, res_g, lift)
-        return res_f, lift
-    if (
-        fmod.dim == gmod.dim
-        and alpha.rank() == fmod.dim
-        and alpha.inverse() is not None
-    ):
-        inv = alpha.inverse()
-        res_f = Resolution(res_g.cx, fmod, inv @ res_g.aug)
-        lift = ChainMapM.identity(res_g.cx)
-        _check_lift(alpha, res_f, res_g, lift)
-        return res_f, lift
-
-    # degree 0: cover the fibre product of the morphism and the augmentation
-    x0, pr_f, pr_e = fibre_product(fmod, alpha, res_g.cx.module(0), res_g.aug, gmod.dim)
-    f0, pi = free_cover(x0)
-    aug_f = pr_f @ pi
-    mods = {0: f0}
-    diffs = {}
-    lifts = {0: pr_e @ pi}
-    ker, incl = kernel_module(f0, aug_f)
-    r = 0
-    while ker.dim:
-        r += 1
-        if r > n_max:
-            raise PipelineError("resolution exceeded the length bound")
-        eg = res_g.cx.module(-r)
-        # pairs (y, k) with d y = (previous lift) k, a fibre product over
-        # the next target term
-        amap = lifts[-r + 1] @ incl
-        x, pr_y, pr_k = fibre_product(eg, res_g.cx.diff(-r), ker, amap, res_g.cx.dim(-r + 1))
-        w = projective_witness(ker)
-        if w is not None:
-            s = split_section(pr_k, x, ker)
-            if s is None:
-                raise PipelineError("projective kernel failed to split the fibre product")
-            mods[-r] = ker
-            diffs[-r] = incl
-            lifts[-r] = pr_y @ s
-            break
-        fr, pir = free_cover(x)
-        mods[-r] = fr
-        diffs[-r] = incl @ pr_k @ pir
-        lifts[-r] = pr_y @ pir
-        ker, incl = kernel_module(fr, pr_k @ pir)
-    cx = BddComplex(fmod.alg, mods, diffs, check=True)
-    res_f = Resolution(cx, fmod, aug_f)
-    lift = ChainMapM(cx, res_g.cx, lifts, check=True)
+    res_f = resolve(fmod, n_max)
+    pf, pg = res_f.cx, res_g.cx
+    lo, _ = pf.deg_range()
+    comps = {}
+    p, f = res_g.aug, alpha @ res_f.aug
+    for d in range(0, lo - 1, -1):
+        if d < 0:
+            p, f = pg.diff(d), comps[d + 1] @ pf.diff(d)
+        x = factor_through(p, f, pf.module(d), pg.module(d))
+        if x is None:
+            raise PipelineError(f"the morphism does not lift in degree {d}")
+        comps[d] = x
+    lift = ChainMapM(pf, pg, comps, check=True)
     _check_lift(alpha, res_f, res_g, lift)
     return res_f, lift
 
@@ -875,7 +828,7 @@ def sub_dgla_from_spans(g: Dgla, spans: dict, label: str = ""):
         sol = m.solve(v)
         if sol is None:
             raise PipelineError("sub-dgla is not closed")
-        return tuple(sol[0])
+        return sol
 
     diffs = {}
     for d in dims:
@@ -1247,7 +1200,7 @@ def cone_comparison(j1: ChainMapM):
                 sol = mat_next.solve(d_g.diff(p).matvec(v))
                 if sol is None:
                     raise PipelineError("projection kernel is not a subcomplex")
-                for r, c in enumerate(sol[0]):
+                for r, c in enumerate(sol):
                     if c:
                         dd.set_entry(r, j, c)
             if not dd.is_zero():

@@ -45,7 +45,6 @@ from .forms import (
 )
 from .linalg import ChainComplexQ, ChainMapQ, Mat
 from .mcgauge import (
-    GaugeError,
     bch_many,
     embed,
     extract_irrelevant,
@@ -54,7 +53,7 @@ from .mcgauge import (
     morphism_equal,
     stabilizer_log,
 )
-from .ratio import Q, neg_one_pow, rat
+from .ratio import Q, neg_one_pow
 
 
 class ScError(ValueError):

@@ -42,6 +42,13 @@ def broken_bracket_file(tmp_path) -> str:
     return write(tmp_path, "broken-bracket.json", doc)
 
 
+def broken_differential_file(tmp_path) -> str:
+    doc = dgla_to_json(load_builtin("end-two-step")[1])
+    # d^0 d^-1 sends the first basis vector of degree -1 to 1 - 2 != 0
+    doc["diffs"]["-1"][4][0] = 2
+    return write(tmp_path, "broken-differential.json", doc)
+
+
 def non_module_file(tmp_path) -> str:
     with open(os.path.join(DATA, "morphism-simple.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -60,6 +67,7 @@ def assert_input_error(code, err):
     "make, command, word",
     [
         (zeroed_coface_file, "cohomology", "face"),
+        (broken_differential_file, "cohomology", "d^2"),
         (broken_bracket_file, "mc", "Jacobi"),
         (non_module_file, "pipeline", "module morphism"),
     ],

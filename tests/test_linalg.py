@@ -82,9 +82,9 @@ def test_rref_matches_dense_oracle():
 
 def test_solve_frozen():
     m = Mat.from_rows([[1, 1]])
-    sol = m.solve(vec([2]))
-    assert sol is not None
-    part, ker = sol
+    part = m.solve(vec([2]))
+    assert part is not None
+    ker = m.kernel_basis()
     assert part == (Q(2), Q(0))
     assert ker == [(Q(-1), Q(1))]
     assert Mat.from_rows([[1, 0], [0, 1], [1, 1]]).solve(vec([1, 0, 0])) is None
@@ -98,9 +98,9 @@ def test_solve_and_kernel_random():
         m = rand_mat(rng, r, c)
         x = vec([rng.randint(-4, 4) for _ in range(c)])
         b = m.matvec(x)
-        sol = m.solve(b)
-        assert sol is not None
-        part, ker = sol
+        part = m.solve(b)
+        assert part is not None
+        ker = m.kernel_basis()
         assert m.matvec(part) == b
         for k in ker:
             assert vis_zero(m.matvec(k))
