@@ -625,7 +625,7 @@ def cmd_pipeline(cfg: RunConfig) -> dict:
     rep = pipeline_report(
         value["source"], value["target"], value["alpha"], n_opens=value["opens"]
     )
-    ok = rep["end_matches_ext"] and rep.get("les_exact", True)
+    ok = rep["end_matches_ext"] and rep["ext_matches_euler_form"] and rep.get("les_exact", True)
     return {
         "schema": "cli-pipeline/1",
         "command": "pipeline",

@@ -235,19 +235,6 @@ def sc_from_json(obj, where: str = "$") -> ScDgla:
 # --- pipeline/1 --------------------------------------------------------------
 
 
-def pipeline_to_json(source_dims, source_arrow, target_dims, target_arrow,
-                     alpha, opens: int = 1, label: str = "") -> dict:
-    return {
-        "schema": "pipeline/1",
-        "label": label,
-        "algebra": "a2",
-        "source": {"dims": list(source_dims), "arrow": mat_to_json(source_arrow)},
-        "target": {"dims": list(target_dims), "arrow": mat_to_json(target_arrow)},
-        "alpha": mat_to_json(alpha),
-        "opens": opens,
-    }
-
-
 def _module_from_json(obj, where: str):
     from .pipeline import a2_module
 

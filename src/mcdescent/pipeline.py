@@ -1,21 +1,25 @@
 """Deformations of a morphism of modules, end to end at desk scale.
 
-The chain: finite-dimensional algebras and modules, explicit projective
-resolutions by free covers (`resolve`, the one resolution routine), a
-lift of the morphism between the resolutions of source and target by
-the comparison theorem (one linear solve per degree, `factor_through`),
-the graph subcomplex and the dgLa of endomorphisms preserving it, the
-two-level diagram whose totalisation controls deformations of the
-morphism, and a long-exact-sequence checker that ties its cohomology to
-Ext groups computed by an independent brute-force oracle. Any two
-choices of resolutions and lift give quasi-isomorphic diagrams, so the
-reported cohomology does not depend on them. Everything is exact
-rational linear algebra; "locally free" means projective with a
-witnessed splitting.
+The chain: finite-dimensional basic algebras that know their vertex
+idempotents and radical, modules over them, minimal projective
+resolutions (`resolve`, the one resolution routine: each term is the
+projective cover ⊕ A·e_i of the top of the previous kernel, recorded by
+its vertex tuple), a lift of the morphism between the resolutions of
+source and target by the comparison theorem (one linear solve per
+degree, `factor_through`), the graph subcomplex and the dgLa of
+endomorphisms preserving it, the two-level diagram whose totalisation
+controls deformations of the morphism, and a long-exact-sequence
+checker that ties its cohomology to Ext groups computed from the hom
+complex of a resolution, themselves checked against the Euler form of
+the quiver. Any two choices of resolutions and lift give
+quasi-isomorphic diagrams, so the reported cohomology does not depend
+on them; the minimal ones are the smallest. Everything is exact
+rational linear algebra.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .dgla import Dgla, DglaMap, direct_sum
@@ -26,6 +30,11 @@ from .semicosimplicial import ScDgla, total_complex
 
 class PipelineError(ValueError):
     pass
+
+
+# longest resolution built before giving up; the algebras of this module
+# have global dimension at most 1
+MAX_LENGTH = 8
 
 
 def _flatten(m: Mat):
@@ -45,21 +54,43 @@ def _unflatten(v, rows, cols):
 # --- finite-dimensional algebras ---------------------------------------------
 
 
+def _unit_vec(n: int, i: int):
+    return tuple(Q(1) if k == i else Q(0) for k in range(n))
+
+
 class FinAlg:
-    """Associative unital algebra over Q on a chosen basis.
+    """Basic associative unital algebra over Q on a basis of paths.
 
     mul[i][j] is the coordinate vector of the product of the i-th and
     j-th basis elements; unit is the coordinate vector of 1.
+    idempotents are the basis indices of the vertex idempotents e_0,
+    e_1, ... (vertex i is the i-th entry), and radical the basis indices
+    spanning the radical J. Every basis element b is a path e_t·b·e_s
+    between two vertices; ends[b] = (s, t), so A·e_s is spanned by the
+    basis elements starting at s (Assem–Simson–Skowroński, Elements of
+    the Representation Theory of Associative Algebras I, §I.5, §III.2).
     """
 
-    def __init__(self, mul, unit, labels=None, label="", check=True):
+    def __init__(self, mul, unit, idempotents, radical, label=""):
         self.dim = len(mul)
         self.mul = [[vec(v) for v in row] for row in mul]
         self.unit = vec(unit)
-        self.labels = list(labels) if labels else [f"x{i}" for i in range(self.dim)]
+        self.idempotents = tuple(idempotents)
+        self.radical = tuple(radical)
         self.label = label
-        if check:
-            self.check()
+        self.ends = [self._ends(b) for b in range(self.dim)]
+        self.summands = [
+            tuple(b for b in range(self.dim) if self.ends[b] and self.ends[b][0] == s)
+            for s in range(len(self.idempotents))
+        ]
+        self.check()
+
+    def _ends(self, b):
+        """(s, t) with e_t·b = b = b·e_s, or None when b is no path."""
+        eb = _unit_vec(self.dim, b)
+        s = [i for i, e in enumerate(self.idempotents) if self.mul[b][e] == eb]
+        t = [i for i, e in enumerate(self.idempotents) if self.mul[e][b] == eb]
+        return (s[0], t[0]) if len(s) == len(t) == 1 else None
 
     def mul_vec(self, u, v):
         out = [Q(0)] * self.dim
@@ -74,10 +105,7 @@ class FinAlg:
         return tuple(out)
 
     def check(self):
-        basis = [
-            tuple(Q(1) if k == i else Q(0) for k in range(self.dim))
-            for i in range(self.dim)
-        ]
+        basis = [_unit_vec(self.dim, i) for i in range(self.dim)]
         for i, e in enumerate(basis):
             if self.mul_vec(self.unit, e) != e or self.mul_vec(e, self.unit) != e:
                 raise PipelineError(f"unit law fails on basis element {i}")
@@ -87,25 +115,34 @@ class FinAlg:
                 for c in basis:
                     if self.mul_vec(ab, c) != self.mul_vec(a, self.mul_vec(b, c)):
                         raise PipelineError("multiplication is not associative")
-
-    def left_mult_mat(self, i):
-        """Matrix of left multiplication by the i-th basis element."""
-        m = Mat(self.dim, self.dim)
-        for j in range(self.dim):
-            for k, c in enumerate(self.mul[i][j]):
-                if c:
-                    m.set_entry(k, j, c)
-        return m
+        for i in self.idempotents:
+            for j in self.idempotents:
+                if self.mul[i][j] != (basis[i] if i == j else vzero(self.dim)):
+                    raise PipelineError("vertex idempotents are not orthogonal idempotents")
+        if vec(int(k in self.idempotents) for k in range(self.dim)) != self.unit:
+            raise PipelineError("vertex idempotents do not sum to the unit")
+        if sorted(self.idempotents + self.radical) != list(range(self.dim)):
+            raise PipelineError("vertex idempotents and radical do not partition the basis")
+        rad = set(self.radical)
+        for b in range(self.dim):
+            for r in self.radical:
+                for v in (self.mul[b][r], self.mul[r][b]):
+                    if any(x for k, x in enumerate(v) if k not in rad):
+                        raise PipelineError("radical span is not a two-sided ideal")
+        for b, ends in enumerate(self.ends):
+            if ends is None:
+                raise PipelineError(f"basis element {b} is not a path between two vertices")
 
 
 def field_algebra():
-    return FinAlg([[(1,)]], (1,), labels=["1"], label="Q")
+    return FinAlg([[(1,)]], (1,), (0,), (), label="Q")
 
 
+@functools.cache
 def a2_algebra():
-    """Path algebra of the two-vertex quiver with one arrow, on the
-    basis (first idempotent, second idempotent, arrow). The arrow a
-    satisfies a = a e1 = e2 a."""
+    """Path algebra of the quiver 1 -> 2, on the basis (first
+    idempotent, second idempotent, arrow). The arrow a = e2 a e1 spans
+    the radical. Built and validated once; every A2 module shares it."""
     e1, e2, a = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     z = (0, 0, 0)
     mul = [
@@ -113,7 +150,7 @@ def a2_algebra():
         [z, e2, a],  # e2*e1, e2*e2, e2*a
         [a, z, z],  # a*e1,  a*e2,  a*a
     ]
-    return FinAlg(mul, (1, 1, 0), labels=["e1", "e2", "a"], label="A2")
+    return FinAlg(mul, (1, 1, 0), (0, 1), (2,), label="A2")
 
 
 # --- modules ------------------------------------------------------------------
@@ -159,21 +196,21 @@ def zero_module(alg: FinAlg) -> FinMod:
     return FinMod(alg, 0, [Mat(0, 0)] * alg.dim, label="0")
 
 
-def free_module(alg: FinAlg, k: int) -> FinMod:
-    """Direct sum of k copies of the algebra as a left module over
-    itself."""
-    acts = []
-    for i in range(alg.dim):
-        l0 = alg.left_mult_mat(i)
-        m = Mat(k * alg.dim, k * alg.dim)
-        for t in range(k):
-            for r in range(alg.dim):
-                for c in range(alg.dim):
-                    v = l0.entry(r, c)
-                    if v:
-                        m.set_entry(t * alg.dim + r, t * alg.dim + c, v)
-        acts.append(m)
-    return FinMod(alg, k * alg.dim, acts, label=f"free({k})", check=False)
+def proj_module(alg: FinAlg, verts) -> FinMod:
+    """The projective ⊕ A·e_i over the vertex tuple, one summand per
+    entry; A·e_i has the basis of the paths starting at vertex i."""
+    n = sum(len(alg.summands[i]) for i in verts)
+    acts = [Mat(n, n) for _ in range(alg.dim)]
+    off = 0
+    for i in verts:
+        pos = {b: off + k for k, b in enumerate(alg.summands[i])}
+        for j in range(alg.dim):
+            for b in alg.summands[i]:
+                for c, x in enumerate(alg.mul[j][b]):
+                    if x:
+                        acts[j].set_entry(pos[c], pos[b], x)
+        off += len(pos)
+    return FinMod(alg, n, acts, check=False)
 
 
 def module_direct_sum(m1: FinMod, m2: FinMod):
@@ -275,37 +312,28 @@ class HomSolver:
         return out
 
 
-def generating_set(m: FinMod):
-    """Greedy small generating set: basis vectors not already inside the
-    submodule generated by the previous picks. The generated span only
-    needs one pass of the action since the algebra is unital."""
-    span = Subspace(m.dim, [])
-    gens = []
-    for t in range(m.dim):
-        e = tuple(Q(1) if k == t else Q(0) for k in range(m.dim))
-        if span.contains(e):
-            continue
-        gens.append(e)
-        orbit = [tuple(m.acts[i].matvec(e)) for i in range(m.alg.dim)]
-        span = Subspace(m.dim, list(span.basis) + orbit)
-        if span.dim == m.dim:
-            break
-    return gens
-
-
-def free_cover(m: FinMod):
-    """A surjection from a free module onto m, using a greedy generating
-    set. Returns (free, pi)."""
-    gens = generating_set(m)
-    free = free_module(m.alg, len(gens))
-    pi = Mat(m.dim, free.dim)
-    for t, g in enumerate(gens):
-        for j in range(m.alg.dim):
-            col = m.acts[j].matvec(g)
-            for r, v in enumerate(col):
-                if v:
-                    pi.set_entry(r, t * m.alg.dim + j, v)
-    return free, pi
+def proj_cover(m: FinMod):
+    """Minimal projective cover of m. The columns of the e_i action that
+    are independent modulo JM lift a basis of each e_i(M/JM), and each
+    lifted v gets one summand A·e_i, mapped by b -> b·v. Returns (cover,
+    pi, vertex tuple)."""
+    alg = m.alg
+    cols = Mat(m.dim, 0)
+    for i in alg.radical + alg.idempotents:
+        cols = cols.hstack(m.acts[i])
+    skip = len(alg.radical) * m.dim
+    picks = [(p // m.dim - len(alg.radical), cols.col(p)) for p in cols.rref()[1] if p >= skip]
+    verts = tuple(i for i, _ in picks)
+    cover = proj_module(alg, verts)
+    pi = Mat(m.dim, cover.dim)
+    c = 0
+    for i, v in picks:
+        for b in alg.summands[i]:
+            for r, x in enumerate(m.acts[b].matvec(v)):
+                if x:
+                    pi.set_entry(r, c, x)
+            c += 1
+    return cover, pi, verts
 
 
 def factor_through(p: Mat, f: Mat, src: FinMod, mid: FinMod):
@@ -324,18 +352,6 @@ def factor_through(p: Mat, f: Mat, src: FinMod, mid: FinMod):
         if c:
             out = out.add(b.scale(c))
     return out
-
-
-def projective_witness(m: FinMod):
-    """(embedding, projection, rank of the free module) realizing m as a
-    direct summand of a free module, or None when m is not projective."""
-    if m.dim == 0:
-        return Mat(0, 0), Mat(0, 0), 0
-    free, pi = free_cover(m)
-    s = factor_through(pi, Mat.identity(m.dim), m, free)
-    if s is None:
-        return None
-    return s, pi, free.dim // m.alg.dim
 
 
 def kernel_module(m: FinMod, t: Mat):
@@ -368,11 +384,11 @@ class BddComplex:
     """Bounded complex of modules in nonpositive degrees.
 
     mods: {deg: FinMod}; diffs: {deg: Mat for d taking deg to deg+1}.
-    witnesses: {deg: (emb, proj, free_rank)} realizing a term as a
-    summand of a free module, when the term is flagged projective.
+    verts: {deg: vertex tuple} for a term that is the projective
+    proj_module(alg, verts[deg]); Resolution.check holds each term to it.
     """
 
-    def __init__(self, alg: FinAlg, mods: dict, diffs: dict, witnesses=None, check=True):
+    def __init__(self, alg: FinAlg, mods: dict, diffs: dict, verts=None, check=True):
         self.alg = alg
         self.mods = {int(d): m for d, m in mods.items() if m.dim}
         self.diffs = {}
@@ -381,7 +397,7 @@ class BddComplex:
                 m = Mat.from_rows(m)
             if not m.is_zero():
                 self.diffs[int(d)] = m
-        self.witnesses = dict(witnesses) if witnesses else {}
+        self.verts = dict(verts) if verts else {}
         if check:
             self.check()
 
@@ -413,10 +429,6 @@ class BddComplex:
                 raise PipelineError(f"differential at {d} is not a module map")
             if not (self.diff(d + 1) @ dm).is_zero():
                 raise PipelineError("differential does not square to zero")
-        for d, w in self.witnesses.items():
-            emb, proj, k = w
-            if (proj @ emb) != Mat.identity(self.dim(d)):
-                raise PipelineError(f"splitting witness at {d} is not a splitting")
 
     def underlying(self) -> ChainComplexQ:
         return ChainComplexQ(
@@ -424,17 +436,6 @@ class BddComplex:
             {d: m for d, m in self.diffs.items()},
             check=False,
         )
-
-    def attach_witnesses(self):
-        """Compute and store splitting witnesses for every term; raises
-        when a term is not projective."""
-        for d, m in self.mods.items():
-            if d in self.witnesses:
-                continue
-            w = projective_witness(m)
-            if w is None:
-                raise PipelineError(f"term in degree {d} is not projective")
-            self.witnesses[d] = w
 
 
 def module_as_complex(m: FinMod) -> BddComplex:
@@ -511,7 +512,6 @@ class Resolution:
             raise PipelineError("augmentation is not surjective")
         und = self.cx.underlying()
         betti = und.betti()
-        lo, _ = self.cx.deg_range()
         for d, h in betti.items():
             if d != 0 and h:
                 raise PipelineError(f"resolution is not exact in degree {d}")
@@ -523,42 +523,31 @@ class Resolution:
         ])
         if not (ker.eq(img) and h0 == self.module.dim):
             raise PipelineError("augmentation is not a quasi-isomorphism")
-        self.cx.attach_witnesses()
+        for d, term in self.cx.mods.items():
+            verts = self.cx.verts.get(d)
+            if verts is None or term.acts != proj_module(term.alg, verts).acts:
+                raise PipelineError(f"term in degree {d} is not the projective of its vertex tuple")
 
 
-def resolve(m: FinMod, n_max: int = 8) -> Resolution:
-    """Projective resolution by iterated free covers; a kernel is kept
-    as the last term as soon as it is projective, and a module that is
-    already projective resolves as itself."""
-    if m.dim == 0:
-        return Resolution(BddComplex(m.alg, {}, {}, check=False), m, Mat(0, 0))
-    w = projective_witness(m)
-    if w is not None:
-        cx = BddComplex(m.alg, {0: m}, {}, witnesses={0: w}, check=False)
-        return Resolution(cx, m, Mat.identity(m.dim))
-    f0, pi0 = free_cover(m)
-    mods = {0: f0}
-    diffs = {}
-    ker, incl = kernel_module(f0, pi0)
-    r = 0
+def resolve(m: FinMod) -> Resolution:
+    """The minimal projective resolution: cover m by proj_cover, cover
+    the kernel of that cover, and so on until the kernel is 0."""
+    mods, diffs, verts = {}, {}, {}
+    ker, incl = m, Mat.identity(m.dim)
+    d = 0
     while ker.dim:
-        r += 1
-        if r > n_max:
+        if d < -MAX_LENGTH:
             raise PipelineError("resolution exceeded the length bound")
-        w = projective_witness(ker)
-        if w is not None:
-            mods[-r] = ker
-            diffs[-r] = incl
-            break
-        fr, pir = free_cover(ker)
-        mods[-r] = fr
-        diffs[-r] = incl @ pir
-        ker, incl = kernel_module(fr, pir)
-    cx = BddComplex(m.alg, mods, diffs, check=True)
-    return Resolution(cx, m, pi0)
+        mods[d], pi, verts[d] = proj_cover(ker)
+        diffs[d] = incl @ pi
+        ker, incl = kernel_module(mods[d], pi)
+        d -= 1
+    aug = diffs.pop(0, Mat(0, 0))
+    cx = BddComplex(m.alg, mods, diffs, verts=verts, check=True)
+    return Resolution(cx, m, aug)
 
 
-def lift_morphism(alpha: Mat, fmod: FinMod, gmod: FinMod, res_g: Resolution, n_max: int = 8):
+def lift_morphism(alpha: Mat, fmod: FinMod, gmod: FinMod, res_g: Resolution):
     """The resolution resolve(fmod) of the source together with a chain
     map to the given resolution of the target lifting the morphism.
     Returns (res_f, lift: ChainMapM).
@@ -571,7 +560,7 @@ def lift_morphism(alpha: Mat, fmod: FinMod, gmod: FinMod, res_g: Resolution, n_m
     is projective, so every solve succeeds."""
     if not is_module_map(fmod, gmod, alpha):
         raise PipelineError("the morphism is not a module map")
-    res_f = resolve(fmod, n_max)
+    res_f = resolve(fmod)
     pf, pg = res_f.cx, res_g.cx
     lo, _ = pf.deg_range()
     comps = {}
@@ -626,7 +615,7 @@ def graph_complex(f: ChainMapM):
     iso identifies the source with the graph."""
     k, m = f.source, f.target
     ambient, i1, i2, _, _ = complex_direct_sum(k, m)
-    graph = BddComplex(k.alg, dict(k.mods), dict(k.diffs), witnesses=dict(k.witnesses), check=False)
+    graph = BddComplex(k.alg, dict(k.mods), dict(k.diffs), check=False)
     comps = {}
     for d in k.mods:
         comps[d] = (i1.comp(d)).add(i2.comp(d) @ f.comp(d))
@@ -784,8 +773,8 @@ def end_dgla_of_complex(k: BddComplex, label: str = ""):
     cplx, book = hom_complex(k, k)
 
     def brk(p1, a, p2, b):
-        v1 = [Q(1) if t == a else Q(0) for t in range(book.dim(p1))]
-        v2 = [Q(1) if t == b else Q(0) for t in range(book.dim(p2))]
+        v1 = _unit_vec(book.dim(p1), a)
+        v2 = _unit_vec(book.dim(p2), b)
         ab = compose_in_books(book, p1, v1, book, p2, v2)
         ba = compose_in_books(book, p2, v2, book, p1, v1)
         sgn = Q(-1) if (p1 * p2) % 2 else Q(1)
@@ -910,9 +899,7 @@ def sub_preserving_dgla(emb: ChainMapM, end_amb=None):
             m = Mat.from_rows(rows, cols=n)
             spans[p] = m.kernel_basis()
         else:
-            spans[p] = [
-                tuple(Q(1) if t == j else Q(0) for t in range(n)) for j in range(n)
-            ]
+            spans[p] = [_unit_vec(n, j) for j in range(n)]
     sub_g, incl = sub_dgla_from_spans(end_g, spans, label="preserving")
     return sub_g, incl, end_g, book
 
@@ -920,12 +907,12 @@ def sub_preserving_dgla(emb: ChainMapM, end_amb=None):
 # --- Ext oracle --------------------------------------------------------------------
 
 
-def ext_bruteforce(f: FinMod, g: FinMod, n_max: int = 8):
+def ext_bruteforce(f: FinMod, g: FinMod):
     """Dimensions of Ext^i computed from an explicit projective
     resolution and its hom complex into the target module."""
     if f.alg is not g.alg and f.alg.label != g.alg.label:
         raise PipelineError("modules live over different algebras")
-    res = resolve(f, n_max)
+    res = resolve(f)
     if not res.cx.mods:
         return []
     cplx, _ = hom_complex(res.cx, module_as_complex(g))
@@ -936,56 +923,71 @@ def ext_bruteforce(f: FinMod, g: FinMod, n_max: int = 8):
     return out
 
 
+def euler_form(m: FinMod, n: FinMod) -> int:
+    """<dim m, dim n> = sum_i x_i y_i - sum over arrows s -> t of x_s y_t,
+    with x_i = dim e_i m read off as the rank of the action of e_i. The
+    arrows are the radical basis elements outside J^2, each a = e_t a e_s.
+    Over a path algebra without relations this is dim Hom(m, n) - dim
+    Ext^1(m, n), and Ext^2 and above vanish (Assem–Simson–Skowroński I,
+    §III.3). Uses neither a resolution nor a hom space."""
+    alg = m.alg
+    x = [m.acts[e].rank() for e in alg.idempotents]
+    y = [n.acts[e].rank() for e in alg.idempotents]
+    j2 = Subspace(alg.dim, [alg.mul[r][q] for r in alg.radical for q in alg.radical])
+    out = sum(a * b for a, b in zip(x, y))
+    for a in alg.radical:
+        if not j2.contains(_unit_vec(alg.dim, a)):
+            s, t = alg.ends[a]
+            out -= x[s] * y[t]
+    return out
+
+
+def ext_matches_euler_form(ext: dict, f: FinMod, g: FinMod) -> bool:
+    """The Ext lists keyed FF, GG and FG against the Euler form: Hom
+    minus Ext^1 equals it and nothing lies above degree 1."""
+    pairs = {"FF": (f, f), "GG": (g, g), "FG": (f, g)}
+    for key, (m, n) in pairs.items():
+        hom, ext1 = (ext[key] + [0, 0])[:2]
+        if hom - ext1 != euler_form(m, n) or any(ext[key][2:]):
+            return False
+    return True
+
+
 # --- combined resolutions ------------------------------------------------------------
 
 
-def _extend_to_resolution(alg, mods, diffs, module, aug, reserved, n_max):
-    """Complete partially built data to a resolution by adding free
+def _extend_to_resolution(mods, diffs, verts, aug, reserved):
+    """Complete partially built data to a resolution by adding projective
     covers of the successive kernels next to the reserved summands.
 
     A reserved summand comes with a differential into the reserved block
-    of the term above, which always occupies the first coordinates."""
-    r = 0
-    cur_mod = mods[0]
-    ker_map = aug
-    while True:
-        ker, incl = kernel_module(cur_mod, ker_map)
-        if ker.dim == 0:
-            break
-        r += 1
-        if r > n_max:
+    of the term above, which always occupies the first coordinates, and
+    its vertex tuple."""
+    d = 0
+    ker, incl = kernel_module(mods[0], aug)
+    while ker.dim:
+        d -= 1
+        if d < -MAX_LENGTH:
             raise PipelineError("combined resolution exceeded the length bound")
-        res_part = reserved.get(-r)
-        if res_part is None:
-            w = projective_witness(ker)
-            if w is not None:
-                mods[-r] = ker
-                diffs[-r] = incl
-                break
-            fr, pi = free_cover(ker)
-            mods[-r] = fr
-            diffs[-r] = incl @ pi
-            cur_mod = fr
-            ker_map = pi
+        cover, pi, cover_verts = proj_cover(ker)
+        if d not in reserved:
+            mods[d], verts[d], diffs[d] = cover, cover_verts, incl @ pi
         else:
-            part_mod, part_d = res_part
+            part_mod, part_d, part_verts = reserved[d]
             # zero-pad the reserved differential into the full term above
-            emb = Mat(cur_mod.dim, part_d.rows)
+            emb = Mat(mods[d + 1].dim, part_d.rows)
             for t in range(part_d.rows):
                 emb.set_entry(t, t, Q(1))
-            part_d_full = emb @ part_d
-            # reserved summand maps in by its own differential; cover the
-            # whole kernel next to it
-            fr, pi = free_cover(ker)
-            s, i1, i2, p1, p2 = module_direct_sum(part_mod, fr)
-            mods[-r] = s
-            diffs[-r] = (part_d_full @ p1).add(incl @ pi @ p2)
-            cur_mod = s
-            ker_map = diffs[-r]
-    return mods, diffs
+            # the reserved summand maps in by its own differential; cover
+            # the whole kernel next to it
+            s, _, _, p1, p2 = module_direct_sum(part_mod, cover)
+            mods[d], verts[d] = s, part_verts + cover_verts
+            diffs[d] = (emb @ part_d @ p1).add(incl @ pi @ p2)
+        ker, incl = kernel_module(mods[d], diffs[d])
+    return mods, diffs, verts
 
 
-def combined_resolution(res_f: Resolution, res_fp: Resolution, res_g: Resolution, res_gp: Resolution, n_max: int = 8):
+def combined_resolution(res_f: Resolution, res_fp: Resolution, res_g: Resolution, res_gp: Resolution):
     """Two combined resolutions containing both given resolutions of
     each module as quasi-isomorphic subcomplexes, with degreewise-split
     exact rows onto the quotients. Returns a dict with complexes Q, P,
@@ -994,8 +996,8 @@ def combined_resolution(res_f: Resolution, res_fp: Resolution, res_g: Resolution
         raise PipelineError("the first pair must resolve the same module")
     if res_g.module is not res_gp.module and res_g.module.dim != res_gp.module.dim:
         raise PipelineError("the second pair must resolve the same module")
-    q, i1, j1, r_quot = _combine_pair(res_fp, res_f, n_max)
-    p, i2, j2, n_quot = _combine_pair(res_gp, res_g, n_max)
+    q, i1, j1, r_quot = _combine_pair(res_fp, res_f)
+    p, i2, j2, n_quot = _combine_pair(res_gp, res_g)
     return {
         "Q": q,
         "P": p,
@@ -1008,7 +1010,7 @@ def combined_resolution(res_f: Resolution, res_fp: Resolution, res_g: Resolution
     }
 
 
-def _combine_pair(res_a: Resolution, res_b: Resolution, n_max: int):
+def _combine_pair(res_a: Resolution, res_b: Resolution):
     """One combined resolution Q of the common module containing res_a
     and res_b as subcomplexes; the row 0 -> res_a -> Q -> Q/res_a -> 0
     is degreewise split exact. Returns (Q: Resolution, incl_a, incl_b,
@@ -1020,20 +1022,19 @@ def _combine_pair(res_a: Resolution, res_b: Resolution, n_max: int):
     aug = (res_a.aug @ pa0).add(res_b.aug @ pb0)
     mods = {0: s0}
     diffs = {}
+    verts = {0: res_a.cx.verts.get(0, ()) + res_b.cx.verts.get(0, ())}
     # reserved summands: the direct sums of the two given terms per degree
     reserved = {}
     degs = sorted(set(res_a.cx.mods) | set(res_b.cx.mods))
-    parts = {0: (ia0, ib0, pa0, pb0)}
     prev = (ia0, ib0)
     for d in sorted((d for d in degs if d < 0), reverse=True):
         sa, ia, ib, pa, pb = module_direct_sum(res_a.cx.module(d), res_b.cx.module(d))
         ia_prev, ib_prev = prev
         dmat = (ia_prev @ res_a.cx.diff(d) @ pa).add(ib_prev @ res_b.cx.diff(d) @ pb)
-        reserved[d] = (sa, dmat)
-        parts[d] = (ia, ib, pa, pb)
+        reserved[d] = (sa, dmat, res_a.cx.verts.get(d, ()) + res_b.cx.verts.get(d, ()))
         prev = (ia, ib)
-    mods, diffs = _extend_to_resolution(alg, mods, diffs, module, aug, reserved, n_max)
-    qcx = BddComplex(alg, mods, diffs, check=True)
+    mods, diffs, verts = _extend_to_resolution(mods, diffs, verts, aug, reserved)
+    qcx = BddComplex(alg, mods, diffs, verts=verts, check=True)
     q = Resolution(qcx, module, aug)
     # inclusions of the two resolutions: reserved summands sit first
     incl_a_comps = {0: ia0}
@@ -1044,7 +1045,6 @@ def _combine_pair(res_a: Resolution, res_b: Resolution, n_max: int):
     for d in sorted(mods):
         if d == 0:
             continue
-        ia, ib, pa, pb = parts.get(d, (None, None, None, None))
         full = mods[d]
         adim = res_a.cx.dim(d)
         bdim = res_b.cx.dim(d)
@@ -1082,11 +1082,9 @@ def _combine_pair(res_a: Resolution, res_b: Resolution, n_max: int):
                 qd = Mat(pr_up.rows, quot_proj[d].rows)
                 dm = qcx.diff(d)
                 for c in range(quot_proj[d].rows):
-                    src = quot_proj[d]
                     # lift the c-th quotient basis vector: complement coordinates
                     lift_vec = [Q(0)] * mods[d].dim
-                    adim = res_a.cx.dim(d)
-                    lift_vec[adim + c] = Q(1)
+                    lift_vec[res_a.cx.dim(d) + c] = Q(1)
                     img = dm.matvec(tuple(lift_vec))
                     red = pr_up.matvec(img)
                     for r, v in enumerate(red):
@@ -1532,22 +1530,24 @@ def les_check(sc: ScDgla) -> dict:
 # --- orchestration -----------------------------------------------------------------------
 
 
-def pipeline_report(fmod: FinMod, gmod: FinMod, alpha: Mat, n_opens: int = 1, n_max: int = 8) -> dict:
+def pipeline_report(fmod: FinMod, gmod: FinMod, alpha: Mat, n_opens: int = 1) -> dict:
     """Run the whole chain on one morphism and collect every verdict."""
-    res_g = resolve(gmod, n_max)
-    res_f, lift = lift_morphism(alpha, fmod, gmod, res_g, n_max)
+    res_g = resolve(gmod)
+    res_f, lift = lift_morphism(alpha, fmod, gmod, res_g)
     sc = build_H(res_f, res_g, lift)
     hdims = h_cohomology(sc, n_opens)
-    ext_ff = ext_bruteforce(fmod, fmod, n_max)
-    ext_gg = ext_bruteforce(gmod, gmod, n_max)
-    ext_fg = ext_bruteforce(fmod, gmod, n_max)
+    ext = {
+        "FF": ext_bruteforce(fmod, fmod),
+        "GG": ext_bruteforce(gmod, gmod),
+        "FG": ext_bruteforce(fmod, gmod),
+    }
     end_f = sc.meta["ends"]["F"]
     end_g = sc.meta["ends"]["G"]
     match = True
-    for i, dim_expected in enumerate(ext_ff):
+    for i, dim_expected in enumerate(ext["FF"]):
         if end_f.cohomology(i)[0] != dim_expected:
             match = False
-    for i, dim_expected in enumerate(ext_gg):
+    for i, dim_expected in enumerate(ext["GG"]):
         if end_g.cohomology(i)[0] != dim_expected:
             match = False
     out = {
@@ -1558,8 +1558,9 @@ def pipeline_report(fmod: FinMod, gmod: FinMod, alpha: Mat, n_opens: int = 1, n_
         "morphism_rank": alpha.rank(),
         "opens": n_opens,
         "h_cohomology": {str(d): h for d, h in sorted(hdims.items())},
-        "ext": {"FF": ext_ff, "GG": ext_gg, "FG": ext_fg},
+        "ext": ext,
         "end_matches_ext": match,
+        "ext_matches_euler_form": ext_matches_euler_form(ext, fmod, gmod),
         "tangent_dim": hdims.get(1, 0),
         "obstruction_dim": hdims.get(2, 0),
     }
@@ -1603,6 +1604,10 @@ def report_markdown(report: dict) -> str:
     lines.append(
         "Ext via endomorphism complexes matches the oracle: "
         + ("yes" if report["end_matches_ext"] else "NO")
+    )
+    lines.append(
+        "Ext matches the Euler form: "
+        + ("yes" if report["ext_matches_euler_form"] else "NO")
     )
     return "\n".join(lines) + "\n"
 

@@ -100,3 +100,21 @@ def test_descent_runs_on_diagrams_with_top_level_three(name):
     assert rep["ok"] is True
     assert len(rep["checks"]) == 8
     assert all(c["trials"] == 1 and c["failures"] == 0 for c in rep["checks"])
+
+
+def test_pipeline_ok_needs_the_euler_form_check(monkeypatch, capsys):
+    """The CLI verdict includes the Euler form check: the same report with
+    that check false exits 1 with "ok": false."""
+    from mcdescent import cli
+
+    real = cli.pipeline_report
+
+    def with_failed_check(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        assert rep["ext_matches_euler_form"] is True
+        rep["ext_matches_euler_form"] = False
+        return rep
+
+    monkeypatch.setattr(cli, "pipeline_report", with_failed_check)
+    assert cli.main(["pipeline", "builtin:morphism-identity"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False

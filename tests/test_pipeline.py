@@ -22,10 +22,10 @@ from mcdescent.pipeline import (
     combined_resolution,
     cone_comparison,
     end_dgla_of_complex,
+    euler_form,
     ext_bruteforce,
+    ext_matches_euler_form,
     field_algebra,
-    free_cover,
-    free_module,
     graph_complex,
     h_cohomology,
     hom_basis,
@@ -37,7 +37,8 @@ from mcdescent.pipeline import (
     module_as_complex,
     module_direct_sum,
     pipeline_report,
-    projective_witness,
+    proj_cover,
+    proj_module,
     random_a2_module,
     random_module_map,
     report_markdown,
@@ -62,7 +63,65 @@ def test_broken_multiplication_is_rejected():
     z = (0, 0, 0)
     mul = [[e1, z, z], [z, (0, 1, 0), z], [a, z, z]]
     with pytest.raises(PipelineError):
-        FinAlg(mul, (1, 1, 0))
+        FinAlg(mul, (1, 1, 0), (0, 1), (2,))
+
+
+def _matrix_algebra_2():
+    """M_2(Q) on the matrix units E11, E22, E12, E21."""
+    units = [(0, 0), (1, 1), (0, 1), (1, 0)]
+    mul = [
+        [
+            tuple(int(j == k and (i, l) == u) for u in units)
+            for (k, l) in units
+        ]
+        for (i, j) in units
+    ]
+    return mul, (1, 1, 0, 0)
+
+
+def _two_loop_algebra_off_paths():
+    """The radical-square-zero algebra of the quiver with arrows a: 1 -> 2
+    and b: 2 -> 1, on the basis (e1, e2, a + b, a - b): its multiplication
+    is associative, but a + b is no path between two vertices."""
+    h = Q(1, 2)
+    e1, e2, z = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)
+    a, b = (0, 0, h, h), (0, 0, h, -h)
+    nb = (0, 0, -h, h)
+    mul = [
+        [e1, z, b, nb],  # e1 (a + b) = b, e1 (a - b) = -b
+        [z, e2, a, a],
+        [a, b, z, z],  # (a + b) e1 = a, (a + b) e2 = b
+        [a, nb, z, z],
+    ]
+    return mul, (1, 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "idempotents, radical, message",
+    [
+        ((0,), (1, 2), "do not sum to the unit"),
+        ((0, 2), (1,), "not orthogonal"),
+        ((0, 1), (), "do not partition the basis"),
+    ],
+)
+def test_wrong_vertex_data_is_rejected(idempotents, radical, message):
+    """A2 with its multiplication intact but the vertex idempotents or
+    the radical misdeclared: dropping e2 breaks the unit, the arrow is
+    not an idempotent, and without the arrow the radical leaves part of
+    the basis out."""
+    alg = a2_algebra()
+    with pytest.raises(PipelineError, match=message):
+        FinAlg(alg.mul, alg.unit, idempotents, radical)
+
+
+def test_radical_checks_fail_off_a_basic_algebra():
+    # M_2(Q): the off-diagonal units span no ideal, since E12 E21 = E11
+    mul, unit = _matrix_algebra_2()
+    with pytest.raises(PipelineError, match="two-sided ideal"):
+        FinAlg(mul, unit, (0, 1), (2, 3))
+    mul, unit = _two_loop_algebra_off_paths()
+    with pytest.raises(PipelineError, match="not a path"):
+        FinAlg(mul, unit, (0, 1), (2, 3))
 
 
 def test_module_action_validation():
@@ -86,25 +145,46 @@ def test_hom_spaces_of_the_four_indecomposables():
         assert is_module_map(p2, p1, t)
 
 
-def test_free_modules_and_covers():
+def test_projective_modules_of_the_vertices():
     alg = a2_algebra()
-    f = free_module(alg, 2)
-    assert f.dim == 6
     mods = a2_modules()
-    fr, pi = free_cover(mods["P1"])
-    assert fr.dim == 3
-    assert pi.rank() == 2
-    assert is_module_map(fr, mods["P1"], pi)
+    # A e1 = span(e1, a) is P1 and A e2 = span(e2) is P2, on the same bases
+    assert proj_module(alg, (0,)).acts == mods["P1"].acts
+    assert proj_module(alg, (1,)).acts == mods["P2"].acts
+    assert proj_module(alg, (0, 1, 1)).dim == 4
 
 
-def test_projectivity_witnesses():
+def test_projective_covers():
+    """The cover of a projective is an isomorphism; the cover of S1 is
+    P1 -> S1, whose kernel, the arrow's span, is P2."""
     mods = a2_modules()
-    for name in ("P1", "P2"):
-        w = projective_witness(mods[name])
-        assert w is not None
-        emb, proj, k = w
-        assert proj @ emb == Mat.identity(mods[name].dim)
-    assert projective_witness(mods["S1"]) is None
+    for name, verts in (("P1", (0,)), ("P2", (1,))):
+        cover, pi, vs = proj_cover(mods[name])
+        assert vs == verts
+        assert is_module_map(cover, mods[name], pi)
+        assert pi.inverse() is not None
+    cover, pi, vs = proj_cover(mods["S1"])
+    assert vs == (0,)
+    assert is_module_map(cover, mods["S1"], pi)
+    ker, _ = kernel_module(cover, pi)
+    assert ker.acts == mods["P2"].acts
+    s1sq_s2 = a2_module(2, 1, Mat.from_rows([[1, 0]]))
+    assert proj_cover(s1sq_s2)[2] == (0, 0)
+
+
+def test_resolution_check_rejects_a_term_off_its_vertex_tuple():
+    mods = a2_modules()
+    s1 = mods["S1"]
+    r = resolve(s1)
+    Resolution(BddComplex(s1.alg, r.cx.mods, r.cx.diffs, verts=r.cx.verts), s1, r.aug)
+    for verts in ({0: (0,), -1: (0,)}, {0: (0,)}, {0: (1,), -1: (1,)}):
+        bad = BddComplex(s1.alg, r.cx.mods, r.cx.diffs, verts=verts)
+        with pytest.raises(PipelineError, match="vertex tuple"):
+            Resolution(bad, s1, r.aug)
+    # a module that is not projective cannot pass as one: S1 is not P1
+    cx = BddComplex(s1.alg, {0: s1}, {}, verts={0: (0,)})
+    with pytest.raises(PipelineError, match="vertex tuple"):
+        Resolution(cx, s1, Mat.identity(1))
 
 
 def test_kernel_of_projection_is_the_complement():
@@ -116,14 +196,16 @@ def test_kernel_of_projection_is_the_complement():
 
 
 def test_resolution_of_the_simple():
+    # C = resolve(S1) = [P2 -> P1]: the top of S1 sits at e1 (vertex
+    # index 0), and the kernel of P1 -> S1 is the arrow's span, P2 = A e2
     mods = a2_modules()
     r = resolve(mods["S1"])
     assert sorted(r.cx.mods) == [-1, 0]
-    assert r.cx.dim(0) == 3
-    assert r.cx.dim(-1) == 2
-    # exactness and the augmentation quasi-isomorphism are checked by
-    # the constructor; the witnesses land on every term
-    assert set(r.cx.witnesses) == {-1, 0}
+    assert r.cx.dim(0) == 2
+    assert r.cx.dim(-1) == 1
+    # exactness, the augmentation quasi-isomorphism and each term against
+    # its vertex tuple are checked by the constructor
+    assert r.cx.verts == {0: (0,), -1: (1,)}
 
 
 def test_resolving_a_projective_takes_no_steps():
@@ -190,11 +272,13 @@ def test_end_dgla_validates_in_full():
 
 
 def test_hom_complex_into_a_module():
+    # Hom(C, S2) with C = [P2 -> P1]: degree 0 is Hom(P1, S2) = e1 S2 = 0
+    # and degree 1 is Hom(P2, S2) = e2 S2 = Q
     mods = a2_modules()
     r = resolve(mods["S1"])
     cplx, book = hom_complex(r.cx, module_as_complex(mods["S2"]))
-    assert cplx.dim(0) == 1
-    assert cplx.dim(1) == 2
+    assert cplx.dim(0) == 0
+    assert cplx.dim(1) == 1
     assert cplx.cohomology(0)[0] == 0
     assert cplx.cohomology(1)[0] == 1
 
@@ -225,23 +309,23 @@ def test_sub_preserving_everything_or_nothing_gives_full_end():
 
 def test_sub_preserving_a_graph_cuts_dimensions():
     # The identity of S1 lifts to a chain map x: C -> C on C = resolve(S1)
-    # = [P2^2 -> P1 + P2] in degrees -1, 0. The graph of x is a degreewise
+    # = [P2 -> P1] in degrees -1, 0. The graph of x is a degreewise
     # module summand of C + C with complement 0 + C, so End(C + C) splits
     # into four blocks, each a copy of Hom(C, C), and an endomorphism
     # preserves the graph iff its graph -> (0 + C) block vanishes: three
     # of the four blocks. Over A2, Hom(P1, P1) = Hom(P2, P1) = Hom(P2, P2)
     # = 1 and Hom(P1, P2) = 0, so Hom(C, C) has dims
-    #   -1: Hom(P1 + P2, P2^2) = 2,
-    #    0: Hom(P1 + P2, P1 + P2) + Hom(P2^2, P2^2) = 3 + 4 = 7,
-    #    1: Hom(P2^2, P1 + P2) = 4,
+    #   -1: Hom(P1, P2) = 0,
+    #    0: Hom(P1, P1) + Hom(P2, P2) = 2,
+    #    1: Hom(P2, P1) = 1,
     # End(C + C) is four times that and the preserving part three times.
     s1 = a2_modules()["S1"]
     res_g = resolve(s1)
     res_f, lift = lift_morphism(Mat.identity(1), s1, s1, res_g)
     graph, emb, amb, _ = graph_complex(lift)
     l_g, incl, end_amb, _ = sub_preserving_dgla(emb)
-    assert dict(sorted(end_amb.dims.items())) == {-1: 8, 0: 28, 1: 16}
-    assert dict(sorted(l_g.dims.items())) == {-1: 6, 0: 21, 1: 12}
+    assert dict(sorted(end_amb.dims.items())) == {0: 8, 1: 4}
+    assert dict(sorted(l_g.dims.items())) == {0: 6, 1: 3}
     # closure under bracket and differential was checked when the
     # inclusion map validated; spot-check the chain property once more
     for p in sorted(l_g.dims):
@@ -260,16 +344,21 @@ def test_lift_of_zero_morphism_has_zero_components():
 
 
 def test_lift_of_an_identity_or_an_iso_is_invertible():
-    """A projective module resolves as itself, so the lift of an
-    automorphism is an isomorphism in every degree. (On the non-minimal
-    resolution of S1 the lift of the identity is only a homotopy
-    equivalence: the solve may pick a degree-0 component that is not
-    invertible.)"""
+    """Between minimal resolutions the lift of an automorphism is an
+    isomorphism in every degree. The seed-19 instance is the automorphism
+    [[2, -1], [1, 0]] of S1^2."""
     mods = a2_modules()
     s2sq = a2_module(0, 2, Mat(2, 0))
+    rng = random.Random(19)
+    f = random_a2_module(rng)
+    g = random_a2_module(rng)
+    alpha19 = random_module_map(f, g, rng)
+    assert f.acts == g.acts == a2_module(2, 0, Mat(0, 2)).acts
     cases = [
         (mods["P1"], Mat.identity(2)),
         (s2sq, Mat.from_rows([[2, 1], [1, 1]])),
+        (mods["S1"], Mat.identity(1)),
+        (f, alpha19),
     ]
     for m, alpha in cases:
         res_g = resolve(m)
@@ -316,13 +405,16 @@ def test_combined_resolution_of_a_projective_pair():
     assert out["R"].underlying().betti() == {}
 
 
-def _free_cover_resolution(m):
-    """The free cover A -> m with its kernel, for an m whose kernel is
-    projective: a resolution that is not the minimal one."""
-    f0, pi = free_cover(m)
-    ker, incl = kernel_module(f0, pi)
-    cx = BddComplex(m.alg, {0: f0, -1: ker}, {-1: incl}, check=True)
-    return Resolution(cx, m, pi)
+def _free_cover_resolution(s2):
+    """The non-minimal resolution [A e1 -> A] of S2 = A e2: A = A e1 + A e2
+    on the basis (e1, a, e2) maps onto S2 by b -> b e2, which kills A e1,
+    so the kernel is the first summand."""
+    alg = s2.alg
+    a = proj_module(alg, (0, 1))
+    incl = Mat.from_rows([[1, 0], [0, 1], [0, 0]])
+    cx = BddComplex(alg, {0: a, -1: proj_module(alg, (0,))}, {-1: incl},
+                    verts={0: (0, 1), -1: (0,)})
+    return Resolution(cx, s2, Mat.from_rows([[0, 0, 1]]))
 
 
 def test_combined_resolution_of_different_resolutions():
@@ -457,7 +549,7 @@ def test_les_exact_on_canonical_morphisms():
 
 
 def test_les_exact_on_random_instances():
-    for seed in range(9):
+    for seed in range(25):
         rng = random.Random(seed)
         f = random_a2_module(rng)
         g = random_a2_module(rng)
@@ -469,35 +561,37 @@ def test_les_exact_on_random_instances():
         assert les["exact"], (seed, les["junctions"])
 
 
-def _euler_form(m, n):
-    """<dim m, dim n> = dim Hom(m, n) - dim Ext^1(m, n) for the quiver
-    1 -> 2: x1 y1 + x2 y2 - x1 y2, with (x1, x2) and (y1, y2) the
-    dimensions of the two idempotents' images."""
-
-    def dims(mod):
-        return tuple(mod.acts[i].rank() for i in (0, 1))
-
-    (x1, x2), (y1, y2) = dims(m), dims(n)
-    return x1 * y1 + x2 * y2 - x1 * y2
-
-
 def test_reports_on_morphisms_that_were_slow():
-    """P1 -> S1 (the projection onto the top) and a rank-1 endomorphism
-    of S2^2. The long exact sequence gives the Euler characteristic of
-    the totalisation as <F, F> + <G, G> - <F, G>."""
+    """P1 -> S1 (the projection onto the top), a rank-1 endomorphism of
+    S2^2 and the diagonal S1 -> S1^2. The long exact sequence gives the
+    Euler characteristic of the totalisation as <F, F> + <G, G> - <F, G>."""
     mods = a2_modules()
     p1, s1 = mods["P1"], mods["S1"]
     s2sq = a2_module(0, 2, Mat(2, 0))
+    s1sq = a2_module(2, 0, Mat(0, 2))
     instances = [
         (p1, s1, hom_basis(p1, s1)[0]),
         (s2sq, s2sq, Mat.from_rows([[1, 0], [0, 0]])),
+        (s1, s1sq, Mat.from_rows([[1], [1]])),
     ]
     for f, g, alpha in instances:
         rep = pipeline_report(f, g, alpha)
         assert rep["les_exact"] is True
         assert rep["end_matches_ext"] is True
+        assert rep["ext_matches_euler_form"] is True
         chi = sum((-1) ** int(d) * h for d, h in rep["h_cohomology"].items())
-        assert chi == _euler_form(f, f) + _euler_form(g, g) - _euler_form(f, g)
+        assert chi == euler_form(f, f) + euler_form(g, g) - euler_form(f, g)
+
+
+def test_euler_form_check_can_fail():
+    """<S1, S2> = -1 (Ext^1(S1, S2) = Q), <S1, S1> = 1, <S2, S1> = 0."""
+    mods = a2_modules()
+    s1, s2 = mods["S1"], mods["S2"]
+    assert (euler_form(s1, s2), euler_form(s1, s1), euler_form(s2, s1)) == (-1, 1, 0)
+    good = {"FF": [1, 0], "GG": [1], "FG": [0, 1]}
+    assert ext_matches_euler_form(good, s1, s2)
+    for key, wrong in (("FG", [0, 0]), ("FF", [1, 1]), ("GG", [1, 0, 1])):
+        assert not ext_matches_euler_form({**good, key: wrong}, s1, s2)
 
 
 def test_zero_morphism_splits_the_degree_zero_cohomology():
@@ -521,10 +615,12 @@ def test_pipeline_report_fields_and_consistency():
     assert rep["ext"]["FG"] == [1]
     assert rep["les_exact"] is True
     assert rep["end_matches_ext"] is True
+    assert rep["ext_matches_euler_form"] is True
     assert rep["tangent_dim"] == rep["h_cohomology"].get("1", 0)
     assert rep["obstruction_dim"] == rep["h_cohomology"].get("2", 0)
     md = report_markdown(rep)
     assert "exact at every junction" in md
+    assert "Ext matches the Euler form: yes" in md
     assert "| source, target | [1] |" in md
 
 
@@ -554,10 +650,32 @@ def test_zero_module_edge_cases():
 
 
 def test_field_algebra_round_trip():
-    """One-dimensional sanity case: everything is free of rank one."""
+    """One-dimensional sanity case: one vertex, no radical, and Q^2 is
+    its own cover by two copies of Q."""
     alg = field_algebra()
     m = FinMod(alg, 2, [Mat.identity(2)])
-    assert projective_witness(m) is not None
+    cover, pi, verts = proj_cover(m)
+    assert verts == (0, 0)
+    assert pi == Mat.identity(2)
     r = resolve(m)
     assert sorted(r.cx.mods) == [0]
     assert ext_bruteforce(m, m) == [4]
+    assert euler_form(m, m) == 4
+
+
+def test_resolutions_are_minimal():
+    """A projective resolution P -> M is minimal iff P0 -> M is a
+    projective cover and every differential lands in the radical of its
+    target, iff for both simples S the hom complex Hom(P, S) has zero
+    differential and Hom(P0, S) = Hom(M, S)."""
+    mods = a2_modules()
+    instances = [mods[name] for name in ("P1", "P2", "S1", "S2")]
+    for seed in range(25):
+        rng = random.Random(seed)
+        instances += [random_a2_module(rng), random_a2_module(rng)]
+    for m in instances:
+        cx = resolve(m).cx
+        for s in (mods["S1"], mods["S2"]):
+            cplx, _ = hom_complex(cx, module_as_complex(s))
+            assert not cplx.diffs, (m.label, s.label)
+            assert cplx.dim(0) == len(hom_basis(m, s)), (m.label, s.label)
