@@ -95,6 +95,12 @@ class ArtinAlgebra:
         assert self.basis[0] == self.unit
         self.maximal_basis: list[Mono] = basis[1:]
         self.max_degree = mono_degree(basis[-1]) if len(basis) > 1 else 0
+        # product of every ordered pair of basis monomials, None in the ideal
+        self._products = {}
+        for a in basis:
+            for b in basis:
+                p = mono_mul_raw(a, b)
+                self._products[a, b] = None if self.in_ideal(p) else p
 
     # --- structure ------------------------------------------------------
 
@@ -116,9 +122,13 @@ class ArtinAlgebra:
         return any(mono_divides(r, m) for r in self.relations)
 
     def mono_mul(self, a: Mono, b: Mono) -> Mono | None:
-        """Product of two basis monomials, or None when it dies in the ideal."""
-        p = mono_mul_raw(a, b)
-        return None if self.in_ideal(p) else p
+        """Product of two basis monomials, or None when it dies in the ideal.
+
+        Defined on basis monomials only: a monomial outside self.basis (one
+        in the ideal, or of the wrong length) raises KeyError. The products
+        are tabulated once, in the constructor.
+        """
+        return self._products[a, b]
 
     def level(self, m: Mono) -> int:
         """m-adic level: the total degree (the quotient is graded)."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .artin import ArtinAlgebra
 from .forms import fkey_d, fkey_mul
 from .linalg import ChainComplexQ, Mat, Vec
-from .ratio import Q, neg_one_pow, rat
+from .ratio import ZERO, Q, neg_one_pow, rat
 
 
 class DglaError(ValueError):
@@ -78,6 +78,7 @@ class Dgla:
             if not m.is_zero():
                 self.diffs[int(d)] = m
         self._names = dict(names) if names else {}
+        self._dcols: dict = {}
         self._br: dict = {}
         pairs = [
             (d1, d2)
@@ -130,6 +131,14 @@ class Dgla:
     def diff(self, deg: int) -> Mat:
         m = self.diffs.get(deg)
         return m if m is not None else Mat(self.dim(deg + 1), self.dim(deg))
+
+    def diff_columns(self, deg: int) -> list:
+        """Sparse columns of diff(deg) (see Mat.columns), built once on
+        first use."""
+        cols = self._dcols.get(deg)
+        if cols is None:
+            cols = self._dcols[deg] = self.diff(deg).columns()
+        return cols
 
     def name(self, deg: int, idx: int) -> str:
         return self._names.get((deg, idx), f"b[{deg},{idx}]")
@@ -204,25 +213,19 @@ class Dgla:
             # Leibniz: d[x,y] = [dx,y] + (-1)^{|x|} [x,dy]
             tgt = d1 + d2
             if self.dim(tgt + 1):
-                lhs = [Q(0)] * self.dim(tgt + 1)
-                dm = self.diff(tgt)
+                lhs = [ZERO] * self.dim(tgt + 1)
+                dm = self.diff_columns(tgt)
                 for k, c in val:
-                    for r in range(dm.rows):
-                        e = dm.entry(r, k)
-                        if e:
-                            lhs[r] += c * e
-                rhs = [Q(0)] * self.dim(tgt + 1)
-                dx = self.diff(d1).col(i) if self.dim(d1 + 1) else ()
-                for r, e in enumerate(dx):
-                    if e:
-                        for k, c in self.bracket_basis(d1 + 1, r, d2, j):
-                            rhs[k] += e * c
-                dy = self.diff(d2).col(j) if self.dim(d2 + 1) else ()
+                    for r, e in dm[k]:
+                        lhs[r] += c * e
+                rhs = [ZERO] * self.dim(tgt + 1)
+                for r, e in self.diff_columns(d1)[i]:
+                    for k, c in self.bracket_basis(d1 + 1, r, d2, j):
+                        rhs[k] += e * c
                 sgn = neg_one_pow(d1)
-                for r, e in enumerate(dy):
-                    if e:
-                        for k, c in self.bracket_basis(d1, i, d2 + 1, r):
-                            rhs[k] += sgn * e * c
+                for r, e in self.diff_columns(d2)[j]:
+                    for k, c in self.bracket_basis(d1, i, d2 + 1, r):
+                        rhs[k] += sgn * e * c
                 if lhs != rhs:
                     raise DglaError(
                         f"Leibniz fails on {self.name(d1, i)}, {self.name(d2, j)}"
@@ -386,34 +389,36 @@ class Elem:
         out: dict = {}
 
         def bump(key, c):
-            v = out.get(key, Q(0)) + c
+            v = out.get(key, ZERO) + c
             if v == 0:
                 out.pop(key, None)
             else:
                 out[key] = v
 
         for (deg, idx, am, pm, S), c in self.terms.items():
-            dm = L.diffs.get(deg)
-            if dm is not None:
-                for r in range(dm.rows):
-                    e = dm.entry(r, idx)
-                    if e:
-                        bump((deg + 1, r, am, pm, S), c * e)
+            for r, e in L.diff_columns(deg)[idx]:
+                bump((deg + 1, r, am, pm, S), c * e)
             sgn = neg_one_pow(deg)
             for m, np_, nS in fkey_d(pm, S):
                 bump((deg, idx, am, np_, nS), c * m * sgn)
         return Elem(self.ctx, out)
 
     def bracket(self, other: "Elem") -> "Elem":
+        """Graded bracket, term by term with the Koszul and shuffle signs
+        of the module docstring.
+
+        Both operands are grouped by their (coefficient, form) slot. Each
+        pair of slots is multiplied once, by mono_mul and fkey_mul, and its
+        Lie pairs are looked up in the bracket table only when that slot
+        product survives.
+        """
         self._chk(other)
         L = self.ctx.dgla
         A = self.ctx.artin
+        right = _by_slot(other.terms)
         out: dict = {}
-        for (d1, i1, a1, p1, S1), c1 in self.terms.items():
-            for (d2, i2, a2, p2, S2), c2 in other.terms.items():
-                val = L.bracket_basis(d1, i1, d2, i2)
-                if not val:
-                    continue
+        for (a1, p1, S1), lie1 in _by_slot(self.terms).items():
+            for (a2, p2, S2), lie2 in right.items():
                 if A is not None:
                     am = A.mono_mul(a1, a2)
                     if am is None:
@@ -424,15 +429,21 @@ class Elem:
                 if r is None:
                     continue
                 pm, S, fsign = r
-                koszul = neg_one_pow(len(S1) * d2)
-                base = c1 * c2 * fsign * koszul
-                for k, c in val:
-                    key = (d1 + d2, k, am, pm, S)
-                    v = out.get(key, Q(0)) + base * c
-                    if v == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = v
+                for d1, i1, c1 in lie1:
+                    for d2, i2, c2 in lie2:
+                        val = L.bracket_basis(d1, i1, d2, i2)
+                        if not val:
+                            continue
+                        base = c1 * c2
+                        if fsign * neg_one_pow(len(S1) * d2) < 0:
+                            base = -base
+                        for k, c in val:
+                            key = (d1 + d2, k, am, pm, S)
+                            v = out.get(key, ZERO) + base * c
+                            if v == 0:
+                                out.pop(key, None)
+                            else:
+                                out[key] = v
         return Elem(self.ctx, out)
 
     # --- form-slot manipulation ----------------------------------------------
@@ -508,16 +519,13 @@ class Elem:
         nctx = TensorCtx(dmap.target, self.ctx.artin, self.ctx.form_vars)
         out: dict = {}
         for (deg, idx, am, pm, S), c in self.terms.items():
-            m = dmap.mat(deg)
-            for r in range(m.rows):
-                e = m.entry(r, idx)
-                if e:
-                    key = (deg, r, am, pm, S)
-                    v = out.get(key, Q(0)) + c * e
-                    if v == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = v
+            for r, e in dmap.columns(deg)[idx]:
+                key = (deg, r, am, pm, S)
+                v = out.get(key, ZERO) + c * e
+                if v == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = v
         return Elem(nctx, out)
 
     def __repr__(self):
@@ -543,12 +551,22 @@ class Elem:
         return " + ".join(parts)
 
 
+def _by_slot(terms: dict) -> dict:
+    """Group element terms by (coefficient, form) slot: {(amono, pmono,
+    dmask): [(degree, index, coeff), ...]} in term order."""
+    slots: dict = {}
+    for (deg, idx, am, pm, S), c in terms.items():
+        slots.setdefault((am, pm, S), []).append((deg, idx, c))
+    return slots
+
+
 class DglaMap:
     """Map of dgLas: degreewise matrices commuting with d and brackets."""
 
     def __init__(self, source: Dgla, target: Dgla, mats: dict, check: bool = True):
         self.source = source
         self.target = target
+        self._cols: dict = {}
         self.mats = {}
         for d, m in mats.items():
             if not isinstance(m, Mat):
@@ -564,6 +582,14 @@ class DglaMap:
         m = self.mats.get(deg)
         return m if m is not None else Mat(self.target.dim(deg), self.source.dim(deg))
 
+    def columns(self, deg: int) -> list:
+        """Sparse columns of mat(deg) (see Mat.columns), built once on
+        first use."""
+        cols = self._cols.get(deg)
+        if cols is None:
+            cols = self._cols[deg] = self.mat(deg).columns()
+        return cols
+
     def validate(self):
         for d in self.source.degrees():
             lhs = self.target.diff(d) @ self.mat(d)
@@ -574,24 +600,15 @@ class DglaMap:
             for d2, j in self.source.basis_keys():
                 if self.target.dim(d1 + d2) == 0 and self.source.dim(d1 + d2) == 0:
                     continue
-                lhs = [Q(0)] * self.target.dim(d1 + d2)
-                m = self.mat(d1 + d2)
+                lhs = [ZERO] * self.target.dim(d1 + d2)
+                m = self.columns(d1 + d2)
                 for k, c in self.source.bracket_basis(d1, i, d2, j):
-                    for r in range(m.rows):
-                        e = m.entry(r, k)
-                        if e:
-                            lhs[r] += c * e
-                rhs = [Q(0)] * self.target.dim(d1 + d2)
-                mi = self.mat(d1)
-                mj = self.mat(d2)
-                for r1 in range(mi.rows):
-                    a = mi.entry(r1, i)
-                    if not a:
-                        continue
-                    for r2 in range(mj.rows):
-                        b = mj.entry(r2, j)
-                        if not b:
-                            continue
+                    for r, e in m[k]:
+                        lhs[r] += c * e
+                rhs = [ZERO] * self.target.dim(d1 + d2)
+                col_j = self.columns(d2)[j]
+                for r1, a in self.columns(d1)[i]:
+                    for r2, b in col_j:
                         for k, c in self.target.bracket_basis(d1, r1, d2, r2):
                             rhs[k] += a * b * c
                 if lhs != rhs:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ratio import Q, neg_one_pow, rat
+from .ratio import ZERO, Q, neg_one_pow, rat
 
 Vec = tuple  # tuple of Q entries
 
@@ -97,7 +97,7 @@ class Mat:
     # --- access -------------------------------------------------------
 
     def entry(self, r: int, c: int):
-        return self._rows[r].get(c, Q(0))
+        return self._rows[r].get(c, ZERO)
 
     def set_entry(self, r: int, c: int, v):
         v = rat(v)
@@ -108,10 +108,20 @@ class Mat:
 
     def row(self, r: int) -> Vec:
         d = self._rows[r]
-        return tuple(d.get(j, Q(0)) for j in range(self.cols))
+        return tuple(d.get(j, ZERO) for j in range(self.cols))
 
     def col(self, c: int) -> Vec:
-        return tuple(self._rows[i].get(c, Q(0)) for i in range(self.rows))
+        return tuple(self._rows[i].get(c, ZERO) for i in range(self.rows))
+
+    def columns(self) -> list:
+        """Sparse columns: for each column, its (row, value) pairs with the
+        value nonzero, in ascending row order. A fresh list on every call;
+        callers that reuse it keep it themselves."""
+        cols = [[] for _ in range(self.cols)]
+        for i, r in enumerate(self._rows):
+            for j, v in r.items():
+                cols[j].append((i, v))
+        return cols
 
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
@@ -288,7 +298,10 @@ class Mat:
 
     def solve(self, b: Vec) -> Vec | None:
         """Solve A x = b. Returns the particular solution whose free
-        coordinates are zero, or None when the system is inconsistent."""
+        coordinates are zero, or None when the system is inconsistent.
+
+        One elimination of [A | b]; solver() pays more once to answer many
+        right-hand sides on the same A."""
         if len(b) != self.rows:
             raise ValueError("solve shape mismatch")
         aug = self.hstack(Mat.from_cols([b], rows=self.rows))
@@ -299,6 +312,34 @@ class Mat:
         for i, p in enumerate(pivots):
             x[p] = R._rows[i].get(self.cols, Q(0))
         return tuple(x)
+
+    def solver(self):
+        """Factor A once for many right-hand sides: the returned function
+        maps b to exactly what solve(b) returns, by one matvec.
+
+        The rref of [A | I] is [R | E] with E invertible and E A = R, the
+        rref of A over zero rows. So A x = b is consistent exactly when E b
+        vanishes below the rank, and the solution whose free coordinates
+        are zero has E b's entry i at pivot column i.
+        """
+        n = self.cols
+        R, pivots = self.hstack(Mat.identity(self.rows)).rref()
+        rank = sum(1 for p in pivots if p < n)
+        E = Mat(self.rows, self.rows)
+        E._rows = [{j - n: v for j, v in r.items() if j >= n} for r in R._rows]
+
+        def solve(b: Vec) -> Vec | None:
+            if len(b) != E.cols:
+                raise ValueError("solve shape mismatch")
+            y = E.matvec(b)
+            if any(y[rank:]):
+                return None
+            x = [Q(0)] * n
+            for i, p in enumerate(pivots[:rank]):
+                x[p] = y[i]
+            return tuple(x)
+
+        return solve
 
     def inverse(self):
         """Exact inverse, or None when the matrix is not invertible."""

@@ -13,8 +13,11 @@ checker that ties its cohomology to Ext groups computed from the hom
 complex of a resolution, themselves checked against the Euler form of
 the quiver. Any two choices of resolutions and lift give
 quasi-isomorphic diagrams, so the reported cohomology does not depend
-on them; the minimal ones are the smallest. Everything is exact
-rational linear algebra.
+on them; the minimal ones are the smallest. One reported list does
+follow the choice: `les_junctions` has one entry per degree from one
+below the total complex's lowest degree to one above its highest, so
+its length follows the length of the resolutions. Its verdicts do not.
+Everything is exact rational linear algebra.
 """
 
 from __future__ import annotations
@@ -800,7 +803,7 @@ def sub_dgla_from_spans(g: Dgla, spans: dict, label: str = ""):
     closure under d and bracket is solved for and asserted. Returns
     (sub, inclusion DglaMap)."""
     mats = {}
-    sols = {}
+    solvers = {}
     dims = {}
     for d, vecs in spans.items():
         if not vecs:
@@ -814,7 +817,9 @@ def sub_dgla_from_spans(g: Dgla, spans: dict, label: str = ""):
             if vis_zero(v):
                 return ()
             raise PipelineError("sub-dgla is not closed")
-        sol = m.solve(v)
+        if d not in solvers:
+            solvers[d] = m.solver()
+        sol = solvers[d](v)
         if sol is None:
             raise PipelineError("sub-dgla is not closed")
         return sol

@@ -13,6 +13,7 @@ from mcdescent.artin import (
     builtin_artin_names,
     dual_numbers,
     fat_point,
+    mono_mul_raw,
     square_zero,
     truncated_poly,
 )
@@ -78,6 +79,25 @@ def test_mixed_monomial_ideal():
     assert A.nu == 3
     assert A.mono_mul((1, 0), (1, 0)) == (2, 0)
     assert A.mono_mul((1, 0), (0, 1)) is None
+
+
+@pytest.mark.parametrize(
+    "A",
+    [builtin_artin(n) for n in builtin_artin_names()]
+    + [ArtinAlgebra(2, [(3, 0), (0, 2), (1, 1)])],
+    ids=lambda A: A.label or "mixed",
+)
+def test_product_table_is_raw_product_mod_ideal(A):
+    for a in A.basis:
+        for b in A.basis:
+            p = mono_mul_raw(a, b)
+            assert A.mono_mul(a, b) == (None if A.in_ideal(p) else p)
+
+
+def test_mono_mul_is_defined_on_basis_monomials_only():
+    A = dual_numbers()
+    with pytest.raises(KeyError):
+        A.mono_mul((2,), (0,))
 
 
 def test_element_arithmetic():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mcdescent.artin import truncated_poly
+from mcdescent.artin import builtin_artin, mono_mul_raw, truncated_poly
 from mcdescent.dgla import (
     Dgla,
     DglaError,
@@ -12,10 +12,11 @@ from mcdescent.dgla import (
     TensorCtx,
     abelian_dgla,
     direct_sum,
+    end_dgla,
     sl2,
 )
 from mcdescent.forms import f_const, f_sub, f_var
-from mcdescent.linalg import Mat
+from mcdescent.linalg import ChainComplexQ, Mat
 from mcdescent.ratio import Q
 
 
@@ -143,6 +144,56 @@ def test_elem_jacobi():
         assert lhs.eq(rhs)
 
 
+def naive_bracket(x, y) -> dict:
+    """Reference bracket, one term pair at a time:
+    [l a w, l' a' w'] = (-1)^{|w| |l'|} [l, l'] (a a') (w ^ w')."""
+    L, A = x.ctx.dgla, x.ctx.artin
+    out = {}
+    for (d1, i1, a1, p1, S1), c1 in x.terms.items():
+        for (d2, i2, a2, p2, S2), c2 in y.terms.items():
+            am = mono_mul_raw(a1, a2)
+            if A.in_ideal(am) or set(S1) & set(S2):
+                continue
+            seq = S1 + S2
+            swaps = sum(1 for a in range(len(seq)) for b in range(a) if seq[b] > seq[a])
+            sign = -1 if (swaps + len(S1) * d2) % 2 else 1
+            pm = tuple(u + v for u, v in zip(p1, p2))
+            for k, c in L.bracket_basis(d1, i1, d2, i2):
+                key = (d1 + d2, k, am, pm, tuple(sorted(seq)))
+                out[key] = out.get(key, 0) + sign * c1 * c2 * c
+    return {k: v for k, v in out.items() if v != 0}
+
+
+@pytest.mark.parametrize("ring", ["t4", "fat2", "sqz2"])
+def test_slot_grouped_bracket_matches_term_by_term(ring):
+    # End(Q -> Q^2) has degrees -1, 0, 1, so Koszul signs (-1)^{|w| |l'|}
+    # meet odd Lie degrees; three form variables give odd masks and shuffles
+    L, _ = end_dgla(ChainComplexQ({0: 1, 1: 2}, {0: [[1], [2]]}))
+    A = builtin_artin(ring)
+    ctx = TensorCtx(L, A, ("t", "s", "u"))
+    rng = random.Random(ring)
+
+    def rand_term():
+        d = rng.choice(L.degrees())
+        return ctx.term(
+            d,
+            rng.randrange(L.dim(d)),
+            Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)),
+            rng.choice(A.basis),
+            tuple(rng.randint(0, 1) for _ in range(3)),
+            tuple(sorted(rng.sample(range(3), rng.randint(0, 2)))),
+        )
+
+    for _ in range(30):
+        x = ctx.zero()
+        y = ctx.zero()
+        for _ in range(rng.randint(1, 6)):
+            x = x.add(rand_term())
+        for _ in range(rng.randint(1, 6)):
+            y = y.add(rand_term())
+        assert x.bracket(y).terms == naive_bracket(x, y)
+
+
 def test_subst_commutes_with_d():
     # pullbacks are maps of complexes: subst(d x) = d(subst x)
     rng = random.Random(24)
@@ -222,6 +273,23 @@ def test_map_lie_on_elements():
     assert x.bracket(y).map_lie(injs[1]).eq(
         pushed.bracket(y.map_lie(injs[1]))
     )
+
+
+def test_map_validate_checks_pairs_with_an_empty_source_bracket():
+    # every bracket of the abelian source is empty, yet [e, f] = h
+    src = abelian_dgla({0: 2})
+    with pytest.raises(DglaError, match="Lie homomorphism"):
+        DglaMap(src, sl2(), {0: Mat.from_rows([[1, 0], [0, 0], [0, 1]])})
+    DglaMap(src, sl2(), {0: Mat.from_rows([[1, 2], [0, 0], [0, 0]])})
+
+
+def test_map_validate_checks_commuting_with_d():
+    src = abelian_dgla({0: 1, 1: 1}, {0: [[1]]})
+    tgt = abelian_dgla({0: 1, 1: 1})
+    ident = {0: Mat.identity(1), 1: Mat.identity(1)}
+    with pytest.raises(DglaError, match="commute with d"):
+        DglaMap(src, tgt, ident)
+    DglaMap(src, src, ident)
 
 
 def test_validate_sample_mode_runs():

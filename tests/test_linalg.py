@@ -110,6 +110,45 @@ def test_solve_and_kernel_random():
         assert Subspace(c, ker).contains(diff)
 
 
+def dense_solve(rows, b):
+    """Oracle: the solution of A x = b with zero free coordinates, or None."""
+    ncols = len(rows[0])
+    R, pivots = dense_rref([list(r) + [v] for r, v in zip(rows, b)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = R[i][ncols]
+    return tuple(x)
+
+
+def test_solver_matches_dense_oracle():
+    rng = random.Random(12)
+    for _ in range(60):
+        r = rng.randint(1, 6)
+        c = rng.randint(1, 5)
+        m = rand_mat(rng, r, c, density=0.4)
+        solve = m.solver()
+        for _ in range(4):
+            if rng.random() < 0.5:
+                b = m.matvec(vec([rng.randint(-4, 4) for _ in range(c)]))
+            else:
+                b = vec([rng.randint(-4, 4) for _ in range(r)])
+            want = dense_solve(m.to_rows(), b)
+            assert solve(b) == want
+            assert m.solve(b) == want
+
+
+def test_columns_agree_with_col():
+    rng = random.Random(13)
+    for _ in range(40):
+        m = rand_mat(rng, rng.randint(0, 5), rng.randint(0, 5), density=0.4)
+        cols = m.columns()
+        assert len(cols) == m.cols
+        for j, col in enumerate(cols):
+            assert col == [(i, v) for i, v in enumerate(m.col(j)) if v != 0]
+
+
 def test_image_kernel_dims():
     rng = random.Random(3)
     for _ in range(40):

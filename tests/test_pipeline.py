@@ -6,6 +6,7 @@ import random
 import pytest
 
 from mcdescent.descent import check_hypothesis
+from mcdescent.dgla import sl2
 from mcdescent.linalg import Mat, Subspace
 from mcdescent.pipeline import (
     BddComplex,
@@ -43,6 +44,7 @@ from mcdescent.pipeline import (
     random_module_map,
     report_markdown,
     resolve,
+    sub_dgla_from_spans,
     sub_preserving_dgla,
     zero_module,
 )
@@ -295,6 +297,22 @@ def test_graph_of_zero_and_identity_maps():
     g2, emb2, _, _ = graph_complex(ident)
     for d in g2.mods:
         assert emb2.comp(d).rank() == g2.dim(d)
+
+
+def test_sub_dgla_from_spans_solves_and_rejects_unclosed_spans():
+    g = sl2()  # basis e, h, f
+    e, h, f = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    # the Borel span {e, h} written in a non-standard basis
+    sub, incl = sub_dgla_from_spans(g, {0: [(1, 1, 0), (0, 2, 0)]})
+    assert sub.dim(0) == 2
+    # [e + h, 2h] = -4e = -4(e + h) + 2(2h)
+    assert sub.bracket_basis(0, 0, 0, 1) == ((0, Q(-4)), (1, Q(2)))
+    with pytest.raises(PipelineError, match="not closed"):
+        sub_dgla_from_spans(g, {0: [e, f]})
+    # [h, e + f] = 2e - 2f
+    with pytest.raises(PipelineError, match="not closed"):
+        sub_dgla_from_spans(g, {0: [(1, 0, 1), h]})
+    assert incl.source is sub and incl.target is g
 
 
 def test_sub_preserving_everything_or_nothing_gives_full_end():
