@@ -314,8 +314,12 @@ class TensorCtx:
 class Elem:
     """Sparse tensor L (x) A (x) Omega element.
 
-    terms: {(deg, idx, amono, pmono, dmask): Q}. Do not mutate in place;
-    all operations return fresh elements.
+    terms: {(deg, idx, amono, pmono, dmask): Q}, zero-free: no value is 0,
+    so the zero element is the empty dict and two elements are equal
+    exactly when their dicts are. The constructor drops zeros; operations
+    that build a zero-free dict themselves hand it over through wrap(),
+    without a copy. Do not mutate in place; all operations return fresh
+    elements.
     """
 
     __slots__ = ("ctx", "terms")
@@ -323,6 +327,15 @@ class Elem:
     def __init__(self, ctx: TensorCtx, terms: dict):
         self.ctx = ctx
         self.terms = {k: v for k, v in terms.items() if v != 0}
+
+    @classmethod
+    def wrap(cls, ctx: TensorCtx, terms: dict) -> "Elem":
+        """The element of a zero-free dict that no one else holds, taken
+        as it is: neither checked nor copied."""
+        e = object.__new__(cls)
+        e.ctx = ctx
+        e.terms = terms
+        return e
 
     # --- linear structure -------------------------------------------------
 
@@ -333,24 +346,42 @@ class Elem:
         self._chk(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            v = out.get(k, Q(0)) + c
-            if v == 0:
-                out.pop(k, None)
+            v = out.get(k)
+            if v is None:
+                out[k] = c
             else:
-                out[k] = v
-        return Elem(self.ctx, out)
+                v += c
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+        return Elem.wrap(self.ctx, out)
 
     def sub(self, other: "Elem") -> "Elem":
-        return self.add(other.scale(-1))
+        self._chk(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            v = out.get(k)
+            if v is None:
+                out[k] = -c
+            else:
+                v -= c
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+        return Elem.wrap(self.ctx, out)
 
     def scale(self, c) -> "Elem":
         c = rat(c)
         if c == 0:
-            return Elem(self.ctx, {})
-        return Elem(self.ctx, {k: c * v for k, v in self.terms.items()})
+            return Elem.wrap(self.ctx, {})
+        if c == 1:
+            return Elem.wrap(self.ctx, dict(self.terms))
+        return Elem.wrap(self.ctx, {k: c * v for k, v in self.terms.items()})
 
     def neg(self) -> "Elem":
-        return self.scale(-1)
+        return Elem.wrap(self.ctx, {k: -v for k, v in self.terms.items()})
 
     def eq(self, other: "Elem") -> bool:
         self._chk(other)
@@ -387,21 +418,13 @@ class Elem:
     def d(self) -> "Elem":
         L = self.ctx.dgla
         out: dict = {}
-
-        def bump(key, c):
-            v = out.get(key, ZERO) + c
-            if v == 0:
-                out.pop(key, None)
-            else:
-                out[key] = v
-
         for (deg, idx, am, pm, S), c in self.terms.items():
             for r, e in L.diff_columns(deg)[idx]:
-                bump((deg + 1, r, am, pm, S), c * e)
+                _bump(out, (deg + 1, r, am, pm, S), c * e)
             sgn = neg_one_pow(deg)
             for m, np_, nS in fkey_d(pm, S):
-                bump((deg, idx, am, np_, nS), c * m * sgn)
-        return Elem(self.ctx, out)
+                _bump(out, (deg, idx, am, np_, nS), c * (m * sgn))
+        return Elem.wrap(self.ctx, out)
 
     def bracket(self, other: "Elem") -> "Elem":
         """Graded bracket, term by term with the Koszul and shuffle signs
@@ -438,13 +461,8 @@ class Elem:
                         if fsign * neg_one_pow(len(S1) * d2) < 0:
                             base = -base
                         for k, c in val:
-                            key = (d1 + d2, k, am, pm, S)
-                            v = out.get(key, ZERO) + base * c
-                            if v == 0:
-                                out.pop(key, None)
-                            else:
-                                out[key] = v
-        return Elem(self.ctx, out)
+                            _bump(out, (d1 + d2, k, am, pm, S), base * c)
+        return Elem.wrap(self.ctx, out)
 
     # --- form-slot manipulation ----------------------------------------------
 
@@ -474,31 +492,31 @@ class Elem:
             for i in S:
                 form = f_mul(form, d_imgs[i])
             for (np_, nS), fc in f_scale(c, form).items():
-                key = (deg, idx, am, np_, nS)
-                v = out.get(key, Q(0)) + fc
-                if v == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-        return Elem(nctx, out)
+                _bump(out, (deg, idx, am, np_, nS), fc)
+        return Elem.wrap(nctx, out)
 
     def subs_values(self, values: dict) -> "Elem":
         """Pull back along var_i := constant for i in values: terms carrying
         the differential of a substituted variable vanish (the image has
-        zero differential). Remaining variables keep their order."""
-        from .forms import f_const, f_var
+        zero differential). Remaining variables keep their order.
 
+        Evaluated directly, form slot by form slot (see _value_slot),
+        giving what form_subst gives on the constant and coordinate
+        images, in the same term order."""
         keep = [i for i in range(self.ctx.nforms) if i not in values]
-        new_vars = tuple(self.ctx.form_vars[i] for i in keep)
-        m = len(keep)
+        nctx = self.ctx.with_vars(self.ctx.form_vars[i] for i in keep)
         pos = {v: p for p, v in enumerate(keep)}
-        images = []
-        for i in range(self.ctx.nforms):
-            if i in values:
-                images.append(f_const(values[i], m))
-            else:
-                images.append(f_var(pos[i], m))
-        return self.form_subst(images, new_vars)
+        vals = [(i, rat(v)) for i, v in sorted(values.items())]
+        slots: dict = {}
+        out: dict = {}
+        for (deg, idx, am, pm, S), c in self.terms.items():
+            if (pm, S) not in slots:
+                slots[pm, S] = _value_slot(pm, S, vals, pos)
+            slot = slots[pm, S]
+            if slot is not None:
+                f, npm, nS = slot
+                _bump(out, (deg, idx, am, npm, nS), c if f is None else c * f)
+        return Elem.wrap(nctx, out)
 
     def lie_vector(self, deg: int, amono, pmono=None, dmask=()) -> Vec:
         """Coefficient vector in L^deg of a fixed (monomial, form) slot."""
@@ -520,13 +538,8 @@ class Elem:
         out: dict = {}
         for (deg, idx, am, pm, S), c in self.terms.items():
             for r, e in dmap.columns(deg)[idx]:
-                key = (deg, r, am, pm, S)
-                v = out.get(key, ZERO) + c * e
-                if v == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-        return Elem(nctx, out)
+                _bump(out, (deg, r, am, pm, S), c * e)
+        return Elem.wrap(nctx, out)
 
     def __repr__(self):
         if not self.terms:
@@ -549,6 +562,38 @@ class Elem:
             body = "*".join([L.name(deg, idx)] + fs)
             parts.append(f"({c})*{body}")
         return " + ".join(parts)
+
+
+def _bump(out: dict, key, c):
+    """Add the nonzero c to out[key], keeping out zero-free: a new key goes
+    last, a key whose sum cancels is dropped."""
+    v = out.get(key)
+    if v is None:
+        out[key] = c
+    else:
+        v += c
+        if v:
+            out[key] = v
+        else:
+            del out[key]
+
+
+def _value_slot(pm, S, vals, pos):
+    """The form slot (pm, S) under var_i := v for (i, v) in vals, keeping
+    the variables in pos (old index -> new index, in order). None when it
+    vanishes: S holds a substituted differential, or a positive power of
+    a zero value. Else (factor, pmono, dmask) with the factor the product
+    of the v ** pm[i], None when it is 1."""
+    if any(i not in pos for i in S):
+        return None
+    f = None
+    for i, v in vals:
+        e = pm[i]
+        if e and v != 1:
+            if not v:
+                return None
+            f = v**e if f is None else f * v**e
+    return f, tuple([pm[i] for i in pos]), tuple([pos[i] for i in S])
 
 
 def _by_slot(terms: dict) -> dict:
@@ -845,10 +890,5 @@ def elem_base_change(f, e: "Elem") -> "Elem":
     out: dict = {}
     for (deg, idx, am, pm, dm), c in e.terms.items():
         for tm, tc in f._mono_image(am).items():
-            key = (deg, idx, tm, pm, dm)
-            v = out.get(key, Q(0)) + c * tc
-            if v == 0:
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return Elem(ctx, out)
+            _bump(out, (deg, idx, tm, pm, dm), c * tc)
+    return Elem.wrap(ctx, out)

@@ -225,45 +225,39 @@ class Mat:
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form; returns (R, pivot column list).
 
-        Deterministic: always picks the first row with a nonzero entry in
-        the current column.
+        The RREF of a matrix is unique, so R and the pivots do not depend
+        on the order of elimination. This one takes the rows in turn and
+        keeps a basis of the rows seen so far, keyed by pivot column and
+        fully reduced (each basis row is zero at the other pivots). A row
+        is cleared at the pivot columns it touches; what is left, if
+        anything, is scaled to 1 at its first column, which becomes a new
+        pivot and is cleared from the basis rows. So each new pivot scans
+        only the pivot rows, not every row of a tall system. R holds the
+        basis rows by ascending pivot, then zero rows.
         """
-        work = [dict(r) for r in self._rows]
-        pivots: list[int] = []
-        top = 0
-        for col in range(self.cols):
-            sel = None
-            for i in range(top, len(work)):
-                if work[i].get(col):
-                    sel = i
-                    break
-            if sel is None:
+        basis: dict = {}
+        for src in self._rows:
+            if not src:
                 continue
-            work[top], work[sel] = work[sel], work[top]
-            prow = work[top]
-            inv = Q(1) / prow[col]
-            if inv != 1:
-                for j in list(prow):
-                    prow[j] *= inv
-            for i in range(len(work)):
-                if i == top:
-                    continue
-                f = work[i].get(col)
-                if not f:
-                    continue
-                row_i = work[i]
-                for j, v in prow.items():
-                    nv = row_i.get(j, Q(0)) - f * v
-                    if nv == 0:
-                        row_i.pop(j, None)
-                    else:
-                        row_i[j] = nv
-            pivots.append(col)
-            top += 1
-            if top == len(work):
+            row = dict(src)
+            for p in [j for j in src if j in basis]:
+                _clear(row, p, basis[p])
+            if not row:
+                continue
+            col = min(row)
+            lead = row[col]
+            if lead != 1:
+                inv = 1 / lead
+                row = {j: v * inv for j, v in row.items()}
+            for brow in basis.values():
+                if col in brow:
+                    _clear(brow, col, row)
+            basis[col] = row
+            if len(basis) == self.cols:
                 break
+        pivots = sorted(basis)
         out = Mat(self.rows, self.cols)
-        out._rows = work
+        out._rows[: len(pivots)] = [basis[p] for p in pivots]
         return out, pivots
 
     def rank(self) -> int:
@@ -298,20 +292,39 @@ class Mat:
 
     def solve(self, b: Vec) -> Vec | None:
         """Solve A x = b. Returns the particular solution whose free
-        coordinates are zero, or None when the system is inconsistent.
+        coordinates (the non-pivot columns of A's RREF) are zero, or None
+        when the system is inconsistent.
 
-        One elimination of [A | b]; solver() pays more once to answer many
-        right-hand sides on the same A."""
-        if len(b) != self.rows:
+        One elimination of [A | b], as in solve_many; solver() pays more
+        once to answer many right-hand sides on the same A."""
+        return self.solve_many([b])[0]
+
+    def solve_many(self, rhs: list) -> list:
+        """solve(b) for every b in rhs, from one elimination of [A | B].
+
+        The RREF of [A | B] is E [A | B] with E invertible and E A the RREF
+        of A over zero rows. So b_k is consistent exactly when its column
+        of the RREF vanishes below the rank of A, and then that column
+        holds the solution's pivot coordinates. A column that is not
+        consistent becomes a pivot itself, below the rank of A, and leaves
+        the read-off of the others unchanged.
+        """
+        n = self.cols
+        if any(len(b) != self.rows for b in rhs):
             raise ValueError("solve shape mismatch")
-        aug = self.hstack(Mat.from_cols([b], rows=self.rows))
-        R, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [Q(0)] * self.cols
-        for i, p in enumerate(pivots):
-            x[p] = R._rows[i].get(self.cols, Q(0))
-        return tuple(x)
+        R, pivots = self.hstack(Mat.from_cols(rhs, rows=self.rows)).rref()
+        rank = sum(1 for p in pivots if p < n)
+        head, below = R._rows[:rank], R._rows[rank : len(pivots)]
+        out = []
+        for c in range(n, n + len(rhs)):
+            if any(c in r for r in below):
+                out.append(None)
+                continue
+            x = [ZERO] * n
+            for p, r in zip(pivots, head):
+                x[p] = r.get(c, ZERO)
+            out.append(tuple(x))
+        return out
 
     def solver(self):
         """Factor A once for many right-hand sides: the returned function
@@ -356,6 +369,24 @@ class Mat:
                 if v:
                     inv.set_entry(i, j, v)
         return inv
+
+
+def _clear(row: dict, col: int, prow: dict):
+    """row -= row[col] * prow for a pivot row prow with prow[col] = 1,
+    in place, keeping row zero-free."""
+    nf = -row.pop(col)
+    for j, v in prow.items():
+        if j == col:
+            continue
+        w = row.get(j)
+        if w is None:
+            row[j] = nf * v
+        else:
+            w += nf * v
+            if w:
+                row[j] = w
+            else:
+                del row[j]
 
 
 class Subspace:

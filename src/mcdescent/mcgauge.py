@@ -14,8 +14,11 @@ automatically produces the expected dt-correction terms.
 
 The decomposition solvers write a Maurer-Cartan path (or square) that
 starts at x as e^g * x with g in a rigid polynomial shape, solving level by
-level in the coefficient filtration; each level is one exact linear system,
-and the final residual is asserted to vanish identically.
+level in the coefficient filtration. Since d is linear over the coefficient
+ring, a level's system splits into one block per monomial of that level,
+all equal to the shape block at the unit monomial; each level is one exact
+elimination of that block, shared by its monomials, with one right-hand
+side per monomial. The final residual is asserted to vanish identically.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import lru_cache
 from .dgla import Elem, TensorCtx
 from .forms import f_var
 from .linalg import Mat
-from .ratio import Q
+from .ratio import ZERO, Q
 
 
 class GaugeError(ValueError):
@@ -59,11 +62,16 @@ def elem_linear_solve(map_fn, target: Elem, basis: list):
     sol = m.solve(rhs)
     if sol is None:
         return None
-    out = basis[0].ctx.zero()
+    out: dict = {}
     for c, b in zip(sol, basis, strict=True):
-        if c != 0:
-            out = out.add(b.scale(c))
-    return out
+        if c:
+            for k, v in b.terms.items():
+                w = out.get(k, ZERO) + c * v
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
+    return Elem.wrap(basis[0].ctx, out)
 
 
 def lie_basis_elems(ctx: TensorCtx, deg: int, min_level: int = 1) -> list:
@@ -246,33 +254,72 @@ def _tmax(rho: Elem, var: int) -> int:
     return max((k[3][var] for k in rho.terms), default=0)
 
 
-def _shape_1var(ctx: TensorCtx, level: int, tmax: int) -> list:
-    A = ctx.artin
+def _shape_1var(ctx: TensorCtx, tmax: int) -> list:
     L = ctx.dgla
     out = []
-    for am in A.monomials_of_level(level):
-        for e in range(1, tmax + 1):
+    for e in range(1, tmax + 1):
+        for idx in range(L.dim(0)):
+            out.append(ctx.term(0, idx, 1, None, (e,), ()))
+    return out
+
+
+def _shape_2var(ctx: TensorCtx, tb: int, sb: int) -> list:
+    L = ctx.dgla
+    out = []
+    for et in range(tb + 1):
+        for es in range(sb + 1):
+            if et + es == 0:
+                continue
             for idx in range(L.dim(0)):
-                out.append(ctx.term(0, idx, 1, am, (e,), ()))
+                out.append(ctx.term(0, idx, 1, None, (et, es), ()))
+    for et in range(1, tb + 1):
+        for es in range(sb + 1):
+            for idx in range(L.dim(-1)):
+                out.append(ctx.term(-1, idx, 1, None, (et, es), (1,)))
     return out
 
 
-def _shape_2var(ctx: TensorCtx, level: int, tb: int, sb: int) -> list:
-    A = ctx.artin
-    L = ctx.dgla
-    out = []
-    for am in A.monomials_of_level(level):
-        for et in range(tb + 1):
-            for es in range(sb + 1):
-                if et + es == 0:
-                    continue
-                for idx in range(L.dim(0)):
-                    out.append(ctx.term(0, idx, 1, am, (et, es), ()))
-        for et in range(1, tb + 1):
-            for es in range(sb + 1):
-                for idx in range(L.dim(-1)):
-                    out.append(ctx.term(-1, idx, 1, am, (et, es), (1,)))
-    return out
+def _level_solve(piece: Elem, shape: list, monos: list):
+    """Solve -d(delta) = piece for delta in the shape at every monomial of
+    monos, or None when inconsistent.
+
+    -d keeps the coefficient monomial, so the system is one block per
+    monomial, each the images of the shape terms (at the unit monomial)
+    under -d. That block is eliminated once, with each monomial's part of
+    piece as its own right-hand side. delta is the particular solution of
+    the whole system, with its terms in (monomial, shape) order.
+    """
+    images = [s.d().neg() for s in shape]
+    cols: dict = {}
+    for (deg, idx, am, pm, S), c in piece.terms.items():
+        cols.setdefault(am, {})[deg, idx, pm, S] = c
+    keys = set()
+    for im in images:
+        keys.update((deg, idx, pm, S) for deg, idx, _, pm, S in im.terms)
+    for col in cols.values():
+        keys.update(col)
+    pos = {k: i for i, k in enumerate(sorted(keys))}
+    m = Mat(len(pos), len(shape), {
+        (pos[deg, idx, pm, S], j): c
+        for j, im in enumerate(images)
+        for (deg, idx, _, pm, S), c in im.terms.items()
+    })
+    ams = [am for am in monos if am in cols]
+    rhs = []
+    for am in ams:
+        b = [ZERO] * len(pos)
+        for k, c in cols[am].items():
+            b[pos[k]] = c
+        rhs.append(tuple(b))
+    out: dict = {}
+    for am, sol in zip(ams, m.solve_many(rhs), strict=True):
+        if sol is None:
+            return None
+        for c, s in zip(sol, shape, strict=True):
+            if c:
+                ((deg, idx, _, pm, S),) = s.terms
+                out[deg, idx, am, pm, S] = c
+    return Elem.wrap(piece.ctx, out)
 
 
 def _decompose(x: Elem, xi: Elem, shape_fn) -> Elem:
@@ -293,8 +340,7 @@ def _decompose(x: Elem, xi: Elem, shape_fn) -> Elem:
         if lvl > level:
             continue
         piece = rho.artin_level_component(level)
-        basis = shape_fn(level, piece)
-        delta = elem_linear_solve(lambda d: d.d().neg(), piece, basis)
+        delta = _level_solve(piece, shape_fn(piece), A.monomials_of_level(level))
         if delta is None:
             raise GaugeError(
                 f"no shape solution at coefficient level {level}; "
@@ -319,8 +365,8 @@ def decompose_path(x: Elem, xi: Elem) -> Elem:
         raise GaugeError("path does not start at the given object")
     xe = embed(x.form_subst([], ()), xi.ctx.form_vars, positions=[])
 
-    def shapes(level, piece):
-        return _shape_1var(xi.ctx, level, _tmax(piece, 0) + 1)
+    def shapes(piece):
+        return _shape_1var(xi.ctx, _tmax(piece, 0) + 1)
 
     return _decompose(xe, xi, shapes)
 
@@ -336,10 +382,8 @@ def decompose_square(x: Elem, xi: Elem) -> Elem:
         raise GaugeError("square does not start at the given object")
     xe = embed(x.form_subst([], ()), xi.ctx.form_vars, positions=[])
 
-    def shapes(level, piece):
-        return _shape_2var(
-            xi.ctx, level, _tmax(piece, 0) + 1, _tmax(piece, 1) + 1
-        )
+    def shapes(piece):
+        return _shape_2var(xi.ctx, _tmax(piece, 0) + 1, _tmax(piece, 1) + 1)
 
     return _decompose(xe, xi, shapes)
 

@@ -25,8 +25,11 @@ def rat(value, den=None):
     """Coerce to an exact rational.
 
     Accepts ints, existing rationals, and strings like "3/4" or "-7".
-    Floats are rejected: every number in this package must be exact.
+    Floats are rejected: every number in this package must be exact. A Q
+    comes back as it is, not re-created.
     """
+    if type(value) is Q and den is None:
+        return value
     if den is not None:
         return Q(value) / Q(den)
     if isinstance(value, float):

@@ -17,7 +17,7 @@ from mcdescent.dgla import (
 )
 from mcdescent.forms import f_const, f_sub, f_var
 from mcdescent.linalg import ChainComplexQ, Mat
-from mcdescent.ratio import Q
+from mcdescent.ratio import Q, rat
 
 
 def two_term() -> Dgla:
@@ -223,6 +223,72 @@ def test_subs_values_kills_differentials():
     assert y.subs_values({0: "1/2"}).eq(
         TensorCtx(L, A, ()).term(0, 0, "1/4", (1,))
     )
+
+
+def zero_free(e) -> bool:
+    return all(c != 0 for c in e.terms.values())
+
+
+def test_operations_keep_elements_zero_free():
+    # inputs built to cancel: a result holds no zero coefficient, so a
+    # cancelled result is the empty element
+    L, _ = end_dgla(ChainComplexQ({0: 1, 1: 2}, {0: [[1], [2]]}))
+    A = truncated_poly(3)
+    ctx = TensorCtx(L, A, ("t", "s"))
+    rng = random.Random(27)
+    for _ in range(30):
+        x = rand_elem(ctx, rng, rng.choice([0, 1]), nterms=5)
+        y = rand_elem(ctx, rng, rng.choice([0, 1]), nterms=5)
+        x0 = rand_elem(ctx, rng, 0, nterms=5)
+        cancelled = [
+            x.sub(x), x.add(x.neg()), x.d().d(), x.scale(0), x0.bracket(x0),
+            x.add(y).sub(y).sub(x),
+        ]
+        for e in cancelled:
+            assert e.is_zero() and e.terms == {}
+        results = [
+            x.add(y), x.sub(y), x.neg(), x.scale(Q(-2, 3)), x.scale(1), x.d(),
+            x.bracket(y), x.form_subst([f_var(0, 1), f_var(0, 1)], ("u",)),
+            x.subs_values({0: 1}), x.subs_values({1: 0, 0: Q(1, 2)}),
+        ]
+        assert all(zero_free(e) for e in results)
+
+    # l t - l s pulled back along t, s := u, u, or evaluated at t = s = 1
+    l_t = ctx.term(0, 0, 1, (1,), (1, 0))
+    l_s = ctx.term(0, 0, 1, (1,), (0, 1))
+    diag = [f_var(0, 1), f_var(0, 1)]
+    assert l_t.sub(l_s).form_subst(diag, ("u",)).terms == {}
+    assert l_t.sub(l_s).subs_values({0: 1, 1: 1}).terms == {}
+    assert ctx.term(0, 0, 1, (1,), (2, 0), (0,)).subs_values({0: 3}).terms == {}
+
+    # two basis vectors with the same image under a dgLa map
+    fold = DglaMap(abelian_dgla({0: 2}), abelian_dgla({0: 1}), {0: [[1, 1]]})
+    actx = TensorCtx(fold.source, A, ("t",))
+    a = actx.term(0, 0, 2, (1,), (1,)).sub(actx.term(0, 1, 2, (1,), (1,)))
+    assert zero_free(a) and len(a.terms) == 2
+    assert a.map_lie(fold).terms == {}
+    assert zero_free(a.add(actx.term(0, 0, 1, (2,))).map_lie(fold))
+
+
+def test_subs_values_matches_form_subst_in_term_order():
+    # direct evaluation gives the general substitution's terms, in its order
+    rng = random.Random(28)
+    L = sl2()
+    ctx = TensorCtx(L, truncated_poly(3), ("t", "s", "u"))
+    for _ in range(40):
+        x = rand_elem(ctx, rng, rng.choice([0, 1, 2]), nterms=8)
+        chosen = rng.sample(range(3), rng.randint(1, 3))
+        values = {i: rng.choice([0, 1, -1, Q(1, 2), Q(-2, 3), "3"]) for i in chosen}
+        keep = [i for i in range(3) if i not in values]
+        images = [
+            f_const(rat(values[i]), len(keep)) if i in values
+            else f_var(keep.index(i), len(keep))
+            for i in range(3)
+        ]
+        want = x.form_subst(images, [ctx.form_vars[i] for i in keep])
+        got = x.subs_values(values)
+        assert got.ctx == want.ctx
+        assert list(got.terms.items()) == list(want.terms.items())
 
 
 def test_lie_vector_roundtrip():

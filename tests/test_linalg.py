@@ -139,6 +139,119 @@ def test_solver_matches_dense_oracle():
             assert m.solve(b) == want
 
 
+def gauss_jordan_rref(m):
+    """The earlier Mat.rref, kept as a reference: column by column, pivot on
+    the first row at or below the top with a nonzero entry, clear the
+    column from every other row. Returns (rows as dicts, pivots)."""
+    work = [dict(r) for r in m._rows]
+    pivots = []
+    top = 0
+    for col in range(m.cols):
+        sel = next((i for i in range(top, len(work)) if work[i].get(col)), None)
+        if sel is None:
+            continue
+        work[top], work[sel] = work[sel], work[top]
+        prow = work[top]
+        inv = Q(1) / prow[col]
+        for j in list(prow):
+            prow[j] *= inv
+        for i in range(len(work)):
+            f = work[i].get(col)
+            if i == top or not f:
+                continue
+            for j, v in prow.items():
+                nv = work[i].get(j, Q(0)) - f * v
+                if nv == 0:
+                    work[i].pop(j, None)
+                else:
+                    work[i][j] = nv
+        pivots.append(col)
+        top += 1
+        if top == len(work):
+            break
+    return work, pivots
+
+
+def rand_rational_mat(rng, rows, cols, rank=None, density=0.5):
+    """Entries with mixed denominators; with rank given, a product of a
+    rows x rank and a rank x cols matrix, so rank-deficient when rank is
+    below both sizes."""
+    def entry():
+        if rng.random() >= density:
+            return 0
+        return Q(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 5, 7]))
+
+    if rank is None:
+        return Mat(rows, cols, {(i, j): entry() for i in range(rows) for j in range(cols)})
+    left = Mat(rows, rank, {(i, k): entry() for i in range(rows) for k in range(rank)})
+    right = Mat(rank, cols, {(k, j): entry() for k in range(rank) for j in range(cols)})
+    return left @ right
+
+
+def with_duplicates_and_zero_rows(rng, m):
+    """m with some rows repeated (as they are or scaled) and some zero rows
+    put in, in a shuffled row order."""
+    rows = [dict(r) for r in m._rows]
+    for r in list(rows):
+        if rng.random() < 0.4:
+            c = rng.choice([Q(1), Q(-2), Q(3, 4)])
+            rows.append({j: c * v for j, v in r.items()})
+    rows.extend({} for _ in range(rng.randint(0, 2)))
+    rng.shuffle(rows)
+    out = Mat(len(rows), m.cols)
+    out._rows = rows
+    return out
+
+
+def test_rref_matches_gauss_jordan_reference():
+    rng = random.Random(8)
+    shapes = (
+        [(rng.randint(8, 14), rng.randint(1, 5)) for _ in range(40)]  # tall
+        + [(rng.randint(1, 5), rng.randint(8, 14)) for _ in range(40)]  # wide
+        + [(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(60)]
+    )
+    for rows, cols in shapes:
+        # full entries, then rank-deficient (rank 0 is the zero matrix)
+        for rank in (None, rng.randint(0, max(0, min(rows, cols) - 1))):
+            m = rand_rational_mat(rng, rows, cols, rank)
+            for a in (m, with_duplicates_and_zero_rows(rng, m)):
+                R, pivots = a.rref()
+                want_rows, want_pivots = gauss_jordan_rref(a)
+                assert pivots == want_pivots
+                assert (R.rows, R.cols) == (a.rows, a.cols)
+                assert R._rows == want_rows
+                assert all(0 not in r.values() for r in R._rows)
+
+
+def test_solve_many_reads_each_column_alone():
+    # [A | B] with A rank-deficient: a right-hand side outside the column
+    # space becomes a pivot of its own and must not disturb the others;
+    # with two of them, independent modulo the column space, the second
+    # pivots one row further down
+    rng = random.Random(9)
+    for trial in range(60):
+        rows, cols = rng.randint(3, 7), rng.randint(2, 6)
+        # rank leaves a free column and room below it for two more pivots
+        a = rand_rational_mat(rng, rows, cols, rank=rng.randint(1, min(rows - 2, cols - 1)))
+        rhs = [a.matvec(vec([rng.randint(-3, 3) for _ in range(cols)])) for _ in range(3)]
+        bad = []
+        while len(bad) < 1 + trial % 2:
+            b = vec([Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rows)])
+            if Mat.from_cols(bad + [b], rows=rows).hstack(a).rank() == a.rank() + len(bad) + 1:
+                bad.append(b)
+        for b in bad:
+            rhs.insert(rng.randint(0, len(rhs)), b)
+        got = a.solve_many(rhs)
+        assert [k for k, x in enumerate(got) if x is None] == [
+            k for k, b in enumerate(rhs) if any(b is c for c in bad)
+        ]
+        for k, b in enumerate(rhs):
+            assert got[k] == dense_solve(a.to_rows(), b) == a.solve(b)
+            if got[k] is not None:
+                assert a.matvec(got[k]) == b
+    assert Mat(2, 3).solve_many([]) == []
+
+
 def test_columns_agree_with_col():
     rng = random.Random(13)
     for _ in range(40):

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from mcdescent.artin import dual_numbers, fat_point, truncated_poly
+from mcdescent.artin import builtin_artin, dual_numbers, fat_point, truncated_poly
 from mcdescent.dgla import TensorCtx, end_dgla
 from mcdescent.linalg import ChainComplexQ, Mat
 from mcdescent.mcgauge import (
@@ -335,6 +335,119 @@ def test_decompose_square_roundtrip():
             else:
                 assert deg == -1 and S == (1,) and pm[0] >= 1
         assert gauge(r, embed(x, ("t", "s"), positions=[])).eq(xi)
+
+
+def full_shape_1var(ctx, level, piece):
+    """Path shape at every monomial of the level: L^0 t^e, e = 1..deg_t + 1."""
+    tmax = max(k[3][0] for k in piece.terms) + 1
+    return [
+        ctx.term(0, idx, 1, am, (e,), ())
+        for am in ctx.artin.monomials_of_level(level)
+        for e in range(1, tmax + 1)
+        for idx in range(ctx.dgla.dim(0))
+    ]
+
+
+def full_shape_2var(ctx, level, piece):
+    """Square shape at every monomial of the level: L^0 t^a s^b (a + b > 0),
+    then L^-1 t^a s^b ds (a > 0)."""
+    tb = max(k[3][0] for k in piece.terms) + 1
+    sb = max(k[3][1] for k in piece.terms) + 1
+    out = []
+    for am in ctx.artin.monomials_of_level(level):
+        for et in range(tb + 1):
+            for es in range(sb + 1):
+                if et + es:
+                    out.extend(ctx.term(0, i, 1, am, (et, es), ()) for i in range(ctx.dgla.dim(0)))
+        for et in range(1, tb + 1):
+            for es in range(sb + 1):
+                out.extend(ctx.term(-1, i, 1, am, (et, es), (1,)) for i in range(ctx.dgla.dim(-1)))
+    return out
+
+
+def full_basis_decompose(xe, xi, full_shape):
+    """Reference decomposition: each level is one elem_linear_solve of
+    -d(delta) = residual over the shape at every monomial of the level."""
+    log = xi.ctx.zero()
+    g = xe
+    for level in range(1, xi.ctx.artin.nu):
+        rho = xi.sub(g)
+        if rho.is_zero():
+            break
+        if rho.min_artin_level() > level:
+            continue
+        piece = rho.artin_level_component(level)
+        basis = full_shape(xi.ctx, level, piece)
+        delta = elem_linear_solve(lambda e: e.d().neg(), piece, basis)
+        assert delta is not None
+        log = log.add(delta)
+        g = gauge(log, xe)
+    return log
+
+
+def rand_log(ctx, rng, monos, shape_terms):
+    """Random element: each of shape_terms (deg, form monomial, mask) with
+    a random coefficient and a monomial drawn from monos."""
+    out = ctx.zero()
+    for deg, pm, mask in shape_terms:
+        for idx in range(ctx.dgla.dim(deg)):
+            c = rng.randint(-2, 2)
+            if c:
+                out = out.add(ctx.term(deg, idx, c, rng.choice(monos), pm, mask))
+    return out
+
+
+@pytest.mark.parametrize("ring", ["sqz2", "sqz3", "fat2"])
+def test_decompose_matches_full_basis_solve(ring):
+    # one elimination per level, shared by its monomials, gives the log of
+    # one solve over the whole level, term for term and in the same order
+    A = builtin_artin(ring)
+    ctx, _ = make_ctx(CXD, A)
+    rng = random.Random(ring)
+    level1 = A.monomials_of_level(1)
+    path_terms = [(0, (1,), ()), (0, (2,), ()), (-1, (1,), (0,)), (-1, (0,), (0,))]
+    square_terms = [(0, (1, 0), ()), (0, (1, 1), ()), (0, (0, 2), ()),
+                    (-1, (1, 0), (0,)), (-1, (0, 1), (1,))]
+    partial = 0
+    for trial in range(8):
+        x = rand_mc(ctx, rng)
+        # even trials put the level-1 part of the log on one monomial, so
+        # the level-1 residual leaves the other monomials' blocks empty
+        monos = A.maximal_basis if trial % 2 else level1[:1] + A.maximal_basis[len(level1):]
+        for vars_, terms, decompose, full_shape in (
+            (("t",), path_terms, decompose_path, full_shape_1var),
+            (("t", "s"), square_terms, decompose_square, full_shape_2var),
+        ):
+            xe = embed(x, vars_, positions=[])
+            xi = gauge(rand_log(xe.ctx, rng, monos, terms), xe)
+            touched = {k[2] for k in xi.sub(xe).artin_level_component(1).terms}
+            partial += 0 < len(touched) < len(level1)
+            got = decompose(x, xi)
+            want = full_basis_decompose(xe, xi, full_shape)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert gauge(got, xe).eq(xi)
+    assert partial >= 4
+
+
+def test_decompose_raises_when_one_monomial_block_is_inconsistent():
+    A = builtin_artin("sqz2")
+    ctx, _ = make_ctx(CXD, A)
+    ctx1 = ctx.with_vars(("t",))
+    rng = random.Random(43)
+    x = rand_mc(ctx, rng)
+    xe = embed(x, ("t",), positions=[])
+    g = ctx1.zero()
+    for am in A.maximal_basis:
+        g = g.add(ctx1.term(0, 0, 1, am, (1,), ())).add(ctx1.term(0, 1, -2, am, (2,), ()))
+    xi = gauge(g, xe)
+    assert decompose_path(x, xi).eq(g)
+    for am in A.maximal_basis:
+        # a degree-1 Lie term times t is no -d of a shape term (it would
+        # need a dt part); it touches one monomial's block only
+        bad = xi.add(ctx1.term(1, 0, 1, am, (1,), ()))
+        assert {k[2] for k in bad.sub(xi).terms} == {am}
+        with pytest.raises(GaugeError, match="no shape solution at coefficient level 1"):
+            decompose_path(x, bad)
 
 
 def test_paths_and_composition():
