@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .ratio import Q, rat
+from .ratio import ZERO, Q, rat
 
 Mono = tuple  # exponent tuple, one slot per variable
 
@@ -186,7 +186,7 @@ class ArtinAlgebra:
                 p = self.mono_mul(ma, mb)
                 if p is None:
                     continue
-                v = out.get(p, Q(0)) + ca * cb
+                v = out.get(p, ZERO) + ca * cb
                 if v == 0:
                     out.pop(p, None)
                 else:
@@ -196,7 +196,7 @@ class ArtinAlgebra:
     def add(self, a: dict, b: dict) -> dict:
         out = dict(a)
         for m, c in b.items():
-            v = out.get(m, Q(0)) + c
+            v = out.get(m, ZERO) + c
             if v == 0:
                 out.pop(m, None)
             else:
@@ -294,7 +294,7 @@ class ArtinMorphism:
         out: dict = {}
         for m, c in self.source.elem(u).items():
             for tm, tc in self._mono_image(m).items():
-                v = out.get(tm, Q(0)) + c * tc
+                v = out.get(tm, ZERO) + c * tc
                 if v == 0:
                     out.pop(tm, None)
                 else:

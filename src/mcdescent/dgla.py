@@ -165,7 +165,7 @@ class Dgla:
     # --- validation ----------------------------------------------------
 
     def _bracket_vec(self, d1: int, v1: Vec, d2: int, v2: Vec) -> Vec:
-        out = [Q(0)] * self.dim(d1 + d2)
+        out = [ZERO] * self.dim(d1 + d2)
         for i, a in enumerate(v1):
             if a == 0:
                 continue
@@ -242,11 +242,11 @@ class Dgla:
                 continue
             # [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]]
             n = self.dim(d1 + d2 + d3)
-            lhs = [Q(0)] * n
+            lhs = [ZERO] * n
             for m, c in self.bracket_basis(d2, j, d3, k):
                 for r, e in self.bracket_basis(d1, i, d2 + d3, m):
                     lhs[r] += c * e
-            rhs = [Q(0)] * n
+            rhs = [ZERO] * n
             for m, c in self.bracket_basis(d1, i, d2, j):
                 for r, e in self.bracket_basis(d1 + d2, m, d3, k):
                     rhs[r] += c * e
@@ -524,7 +524,7 @@ class Elem:
             pmono = (0,) * self.ctx.nforms
         key_tail = (tuple(amono), tuple(pmono), tuple(sorted(dmask)))
         n = self.ctx.dgla.dim(deg)
-        v = [Q(0)] * n
+        v = [ZERO] * n
         for (d, i, am, pm, S), c in self.terms.items():
             if d == deg and (am, pm, S) == key_tail:
                 v[i] = c
@@ -605,6 +605,15 @@ def _by_slot(terms: dict) -> dict:
     return slots
 
 
+def _left_brackets(g: Dgla) -> dict:
+    """The non-empty basis brackets of g grouped by left argument:
+    {(d1, i): [(d2, j, [b(d1,i), b(d2,j)]), ...]}."""
+    out: dict = {}
+    for (d1, i, d2, j), val in g._br.items():
+        out.setdefault((d1, i), []).append((d2, j, val))
+    return out
+
+
 class DglaMap:
     """Map of dgLas: degreewise matrices commuting with d and brackets."""
 
@@ -641,26 +650,36 @@ class DglaMap:
             rhs = self.mat(d + 1) @ self.source.diff(d)
             if lhs != rhs:
                 raise DglaError(f"map does not commute with d at degree {d}")
+        # f[x, y] = [f x, f y] for every pair of source basis elements, one
+        # x at a time: diff[(d2, j)] collects f[x, y_j] - [f x, f y_j] from
+        # the brackets whose left argument is x (source) or a row of f x
+        # (target), f y_j read off the rows of mats[d2].
+        src_left = _left_brackets(self.source)
+        tgt_left = _left_brackets(self.target)
         for d1, i in self.source.basis_keys():
-            for d2, j in self.source.basis_keys():
-                if self.target.dim(d1 + d2) == 0 and self.source.dim(d1 + d2) == 0:
-                    continue
-                lhs = [ZERO] * self.target.dim(d1 + d2)
+            diff: dict = {}
+            for d2, j, val in src_left.get((d1, i), ()):
                 m = self.columns(d1 + d2)
-                for k, c in self.source.bracket_basis(d1, i, d2, j):
+                v = diff.setdefault((d2, j), {})
+                for k, c in val:
                     for r, e in m[k]:
-                        lhs[r] += c * e
-                rhs = [ZERO] * self.target.dim(d1 + d2)
-                col_j = self.columns(d2)[j]
-                for r1, a in self.columns(d1)[i]:
-                    for r2, b in col_j:
-                        for k, c in self.target.bracket_basis(d1, r1, d2, r2):
-                            rhs[k] += a * b * c
-                if lhs != rhs:
-                    raise DglaError(
-                        f"map is not a Lie homomorphism on "
-                        f"({d1},{i}), ({d2},{j})"
-                    )
+                        v[r] = v.get(r, ZERO) + c * e
+            for r1, a in self.columns(d1)[i]:
+                for d2, r2, val in tgt_left.get((d1, r1), ()):
+                    m = self.mats.get(d2)
+                    if m is None:
+                        continue
+                    for j, b in m._rows[r2].items():
+                        ab = a * b
+                        v = diff.setdefault((d2, j), {})
+                        for k, c in val:
+                            v[k] = v.get(k, ZERO) - ab * c
+            bad = [key for key, v in diff.items() if any(v.values())]
+            if bad:
+                d2, j = min(bad)
+                raise DglaError(
+                    f"map is not a Lie homomorphism on ({d1},{i}), ({d2},{j})"
+                )
 
     def compose(self, inner: "DglaMap") -> "DglaMap":
         if inner.target is not self.source:

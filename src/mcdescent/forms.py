@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .ratio import Q, rat
+from .ratio import ZERO, Q, rat
 
 FKey = tuple  # (pmono tuple, dmask tuple sorted ascending)
 
@@ -60,7 +60,7 @@ def f_zero() -> dict:
 def f_add(f: dict, g: dict) -> dict:
     out = dict(f)
     for k, c in g.items():
-        v = out.get(k, Q(0)) + c
+        v = out.get(k, ZERO) + c
         if v == 0:
             out.pop(k, None)
         else:
@@ -104,7 +104,7 @@ def f_mul(f: dict, g: dict) -> dict:
             if r is None:
                 continue
             p, S, sg = r
-            v = out.get((p, S), Q(0)) + sg * c1 * c2
+            v = out.get((p, S), ZERO) + sg * c1 * c2
             if v == 0:
                 out.pop((p, S), None)
             else:
@@ -116,7 +116,7 @@ def f_d(f: dict) -> dict:
     out: dict = {}
     for (p, S), c in f.items():
         for m, np, nS in fkey_d(p, S):
-            v = out.get((np, nS), Q(0)) + m * c
+            v = out.get((np, nS), ZERO) + m * c
             if v == 0:
                 out.pop((np, nS), None)
             else:

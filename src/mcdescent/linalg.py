@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ratio import ZERO, Q, neg_one_pow, rat
+from .ratio import ONE, ZERO, Q, neg_one_pow, rat
 
 Vec = tuple  # tuple of Q entries
 
@@ -22,7 +22,7 @@ def vec(entries) -> Vec:
 
 
 def vzero(n: int) -> Vec:
-    return (Q(0),) * n
+    return (ZERO,) * n
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
@@ -63,7 +63,7 @@ class Mat:
     def identity(cls, n: int) -> "Mat":
         m = cls(n, n)
         for i in range(n):
-            m._rows[i][i] = Q(1)
+            m._rows[i][i] = ONE
         return m
 
     @classmethod
@@ -164,7 +164,7 @@ class Mat:
             raise ValueError(f"matvec shape mismatch: {self.cols} vs {len(v)}")
         out = []
         for r in self._rows:
-            s = Q(0)
+            s = ZERO
             for j, a in r.items():
                 s += a * v[j]
             out.append(s)
@@ -178,7 +178,7 @@ class Mat:
             acc: dict = {}
             for k, a in r.items():
                 for j, b in other._rows[k].items():
-                    acc[j] = acc.get(j, Q(0)) + a * b
+                    acc[j] = acc.get(j, ZERO) + a * b
             out._rows[i] = {j: v for j, v in acc.items() if v != 0}
         return out
 
@@ -189,7 +189,7 @@ class Mat:
         for i, r in enumerate(other._rows):
             tr = out._rows[i]
             for j, v in r.items():
-                nv = tr.get(j, Q(0)) + v
+                nv = tr.get(j, ZERO) + v
                 if nv == 0:
                     tr.pop(j, None)
                 else:
@@ -276,8 +276,8 @@ class Mat:
         for f in range(self.cols):
             if f in pivset:
                 continue
-            v = [Q(0)] * self.cols
-            v[f] = Q(1)
+            v = [ZERO] * self.cols
+            v[f] = ONE
             for i, p in enumerate(pivots):
                 a = R._rows[i].get(f)
                 if a:
@@ -347,7 +347,7 @@ class Mat:
             y = E.matvec(b)
             if any(y[rank:]):
                 return None
-            x = [Q(0)] * n
+            x = [ZERO] * n
             for i, p in enumerate(pivots[:rank]):
                 x[p] = y[i]
             return tuple(x)

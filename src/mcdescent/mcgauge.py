@@ -58,7 +58,7 @@ def elem_linear_solve(map_fn, target: Elem, basis: list):
     for j, im in enumerate(images):
         for k, c in im.terms.items():
             m.set_entry(pos[k], j, c)
-    rhs = tuple(target.terms.get(k, Q(0)) for k in keys)
+    rhs = tuple(target.terms.get(k, ZERO) for k in keys)
     sol = m.solve(rhs)
     if sol is None:
         return None
@@ -141,7 +141,7 @@ def _word_mul(f: dict, g: dict, maxlen: int) -> dict:
             if len(w1) + len(w2) > maxlen:
                 continue
             w = w1 + w2
-            v = out.get(w, Q(0)) + c1 * c2
+            v = out.get(w, ZERO) + c1 * c2
             if v == 0:
                 out.pop(w, None)
             else:
@@ -166,7 +166,7 @@ def _bch_words(nu: int):
     for m in range(1, maxlen + 1):
         coeff = Q((-1) ** (m + 1), m)
         for w, c in power.items():
-            v = log.get(w, Q(0)) + coeff * c
+            v = log.get(w, ZERO) + coeff * c
             if v == 0:
                 log.pop(w, None)
             else:

@@ -16,6 +16,7 @@ from mcdescent.dgla import (
     sl2,
 )
 from mcdescent.forms import f_const, f_sub, f_var
+from mcdescent.io import builtin_input_names, load_builtin
 from mcdescent.linalg import ChainComplexQ, Mat
 from mcdescent.ratio import Q, rat
 
@@ -360,3 +361,88 @@ def test_map_validate_checks_commuting_with_d():
 
 def test_validate_sample_mode_runs():
     sl2().validate(mode="sample", seed=3)
+
+
+def pair_sweep_violation(f: DglaMap):
+    """Reference check of a DglaMap: d-compatibility, then f[x, y] against
+    [f x, f y] on every pair of source basis elements in basis order. The
+    message of the first violation, or None."""
+    src, tgt = f.source, f.target
+    for d in src.degrees():
+        if tgt.diff(d) @ f.mat(d) != f.mat(d + 1) @ src.diff(d):
+            return f"map does not commute with d at degree {d}"
+    for d1, i in src.basis_keys():
+        for d2, j in src.basis_keys():
+            n = tgt.dim(d1 + d2)
+            lhs = [Q(0)] * n
+            for k, c in src.bracket_basis(d1, i, d2, j):
+                for r in range(n):
+                    lhs[r] += c * f.mat(d1 + d2).entry(r, k)
+            rhs = [Q(0)] * n
+            for r1 in range(tgt.dim(d1)):
+                a = f.mat(d1).entry(r1, i)
+                for r2 in range(tgt.dim(d2)):
+                    b = f.mat(d2).entry(r2, j)
+                    for k, c in tgt.bracket_basis(d1, r1, d2, r2):
+                        rhs[k] += a * b * c
+            if lhs != rhs:
+                return f"map is not a Lie homomorphism on ({d1},{i}), ({d2},{j})"
+    return None
+
+
+def _random_vec(rng, basis, n):
+    v = [Q(0)] * n
+    for b in basis:
+        c = rng.choice((-2, -1, 1, 2))
+        v = [x + c * y for x, y in zip(v, b)]
+    return v
+
+
+def _perturbed_cofaces(rng, face: DglaMap, count: int):
+    """Seeded perturbations f + E of one coface at one degree d. E = u v^T
+    with d u = 0 in the target and v killing the image of d in the source
+    keeps f a chain map, so only the bracket check can fail; every third
+    perturbation adds to one entry instead, which mostly breaks d."""
+    src, tgt = face.source, face.target
+    degs = [d for d in src.degrees() if tgt.dim(d)]
+    for n in range(count if degs else 0):
+        d = rng.choice(degs)
+        mats = {e: face.mat(e).copy() for e in set(src.dims) | set(tgt.dims)}
+        m = mats[d]
+        if n % 3 == 2:
+            r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+            m.set_entry(r, c, m.entry(r, c) + Q(rng.choice((-1, 1)), rng.randint(1, 3)))
+        else:
+            us = tgt.diff(d).kernel_basis()
+            vs = src.diff(d - 1).transpose().kernel_basis()
+            if not us or not vs:
+                continue
+            u = _random_vec(rng, us, m.rows)
+            v = _random_vec(rng, vs, m.cols)
+            for r in range(m.rows):
+                for c in range(m.cols):
+                    m.set_entry(r, c, m.entry(r, c) + u[r] * v[c])
+        yield DglaMap(src, tgt, mats, check=False)
+
+
+def test_map_validate_matches_the_pair_sweep_on_perturbed_builtin_cofaces():
+    rng = random.Random(20)
+    outcomes = {"ok": 0, "d": 0, "lie": 0}
+    for name in builtin_input_names():
+        kind, sc = load_builtin(name)[:2]
+        if kind != "sc":
+            continue
+        for key in sorted(sc.cofaces):
+            face = sc.cofaces[key]
+            assert pair_sweep_violation(face) is None
+            for f in _perturbed_cofaces(rng, face, 12):
+                want = pair_sweep_violation(f)
+                try:
+                    f.validate()
+                    got = None
+                except DglaError as e:
+                    got = str(e)
+                assert got == want, (name, key)
+                outcomes["ok" if want is None else "d" if "commute" in want else "lie"] += 1
+    # the perturbations reach every branch, the bracket check most of all
+    assert outcomes["d"] > 20 and outcomes["lie"] > 100 and outcomes["ok"] > 0, outcomes
