@@ -18,7 +18,7 @@ Vec = tuple  # tuple of Q entries
 
 
 def vec(entries) -> Vec:
-    return tuple(rat(e) for e in entries)
+    return tuple(e if type(e) is Q else rat(e) for e in entries)
 
 
 def vzero(n: int) -> Vec:
@@ -50,7 +50,7 @@ class Mat:
         if data:
             for (r, c), v in data.items():
                 v = rat(v)
-                if v != 0:
+                if v:
                     self._rows[r][c] = v
 
     # --- constructors -------------------------------------------------
@@ -76,7 +76,7 @@ class Mat:
             if len(r) != cols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(r):
-                if v != 0:
+                if v:
                     m._rows[i][j] = v
         return m
 
@@ -90,7 +90,7 @@ class Mat:
             if len(c) != rows:
                 raise ValueError("ragged columns")
             for i, v in enumerate(c):
-                if v != 0:
+                if v:
                     m._rows[i][j] = v
         return m
 
@@ -101,7 +101,7 @@ class Mat:
 
     def set_entry(self, r: int, c: int, v):
         v = rat(v)
-        if v == 0:
+        if not v:
             self._rows[r].pop(c, None)
         else:
             self._rows[r][c] = v
@@ -179,7 +179,7 @@ class Mat:
             for k, a in r.items():
                 for j, b in other._rows[k].items():
                     acc[j] = acc.get(j, ZERO) + a * b
-            out._rows[i] = {j: v for j, v in acc.items() if v != 0}
+            out._rows[i] = {j: v for j, v in acc.items() if v}
         return out
 
     def add(self, other: "Mat") -> "Mat":
@@ -461,11 +461,15 @@ class ChainComplexQ:
 
     dims: {degree: dimension}, diffs: {degree: Mat of d: C^deg -> C^{deg+1}}.
     Degrees with zero dimension may be omitted. Validates d∘d = 0.
+    A complex is not changed after construction: each degree's cohomology
+    and the factorisation that class_of solves against are computed once.
     """
 
     def __init__(self, dims: dict, diffs: dict, check: bool = True):
         self.dims = {d: n for d, n in dims.items() if n}
         self.diffs = {}
+        self._coh: dict = {}
+        self._classes: dict = {}
         for d, m in diffs.items():
             if not isinstance(m, Mat):
                 m = Mat.from_rows(m)
@@ -511,12 +515,20 @@ class ChainComplexQ:
         return self.diff(deg - 1).image_basis()
 
     def cohomology(self, deg: int) -> tuple[int, list[Vec]]:
-        """(dimension, representative cocycles) at this degree.
+        """(dimension, representative cocycles) at this degree, computed
+        on the first call; later calls return a fresh list of the same
+        representatives.
 
         Representatives are deterministic: the canonical kernel basis is
         reduced against the coboundary space, keeping the vectors that
         extend its RREF basis (first-come order).
         """
+        got = self._coh.get(deg)
+        if got is None:
+            got = self._coh[deg] = self._cohomology(deg)
+        return got[0], list(got[1])
+
+    def _cohomology(self, deg: int) -> tuple[int, list[Vec]]:
         cyc = self.cocycles(deg)
         bnd = self.coboundaries(deg)
         if not cyc:
@@ -551,16 +563,21 @@ class ChainComplexQ:
 
         Returns None when v is not a cocycle; otherwise the coefficient
         tuple in the representative basis (empty tuple for the zero class).
+        The matrix [representatives | coboundary basis] of a degree is
+        factored once, on the first call at that degree (Mat.solver).
         """
         if not vis_zero(self.diff(deg).matvec(v)):
             return None
-        hdim, reps = self.cohomology(deg)
-        bnd = self.coboundaries(deg)
-        cols = list(reps) + bnd
-        if not cols:
+        got = self._classes.get(deg)
+        if got is None:
+            hdim, reps = self.cohomology(deg)
+            cols = reps + self.coboundaries(deg)
+            solve = Mat.from_cols(cols, rows=self.dim(deg)).solver() if cols else None
+            got = self._classes[deg] = (hdim, solve)
+        hdim, solve = got
+        if solve is None:
             return ()
-        m = Mat.from_cols(cols, rows=self.dim(deg))
-        sol = m.solve(tuple(rat(x) for x in v))
+        sol = solve(vec(v))
         if sol is None:  # pragma: no cover - cocycle always decomposes
             raise AssertionError("cocycle failed to decompose")
         return sol[:hdim]

@@ -27,7 +27,7 @@ import random
 
 from .dgla import Dgla, DglaMap, direct_sum
 from .linalg import ChainComplexQ, ChainMapQ, Mat, Subspace, cone, vec, vis_zero, vzero
-from .ratio import Q, rat
+from .ratio import ZERO, Q, rat
 from .semicosimplicial import ScDgla, total_complex
 
 
@@ -254,7 +254,11 @@ def is_module_map(m1: FinMod, m2: FinMod, t: Mat) -> bool:
 
 
 def hom_basis(m1: FinMod, m2: FinMod):
-    """Basis of the space of module maps, as matrices."""
+    """Basis of the space of module maps, as matrices: the kernel basis
+    (Mat.kernel_basis) of the linear conditions on the row-major entries.
+    So each basis map has a free entry, its last nonzero entry in
+    row-major order, where it is 1 and every other basis map is 0;
+    HomSolver reads coordinates off these entries."""
     if m1.dim == 0 or m2.dim == 0:
         return []
     nunk = m2.dim * m1.dim
@@ -285,33 +289,42 @@ def hom_basis(m1: FinMod, m2: FinMod):
 
 
 class HomSolver:
-    """Expresses module maps in the coordinates of a chosen hom basis."""
+    """Expresses module maps in the coordinates of a hom basis from
+    hom_basis. That basis is a kernel basis: basis map j is 1 at its free
+    entry, its last nonzero entry in row-major order, and every other
+    basis map is 0 there. So the coordinates of a module map are its
+    entries at the free positions, found once here, with no elimination."""
 
     def __init__(self, basis, rows, cols):
         self.basis = basis
         self.rows = rows
         self.cols = cols
-        self.mat = (
-            Mat.from_cols([_flatten(b) for b in basis], rows=rows * cols)
-            if basis
-            else None
-        )
+        self.free = []
+        for b in basis:
+            r = max(i for i, row in enumerate(b._rows) if row)
+            self.free.append((r, max(b._rows[r])))
 
     def coords(self, t: Mat):
-        if not self.basis:
-            if not t.is_zero():
-                raise PipelineError("map does not lie in the hom space")
-            return ()
-        sol = self.mat.solve(_flatten(t))
-        if sol is None:
+        """Coordinates of t; t is rebuilt from them and compared, so a map
+        outside the hom space raises PipelineError."""
+        if (t.rows, t.cols) != (self.rows, self.cols):
             raise PipelineError("map does not lie in the hom space")
-        return sol
+        rows = t._rows
+        out = tuple(rows[r].get(c, ZERO) for r, c in self.free)
+        if self.from_coords(out) != t:
+            raise PipelineError("map does not lie in the hom space")
+        return out
 
     def from_coords(self, v) -> Mat:
-        out = Mat(self.rows, self.cols)
+        acc = [{} for _ in range(self.rows)]
         for c, b in zip(v, self.basis):
             if c:
-                out = out.add(b.scale(rat(c)))
+                c = rat(c)
+                for tr, row in zip(acc, b._rows):
+                    for j, x in row.items():
+                        tr[j] = tr.get(j, ZERO) + c * x
+        out = Mat(self.rows, self.cols)
+        out._rows = [{j: x for j, x in tr.items() if x} for tr in acc]
         return out
 
 
@@ -753,40 +766,50 @@ def hom_complex(k: BddComplex, m: BddComplex):
     return ChainComplexQ(dims, diffs, check=True), book
 
 
-def compose_in_books(bookA: HomBook, pa: int, va, bookB: HomBook, pb: int, vb) -> dict:
-    """Blockwise composite (A after B) of two hom elements, as matrices
-    keyed by source degree."""
-    amats = bookA.to_mats(pa, va)
-    bmats = bookB.to_mats(pb, vb)
-    out = {}
-    for i, b in bmats.items():
-        a = amats.get(i + pb)
-        if a is None:
-            continue
-        prod = a @ b
-        if not prod.is_zero():
-            out[i] = out.get(i, Mat(prod.rows, prod.cols)).add(prod)
-    return out
-
-
 def end_dgla_of_complex(k: BddComplex, label: str = ""):
     """Endomorphism dgLa of a bounded complex of modules: degree-p part
     the module maps lowering the degree by -p blockwise, graded
-    commutator bracket. Returns (Dgla, HomBook)."""
+    commutator bracket. Returns (Dgla, HomBook).
+
+    Basis element t of degree p is one basis map of one block i -> i + p.
+    So a∘b of two basis elements is one product, nonzero only when b's
+    target block is a's source block, and maps b's source block i to
+    i + p1 + p2. Each composite is computed once and serves both [a, b]
+    and [b, a]."""
     cplx, book = hom_complex(k, k)
+    elems = {}
+    solvers = {}
+    for p, blocks in book.blocks.items():
+        for i, solver in blocks:
+            solvers[(p, i)] = solver
+            off = book.offsets[(p, i)]
+            for j, b in enumerate(solver.basis):
+                elems[(p, off + j)] = (i, b)
+    comps = {}
+
+    def comp(p1, a, p2, b):
+        """a∘b as {index: coefficient} in degree p1 + p2."""
+        key = (p1, a, p2, b)
+        out = comps.get(key)
+        if out is None:
+            i1, ma = elems[(p1, a)]
+            i2, mb = elems[(p2, b)]
+            out = comps[key] = {}
+            if i1 == i2 + p2:
+                prod = ma @ mb
+                if not prod.is_zero():
+                    off = book.offsets[(p1 + p2, i2)]
+                    for j, c in enumerate(solvers[(p1 + p2, i2)].coords(prod)):
+                        if c:
+                            out[off + j] = c
+        return out
 
     def brk(p1, a, p2, b):
-        v1 = _unit_vec(book.dim(p1), a)
-        v2 = _unit_vec(book.dim(p2), b)
-        ab = compose_in_books(book, p1, v1, book, p2, v2)
-        ba = compose_in_books(book, p2, v2, book, p1, v1)
-        sgn = Q(-1) if (p1 * p2) % 2 else Q(1)
-        mats = dict(ab)
-        for i, m in ba.items():
-            cur = mats.get(i, Mat(m.rows, m.cols))
-            mats[i] = cur.add(m.scale(-sgn))
-        coords = book.coords(p1 + p2, mats)
-        return [(t, c) for t, c in enumerate(coords) if c]
+        out = dict(comp(p1, a, p2, b))
+        odd = (p1 * p2) % 2
+        for t, c in comp(p2, b, p1, a).items():
+            out[t] = out.get(t, ZERO) + (c if odd else -c)
+        return [(t, c) for t, c in out.items() if c]
 
     g = Dgla(
         dict(book.dims),
@@ -1349,6 +1372,16 @@ def _block_diagonal(m: Mat) -> Mat:
     return out
 
 
+def _total(sc: ScDgla):
+    """total_complex(sc), built on first use and kept in sc.meta, so that
+    h_cohomology and les_check share one complex and its cohomology. It is
+    keyed by the top level, so a truncation of the diagram drops it."""
+    cache = sc.meta.setdefault("total", {})
+    if sc.top not in cache:
+        cache[sc.top] = total_complex(sc)
+    return cache[sc.top]
+
+
 def h_cohomology(sc: ScDgla, n_opens: int = 1) -> dict:
     """Cohomology dimensions of the totalisation T of the diagram, taken
     over one or two synthetic opens. With two opens and identity gluings
@@ -1357,7 +1390,7 @@ def h_cohomology(sc: ScDgla, n_opens: int = 1) -> dict:
     chain map T + T -> T shifted up one degree (Čech C^n = cone^(n-1))."""
     if n_opens not in (1, 2):
         raise PipelineError("only one or two synthetic opens are supported")
-    tot, _ = total_complex(sc)
+    tot, _ = _total(sc)
     if n_opens == 1:
         return tot.betti()
     pair = ChainComplexQ(
@@ -1390,7 +1423,7 @@ def les_check(sc: ScDgla) -> dict:
     book_f, book_g = sc.meta["books"]["F"], sc.meta["books"]["G"]
     projs = sc.meta["level0_projs"]
     sum_parts = sc.meta["sum_parts"]
-    tot, tb = total_complex(sc)
+    tot, tb = _total(sc)
     cx_f = end_f.complex()
     cx_g = end_g.complex()
     cx_fg, book_fg = hom_complex(res_f.cx, res_g.cx)

@@ -386,6 +386,41 @@ def test_cohomology_euler():
         assert chi == cx.euler()
 
 
+def test_cohomology_and_class_of_are_kept_per_degree():
+    """A complex computes each degree's cohomology and class_of
+    factorisation once. Its answers equal a fresh instance's at every
+    degree, a non-cocycle still gets None once the degree is warm, and
+    changing a returned list of representatives changes no later answer."""
+    rng = random.Random(41)
+    classes = nones = 0
+    for _ in range(60):
+        cx = rand_complex(rng, max_dim=4)
+        degs = range(min(cx.dims, default=0) - 1, max(cx.dims, default=0) + 2)
+        for d in degs:
+            cx.cohomology(d)[1].clear()
+            cx.class_of(d, vzero(cx.dim(d)))
+        for d in degs:
+            fresh = ChainComplexQ(cx.dims, cx.diffs)
+            assert cx.cohomology(d) == fresh.cohomology(d)
+            n = cx.dim(d)
+            cyc = cx.cocycles(d)
+            probes = list(cyc) + [vzero(n)]
+            for _ in range(3):
+                v = vzero(n)
+                for z in cyc:
+                    v = vadd(v, vscale(rng.randint(-2, 2), z))
+                probes.append(v)
+            probes += [vec(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)]
+            for v in probes:
+                got = cx.class_of(d, v)
+                assert got == fresh.class_of(d, v)
+                if got is None:
+                    nones += 1
+                elif any(got):
+                    classes += 1
+    assert classes > 500 and nones > 150
+
+
 def test_class_of_and_same_class():
     # circle-like complex: 0 -> Q^2 -d-> Q^2 -> 0 with d = [[1,-1],[-1,1]]
     cx = ChainComplexQ({0: 2, 1: 2}, {0: [[1, -1], [-1, 1]]})

@@ -1,10 +1,12 @@
 """Tests for the module-deformation pipeline: algebras, resolutions,
 lifts, the two-level diagram, and the long exact sequence."""
 
+import functools
 import random
 
 import pytest
 
+from mcdescent import pipeline
 from mcdescent.descent import check_hypothesis
 from mcdescent.dgla import sl2
 from mcdescent.linalg import Mat, Subspace
@@ -13,6 +15,7 @@ from mcdescent.pipeline import (
     ChainMapM,
     FinAlg,
     FinMod,
+    HomBook,
     PipelineError,
     Resolution,
     a2_algebra,
@@ -21,6 +24,7 @@ from mcdescent.pipeline import (
     build_H,
     canonical_morphisms,
     combined_resolution,
+    complex_direct_sum,
     cone_comparison,
     end_dgla_of_complex,
     euler_form,
@@ -697,3 +701,142 @@ def test_resolutions_are_minimal():
             cplx, _ = hom_complex(cx, module_as_complex(s))
             assert not cplx.diffs, (m.label, s.label)
             assert cplx.dim(0) == len(hom_basis(m, s)), (m.label, s.label)
+
+
+@functools.cache
+def _instances():
+    """The canonical morphisms and the random_a2_module seeds 0-24."""
+    out = [(f, g, alpha) for _, f, g, alpha in canonical_morphisms()]
+    for seed in range(25):
+        rng = random.Random(seed)
+        f = random_a2_module(rng)
+        g = random_a2_module(rng)
+        out.append((f, g, random_module_map(f, g, rng)))
+    return out
+
+
+@functools.cache
+def _instance_complexes():
+    """For each of _instances(): the resolutions of source and target and
+    their direct sum, the complexes whose endomorphism dgLas build_H
+    builds."""
+    out = []
+    for f, g, alpha in _instances():
+        res_g = resolve(g)
+        res_f, _ = lift_morphism(alpha, f, g, res_g)
+        out.append((res_f.cx, res_g.cx, complex_direct_sum(res_f.cx, res_g.cx)[0]))
+    return out
+
+
+def _flat(t):
+    return [t.entry(r, c) for r in range(t.rows) for c in range(t.cols)]
+
+
+def _rebased(m, rng):
+    """m in a random basis: the action matrices conjugated by a random
+    invertible matrix."""
+    while True:
+        p = Mat(m.dim, m.dim, {(r, c): rng.randint(-2, 2) for r in range(m.dim) for c in range(m.dim)})
+        inv = p.inverse()
+        if inv is not None:
+            return FinMod(m.alg, m.dim, [inv @ a @ p for a in m.acts])
+
+
+def test_hom_coords_match_an_elimination_on_every_block():
+    """HomSolver.coords reads coordinates off the kernel basis's free
+    entries; on every block of every hom book of the pipeline instances,
+    and of their modules in a random basis, it agrees with Mat.solve
+    against the basis, and maps that are no module maps, or have another
+    shape, still raise."""
+    rng = random.Random(3)
+    off_hom = 0
+    for (kf, kg, ks), (f, g, _) in zip(_instance_complexes(), _instances()):
+        books = [HomBook(k, k) for k in (kf, kg, ks)] + [HomBook(kf, kg)]
+        f2, g2 = module_as_complex(_rebased(f, rng)), module_as_complex(_rebased(g, rng))
+        books += [HomBook(f2, g2), HomBook(f2, f2), HomBook(g2, g2)]
+        for book in books:
+            for p, blocks in book.blocks.items():
+                for i, solver in blocks:
+                    src, tgt = book.k.module(i), book.m.module(i + p)
+                    basis = solver.basis
+                    ref = Mat.from_cols([_flat(b) for b in basis], rows=tgt.dim * src.dim)
+                    mix = Mat(tgt.dim, src.dim)
+                    for b in basis:
+                        mix = mix.add(b.scale(Q(rng.randrange(-3, 4), rng.randrange(1, 4))))
+                    for t in list(basis) + [mix, Mat(tgt.dim, src.dim)]:
+                        assert solver.coords(t) == ref.solve(tuple(_flat(t)))
+                        assert solver.from_coords(solver.coords(t)) == t
+                    for r in range(tgt.dim):
+                        for c in range(src.dim):
+                            unit = Mat(tgt.dim, src.dim, {(r, c): 1})
+                            if not is_module_map(src, tgt, unit):
+                                off_hom += 1
+                                assert ref.solve(tuple(_flat(unit))) is None
+                                with pytest.raises(PipelineError, match="hom space"):
+                                    solver.coords(unit)
+                    for dr, dc in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+                        with pytest.raises(PipelineError, match="hom space"):
+                            solver.coords(Mat(tgt.dim + dr, src.dim + dc))
+    assert off_hom > 1000
+
+
+def _bracket_by_conversion(book, p1, a, p2, b):
+    """[a, b] of two basis elements of End(K) the long way: unit vectors
+    to block matrices, both composites, the graded difference, and its
+    coordinates back through the book."""
+
+    def unit(p, j):
+        return tuple(Q(int(t == j)) for t in range(book.dim(p)))
+
+    def compose(am, bm, pb):
+        out = {}
+        for i, mb in bm.items():
+            ma = am.get(i + pb)
+            if ma is not None and not (ma @ mb).is_zero():
+                out[i] = ma @ mb
+        return out
+
+    ma, mb = book.to_mats(p1, unit(p1, a)), book.to_mats(p2, unit(p2, b))
+    mats = compose(ma, mb, p2)
+    sign = Q(-1) ** (p1 * p2)
+    for i, m in compose(mb, ma, p1).items():
+        mats[i] = mats.get(i, Mat(m.rows, m.cols)).add(m.scale(-sign))
+    coords = book.coords(p1 + p2, mats)
+    return tuple((t, c) for t, c in enumerate(coords) if c)
+
+
+def test_end_bracket_table_matches_the_conversion_reference():
+    nonzero = 0
+    for complexes in _instance_complexes():
+        for k in complexes:
+            g, book = end_dgla_of_complex(k)
+            for p1 in g.dims:
+                for p2 in g.dims:
+                    if not g.dim(p1 + p2):
+                        continue
+                    for a in range(g.dim(p1)):
+                        for b in range(g.dim(p2)):
+                            want = _bracket_by_conversion(book, p1, a, p2, b)
+                            assert g.bracket_basis(p1, a, p2, b) == want, (p1, a, p2, b)
+                            nonzero += bool(want)
+    assert nonzero > 3000
+
+
+def test_one_total_complex_per_diagram(monkeypatch):
+    """h_cohomology and les_check share the diagram's total complex; a
+    truncation of the diagram is another diagram and builds its own."""
+    built = []
+    real = pipeline.total_complex
+    monkeypatch.setattr(pipeline, "total_complex", lambda sc: built.append(sc) or real(sc))
+    _, f, g, alpha = canonical_morphisms()[2]
+    pipeline_report(f, g, alpha)
+    assert len(built) == 1
+    res_g = resolve(g)
+    res_f, lift = lift_morphism(alpha, f, g, res_g)
+    sc = build_H(res_f, res_g, lift)
+    h = h_cohomology(sc)
+    les_check(sc)
+    assert len(built) == 2
+    low = sc.truncate(0)
+    assert h_cohomology(low) == real(low)[0].betti() != h
+    assert built[-1] is low
