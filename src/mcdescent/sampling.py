@@ -11,7 +11,7 @@ import random
 
 from .artin import ArtinAlgebra
 from .dgla import Elem, TensorCtx
-from .mcgauge import bch, bch_many, gauge, stabilizer_log
+from .mcgauge import bch_many, gauge, stabilizer_log
 from .ratio import Q
 from .semicosimplicial import (
     ScDgla,
@@ -135,73 +135,32 @@ def random_tw_mc(
     return tw_gauge(lam, TWElem.zero(sc, artin))
 
 
-def cech_trivialized_object(
-    sc: ScDgla,
-    artin: ArtinAlgebra,
-    rng: random.Random,
-    density: float = 0.5,
-    perturb: bool = True,
-) -> TotDelObject:
-    """A valid groupoid object over a Cech diagram built from local
-    trivialisations: each open carries a gauged copy of the zero
-    solution and the transition logs compare the trivialising gauges.
-    With perturb the transitions are twisted by irrelevant stabilizer
-    logs, which keeps the object valid but makes the witnesses
-    nontrivial."""
-    meta = sc.meta
-    if not meta or "tuples" not in meta:
-        raise ValueError("cech_trivialized_object needs a diagram built from a cover")
-    tuples = meta["tuples"]
-    inj = meta["inj"]
-    ctx0 = TensorCtx(sc.levels[0], artin, ())
-    ctx1 = TensorCtx(sc.levels[1], artin, ())
-    taus = []
-    for ti, T in enumerate(tuples[0]):
-        sec = inj[0][ti].source
-        tau = random_elem(TensorCtx(sec, artin, ()), 0, rng, density)
-        taus.append(tau)
-    l = ctx0.zero()
-    locs = []
-    for ti, T in enumerate(tuples[0]):
-        sec_ctx = taus[ti].ctx
-        li = gauge(taus[ti], sec_ctx.zero())
-        locs.append(li)
-        l = l.add(li.map_lie(inj[0][ti]))
-    m = ctx1.zero()
-    for ti, T in enumerate(tuples[1]):
-        i0 = tuples[0].index((T[0],))
-        i1 = tuples[0].index((T[1],))
-        sec = inj[1][ti].source
-        # move both trivialising gauges into the overlap sections
-        r0 = _cover_restriction_into(sc, (T[0],), T)
-        r1 = _cover_restriction_into(sc, (T[1],), T)
-        ta = taus[i0].map_lie(r0)
-        tb = taus[i1].map_lie(r1)
-        mij = bch(ta, tb.neg())
-        if perturb:
-            base = locs[i1].map_lie(r1)
-            u = random_elem(TensorCtx(sec, artin, ()), -1, rng, density)
-            if not u.is_zero():
-                w = stabilizer_log(gauge(mij, base), u)
-                mij = bch(w, mij)
-        m = m.add(mij.map_lie(inj[1][ti]))
-    return totdel_assemble(sc, l, m)
-
-
 def random_totdel_object(
     sc: ScDgla,
     artin: ArtinAlgebra,
     rng: random.Random,
     density: float = 0.5,
 ) -> TotDelObject:
-    """A verified glued object over the diagram: trivialised local data
-    when the diagram came from a cover, otherwise a gauge-exact solution
-    with the trivial gluing."""
-    if "inj" in sc.meta:
-        return cech_trivialized_object(sc, artin, rng, density)
+    """A verified glued object read off the diagram alone.
+
+    The local solution is l = gauge(x, 0) for a random degree-zero x in
+    the equaliser of the two cofaces into level 1. Cofaces are dgLa
+    maps, so both send l to the same element. The gluing log is
+    m = du + [l', u] for that image l' and a random level-1 u of degree
+    -1: m stabilises l', so the gluing condition holds, and the level-2
+    witness solved for it need not vanish."""
+    f10, f11 = sc.face(1, 0), sc.face(1, 1)
     ctx = TensorCtx(sc.levels[0], artin, ())
-    l = gauge(random_elem(ctx, 0, rng, density), ctx.zero())
-    return totdel_assemble(sc, l, TensorCtx(sc.levels[1], artin, ()).zero())
+    x = ctx.zero()
+    for v in f10.mat(0).sub(f11.mat(0)).kernel_basis():
+        for am in artin.maximal_basis:
+            if rng.random() < density:
+                c = rng.randint(-2, 2)
+                if c:
+                    x = x.add(ctx.from_lie_vec(0, [c * a for a in v], am))
+    l = gauge(x, ctx.zero())
+    u = random_elem(TensorCtx(sc.levels[1], artin, ()), -1, rng, density)
+    return totdel_assemble(sc, l, stabilizer_log(l.map_lie(f11), u))
 
 
 def random_totdel_morphism(
@@ -220,19 +179,3 @@ def random_totdel_morphism(
     target = totdel_assemble(sc, l1, m1)
     return totdel_mor_assemble(o, target, a)
 
-
-def _cover_restriction_into(sc: ScDgla, S: tuple, T: tuple):
-    """The restriction map of the underlying cover from the sections over
-    S to the sections over T, recovered from the diagram metadata."""
-    cover = sc.meta.get("cover")
-    if cover is not None:
-        return cover.restriction(S, T)
-    # identity-style covers: sections coincide, fall back to face algebra
-    from .dgla import DglaMap
-
-    meta = sc.meta
-    src = meta["inj"][len(S) - 1][meta["tuples"][len(S) - 1].index(S)].source
-    tgt = meta["inj"][len(T) - 1][meta["tuples"][len(T) - 1].index(T)].source
-    if src is tgt:
-        return DglaMap.identity(src)
-    raise ValueError("cover metadata missing and sections differ")

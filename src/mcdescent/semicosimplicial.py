@@ -139,16 +139,10 @@ class ScDgla:
         if not (0 <= i <= self.top):
             raise ScError("truncation level out of range")
         cof = {key: m for key, m in self.cofaces.items() if key[0] <= i}
-        out = ScDgla(
+        return ScDgla(
             self.levels[: i + 1], cof, check=False,
             label=f"{self.label}|<={i}" if self.label else "",
         )
-        for key, val in self.meta.items():
-            if isinstance(val, dict) and all(isinstance(k, int) for k in val):
-                out.meta[key] = {p: v for p, v in val.items() if p <= i}
-            else:
-                out.meta[key] = val
-        return out
 
     def __repr__(self):
         dims = [g.total_dim for g in self.levels]
@@ -431,9 +425,7 @@ def cech_from_cover(cover: CoverModel, depth: int | None = None) -> ScDgla:
                 if not m.is_zero():
                     mats[d] = m
             cof[(p, k)] = DglaMap(levels[p - 1], levels[p], mats, check=False)
-    sc = ScDgla(levels, cof, check=True, label="cech")
-    sc.meta = {"tuples": tuples, "inj": inj, "proj": proj, "cover": cover}
-    return sc
+    return ScDgla(levels, cof, check=True, label="cech")
 
 
 # --- element families over the diagram ---------------------------------------

@@ -3,6 +3,7 @@ break their axioms, run as a user runs the program."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -10,6 +11,13 @@ import pytest
 
 import mcdescent
 from mcdescent.io import dgla_to_json, load_builtin, sc_to_json
+from mcdescent.pipeline import (
+    build_H,
+    lift_morphism,
+    random_a2_module,
+    random_module_map,
+    resolve,
+)
 
 SRC = os.path.dirname(os.path.dirname(mcdescent.__file__))
 DATA = os.path.join(os.path.dirname(mcdescent.__file__), "data")
@@ -100,6 +108,45 @@ def test_descent_runs_on_diagrams_with_top_level_three(name):
     assert rep["ok"] is True
     assert len(rep["checks"]) == 8
     assert all(c["trials"] == 1 and c["failures"] == 0 for c in rep["checks"])
+
+
+def builtin_zero_morphism():
+    doc = load_builtin("morphism-zero")[1]
+    return doc["source"], doc["target"], doc["alpha"]
+
+
+def a2_seed2_morphism():
+    rng = random.Random(2)
+    f = random_a2_module(rng)
+    g = random_a2_module(rng)
+    return f, g, random_module_map(f, g, rng)
+
+
+@pytest.mark.parametrize(
+    "make, negative_degrees",
+    [(builtin_zero_morphism, False), (a2_seed2_morphism, True)],
+    ids=["morphism-zero", "a2-seed-2"],
+)
+def test_descent_runs_on_a_written_out_morphism_diagram(tmp_path, make, negative_degrees):
+    """The diagram controlling a module morphism, written out and read
+    back, passes every descent check. At seed 2 level 0 has a degree -1
+    part, so Hinich's hypothesis fails while the paper's holds."""
+    f, g, alpha = make()
+    res_g = resolve(g)
+    res_f, lift = lift_morphism(alpha, f, g, res_g)
+    sc = build_H(res_f, res_g, lift)
+    assert (sc.levels[0].dim(-1) > 0) == negative_degrees
+    path = write(tmp_path, "h.json", sc_to_json(sc))
+    for ring in ("t3", "sqz2"):
+        code, out, err = run_cli(
+            "descent", path, "--trials", "1", "--seed", "0", "--artin", ring
+        )
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["hypothesis"]["strong"] is True
+        assert len(rep["checks"]) == 8
+        assert all(c["trials"] == 1 and c["failures"] == 0 for c in rep["checks"])
+    assert rep["pi0"]["isomorphic"] is True
 
 
 def test_pipeline_ok_needs_the_euler_form_check(monkeypatch, capsys):

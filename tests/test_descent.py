@@ -13,6 +13,7 @@ from mcdescent.builders import (
     sc_zero,
     cover_twist_redundant,
     strong_examples,
+    two_step_complex,
 )
 from mcdescent.descent import (
     DescentError,
@@ -34,7 +35,8 @@ from mcdescent.descent import (
     totdel_base_change,
     tw_lift,
 )
-from mcdescent.dgla import TensorCtx
+from mcdescent.dgla import DglaMap, TensorCtx, direct_sum, end_dgla
+from mcdescent.io import load_builtin, sc_from_json, sc_to_json
 from mcdescent.mcgauge import (
     bch,
     bch_many,
@@ -45,7 +47,7 @@ from mcdescent.mcgauge import (
     stabilizer_log,
 )
 from mcdescent.ratio import Q
-from mcdescent.sampling import cech_trivialized_object, random_elem, random_tw_mc
+from mcdescent.sampling import random_elem, random_totdel_object, random_tw_mc
 from mcdescent.semicosimplicial import (
     cech_from_cover,
     elem_times_form,
@@ -67,17 +69,6 @@ def cech_diagrams():
         ("identity cech", sc_cech_identity(n_opens=3).truncate(2)),
         ("conjugated cech", sc_cech_conjugated(n_opens=3, seed=5).truncate(2)),
     ]
-
-
-def random_object(sc, artin, rng):
-    """A verified glued object: trivialised Cech data when the diagram
-    came from a cover, otherwise a gauge-exact solution with trivial
-    gluing."""
-    if "inj" in sc.meta:
-        return cech_trivialized_object(sc, artin, rng)
-    ctx = TensorCtx(sc.levels[0], artin, ())
-    l = gauge(random_elem(ctx, 0, rng), ctx.zero())
-    return totdel_assemble(sc, l, TensorCtx(sc.levels[1], artin, ()).zero())
 
 
 def transported_target(sc, o, a):
@@ -131,7 +122,7 @@ def test_mc_pair_validation_accepts_essential_lifts():
     for name, sc in cech_diagrams():
         for nu in (2, 3):
             rng = random.Random(nu)
-            o = random_object(sc, truncated_poly(nu), rng)
+            o = random_totdel_object(sc, truncated_poly(nu), rng)
             pair = phi1_essential_lift(o)
             rep = mc_pair_verify(pair)
             assert rep["ok"], (name, nu, rep)
@@ -141,7 +132,7 @@ def test_mc_pair_rejects_broken_shapes():
     sc = sc_cech_identity(n_opens=3).truncate(2)
     A = truncated_poly(3)
     rng = random.Random(0)
-    o = cech_trivialized_object(sc, A, rng)
+    o = random_totdel_object(sc, A, rng)
     pair = phi1_essential_lift(o)
     ctx1 = pair.p.ctx
     # a constant term in the path violates the origin condition
@@ -168,7 +159,7 @@ def test_phi1_roundtrip_is_the_identity():
         for nu in (2, 3):
             for seed in range(3):
                 rng = random.Random(seed)
-                o = random_object(sc, truncated_poly(nu), rng)
+                o = random_totdel_object(sc, truncated_poly(nu), rng)
                 back = phi1_obj(phi1_essential_lift(o))
                 assert back.l.eq(o.l), (name, nu, seed)
                 assert back.m.eq(o.m), (name, nu, seed)
@@ -177,10 +168,14 @@ def test_phi1_roundtrip_is_the_identity():
 def test_phi1_on_zero_path_gives_identity_gluing():
     # a base point with matching faces and the zero path descends to the
     # identity morphism glue
-    sc = sc_cech_identity(n_opens=3).truncate(2)
+    g, _ = end_dgla(two_step_complex(), label="end two-step")
+    sc = sc_cech_identity(g, n_opens=3).truncate(2)
     A = truncated_poly(3)
     rng = random.Random(2)
-    inj0 = sc.meta["inj"][0]
+    inj0 = [
+        DglaMap(j.source, sc.levels[0], j.mats, check=False)
+        for j in direct_sum([g] * 3)[1]
+    ]
     tau = random_elem(TensorCtx(inj0[0].source, A, ()), 0, rng)
     x = None
     for j in inj0:
@@ -192,6 +187,25 @@ def test_phi1_on_zero_path_gives_identity_gluing():
     assert totdel_verify(o)["ok"]
 
 
+def test_sampled_object_depends_on_the_diagram_alone():
+    """A diagram read back from its JSON form gives the same glued
+    object at every seed as the diagram it was written from."""
+    diagrams = [
+        sc_cech_identity(n_opens=3),
+        sc_cech_conjugated(n_opens=3, seed=5),
+        load_builtin("sc-twist-redundant")[1],
+    ]
+    A = truncated_poly(3)
+    for sc in diagrams:
+        copy = sc_from_json(sc_to_json(sc))
+        for seed in range(5):
+            o = random_totdel_object(sc, A, random.Random(seed))
+            o2 = random_totdel_object(copy, A, random.Random(seed))
+            assert totdel_verify(o2)["ok"], (sc, seed)
+            for a, b in ((o.l, o2.l), (o.m, o2.m), (o.u, o2.u)):
+                assert a.terms == b.terms, (sc, seed)
+
+
 # --- fullness ----------------------------------------------------------------
 
 
@@ -200,7 +214,7 @@ def test_full_lift_satisfies_all_postconditions():
         for nu, seed in [(2, 0), (2, 4), (3, 1), (3, 2)]:
             A = truncated_poly(nu)
             rng = random.Random(seed)
-            o0 = random_object(sc, A, rng)
+            o0 = random_totdel_object(sc, A, rng)
             f = random_morphism(sc, o0, rng)
             h = phi1_full_lift(f)
             assert homotopy_verify(h)["ok"]
@@ -212,7 +226,7 @@ def test_full_lift_satisfies_all_postconditions():
 def test_full_lift_of_identity_is_constant():
     sc = sc_cech_identity(n_opens=3).truncate(2)
     A = truncated_poly(3)
-    o = cech_trivialized_object(sc, A, random.Random(1))
+    o = random_totdel_object(sc, A, random.Random(1))
     h = phi1_full_lift(totdel_identity(o))
     assert h.z0.eq(embed(o.l, ("xi",)))
     assert h.z1.subs_values({0: 0}).eq(h.z1.subs_values({0: 1}))
@@ -224,13 +238,12 @@ def test_full_lift_of_inessential_self_morphism_has_equal_endpoints():
     stabiliser map is a self morphism; its lift keeps both ends at the
     same pair."""
     from mcdescent.builders import acyclic_complex
-    from mcdescent.dgla import end_dgla
     from mcdescent.semicosimplicial import TotDelMorphism, totdel_mor_verify
 
     g, _ = end_dgla(acyclic_complex(), label="end acyclic")
     sc = sc_cech_identity(g=g, n_opens=3).truncate(2)
     A = truncated_poly(3)
-    o = cech_trivialized_object(sc, A, random.Random(6))
+    o = random_totdel_object(sc, A, random.Random(6))
     g1 = sc.levels[1]
     # a closed element scaled by the deepest ideal power: everything the
     # stabiliser map produces from it dies in the coefficients
@@ -248,7 +261,7 @@ def test_full_lift_rejects_broken_witness():
     sc = sc_cech_identity(n_opens=3).truncate(2)
     A = truncated_poly(3)
     rng = random.Random(7)
-    o = cech_trivialized_object(sc, A, rng)
+    o = random_totdel_object(sc, A, rng)
     f = random_morphism(sc, o, rng)
     from mcdescent.semicosimplicial import TotDelMorphism
 
@@ -269,7 +282,7 @@ def test_descended_morphism_is_independent_of_the_representative():
     A = truncated_poly(3)
     for seed in range(3):
         rng = random.Random(seed)
-        o0 = cech_trivialized_object(sc, A, rng)
+        o0 = random_totdel_object(sc, A, rng)
         ctx0 = TensorCtx(sc.levels[0], A, ())
         a = random_elem(ctx0, 0, rng)
         o1 = transported_target(sc, o0, a)
@@ -288,7 +301,7 @@ def test_descent_of_composite_homotopy_is_the_composite():
     A = truncated_poly(3)
     for seed in (3, 11):
         rng = random.Random(seed)
-        o0 = cech_trivialized_object(sc, A, rng)
+        o0 = random_totdel_object(sc, A, rng)
         ctx0 = TensorCtx(sc.levels[0], A, ())
         f = random_morphism(sc, o0, rng)
         g = random_morphism(sc, f.target, rng)
@@ -321,7 +334,7 @@ def test_phi2_sends_valid_inputs_to_valid_objects():
         for nu in (2, 3):
             for seed in range(2):
                 rng = random.Random(seed)
-                o = random_object(sc, truncated_poly(nu), rng)
+                o = random_totdel_object(sc, truncated_poly(nu), rng)
                 e = tw_lift(o)
                 assert tw_mc_verify(e)["ok"], (name, nu, seed)
                 out = phi2_obj(e)
@@ -333,7 +346,7 @@ def test_lift_then_descend_returns_the_object_on_the_nose():
         for nu in (2, 3):
             for seed in range(4):
                 rng = random.Random(seed)
-                o = random_object(sc, truncated_poly(nu), rng)
+                o = random_totdel_object(sc, truncated_poly(nu), rng)
                 out = phi2_obj(tw_lift(o))
                 assert out.l.eq(o.l), (name, nu, seed)
                 assert out.m.eq(o.m), (name, nu, seed)
@@ -346,7 +359,7 @@ def test_lift_handles_nontrivial_coherence_witnesses():
     A = truncated_poly(3)
     seen = 0
     for seed in (0, 2, 3):
-        o = cech_trivialized_object(sc, A, random.Random(seed))
+        o = random_totdel_object(sc, A, random.Random(seed))
         if o.u.is_zero():
             continue
         seen += 1
@@ -358,7 +371,7 @@ def test_lift_handles_nontrivial_coherence_witnesses():
 def test_lifted_square_matches_both_edge_faces():
     sc = sc_cech_conjugated(n_opens=3, seed=5).truncate(2)
     A = truncated_poly(3)
-    o = cech_trivialized_object(sc, A, random.Random(4))
+    o = random_totdel_object(sc, A, random.Random(4))
     e = tw_lift(o)
     rep = tw_mc_verify(e)
     assert rep["ok"], rep
@@ -382,7 +395,7 @@ def test_descend_inverts_the_lift():
     sc = sc_cech_identity(n_opens=3).truncate(2)
     A = truncated_poly(3)
     for seed in (0, 9):
-        o = cech_trivialized_object(sc, A, random.Random(seed))
+        o = random_totdel_object(sc, A, random.Random(seed))
         w = tw_mc_to_element(tw_lift(o))
         back = phi_descend(w)
         assert back.l.eq(o.l) and back.m.eq(o.m) and back.u.eq(o.u)
@@ -434,7 +447,7 @@ def test_base_change_commutes_with_the_descent_functor():
     )
     for seed in range(4):
         rng = random.Random(seed)
-        o = cech_trivialized_object(sc, A, rng)
+        o = random_totdel_object(sc, A, rng)
         pair = phi1_essential_lift(o)
         # also exercise a path that is not a straight line
         loop = elem_times_form(
@@ -453,7 +466,7 @@ def test_base_change_preserves_object_validity():
     sc = sc_cech_conjugated(n_opens=3, seed=5).truncate(2)
     A, B = square_zero(3), square_zero(2)
     f = ArtinMorphism(A, B, [{(1, 0): Q(1)}, {(0, 1): Q(1)}, {(1, 0): Q(1), (0, 1): Q(-1)}])
-    o = cech_trivialized_object(sc, A, random.Random(5))
+    o = random_totdel_object(sc, A, random.Random(5))
     out = totdel_base_change(f, o)
     assert totdel_verify(out)["ok"]
 

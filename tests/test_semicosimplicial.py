@@ -5,7 +5,8 @@ hand (trivially glued covers reproduce the cohomology of the sections,
 the twisted two-open cover gives one dimension in degrees zero and one),
 the total complex of a two-level equalizer diagram is a two-term complex
 whose differential is the difference of the faces, and groupoid data
-built from explicit local trivialisations is valid by construction.
+built from a solution in the equaliser of the faces and a gluing in its
+stabiliser is valid by construction.
 """
 
 import random
@@ -28,17 +29,24 @@ from mcdescent.builders import (
     two_step_complex,
     zero_dgla,
 )
-from mcdescent.dgla import DglaMap, TensorCtx, abelian_dgla, end_dgla, sl2
+from mcdescent.dgla import (
+    DglaMap,
+    TensorCtx,
+    abelian_dgla,
+    direct_sum,
+    end_dgla,
+    sl2,
+)
 from mcdescent.linalg import ChainComplexQ, Mat, cohomology_map
 from mcdescent.mcgauge import bch, gauge, is_mc, stabilizer_log
 from mcdescent.ratio import Q
 from mcdescent.sampling import (
     bump_elem,
-    cech_trivialized_object,
     random_compatible_family,
     random_elem,
     random_mc,
     random_tot_elem,
+    random_totdel_object,
     random_tw_mc,
 )
 from mcdescent.semicosimplicial import (
@@ -543,7 +551,7 @@ def test_totdel_objects_from_trivialisations():
     saw_nontrivial_witness = False
     for seed in range(5):
         sc, A, rng = groupoid_setup(seed)
-        o = cech_trivialized_object(sc, A, rng)
+        o = random_totdel_object(sc, A, rng)
         rep = totdel_verify(o)
         assert rep["ok"], rep
         saw_nontrivial_witness = saw_nontrivial_witness or not o.u.is_zero()
@@ -552,13 +560,13 @@ def test_totdel_objects_from_trivialisations():
 
 def test_totdel_object_square_zero_coefficients():
     sc, A, rng = groupoid_setup(40, artin=square_zero(2))
-    o = cech_trivialized_object(sc, A, rng)
+    o = random_totdel_object(sc, A, rng)
     assert totdel_verify(o)["ok"]
 
 
 def test_totdel_verify_rejects_broken_gluing():
     sc, A, rng = groupoid_setup(41)
-    o = cech_trivialized_object(sc, A, rng)
+    o = random_totdel_object(sc, A, rng)
     bad_m = o.m.add(o.m.ctx.term(0, 0, 1, A.maximal_basis[-1]))
     rep = totdel_verify(TotDelObject(sc, A, o.l, bad_m, o.u))
     assert not rep["ok"]
@@ -566,7 +574,7 @@ def test_totdel_verify_rejects_broken_gluing():
 
 def test_totdel_verify_rejects_broken_witness():
     sc, A, rng = groupoid_setup(42)
-    o = cech_trivialized_object(sc, A, rng)
+    o = random_totdel_object(sc, A, rng)
     base = o.l.map_lie(sc.face(1, 0)).map_lie(sc.face(2, 2))
     ctx2 = o.u.ctx
     for idx in range(ctx2.dgla.dim(-1)):
@@ -580,7 +588,7 @@ def test_totdel_verify_rejects_broken_witness():
 
 def test_totdel_assemble_solves_witness():
     sc, A, rng = groupoid_setup(43)
-    o = cech_trivialized_object(sc, A, rng)
+    o = random_totdel_object(sc, A, rng)
     again = totdel_assemble(sc, o.l, o.m)
     assert totdel_verify(again)["ok"]
     assert again.eq(TotDelObject(sc, A, o.l, o.m, again.u))
@@ -589,7 +597,7 @@ def test_totdel_assemble_solves_witness():
 def test_totdel_morphisms_roundtrip():
     for seed in range(4):
         sc, A, rng = groupoid_setup(seed + 50)
-        o = cech_trivialized_object(sc, A, rng)
+        o = random_totdel_object(sc, A, rng)
         a = random_elem(o.l.ctx, 0, rng)
         tgt = transported_target(sc, o, a)
         f = totdel_mor_assemble(o, tgt, a)
@@ -603,7 +611,7 @@ def test_totdel_morphisms_roundtrip():
 
 def test_totdel_morphism_stabilizer_twist_is_equal():
     sc, A, rng = groupoid_setup(60)
-    o = cech_trivialized_object(sc, A, rng)
+    o = random_totdel_object(sc, A, rng)
     a = random_elem(o.l.ctx, 0, rng)
     tgt = transported_target(sc, o, a)
     f = totdel_mor_assemble(o, tgt, a)
@@ -623,7 +631,7 @@ def test_totdel_witness_condition_is_binding():
     sc = sc_cech_identity(g, n_opens=3).truncate(2)
     A = truncated_poly(3)
     rng = random.Random(64)
-    o = cech_trivialized_object(sc, A, rng)
+    o = random_totdel_object(sc, A, rng)
     a = random_elem(o.l.ctx, 0, rng)
     tgt = transported_target(sc, o, a)
     totdel_mor_assemble(o, tgt, a)
@@ -633,7 +641,8 @@ def test_totdel_witness_condition_is_binding():
         i, r, c = eb.unit(0, idx)
         if r == c:
             z = z.add(sec_ctx.term(0, idx, 1, A.maximal_basis[-1]))
-    z0 = z.map_lie(sc.meta["inj"][0][0])
+    inj = direct_sum([g] * 3)[1][0]
+    z0 = z.map_lie(DglaMap(g, sc.levels[0], inj.mats, check=False))
     assert gauge(bch(a, z0), o.l).eq(tgt.l)
     with pytest.raises(ScError):
         totdel_mor_assemble(o, tgt, bch(a, z0))
@@ -641,7 +650,7 @@ def test_totdel_witness_condition_is_binding():
 
 def test_totdel_composition_is_associative():
     sc, A, rng = groupoid_setup(62)
-    o = cech_trivialized_object(sc, A, rng)
+    o = random_totdel_object(sc, A, rng)
     a1 = random_elem(o.l.ctx, 0, rng, density=0.4)
     t1 = transported_target(sc, o, a1)
     f1 = totdel_mor_assemble(o, t1, a1)
@@ -658,7 +667,7 @@ def test_totdel_composition_is_associative():
 
 def test_totdel_mor_assemble_rejects_non_gauge():
     sc, A, rng = groupoid_setup(63)
-    o = cech_trivialized_object(sc, A, rng)
+    o = random_totdel_object(sc, A, rng)
     a = random_elem(o.l.ctx, 0, rng)
     tgt = transported_target(sc, o, a)
     bad = a.add(o.l.ctx.term(0, 0, 1, A.maximal_basis[-1]))
