@@ -263,13 +263,3 @@ def cover_conjugated(
 
 def sc_cech_conjugated(n_opens: int = 3, seed: int = 0) -> ScDgla:
     return cech_from_cover(cover_conjugated(n_opens=n_opens, seed=seed))
-
-
-def strong_examples() -> list:
-    """Named diagrams satisfying the vanishing-negative-cohomology
-    hypothesis, used across the descent suites."""
-    return [
-        ("constant sl2", sc_constant_sl2(3)),
-        ("identity cech over end", sc_cech_identity()),
-        ("conjugated cech over end", sc_cech_conjugated(seed=5)),
-    ]

@@ -92,10 +92,6 @@ def f_var(i: int, nvars: int) -> dict:
     return {(tuple(p), ()): Q(1)}
 
 
-def f_dvar(i: int, nvars: int) -> dict:
-    return {((0,) * nvars, (i,)): Q(1)}
-
-
 def f_mul(f: dict, g: dict) -> dict:
     out: dict = {}
     for (p1, S1), c1 in f.items():
@@ -122,10 +118,6 @@ def f_d(f: dict) -> dict:
             else:
                 out[(np, nS)] = v
     return out
-
-
-def f_is_zero(f: dict) -> bool:
-    return not f
 
 
 def poly_pow(f: dict, e: int, nvars: int) -> dict:

@@ -2,8 +2,8 @@
 
 Sparse row-dict matrices with reduced row echelon form, kernels, images and
 solving; rational subspaces with canonical bases; bounded cochain complexes
-with cohomology (dimensions plus deterministic representatives), mapping
-cones and induced maps on cohomology.
+with cohomology (dimensions plus deterministic representatives) and
+mapping cones.
 
 Everything is exact: no floats anywhere, no tolerances.
 """
@@ -23,15 +23,6 @@ def vec(entries) -> Vec:
 
 def vzero(n: int) -> Vec:
     return (ZERO,) * n
-
-
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vscale(c, v: Vec) -> Vec:
-    c = rat(c)
-    return tuple(c * a for a in v)
 
 
 def vis_zero(v: Vec) -> bool:
@@ -428,22 +419,6 @@ class Subspace:
             and self.contains_space(other)
         )
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        # kernel of the stacked coefficient solve: v in both spans
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.ambient)
-        a = Mat.from_rows(self.basis, cols=self.ambient).transpose()
-        b = Mat.from_rows(other.basis, cols=self.ambient).transpose()
-        stacked = a.hstack(b.scale(-1))
-        out = []
-        for k in stacked.kernel_basis():
-            coeffs = k[: self.dim]
-            v = vzero(self.ambient)
-            for c, bv in zip(coeffs, self.basis, strict=True):
-                v = vadd(v, vscale(c, bv))
-            out.append(v)
-        return Subspace(self.ambient, out)
-
     def annihilator_matrix(self) -> Mat:
         """Matrix whose kernel is exactly this subspace."""
         if not self.basis:
@@ -582,21 +557,6 @@ class ChainComplexQ:
             raise AssertionError("cocycle failed to decompose")
         return sol[:hdim]
 
-    def same_class(self, deg: int, u: Vec, v: Vec) -> bool:
-        cu = self.class_of(deg, u)
-        cv = self.class_of(deg, v)
-        if cu is None or cv is None:
-            raise ValueError("not cocycles")
-        return cu == cv
-
-    def shift(self, k: int) -> "ChainComplexQ":
-        """Shifted complex C[k]: C[k]^n = C^{n+k}, d[k] = (-1)^k d."""
-        dims = {d - k: n for d, n in self.dims.items()}
-        sign = Q(-1) if k % 2 else Q(1)
-        diffs = {d - k: m.scale(sign) for d, m in self.diffs.items()}
-        return ChainComplexQ(dims, diffs, check=False)
-
-
 @dataclass
 class ChainMapQ:
     """Degreewise map of complexes commuting with the differentials."""
@@ -659,34 +619,3 @@ def cone(f: ChainMapQ) -> ChainComplexQ:
         if not m.is_zero():
             diffs[d] = m
     return ChainComplexQ(dims, diffs)
-
-
-def cohomology_map(f: ChainMapQ, deg: int) -> Mat:
-    """Matrix of H^deg(f) in the canonical representative bases."""
-    hs, reps_s = f.source.cohomology(deg)
-    ht, reps_t = f.target.cohomology(deg)
-    out = Mat(ht, hs)
-    for j, z in enumerate(reps_s):
-        img = f.apply(deg, z)
-        cls = f.target.class_of(deg, img)
-        if cls is None:  # pragma: no cover - chain maps send cocycles to cocycles
-            raise AssertionError("image of cocycle is not a cocycle")
-        for i, c in enumerate(cls):
-            out.set_entry(i, j, c)
-    return out
-
-
-def is_quasi_iso(f: ChainMapQ) -> bool:
-    degs = set(f.source.dims) | set(f.target.dims)
-    if not degs:
-        return True
-    lo, hi = min(degs) - 1, max(degs) + 1
-    for d in range(lo, hi + 1):
-        hs, _ = f.source.cohomology(d)
-        ht, _ = f.target.cohomology(d)
-        if hs != ht:
-            return False
-        m = cohomology_map(f, d)
-        if m.rank() != hs:
-            return False
-    return True

@@ -127,10 +127,6 @@ def gauge(a: Elem, x: Elem) -> Elem:
     return out
 
 
-def is_gauge_fixed(a: Elem, x: Elem) -> bool:
-    return gauge(a, x).eq(x)
-
-
 # --- composition product ----------------------------------------------------
 
 
@@ -404,198 +400,8 @@ def path_from_gauge(x: Elem, a: Elem, var: str = "t") -> Elem:
     return gauge(ta, xe)
 
 
-def verify_path(x: Elem, y: Elem, r: Elem) -> bool:
-    """r is a Maurer-Cartan path from x to y."""
-    return (
-        is_mc(r)
-        and endpoint(r, 0, 0).eq(x.form_subst([], ()))
-        and endpoint(r, 0, 1).eq(y.form_subst([], ()))
-    )
-
-
 def gauge_from_path(x: Elem, r: Elem) -> Elem:
     """Endpoint gauge of a path: a with e^a * x = r(1), from the canonical
     decomposition r = e^{p(t)} * x."""
     p = decompose_path(x, r)
     return endpoint(p, 0, 1)
-
-
-def invert_path(r: Elem) -> Elem:
-    """Reverse a path by pulling back along t := 1 - t."""
-    from .forms import f_const, f_sub
-
-    img = f_sub(f_const(1, 1), f_var(0, 1))
-    return r.form_subst([img], r.ctx.form_vars)
-
-
-def compose_paths(x: Elem, r1: Elem, r2: Elem) -> Elem:
-    """Composite of r1: x -> y and r2: y -> z, via composition of the
-    decomposed gauge logs."""
-    y = endpoint(r1, 0, 1)
-    p1 = decompose_path(x, r1)
-    p2 = decompose_path(y, r2)
-    xe = embed(x, r1.ctx.form_vars, positions=[])
-    return gauge(bch(p2, p1), xe)
-
-
-# --- squares (homotopies between homotopies) -----------------------------------
-
-
-def verify_square(x: Elem, y: Elem, r1: Elem, r2: Elem, w: Elem) -> bool:
-    """w(t,s) is a Maurer-Cartan square: r1 at s=0, r2 at s=1, constant in
-    s at t = 0 (value x) and t = 1 (value y)."""
-    if not is_mc(w):
-        return False
-    if not endpoint(w, 1, 0).eq(r1) or not endpoint(w, 1, 1).eq(r2):
-        return False
-    xs = embed(x, ("s",), positions=[])
-    ys = embed(y, ("s",), positions=[])
-    return endpoint(w, 0, 0).eq(xs) and endpoint(w, 0, 1).eq(ys)
-
-
-def square_from_irrelevant(x: Elem, a: Elem, u: Elem) -> Elem:
-    """Witness square between the line of a and the line of
-    a * (du + [x,u]): t |-> e^{t(a * (d(su) + [x, su]))} * x."""
-    ctx2 = x.ctx.with_vars(("t", "s"))
-    xe = embed(x, ("t", "s"), positions=[])
-    ue = embed(u, ("t", "s"), positions=[])
-    su = Elem(
-        ctx2,
-        {
-            (deg, idx, am, (pm[0], pm[1] + 1), S): c
-            for (deg, idx, am, pm, S), c in ue.terms.items()
-        },
-    )
-    sigma = stabilizer_log(xe, su)
-    c = bch(embed(a, ("t", "s"), positions=[]), sigma)
-    tc = Elem(
-        ctx2,
-        {
-            (deg, idx, am, (pm[0] + 1, pm[1]), S): cc
-            for (deg, idx, am, pm, S), cc in c.terms.items()
-        },
-    )
-    return gauge(tc, xe)
-
-
-def _const_in_s(g: Elem) -> Elem:
-    """Embed a one-variable log (t) as a square log constant in s."""
-    return embed(g, ("t", "s"), positions=[0])
-
-
-def square_symmetry(w: Elem) -> Elem:
-    """Flip a square along s := 1 - s, swapping its two path faces."""
-    from .forms import f_const, f_sub
-
-    imgs = [f_var(0, 2), f_sub(f_const(1, 2), f_var(1, 2))]
-    return w.form_subst(imgs, w.ctx.form_vars)
-
-
-def square_transitivity(x: Elem, w1: Elem, w2: Elem) -> Elem:
-    """Given squares between r1, r2 and between r2, r3 (same endpoints),
-    produce a square between r1 and r3."""
-    r1log = decompose_square(x, w1)
-    r2log = decompose_square(x, w2)
-    q = endpoint(r2log, 1, 0)  # the log of the shared middle path
-    xe = embed(x, ("t", "s"), positions=[])
-    c = bch(r2log, bch(_const_in_s(q).neg(), r1log))
-    return gauge(c, xe)
-
-
-def square_compose(x: Elem, w1: Elem, w2: Elem) -> Elem:
-    """Horizontal composition: w1 between paths x -> y, w2 between paths
-    y -> z (with matching middle object), giving a square between the
-    composite paths.
-
-    The composites are formed face by face and the witness is rebuilt
-    from the homotopy decision; the defect of the composites is a
-    product of inessential logs (one conjugated from y back to x, which
-    stays inessential), so the decision always succeeds on valid input.
-    """
-    xq = x.form_subst([], ())
-    comp1 = compose_paths(xq, endpoint(w1, 1, 0), endpoint(w2, 1, 0))
-    comp2 = compose_paths(xq, endpoint(w1, 1, 1), endpoint(w2, 1, 1))
-    ok, w = paths_homotopic(xq, comp1, comp2)
-    if not ok:
-        raise GaugeError("face composites are not homotopic; invalid input")
-    return w
-
-
-def paths_homotopic(x: Elem, r1: Elem, r2: Elem):
-    """Decide whether two paths with the same endpoints bound a square.
-
-    Returns (True, witness) or (False, None). The criterion is that the
-    endpoint gauges differ by an element of the inessential stabilizer;
-    when they do, the witness square is assembled from straight-line
-    interpolations and the stabilizer square.
-    """
-    p1 = decompose_path(x, r1)
-    p2 = decompose_path(x, r2)
-    a1 = endpoint(p1, 0, 1)
-    a2 = endpoint(p2, 0, 1)
-    defect = bch(a1.neg(), a2)
-    u = extract_irrelevant(x.form_subst([], ()), defect)
-    if u is None:
-        return False, None
-    xe = embed(x, ("t", "s"), positions=[])
-    ctx2 = xe.ctx
-
-    def s_times(e):
-        return Elem(
-            ctx2,
-            {
-                (deg, idx, am, (pm[0], pm[1] + 1), S): c
-                for (deg, idx, am, pm, S), c in e.terms.items()
-            },
-        )
-
-    def interp(plog, afinal):
-        # straight line (1-s) p(t) + s t a between a path log and a line log
-        pe = _const_in_s(plog)
-        ae = embed(afinal, ("t", "s"), positions=[])
-        ta = Elem(
-            ctx2,
-            {
-                (deg, idx, am, (pm[0] + 1, pm[1]), S): c
-                for (deg, idx, am, pm, S), c in ae.terms.items()
-            },
-        )
-        return pe.sub(s_times(pe)).add(s_times(ta))
-
-    w_left = gauge(interp(p1, a1), xe)  # r1 to the line of a1
-    w_mid = square_from_irrelevant(x.form_subst([], ()), a1, u)
-    w_right = square_symmetry(gauge(interp(p2, a2), xe))  # line of a2 to r2
-    w = square_transitivity(x, square_transitivity(x, w_left, w_mid), w_right)
-    return True, w
-
-
-def square_defect_witness(x: Elem, w: Elem):
-    """From a square between r1 and r2, extract u with
-    a2 = a1 * (du + [x,u]) for the endpoint gauges. Returns (a1, a2, u)."""
-    r = decompose_square(x, w)
-    a1 = endpoint(endpoint(r, 1, 0), 0, 1)
-    a2 = endpoint(endpoint(r, 1, 1), 0, 1)
-    defect = bch(a1.neg(), a2)
-    u = extract_irrelevant(x.form_subst([], ()), defect)
-    if u is None:
-        raise GaugeError("square exists but defect is not inessential")
-    return a1, a2, u
-
-
-# --- square-zero coefficients ---------------------------------------------------
-
-
-def orbit_decide_square_zero(x: Elem, y: Elem):
-    """Gauge equivalence over a square-zero ring: the action reduces to
-    x - da, so equivalence is a single linear solve. Returns (bool, a)."""
-    A = x.ctx.artin
-    if A is None or not A.is_square_zero():
-        raise GaugeError("coefficient ring must be square-zero")
-    if not (is_mc(x) and is_mc(y)):
-        raise GaugeError("inputs must satisfy the Maurer-Cartan equation")
-    diff = x.sub(y)
-    basis = lie_basis_elems(x.ctx, 0)
-    a = elem_linear_solve(lambda e: e.d(), diff, basis)
-    if a is None:
-        return False, None
-    return True, a

@@ -43,7 +43,7 @@ from .forms import (
     fkey_mul,
     whitney_form,
 )
-from .linalg import ChainComplexQ, ChainMapQ, Mat
+from .linalg import ChainComplexQ, Mat
 from .mcgauge import (
     bch_many,
     embed,
@@ -274,24 +274,6 @@ def total_complex(sc: ScDgla) -> tuple:
         if not m.is_zero():
             diffs[n] = m
     return ChainComplexQ(dims, diffs), tb
-
-
-def total_truncation_map(sc: ScDgla, i: int) -> ChainMapQ:
-    """The projection of the total complex onto the total complex of the
-    truncation at level i; levels above i are dropped. A chain map."""
-    sct = sc.truncate(i)
-    full, tbf = total_complex(sc)
-    trunc, tbt = total_complex(sct)
-    mats = {}
-    for n, slots in tbf.slots.items():
-        if not tbt.dim(n):
-            continue
-        m = Mat(tbt.dim(n), len(slots))
-        for col, (p, idx) in enumerate(slots):
-            if p <= i:
-                m.set_entry(tbt.index(n, p, idx), col, 1)
-        mats[n] = m
-    return ChainMapQ(full, trunc, mats)
 
 
 # --- Cech diagrams of covers -------------------------------------------------

@@ -12,7 +12,6 @@ from mcdescent.builders import (
     sc_weak_only,
     sc_zero,
     cover_twist_redundant,
-    strong_examples,
     two_step_complex,
 )
 from mcdescent.descent import (
@@ -42,8 +41,8 @@ from mcdescent.mcgauge import (
     bch_many,
     embed,
     gauge,
+    gauge_from_path,
     morphism_equal,
-    paths_homotopic,
     stabilizer_log,
 )
 from mcdescent.ratio import Q
@@ -86,7 +85,11 @@ def random_morphism(sc, o, rng):
 
 
 def test_hypothesis_flags_on_builtins():
-    for name, sc in strong_examples():
+    for name, sc in (
+        ("constant sl2", sc_constant_sl2(3)),
+        ("identity cech over end", sc_cech_identity()),
+        ("conjugated cech over end", sc_cech_conjugated(seed=5)),
+    ):
         rep = check_hypothesis(sc)
         assert rep["strong"], name
         assert rep["weak"], name
@@ -276,8 +279,8 @@ def test_full_lift_rejects_broken_witness():
 
 
 def test_descended_morphism_is_independent_of_the_representative():
-    """Two lifts of inessentially different logs stay 2-homotopic and
-    descend to equal morphisms."""
+    """Two lifts of inessentially different logs have endpoint gauges
+    that differ by an inessential log, and descend to equal morphisms."""
     sc = sc_cech_identity(n_opens=3).truncate(2)
     A = truncated_poly(3)
     for seed in range(3):
@@ -291,8 +294,9 @@ def test_descended_morphism_is_independent_of_the_representative():
         f2 = totdel_mor_assemble(o0, o1, a2)
         assert totdel_mor_equal(f, f2)
         h, h2 = phi1_full_lift(f), phi1_full_lift(f2)
-        ok, witness = paths_homotopic(o0.l, h.z0, h2.z0)
-        assert ok and witness is not None
+        assert morphism_equal(
+            o0.l, gauge_from_path(o0.l, h.z0), gauge_from_path(o0.l, h2.z0)
+        )
         assert morphism_equal(o0.l, phi1_mor(h), phi2_mor(h2))
 
 
@@ -475,7 +479,11 @@ def test_base_change_preserves_object_validity():
 
 
 def test_pi0_isomorphic_on_every_strong_builtin():
-    for name, sc in strong_examples():
+    for name, sc in (
+        ("constant sl2", sc_constant_sl2(3)),
+        ("identity cech over end", sc_cech_identity()),
+        ("conjugated cech over end", sc_cech_conjugated(seed=5)),
+    ):
         sc2 = sc.truncate(2) if sc.top > 2 else sc
         for n in (1, 2):
             rep = pi0_compare_square_zero(sc2, square_zero(n))

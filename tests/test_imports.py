@@ -1,8 +1,17 @@
-"""Every name a module of the package imports is used in that module.
+"""Two checks on the package source, with the standard library only.
 
-The check walks each module's syntax tree with the standard library
-only: a name bound by an import statement must appear as a name
-somewhere in the module, or be listed in its __all__.
+Every name a module of the package imports is used in that module: a
+name bound by an import statement must appear as a name somewhere in the
+module, or be listed in its __all__.
+
+Every top-level function of the package feeds a report: the walk from
+`cli.main`, from module-level code and from the names mcbench imports
+from the package reaches it, unless TEST_ORACLES names it together with
+the test that uses it to check code the command line does reach. The
+walk goes by bare name: a name or an attribute reaches every top-level
+function and class so called, and a reached class reaches every name its
+methods use. So it can only overcount what is reached; a function it
+reports has no caller.
 """
 
 import ast
@@ -10,8 +19,44 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "mcdescent"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mcdescent"
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+# oracle -> the test that uses it, as "test file::test function"
+TEST_ORACLES = {
+    # the identity ∫∘W = id and Stokes' theorem, for whitney_map and whitney_form
+    "semicosimplicial.integration_map":
+        "test_semicosimplicial.py::test_integration_after_whitney_is_identity",
+    "forms.integrate_simplex": "test_forms.py::test_stokes_with_alternating_faces",
+    "forms.face_form": "test_forms.py::test_stokes_with_alternating_faces",
+    "forms.f_eval": "test_forms.py::test_stokes_with_alternating_faces",
+    # the simplicial identities of coface_images
+    "forms.coface_pullback": "test_forms.py::test_cosimplicial_identity_on_pullbacks",
+    "forms.f_subst": "test_forms.py::test_cosimplicial_identity_on_pullbacks",
+    "semicosimplicial.tw_mc_to_element": "test_descent.py::test_descend_inverts_the_lift",
+    # the groupoid laws and the functoriality of phi1_full_lift
+    "semicosimplicial.totdel_identity":
+        "test_descent.py::test_full_lift_of_identity_is_constant",
+    "semicosimplicial.totdel_compose":
+        "test_descent.py::test_descent_of_composite_homotopy_is_the_composite",
+    "semicosimplicial.totdel_invert": "test_semicosimplicial.py::test_totdel_morphisms_roundtrip",
+    "semicosimplicial.totdel_mor_equal":
+        "test_semicosimplicial.py::test_totdel_morphisms_roundtrip",
+    "descent.phi2_mor":
+        "test_descent.py::test_descended_morphism_is_independent_of_the_representative",
+    # the naturality of phi1_obj
+    "artin.base_change":
+        "test_artin.py::test_base_change_of_composite_is_composite_of_base_changes",
+    "dgla.elem_base_change": "test_descent.py::test_base_change_commutes_with_the_descent_functor",
+    "descent.mc_pair_base_change":
+        "test_descent.py::test_base_change_commutes_with_the_descent_functor",
+    "descent.totdel_base_change":
+        "test_descent.py::test_base_change_commutes_with_the_descent_functor",
+    # seeded test inputs
+    "pipeline.random_a2_module": "test_pipeline.py::test_les_exact_on_random_instances",
+    "pipeline.random_module_map": "test_pipeline.py::test_les_exact_on_random_instances",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -33,6 +78,70 @@ def unused_imports(source: str) -> list:
     return [f"line {line}: {name}" for name, line in imported if name not in used]
 
 
+def _names(node) -> set:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def definitions(sources: dict):
+    """The top-level functions and classes of the given {module: source},
+    as {name: [("module.name", is a function, names it uses)]}, and the
+    names that module-level code uses (an import binds a name but does not
+    use it)."""
+    defs, used = {}, set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                entry = (f"{module}.{stmt.name}", isinstance(stmt, ast.FunctionDef), _names(stmt))
+                defs.setdefault(stmt.name, []).append(entry)
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                used |= _names(stmt)
+    return defs, used
+
+
+def reach(defs: dict, roots) -> set:
+    """The qualified names of the definitions reached by name from roots."""
+    seen, todo, out = set(), list(roots), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for qual, _, names in defs.get(name, ()):
+            out.add(qual)
+            todo += names
+    return out
+
+
+def unreached(sources: dict, roots) -> list:
+    """The top-level functions that neither module-level code nor roots reach."""
+    defs, used = definitions(sources)
+    reached = reach(defs, used | set(roots))
+    return sorted(
+        qual
+        for entries in defs.values()
+        for qual, is_function, _ in entries
+        if is_function and qual not in reached
+    )
+
+
+def package_sources() -> dict:
+    return {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+
+
+def bench_imports() -> set:
+    """The names mcbench/*.py import from the package."""
+    out = set()
+    for path in sorted((ROOT / "mcbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mcdescent"):
+                out |= {a.name for a in node.names}
+    return out
+
+
 def test_the_check_sees_an_unused_import():
     assert MODULES, f"no modules found under {PACKAGE}"
     src = "from os import path, sep\nimport json\n__all__ = ['sep']\n"
@@ -42,3 +151,40 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_walk_sees_a_function_without_a_caller():
+    sources = {
+        "cli": "from .lib import run\n\ndef main():\n    return run()\n",
+        "lib": (
+            "from .other import orphan\n"
+            "def run():\n    return _helper()\n"
+            "def _helper():\n    return 1\n"
+            "class Table:\n    def row(self):\n        return by_method()\n"
+            "def by_method():\n    return 2\n"
+            "TABLES = {'t': Table}\n"
+        ),
+        "other": "def orphan():\n    return _helper()\n\ndef spare():\n    pass\n",
+    }
+    assert unreached(sources, {"main"}) == ["other.orphan", "other.spare"]
+    assert unreached(sources, {"main", "orphan"}) == ["other.spare"]
+
+
+def test_every_library_function_feeds_a_report_or_is_a_test_oracle():
+    assert bench_imports(), "found no names that mcbench imports from the package"
+    left = set(unreached(package_sources(), {"main"} | bench_imports()))
+    assert sorted(left - set(TEST_ORACLES)) == [], "functions without a caller"
+    assert sorted(set(TEST_ORACLES) - left) == [], "oracles that are gone or now reached"
+
+
+def test_each_test_oracle_is_reached_from_its_test():
+    package, _ = definitions(package_sources())
+    for file in sorted({where.split("::")[0] for where in TEST_ORACLES.values()}):
+        tests, _ = definitions({file: (ROOT / "tests" / file).read_text(encoding="utf-8")})
+        defs = {n: package.get(n, []) + tests.get(n, []) for n in package.keys() | tests.keys()}
+        for oracle, where in TEST_ORACLES.items():
+            test = where.removeprefix(f"{file}::")
+            if test == where:
+                continue
+            assert test in tests, f"{where} does not exist"
+            assert oracle in reach(defs, {test}), f"{where} does not use {oracle}"

@@ -13,12 +13,8 @@ from mcdescent.linalg import (
     Mat,
     Subspace,
     cone,
-    cohomology_map,
-    is_quasi_iso,
-    vadd,
     vec,
     vis_zero,
-    vscale,
     vzero,
 )
 from mcdescent.ratio import Q, rat
@@ -289,8 +285,6 @@ def test_subspace_ops():
     assert not s.contains(vec([0, 0, 1]))
     t = Subspace.from_vectors(3, [vec([1, 0, 1])])
     assert s.contains_space(t)
-    inter = s.intersect(Subspace.from_vectors(3, [vec([1, 0, 1]), vec([0, 0, 1])]))
-    assert inter.dim == 1 and inter.contains(vec([1, 0, 1]))
     ann = t.annihilator_matrix()
     assert ann.matvec(vec([1, 0, 1])) == vzero(ann.rows)
     assert len(ann.kernel_basis()) == 1
@@ -408,7 +402,8 @@ def test_cohomology_and_class_of_are_kept_per_degree():
             for _ in range(3):
                 v = vzero(n)
                 for z in cyc:
-                    v = vadd(v, vscale(rng.randint(-2, 2), z))
+                    c = rng.randint(-2, 2)
+                    v = tuple(a + c * b for a, b in zip(v, z))
                 probes.append(v)
             probes += [vec(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)]
             for v in probes:
@@ -429,7 +424,7 @@ def test_class_of_and_same_class():
     assert h1 == 1
     z = vec([1, 0])
     w = vec([0, 1])  # differs from z by d(1,0) = (1,-1)
-    assert cx.same_class(1, z, w)
+    assert cx.class_of(1, z) == cx.class_of(1, w) != (Q(0),)
     assert cx.class_of(1, vec([1, -1])) == (Q(0),)
 
 
@@ -439,31 +434,13 @@ def test_cone_euler_and_quasi_iso():
         cx = rand_complex(rng)
         ident = ChainMapQ(cx, cx, {d: Mat.identity(n) for d, n in cx.dims.items()})
         cn = cone(ident)
-        assert is_quasi_iso(ident)
         # cone of an iso is acyclic
         for d in range(min(cn.dims, default=0), max(cn.dims, default=0) + 1):
             assert cn.cohomology(d)[0] == 0
         assert cn.euler() == 0
 
 
-def test_cohomology_map_functorial():
-    cx = ChainComplexQ({0: 2, 1: 2}, {0: [[1, -1], [-1, 1]]})
-    f = ChainMapQ(cx, cx, {0: Mat.identity(2).scale(3), 1: Mat.identity(2).scale(3)})
-    m0 = cohomology_map(f, 0)
-    m1 = cohomology_map(f, 1)
-    assert m0.to_rows() == [(Q(3),)]
-    assert m1.to_rows() == [(Q(3),)]
-
-
-def test_shift():
-    cx = ChainComplexQ({0: 2, 1: 2}, {0: [[1, -1], [-1, 1]]})
-    sh = cx.shift(1)
-    assert sh.dim(-1) == 2 and sh.dim(0) == 2
-    assert sh.diff(-1) == cx.diff(0).scale(-1)
-    assert sh.cohomology(-1)[0] == 1
-
-
 def test_vec_helpers():
     v = vec([1, "1/2", rat(3, 4)])
     assert v == (Q(1), Q(1, 2), Q(3, 4))
-    assert vadd(v, vscale(2, v)) == (Q(3), Q(3, 2), Q(9, 4))
+    assert vis_zero(vzero(3)) and not vis_zero(v)

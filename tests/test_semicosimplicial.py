@@ -37,7 +37,7 @@ from mcdescent.dgla import (
     end_dgla,
     sl2,
 )
-from mcdescent.linalg import ChainComplexQ, Mat, cohomology_map
+from mcdescent.linalg import ChainComplexQ, Mat
 from mcdescent.mcgauge import bch, gauge, is_mc, stabilizer_log
 from mcdescent.ratio import Q
 from mcdescent.sampling import (
@@ -66,7 +66,6 @@ from mcdescent.semicosimplicial import (
     level_vars,
     sc_same,
     total_complex,
-    total_truncation_map,
     totdel_assemble,
     totdel_cocycle,
     totdel_compose,
@@ -340,18 +339,6 @@ def test_total_element_derivative_matches_matrix_differential():
                 if am == eps:
                     flat_d[basis.index(n + 1, p, idx)] = coeff
         assert list(out) == flat_d
-
-
-def test_truncation_map_is_chain_map_and_iso_in_low_degrees():
-    for sc in (sc_cech_identity(n_opens=3), sc_cech_conjugated(seed=7)):
-        proj = total_truncation_map(sc, 2)
-        tot, _ = total_complex(sc)
-        tt, _ = total_complex(sc.truncate(2))
-        for d in (0, 1):
-            m = cohomology_map(proj, d)
-            assert m.rows == tt.cohomology(d)[0]
-            assert m.cols == tot.cohomology(d)[0]
-            assert m.rows == m.cols and (m.rows == 0 or m.inverse() is not None)
 
 
 # --- comparison maps -------------------------------------------------------
