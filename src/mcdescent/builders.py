@@ -52,13 +52,13 @@ def sc_counterexample() -> ScDgla:
     z = zero_dgla()
     g2 = abelian_dgla({-1: 1}, label="line in degree -1")
     cof = {
-        (1, 0): DglaMap(z, z, {}, check=False),
-        (1, 1): DglaMap(z, z, {}, check=False),
-        (2, 0): DglaMap(z, g2, {}, check=False),
-        (2, 1): DglaMap(z, g2, {}, check=False),
-        (2, 2): DglaMap(z, g2, {}, check=False),
+        (1, 0): DglaMap(z, z, {}),
+        (1, 1): DglaMap(z, z, {}),
+        (2, 0): DglaMap(z, g2, {}),
+        (2, 1): DglaMap(z, g2, {}),
+        (2, 2): DglaMap(z, g2, {}),
     }
-    return ScDgla([z, z, g2], cof, check=True, label="counterexample")
+    return ScDgla([z, z, g2], cof, label="counterexample")
 
 
 def sc_zero(top: int = 2) -> ScDgla:
@@ -73,13 +73,13 @@ def sc_weak_only() -> ScDgla:
     g0 = abelian_dgla({-1: 1}, label="line in degree -1")
     z = zero_dgla()
     cof = {
-        (1, 0): DglaMap(g0, z, {}, check=False),
-        (1, 1): DglaMap(g0, z, {}, check=False),
-        (2, 0): DglaMap(z, z, {}, check=False),
-        (2, 1): DglaMap(z, z, {}, check=False),
-        (2, 2): DglaMap(z, z, {}, check=False),
+        (1, 0): DglaMap(g0, z, {}),
+        (1, 1): DglaMap(g0, z, {}),
+        (2, 0): DglaMap(z, z, {}),
+        (2, 1): DglaMap(z, z, {}),
+        (2, 2): DglaMap(z, z, {}),
     }
-    return ScDgla([g0, z, z], cof, check=True, label="weak only")
+    return ScDgla([g0, z, z], cof, label="weak only")
 
 
 # --- covers -----------------------------------------------------------------
@@ -225,7 +225,7 @@ def conjugation_map(g: Dgla, eb, cx: ChainComplexQ, phi: dict) -> DglaMap:
                         row = eb.index(i, p, r2, c2)
                         m.set_entry(row, col, m.entry(row, col) + lv * rv)
         mats[p] = m
-    return DglaMap(g, g, mats, check=True)
+    return DglaMap(g, g, mats)
 
 
 def cover_conjugated(

@@ -180,8 +180,11 @@ def _violations(kind: str, value) -> list:
 def _load_valid(spec: str) -> tuple:
     """Load an input for a command that computes with it. A file input
     must pass validation first, so that no report rests on an object
-    that breaks its axioms; builtin inputs are built by code and are
-    taken as they are."""
+    that breaks its axioms. Builtin inputs are built by code and are
+    taken as they are. The dgLa and diagram constructors check no axiom:
+    their check is the validate command, whose reports on every dgLa and
+    diagram builtin are kept in the golden corpus (tests/golden/validate.*);
+    the module builtins are checked where a2_module builds them."""
     kind, value = load_document(spec)
     if not spec.startswith("builtin:"):
         bad = _violations(kind, value)

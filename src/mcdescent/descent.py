@@ -37,9 +37,7 @@ from .semicosimplicial import (
     elem_times_form,
     total_complex,
     totdel_assemble,
-    tw_mc_assemble,
     tw_mc_from_element,
-    tw_mc_verify,
 )
 
 
@@ -135,23 +133,12 @@ def mc_pair_verify(pair: McPair) -> dict:
     return {"ok": not shape and condition, "shape": shape, "condition": condition}
 
 
-def mc_pair_assemble(sc: ScDgla, artin: ArtinAlgebra, x: Elem, p: Elem) -> McPair:
-    pair = McPair(sc, artin, x, p)
-    rep = mc_pair_verify(pair)
-    if not rep["ok"]:
-        raise DescentError(f"invalid pair: {rep}", report=rep)
-    return pair
-
-
 # --- the descent functors on objects ----------------------------------------
 
 
 def phi1_obj(pair: McPair) -> TotDelObject:
     """Evaluate the comparison path at its endpoint: the glued object
     (base point, endpoint gauge)."""
-    rep = mc_pair_verify(pair)
-    if not rep["ok"]:
-        raise DescentError(f"invalid pair: {rep}", report=rep)
     m = pair.p.subs_values({0: 1})
     return totdel_assemble(pair.sc, pair.x, m)
 
@@ -161,16 +148,13 @@ def phi1_essential_lift(o: TotDelObject) -> McPair:
     chart variable, so its endpoint returns the object on the nose."""
     sc = o.sc if o.sc.top == 1 else o.sc.truncate(1)
     p = elem_times_form(embed(o.m, ("t",)), {((1,), ()): Q(1)})
-    return mc_pair_assemble(sc, o.artin, o.l, p)
+    return McPair(sc, o.artin, o.l, p)
 
 
 def phi2_obj(e: TwTruncMC) -> TotDelObject:
     """Descend a two-level-deep decomposed family: evaluate the path at
     its endpoint and solve for the coherence witness, whose existence
-    is guaranteed by the face conditions."""
-    rep = tw_mc_verify(e)
-    if not rep["ok"]:
-        raise DescentError(f"invalid truncated family: {rep}", report=rep)
+    is guaranteed by the face conditions (see tw_mc_verify)."""
     m = e.p.subs_values({0: 1})
     return totdel_assemble(e.sc, e.x, m)
 
@@ -252,7 +236,6 @@ def tw_lift(o: TotDelObject) -> TwTruncMC:
     if o.sc.top < 2:
         raise DescentError("lifting needs three levels of the diagram")
     sc = o.sc if o.sc.top == 2 else o.sc.truncate(2)
-    rep_in = None
     l, m, u = o.l, o.m, o.u
     if u is None:
         raise DescentError("the object is missing its coherence witness")
@@ -291,7 +274,7 @@ def tw_lift(o: TotDelObject) -> TwTruncMC:
         elem_times_form(embed(beta_red, two_ts), {((1, 0), (1,)): Q(-1)})
     )
     r = bch(sigma, r0)
-    return tw_mc_assemble(sc, x, p, r)
+    return TwTruncMC(sc, x.ctx.artin, x, p, r)
 
 
 # --- fullness: the lifted homotopy -------------------------------------------
@@ -346,19 +329,13 @@ def homotopy_endpoint(h: GaugeHomotopy, value) -> McPair:
     x = h.z0.subs_values({0: value})
     fam = h.z1.subs_values({0: value})
     p = decompose_path(x.map_lie(h.sc.face(1, 0)), fam)
-    return mc_pair_assemble(h.sc, h.artin, x, p)
+    return McPair(h.sc, h.artin, x, p)
 
 
-def phi1_full_lift(f: TotDelMorphism, check: bool = True) -> GaugeHomotopy:
+def phi1_full_lift(f: TotDelMorphism) -> GaugeHomotopy:
     """Lift a glued morphism with witness to a homotopy of pairs: the
     base points flow along the morphism log, and the comparison paths
-    interpolate through the witness flow."""
-    from .semicosimplicial import totdel_mor_verify
-
-    if check:
-        rep = totdel_mor_verify(f)
-        if not rep["ok"]:
-            raise DescentError(f"invalid morphism: {rep}", report=rep)
+    interpolate through the witness flow (see homotopy_verify)."""
     src = f.source
     sc = src.sc if src.sc.top == 1 else src.sc.truncate(1)
     xi = ("xi",)
@@ -381,19 +358,12 @@ def phi1_full_lift(f: TotDelMorphism, check: bool = True) -> GaugeHomotopy:
     h = GaugeHomotopy(sc, src.artin, z0, z1)
     h.meta["log"] = p_log
     h.meta["witness_flow"] = w
-    if check:
-        rep = homotopy_verify(h)
-        if not rep["ok"]:
-            raise DescentError(f"lift failed verification: {rep}", report=rep)
     return h
 
 
 def phi1_mor(h: GaugeHomotopy) -> Elem:
     """Descend a homotopy to a morphism log: the canonical logarithm of
     its base-point path, evaluated at the far end."""
-    rep = homotopy_verify(h)
-    if not rep["ok"]:
-        raise DescentError(f"invalid homotopy: {rep}", report=rep)
     x0 = h.z0.subs_values({0: 0})
     t_log = decompose_path(x0, h.z0)
     return t_log.subs_values({0: 1})
@@ -409,7 +379,7 @@ def phi2_mor(h: GaugeHomotopy) -> Elem:
 
 
 def mc_pair_base_change(f: ArtinMorphism, pair: McPair) -> McPair:
-    return mc_pair_assemble(
+    return McPair(
         pair.sc, f.target, elem_base_change(f, pair.x), elem_base_change(f, pair.p)
     )
 

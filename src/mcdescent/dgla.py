@@ -2,9 +2,11 @@
 
 A Dgla is bounded with a finite basis in each degree: differentials are
 matrices, the bracket is a table of structure constants on basis pairs.
-Construction validates graded antisymmetry, the Leibniz rule and the graded
-Jacobi identity exactly (full sweep for small algebras, seeded sample above
-a size threshold, controllable via the validate argument).
+Construction checks shapes and bracket targets only; Dgla.validate checks
+graded antisymmetry, the Leibniz rule and the graded Jacobi identity
+exactly (full sweep for small algebras, seeded sample above a size
+threshold), and runs where input enters: the command line's validate and
+file loading, or a test.
 
 Computations happen in tensors L (x) A (x) Omega: an Elem is a sparse dict
 keyed by (degree, basis index, coefficient-ring monomial, form monomial,
@@ -52,7 +54,8 @@ class Dgla:
              with those keys; missing swapped pairs are filled in from
              graded antisymmetry
     names:   optional {(degree, index): str} for printing
-    validate: "full", "sample", "none" or "auto" (full below a size cutoff)
+
+    The constructor does not check the axioms; see validate.
     """
 
     def __init__(
@@ -61,7 +64,6 @@ class Dgla:
         diffs: dict,
         bracket,
         names=None,
-        validate: str = "auto",
         label: str = "",
     ):
         self.dims = {int(d): int(n) for d, n in dims.items() if n}
@@ -106,7 +108,6 @@ class Dgla:
                 if rev not in self._br and (d1, i) != (d2, j):
                     sign = -neg_one_pow(d1 * d2)
                     self._br[rev] = tuple((k, sign * c) for k, c in val)
-        self.validate(mode=validate)
 
     def _check_targets(self, deg: int, val):
         n = self.dim(deg)
@@ -167,10 +168,10 @@ class Dgla:
     def _bracket_vec(self, d1: int, v1: Vec, d2: int, v2: Vec) -> Vec:
         out = [ZERO] * self.dim(d1 + d2)
         for i, a in enumerate(v1):
-            if a == 0:
+            if not a:
                 continue
             for j, b in enumerate(v2):
-                if b == 0:
+                if not b:
                     continue
                 for k, c in self.bracket_basis(d1, i, d2, j):
                     out[k] += a * b * c
@@ -181,10 +182,8 @@ class Dgla:
 
         Raises DglaError on the first violation. mode "sample" checks a
         seeded random subset of triples; "auto" switches to sampling when
-        the total dimension is large; "none" skips everything.
+        the total dimension is large.
         """
-        if mode == "none":
-            return
         if mode == "auto":
             mode = "full" if self.total_dim <= 16 else "sample"
         for d in self.degrees():
@@ -326,7 +325,7 @@ class Elem:
 
     def __init__(self, ctx: TensorCtx, terms: dict):
         self.ctx = ctx
-        self.terms = {k: v for k, v in terms.items() if v != 0}
+        self.terms = {k: v for k, v in terms.items() if v}
 
     @classmethod
     def wrap(cls, ctx: TensorCtx, terms: dict) -> "Elem":
@@ -374,7 +373,7 @@ class Elem:
 
     def scale(self, c) -> "Elem":
         c = rat(c)
-        if c == 0:
+        if not c:
             return Elem.wrap(self.ctx, {})
         if c == 1:
             return Elem.wrap(self.ctx, dict(self.terms))
@@ -615,9 +614,11 @@ def _left_brackets(g: Dgla) -> dict:
 
 
 class DglaMap:
-    """Map of dgLas: degreewise matrices commuting with d and brackets."""
+    """Map of dgLas: degreewise matrices commuting with d and brackets.
 
-    def __init__(self, source: Dgla, target: Dgla, mats: dict, check: bool = True):
+    The constructor checks shapes only; validate checks the identities."""
+
+    def __init__(self, source: Dgla, target: Dgla, mats: dict):
         self.source = source
         self.target = target
         self._cols: dict = {}
@@ -629,8 +630,6 @@ class DglaMap:
                 raise DglaError(f"map shape mismatch at degree {d}")
             if not m.is_zero():
                 self.mats[int(d)] = m
-        if check:
-            self.validate()
 
     def mat(self, deg: int) -> Mat:
         m = self.mats.get(deg)
@@ -686,11 +685,11 @@ class DglaMap:
             raise DglaError("composition mismatch")
         degs = set(inner.source.dims)
         mats = {d: self.mat(d) @ inner.mat(d) for d in degs}
-        return DglaMap(inner.source, self.target, mats, check=False)
+        return DglaMap(inner.source, self.target, mats)
 
     @classmethod
     def identity(cls, L: Dgla) -> "DglaMap":
-        return cls(L, L, {d: Mat.identity(n) for d, n in L.dims.items()}, check=False)
+        return cls(L, L, {d: Mat.identity(n) for d, n in L.dims.items()})
 
     def eq(self, other: "DglaMap") -> bool:
         if self.source is not other.source or self.target is not other.target:
@@ -752,7 +751,7 @@ def direct_sum(parts: list) -> tuple:
         for pi, p in enumerate(parts):
             for i in range(p.dim(d)):
                 names[(d, offs[d][pi] + i)] = f"{pi}:{p.name(d, i)}"
-    total = Dgla(dims, diffs, brk, names=names, validate="none")
+    total = Dgla(dims, diffs, brk, names=names)
     injs = []
     projs = []
     for pi, p in enumerate(parts):
@@ -769,8 +768,8 @@ def direct_sum(parts: list) -> tuple:
                 pm.set_entry(i, offs[d][pi] + i, 1)
             imats[d] = im
             pmats[d] = pm
-        injs.append(DglaMap(p, total, imats, check=False))
-        projs.append(DglaMap(total, p, pmats, check=False))
+        injs.append(DglaMap(p, total, imats))
+        projs.append(DglaMap(total, p, pmats))
     return total, injs, projs
 
 
@@ -873,7 +872,7 @@ def end_dgla(cx: ChainComplexQ, label: str = "") -> tuple:
     for p, units in eb.by_deg.items():
         for j, (i, r, c) in enumerate(units):
             names[(p, j)] = f"E({i}->{i + p})[{r},{c}]"
-    L = Dgla(dims, diffs, brk, names=names, validate="none", label=label or "end")
+    L = Dgla(dims, diffs, brk, names=names, label=label or "end")
     return L, eb
 
 

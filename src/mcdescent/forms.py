@@ -70,7 +70,7 @@ def f_add(f: dict, g: dict) -> dict:
 
 def f_scale(c, f: dict) -> dict:
     c = rat(c)
-    if c == 0:
+    if not c:
         return {}
     return {k: c * v for k, v in f.items()}
 

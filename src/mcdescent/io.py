@@ -12,7 +12,8 @@ only (shapes, required keys, index ranges), so a parseable file with a
 corrupted bracket loads fine. The algebraic axioms are checked once, at
 the command line boundary: validate names every violation, and the
 commands that compute with a file input refuse it with its first
-violation. Builtin inputs are built by code and are not checked again.
+violation. Builtin inputs are built by code and are not checked at run
+time; the golden validate reports check them.
 
 Serializers emit canonical content (sorted tables, one orientation of
 the bracket) so that dumps() output is byte stable.
@@ -167,7 +168,7 @@ def dgla_from_json(obj, where: str = "$") -> Dgla:
     if not isinstance(label, str):
         raise InputError("label must be a string", f"{where}.label")
     try:
-        return Dgla(dims, diffs, table, validate="none", label=label)
+        return Dgla(dims, diffs, table, label=label)
     except DglaError as e:
         raise InputError(str(e), where) from None
 
@@ -219,7 +220,7 @@ def sc_from_json(obj, where: str = "$") -> ScDgla:
         for dkey, rows in mats_raw.items():
             d = _parse_int_key(dkey, kw)
             mats[d] = mat_from_json(rows, tgt.dim(d), src.dim(d), f"{kw}.{dkey}")
-        seen[(i, k)] = DglaMap(src, tgt, mats, check=False)
+        seen[(i, k)] = DglaMap(src, tgt, mats)
     for i in range(1, top + 1):
         for k in range(i + 1):
             if (i, k) not in seen:
@@ -229,7 +230,7 @@ def sc_from_json(obj, where: str = "$") -> ScDgla:
     label = obj.get("label", "")
     if not isinstance(label, str):
         raise InputError("label must be a string", f"{where}.label")
-    return ScDgla(levels, seen, check=False, label=label)
+    return ScDgla(levels, seen, label=label)
 
 
 # --- pipeline/1 --------------------------------------------------------------

@@ -141,7 +141,7 @@ def random_totdel_object(
     rng: random.Random,
     density: float = 0.5,
 ) -> TotDelObject:
-    """A verified glued object read off the diagram alone.
+    """A glued object read off the diagram alone.
 
     The local solution is l = gauge(x, 0) for a random degree-zero x in
     the equaliser of the two cofaces into level 1. Cofaces are dgLa

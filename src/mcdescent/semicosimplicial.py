@@ -71,22 +71,20 @@ class ScDgla:
     cofaces is keyed by (i, k) with 0 <= k <= i <= N and holds the k-th
     coface map g_{i-1} -> g_i. The coface identities
     face(i+1, k+1) o face(i, j) = face(i+1, j) o face(i, k) for k >= j
-    are verified on construction unless check=False.
+    are not checked on construction: violations() names every broken
+    face map or identity, and validate_sc adds the dgLa axioms of each
+    level.
     """
 
     __slots__ = ("levels", "cofaces", "label", "meta")
 
-    def __init__(self, levels, cofaces, check: bool = True, label: str = ""):
+    def __init__(self, levels, cofaces, label: str = ""):
         self.levels = list(levels)
         self.cofaces = dict(cofaces)
         self.label = label
         self.meta: dict = {}
         if not self.levels:
             raise ScError("at least one level is required")
-        if check:
-            bad = self.violations()
-            if bad:
-                raise ScError("; ".join(bad))
 
     @property
     def top(self) -> int:
@@ -140,7 +138,7 @@ class ScDgla:
             raise ScError("truncation level out of range")
         cof = {key: m for key, m in self.cofaces.items() if key[0] <= i}
         return ScDgla(
-            self.levels[: i + 1], cof, check=False,
+            self.levels[: i + 1], cof,
             label=f"{self.label}|<={i}" if self.label else "",
         )
 
@@ -203,7 +201,7 @@ def constant_sc(g: Dgla, top: int, label: str = "") -> ScDgla:
     """The constant diagram on g with every coface the identity."""
     ident = DglaMap.identity(g)
     cof = {(i, k): ident for i in range(1, top + 1) for k in range(i + 1)}
-    return ScDgla([g] * (top + 1), cof, check=False, label=label or "constant")
+    return ScDgla([g] * (top + 1), cof, label=label or "constant")
 
 
 # --- total complex ----------------------------------------------------------
@@ -286,20 +284,16 @@ class CoverModel:
 
     sections is keyed by ascending tuples of open indices; restrictions
     by (src_tuple, tgt_tuple) with src obtained from tgt by removing one
-    entry. Longer restrictions are composed one entry at a time and the
-    compatibility of the two-step squares is validated.
+    entry. Longer restrictions are composed one entry at a time; the
+    compatibility of the two-step squares is what violations() checks.
     """
 
     __slots__ = ("n_opens", "sections", "restrictions")
 
-    def __init__(self, n_opens: int, sections, restrictions, check=True):
+    def __init__(self, n_opens: int, sections, restrictions):
         self.n_opens = n_opens
         self.sections = dict(sections)
         self.restrictions = dict(restrictions)
-        if check:
-            bad = self.violations()
-            if bad:
-                raise ScError("; ".join(bad))
 
     def tuples(self, p: int) -> list:
         """All ascending (p+1)-tuples of opens."""
@@ -406,8 +400,8 @@ def cech_from_cover(cover: CoverModel, depth: int | None = None) -> ScDgla:
                     m = m.add(block)
                 if not m.is_zero():
                     mats[d] = m
-            cof[(p, k)] = DglaMap(levels[p - 1], levels[p], mats, check=False)
-    return ScDgla(levels, cof, check=True, label="cech")
+            cof[(p, k)] = DglaMap(levels[p - 1], levels[p], mats)
+    return ScDgla(levels, cof, label="cech")
 
 
 # --- element families over the diagram ---------------------------------------
@@ -790,20 +784,6 @@ def tw_mc_verify(e: TwTruncMC) -> dict:
     return {"ok": all(conds), "shape": [], "conditions": conds}
 
 
-def tw_mc_assemble(sc: ScDgla, x: Elem, p: Elem, r: Elem) -> TwTruncMC:
-    """Bundle (x, p, r) after verifying shape and face conditions."""
-    e = TwTruncMC(sc, x.ctx.artin, x, p, r)
-    rep = tw_mc_verify(e)
-    if not rep["ok"]:
-        bad = rep["shape"] or [
-            f"face condition {i + 1} fails"
-            for i, c in enumerate(rep["conditions"])
-            if not c
-        ]
-        raise ScError("; ".join(bad))
-    return e
-
-
 def tw_mc_to_element(e: TwTruncMC) -> TWElem:
     """The genuine compatible family of the triple over the two-step
     truncation: level 0 is x, level 1 the gauge of the 0th coface image
@@ -826,14 +806,14 @@ def tw_mc_to_element(e: TwTruncMC) -> TWElem:
 
 def tw_mc_from_element(w: TWElem) -> TwTruncMC:
     """Decompose a compatible Maurer-Cartan family over the two-step
-    truncation into its canonical triple (inverse of tw_mc_to_element)."""
+    truncation into its canonical triple (inverse of tw_mc_to_element).
+    The family is taken as compatible and Maurer-Cartan, as random_tw_mc
+    builds it; tw_is_mc and TWElem.is_compatible check that."""
     from .mcgauge import decompose_path, decompose_square
 
     sc = w.sc
     if sc.top != 2:
         raise ScError("expected a family over levels 0..2")
-    if not tw_is_mc(w) or not w.is_compatible():
-        raise ScError("input is not a compatible Maurer-Cartan family")
     f = sc.face
     x = w.comps[0]
     x0 = x.map_lie(f(1, 0))
@@ -843,7 +823,7 @@ def tw_mc_from_element(w: TWElem) -> TwTruncMC:
         [f_var(1, 2), f_var(0, 2)], ("t", "s")
     )
     r = decompose_square(corner, xi2_paper)
-    return tw_mc_assemble(sc, x, p, r)
+    return TwTruncMC(sc, x.ctx.artin, x, p, r)
 
 
 # --- the groupoid of descent data --------------------------------------------
@@ -913,7 +893,8 @@ def totdel_verify(o: TotDelObject) -> dict:
 
 def totdel_assemble(sc, l: Elem, m: Elem, u: Elem | None = None) -> TotDelObject:
     """Build descent data; when the witness is omitted it is found by a
-    linear solve (failure means the gluing is incoherent at level 2)."""
+    linear solve (failure means the gluing is incoherent at level 2).
+    The invariants are not checked here; see totdel_verify."""
     artin = l.ctx.artin
     if u is None and sc.top >= 2:
         f = sc.face
@@ -923,11 +904,7 @@ def totdel_assemble(sc, l: Elem, m: Elem, u: Elem | None = None) -> TotDelObject
             raise ScError(
                 "the gluing cocycle admits no degree -1 witness at level 2"
             )
-    o = TotDelObject(sc, artin, l, m, u)
-    rep = totdel_verify(o)
-    if not rep["ok"]:
-        raise ScError("; ".join(rep["violations"]))
-    return o
+    return TotDelObject(sc, artin, l, m, u)
 
 
 class TotDelMorphism:
@@ -983,7 +960,8 @@ def totdel_mor_assemble(
     source: TotDelObject, target: TotDelObject, a: Elem, b: Elem | None = None
 ) -> TotDelMorphism:
     """Build a morphism; when the witness is omitted it is found by a
-    linear solve (failure means a does not respect the gluings)."""
+    linear solve (failure means a does not respect the gluings). The
+    morphism conditions are not checked here; see totdel_mor_verify."""
     if b is None:
         sc = source.sc
         base = source.l.map_lie(sc.face(1, 0))
@@ -991,11 +969,7 @@ def totdel_mor_assemble(
         b = extract_irrelevant(base, totdel_mor_defect(probe))
         if b is None:
             raise ScError("the gluing defect admits no degree -1 witness")
-    f_ = TotDelMorphism(source, target, a, b)
-    rep = totdel_mor_verify(f_)
-    if not rep["ok"]:
-        raise ScError("; ".join(rep["violations"]))
-    return f_
+    return TotDelMorphism(source, target, a, b)
 
 
 def totdel_identity(o: TotDelObject) -> TotDelMorphism:

@@ -165,3 +165,27 @@ def test_pipeline_ok_needs_the_euler_form_check(monkeypatch, capsys):
     monkeypatch.setattr(cli, "pipeline_report", with_failed_check)
     assert cli.main(["pipeline", "builtin:morphism-identity"]) == 1
     assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+def test_a_failing_descent_check_is_counted(monkeypatch, capsys):
+    """Check 3 (lift2(o) satisfies the compatible family conditions) can
+    fail: a lift whose square polynomial carries one extra degree-0 term
+    breaks a face condition, and descent counts that failure and exits 1
+    instead of raising."""
+    from mcdescent import cli
+    from mcdescent.semicosimplicial import TwTruncMC
+
+    real = cli.tw_lift
+
+    def with_extra_term(o):
+        e = real(o)
+        A = e.artin
+        extra = e.r.ctx.term(0, 0, 1, A.maximal_basis[-1], pmono=(1, 0))
+        return TwTruncMC(e.sc, A, e.x, e.p, e.r.add(extra))
+
+    monkeypatch.setattr(cli, "tw_lift", with_extra_term)
+    code = cli.main(["descent", "builtin:sc-cech", "--trials", "1", "--seed", "0"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert rep["ok"] is False
+    assert [c["failures"] for c in rep["checks"]] == [0, 0, 1, 0, 0, 0, 0, 0]

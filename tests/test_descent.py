@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mcdescent.artin import ArtinMorphism, square_zero, truncated_poly
+from mcdescent.artin import ArtinMorphism, builtin_artin, square_zero, truncated_poly
 from mcdescent.builders import (
     sc_cech_conjugated,
     sc_cech_identity,
@@ -17,10 +17,10 @@ from mcdescent.builders import (
 from mcdescent.descent import (
     DescentError,
     GaugeHomotopy,
+    McPair,
     check_hypothesis,
     homotopy_endpoint,
     homotopy_verify,
-    mc_pair_assemble,
     mc_pair_base_change,
     mc_pair_verify,
     phi1_essential_lift,
@@ -35,7 +35,7 @@ from mcdescent.descent import (
     tw_lift,
 )
 from mcdescent.dgla import DglaMap, TensorCtx, direct_sum, end_dgla
-from mcdescent.io import load_builtin, sc_from_json, sc_to_json
+from mcdescent.io import builtin_input_names, load_builtin, sc_from_json, sc_to_json
 from mcdescent.mcgauge import (
     bch,
     bch_many,
@@ -46,8 +46,14 @@ from mcdescent.mcgauge import (
     stabilizer_log,
 )
 from mcdescent.ratio import Q
-from mcdescent.sampling import random_elem, random_totdel_object, random_tw_mc
+from mcdescent.sampling import (
+    random_elem,
+    random_totdel_morphism,
+    random_totdel_object,
+    random_tw_mc,
+)
 from mcdescent.semicosimplicial import (
+    TwTruncMC,
     cech_from_cover,
     elem_times_form,
     totdel_assemble,
@@ -55,8 +61,9 @@ from mcdescent.semicosimplicial import (
     totdel_identity,
     totdel_mor_assemble,
     totdel_mor_equal,
+    totdel_mor_verify,
     totdel_verify,
-    tw_mc_assemble,
+    tw_is_mc,
     tw_mc_from_element,
     tw_mc_to_element,
     tw_mc_verify,
@@ -140,8 +147,9 @@ def test_mc_pair_rejects_broken_shapes():
     ctx1 = pair.p.ctx
     # a constant term in the path violates the origin condition
     bad = pair.p.add(ctx1.term(0, 0, amono=A.maximal_basis[0]))
-    with pytest.raises(DescentError):
-        mc_pair_assemble(pair.sc, A, pair.x, bad)
+    rep = mc_pair_verify(McPair(pair.sc, A, pair.x, bad))
+    assert not rep["ok"]
+    assert rep["shape"] == ["path must be degree 0 and vanish at the origin"]
     # perturbing the path endpoint breaks the comparison condition
     drift = elem_times_form(
         embed(random_elem(TensorCtx(sc.levels[1], A, ()), 0, rng), ("t",)),
@@ -176,7 +184,7 @@ def test_phi1_on_zero_path_gives_identity_gluing():
     A = truncated_poly(3)
     rng = random.Random(2)
     inj0 = [
-        DglaMap(j.source, sc.levels[0], j.mats, check=False)
+        DglaMap(j.source, sc.levels[0], j.mats)
         for j in direct_sum([g] * 3)[1]
     ]
     tau = random_elem(TensorCtx(inj0[0].source, A, ()), 0, rng)
@@ -184,7 +192,8 @@ def test_phi1_on_zero_path_gives_identity_gluing():
     for j in inj0:
         piece = gauge(tau, TensorCtx(j.source, A, ()).zero()).map_lie(j)
         x = piece if x is None else x.add(piece)
-    pair = mc_pair_assemble(sc, A, x, TensorCtx(sc.levels[1], A, ("t",)).zero())
+    pair = McPair(sc, A, x, TensorCtx(sc.levels[1], A, ("t",)).zero())
+    assert mc_pair_verify(pair)["ok"]
     o = phi1_obj(pair)
     assert o.m.is_zero()
     assert totdel_verify(o)["ok"]
@@ -207,6 +216,37 @@ def test_sampled_object_depends_on_the_diagram_alone():
             assert totdel_verify(o2)["ok"], (sc, seed)
             for a, b in ((o.l, o2.l), (o.m, o2.m), (o.u, o2.u)):
                 assert a.terms == b.terms, (sc, seed)
+
+
+def test_what_the_descent_command_samples_passes_every_invariant():
+    """The samplers and descent maps build their data without checking
+    it. Drawn in the order of the descent command's trials, on every
+    builtin diagram it runs trials on, each piece passes its check: the
+    sampled object, the transported target and the morphism between
+    them, both endpoint pairs of the lifted homotopy, the sampled family
+    (compatible and Maurer-Cartan) and the triple decomposed from it."""
+    names = [n for n in builtin_input_names() if n.startswith("sc-")]
+    diagrams = [load_builtin(n)[1] for n in names]
+    diagrams = [sc for sc in diagrams if sc.top >= 2 and check_hypothesis(sc)["weak"]]
+    assert len(diagrams) == 7
+    for sc in diagrams:
+        for ring in ("t3", "sqz2"):
+            A = builtin_artin(ring)
+            for seed in (0, 1):
+                where = (sc.label, ring, seed)
+                rng = random.Random(seed)
+                o = random_totdel_object(sc, A, rng)
+                assert totdel_verify(o)["ok"], where
+                f = random_totdel_morphism(sc, o, rng)
+                assert totdel_verify(f.target)["ok"], where
+                assert totdel_mor_verify(f)["ok"], where
+                h = phi1_full_lift(f)
+                for end in (0, 1):
+                    assert mc_pair_verify(homotopy_endpoint(h, end))["ok"], where
+                w = random_tw_mc(sc, A, rng)
+                assert tw_is_mc(w) and w.is_compatible(), where
+                e = tw_mc_from_element(w.truncate(2) if sc.top > 2 else w)
+                assert tw_mc_verify(e)["ok"], where
 
 
 # --- fullness ----------------------------------------------------------------
@@ -261,6 +301,7 @@ def test_full_lift_of_inessential_self_morphism_has_equal_endpoints():
 
 
 def test_full_lift_rejects_broken_witness():
+    """A witness off by one term fails the morphism check."""
     sc = sc_cech_identity(n_opens=3).truncate(2)
     A = truncated_poly(3)
     rng = random.Random(7)
@@ -274,8 +315,17 @@ def test_full_lift_rejects_broken_witness():
         f.a,
         f.b.add(TensorCtx(sc.levels[1], A, ()).term(-1, 0, amono=A.maximal_basis[0])),
     )
-    with pytest.raises(DescentError):
-        phi1_full_lift(broken)
+    assert totdel_mor_verify(f)["ok"]
+    rep = totdel_mor_verify(broken)
+    assert rep == {
+        "ok": False,
+        "violations": ["witness does not trivialise the gluing defect"],
+    }
+    # the lift of the broken morphism is still a homotopy, but it no
+    # longer ends at the lift of the target
+    h = phi1_full_lift(broken)
+    assert homotopy_verify(h)["ok"]
+    assert not homotopy_endpoint(h, 1).eq(phi1_essential_lift(f.target))
 
 
 def test_descended_morphism_is_independent_of_the_representative():
@@ -322,12 +372,14 @@ def test_descent_of_composite_homotopy_is_the_composite():
 def test_phi2_on_zero_data_gives_the_zero_object():
     sc = sc_cech_identity(n_opens=3).truncate(2)
     A = truncated_poly(3)
-    e = tw_mc_assemble(
+    e = TwTruncMC(
         sc,
+        A,
         TensorCtx(sc.levels[0], A, ()).zero(),
         TensorCtx(sc.levels[1], A, ("t",)).zero(),
         TensorCtx(sc.levels[2], A, ("t", "s")).zero(),
     )
+    assert tw_mc_verify(e)["ok"]
     o = phi2_obj(e)
     assert o.l.is_zero() and o.m.is_zero() and o.u.is_zero()
 
@@ -458,9 +510,12 @@ def test_base_change_commutes_with_the_descent_functor():
             embed(random_elem(TensorCtx(sc.levels[1], A, ()), 0, rng), ("t",)),
             {((1,), ()): Q(1), ((2,), ()): Q(-1)},
         )
-        curved = mc_pair_assemble(pair.sc, A, pair.x, bch(loop, pair.p))
+        curved = McPair(pair.sc, A, pair.x, bch(loop, pair.p))
+        assert mc_pair_verify(curved)["ok"]
         for pr in (pair, curved):
-            lhs = phi1_obj(mc_pair_base_change(f, pr))
+            moved = mc_pair_base_change(f, pr)
+            assert mc_pair_verify(moved)["ok"]
+            lhs = phi1_obj(moved)
             rhs = totdel_base_change(f, phi1_obj(pr))
             assert lhs.l.eq(rhs.l)
             assert lhs.m.eq(rhs.m)

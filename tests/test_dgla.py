@@ -31,6 +31,7 @@ def two_term() -> Dgla:
 
 def test_sl2_validates():
     L = sl2()
+    L.validate()
     assert L.total_dim == 3
     assert L.bracket_basis(0, 1, 0, 0) == ((0, Q(2)),)
     assert L.cohomology(0)[0] == 3  # zero differential
@@ -38,8 +39,9 @@ def test_sl2_validates():
 
 def test_antisymmetry_violation_caught():
     br = {(0, 0, 0, 1): [(0, 1)], (0, 1, 0, 0): [(0, 1)]}
+    L = Dgla({0: 2}, {}, br)
     with pytest.raises(DglaError, match="antisym"):
-        Dgla({0: 2}, {}, br)
+        L.validate()
 
 
 def test_jacobi_violation_caught():
@@ -52,25 +54,28 @@ def test_jacobi_violation_caught():
             return [(k, -c) for k, c in table[(j, i)]]
         return ()
 
+    L = Dgla({0: 3}, {}, brk)
     with pytest.raises(DglaError, match="Jacobi"):
-        Dgla({0: 3}, {}, brk)
+        L.validate()
 
 
 def test_leibniz_violation_caught():
     # d(a) = c but [c, b] is not d[a, b] = 0
     br = {(0, 0, 0, 1): [], (1, 0, 0, 1): [(0, 1)]}
+    L = Dgla(
+        {0: 2, 1: 1},
+        {0: [[1, 0]]},
+        br,
+        names={(0, 0): "a", (0, 1): "b", (1, 0): "c"},
+    )
     with pytest.raises(DglaError, match="Leibniz"):
-        Dgla(
-            {0: 2, 1: 1},
-            {0: [[1, 0]]},
-            br,
-            names={(0, 0): "a", (0, 1): "b", (1, 0): "c"},
-        )
+        L.validate()
 
 
 def test_d_squared_violation_caught():
+    L = abelian_dgla({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]})
     with pytest.raises(DglaError, match="d\\^2"):
-        abelian_dgla({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]})
+        L.validate()
 
 
 def test_derived_antisymmetry_fill():
@@ -346,8 +351,8 @@ def test_map_validate_checks_pairs_with_an_empty_source_bracket():
     # every bracket of the abelian source is empty, yet [e, f] = h
     src = abelian_dgla({0: 2})
     with pytest.raises(DglaError, match="Lie homomorphism"):
-        DglaMap(src, sl2(), {0: Mat.from_rows([[1, 0], [0, 0], [0, 1]])})
-    DglaMap(src, sl2(), {0: Mat.from_rows([[1, 2], [0, 0], [0, 0]])})
+        DglaMap(src, sl2(), {0: Mat.from_rows([[1, 0], [0, 0], [0, 1]])}).validate()
+    DglaMap(src, sl2(), {0: Mat.from_rows([[1, 2], [0, 0], [0, 0]])}).validate()
 
 
 def test_map_validate_checks_commuting_with_d():
@@ -355,8 +360,8 @@ def test_map_validate_checks_commuting_with_d():
     tgt = abelian_dgla({0: 1, 1: 1})
     ident = {0: Mat.identity(1), 1: Mat.identity(1)}
     with pytest.raises(DglaError, match="commute with d"):
-        DglaMap(src, tgt, ident)
-    DglaMap(src, src, ident)
+        DglaMap(src, tgt, ident).validate()
+    DglaMap(src, src, ident).validate()
 
 
 def test_validate_sample_mode_runs():
@@ -422,7 +427,7 @@ def _perturbed_cofaces(rng, face: DglaMap, count: int):
             for r in range(m.rows):
                 for c in range(m.cols):
                     m.set_entry(r, c, m.entry(r, c) + u[r] * v[c])
-        yield DglaMap(src, tgt, mats, check=False)
+        yield DglaMap(src, tgt, mats)
 
 
 def test_map_validate_matches_the_pair_sweep_on_perturbed_builtin_cofaces():

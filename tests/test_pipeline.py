@@ -50,6 +50,7 @@ from mcdescent.pipeline import (
     zero_module,
 )
 from mcdescent.ratio import Q
+from mcdescent.semicosimplicial import validate_sc
 
 
 def test_a2_algebra_is_associative_and_unital():
@@ -179,15 +180,17 @@ def test_resolution_check_rejects_a_term_off_its_vertex_tuple():
     mods = a2_modules()
     s1 = mods["S1"]
     r = resolve(s1)
-    Resolution(BddComplex(s1.alg, r.cx.mods, r.cx.diffs, verts=r.cx.verts), s1, r.aug)
+    Resolution(
+        BddComplex(s1.alg, r.cx.mods, r.cx.diffs, verts=r.cx.verts), s1, r.aug
+    ).check()
     for verts in ({0: (0,), -1: (0,)}, {0: (0,)}, {0: (1,), -1: (1,)}):
         bad = BddComplex(s1.alg, r.cx.mods, r.cx.diffs, verts=verts)
         with pytest.raises(PipelineError, match="vertex tuple"):
-            Resolution(bad, s1, r.aug)
+            Resolution(bad, s1, r.aug).check()
     # a module that is not projective cannot pass as one: S1 is not P1
     cx = BddComplex(s1.alg, {0: s1}, {}, verts={0: (0,)})
     with pytest.raises(PipelineError, match="vertex tuple"):
-        Resolution(cx, s1, Mat.identity(1))
+        Resolution(cx, s1, Mat.identity(1)).check()
 
 
 def test_kernel_of_projection_is_the_complement():
@@ -207,7 +210,8 @@ def test_resolution_of_the_simple():
     assert r.cx.dim(0) == 2
     assert r.cx.dim(-1) == 1
     # exactness, the augmentation quasi-isomorphism and each term against
-    # its vertex tuple are checked by the constructor
+    # its vertex tuple
+    r.check()
     assert r.cx.verts == {0: (0,), -1: (1,)}
 
 
@@ -221,11 +225,11 @@ def test_resolving_a_projective_takes_no_steps():
 def test_broken_resolution_is_rejected():
     mods = a2_modules()
     p1 = mods["P1"]
-    cx = BddComplex(p1.alg, {0: p1}, {}, check=False)
+    cx = BddComplex(p1.alg, {0: p1}, {})
     # augmentation onto the simple quotient is not a quasi-isomorphism
     aug = Mat.from_rows([[1, 0]])
     with pytest.raises(PipelineError):
-        Resolution(cx, mods["S1"], aug)
+        Resolution(cx, mods["S1"], aug).check()
 
 
 def test_ext_oracle_golden_values():
@@ -274,10 +278,27 @@ def test_end_dgla_validates_in_full():
     eg.validate("full")
 
 
-def test_the_dglas_of_a_morphism_diagram_pass_the_axiom_check():
-    """build_H constructs its dgLas without validating them; the check
-    their constructor would run passes on End of both resolutions, on End
-    of their sum and on the graph-preserving part."""
+def test_the_dglas_of_a_morphism_diagram_pass_the_axiom_check(monkeypatch):
+    """The pipeline report builds its resolutions, lift, graph and diagram
+    without checking them. Recorded as pipeline_report builds them, each
+    passes its check: the five resolutions
+    (two for the diagram, three for the Ext oracle) and their complexes,
+    the lift with its augmented square, the direct sum and the graph
+    embedding, the diagram with its faces and coface identities, the
+    inclusion of the graph-preserving part, and the End dgLas."""
+    built = {"resolve": [], "lift": [], "graph": [], "H": []}
+
+    def recording(name, fn, key):
+        def wrapped(*args):
+            out = fn(*args)
+            built[key].append((args, out))
+            return out
+        monkeypatch.setattr(pipeline, name, wrapped)
+
+    recording("resolve", pipeline.resolve, "resolve")
+    recording("lift_morphism", pipeline.lift_morphism, "lift")
+    recording("graph_complex", pipeline.graph_complex, "graph")
+    recording("build_H", pipeline.build_H, "H")
     instances = [(f, g, alpha) for _, f, g, alpha in canonical_morphisms()]
     for seed in (2, 9):
         rng = random.Random(seed)
@@ -285,9 +306,22 @@ def test_the_dglas_of_a_morphism_diagram_pass_the_axiom_check():
         g = random_a2_module(rng)
         instances.append((f, g, random_module_map(f, g, rng)))
     for f, g, alpha in instances:
-        res_g = resolve(g)
-        res_f, lift = lift_morphism(alpha, f, g, res_g)
-        sc = build_H(res_f, res_g, lift)
+        for key in built:
+            built[key].clear()
+        pipeline_report(f, g, alpha)
+        assert len(built["resolve"]) == 5
+        for _, res in built["resolve"]:
+            res.cx.check()
+            res.check()
+        (((_, _, _, res_g), (res_f, lift)),) = built["lift"]
+        lift.check()
+        assert (res_g.aug @ lift.comp(0)) == (alpha @ res_f.aug)
+        ((_, (_, emb, ambient)),) = built["graph"]
+        ambient.check()
+        emb.check()
+        ((_, sc),) = built["H"]
+        assert validate_sc(sc) == {"ok": True, "violations": []}
+        sc.meta["l_inclusion"].validate()
         ends = sc.meta["ends"]
         for dg in (ends["F"], ends["G"], sc.levels[1], ends["L"]):
             dg.validate(mode="auto")
@@ -308,13 +342,16 @@ def test_hom_complex_into_a_module():
 def test_graph_of_zero_and_identity_maps():
     mods = a2_modules()
     r = resolve(mods["S1"])
-    zero = ChainMapM(r.cx, r.cx, {}, check=True)
-    g, emb, amb, iso = graph_complex(zero)
+    zero = ChainMapM(r.cx, r.cx, {})
+    g, emb, amb = graph_complex(zero)
+    amb.check()
+    emb.check()
     assert g.underlying().betti() == r.cx.underlying().betti()
     for d in g.mods:
         assert emb.comp(d).rank() == g.dim(d)
     ident = ChainMapM.identity(r.cx)
-    g2, emb2, _, _ = graph_complex(ident)
+    g2, emb2, _ = graph_complex(ident)
+    emb2.check()
     for d in g2.mods:
         assert emb2.comp(d).rank() == g2.dim(d)
 
@@ -338,8 +375,8 @@ def test_sub_dgla_from_spans_solves_and_rejects_unclosed_spans():
 def test_sub_preserving_everything_or_nothing_gives_full_end():
     mods = a2_modules()
     r = resolve(mods["S1"])
-    zerocx = BddComplex(r.cx.alg, {}, {}, check=False)
-    l0, _, end0, _ = sub_preserving_dgla(ChainMapM(zerocx, r.cx, {}, check=True))
+    zerocx = BddComplex(r.cx.alg, {}, {})
+    l0, _, end0, _ = sub_preserving_dgla(ChainMapM(zerocx, r.cx, {}))
     assert dict(l0.dims) == dict(end0.dims)
     l1, _, end1, _ = sub_preserving_dgla(ChainMapM.identity(r.cx))
     assert dict(l1.dims) == dict(end1.dims)
@@ -360,12 +397,13 @@ def test_sub_preserving_a_graph_cuts_dimensions():
     s1 = a2_modules()["S1"]
     res_g = resolve(s1)
     res_f, lift = lift_morphism(Mat.identity(1), s1, s1, res_g)
-    graph, emb, amb, _ = graph_complex(lift)
+    graph, emb, amb = graph_complex(lift)
     l_g, incl, end_amb, _ = sub_preserving_dgla(emb)
     assert dict(sorted(end_amb.dims.items())) == {0: 8, 1: 4}
     assert dict(sorted(l_g.dims.items())) == {0: 6, 1: 3}
-    # closure under bracket and differential was checked when the
-    # inclusion map validated; spot-check the chain property once more
+    # the inclusion is a map of dgLas; spot-check the chain property once
+    # more by hand
+    incl.validate()
     for p in sorted(l_g.dims):
         lhs = incl.mat(p + 1) @ l_g.diff(p)
         rhs = end_amb.diff(p) @ incl.mat(p)
@@ -417,8 +455,8 @@ def test_lift_of_simple_into_projective():
 
 
 def test_lift_of_random_morphisms(seeded=range(6)):
-    """Chain-map and augmentation squares are validated inside the
-    constructors; surviving construction is the assertion."""
+    """The lift is a chain map of module maps and its degree-0 component
+    makes the augmented square commute."""
     for seed in seeded:
         rng = random.Random(seed)
         f = random_a2_module(rng)
@@ -426,6 +464,8 @@ def test_lift_of_random_morphisms(seeded=range(6)):
         alpha = random_module_map(f, g, rng)
         res_g = resolve(g)
         res_f, lift = lift_morphism(alpha, f, g, res_g)
+        lift.check()
+        assert (res_g.aug @ lift.comp(0)) == (alpha @ res_f.aug)
         assert res_f.module is f
         assert lift.source is res_f.cx
         assert lift.target is res_g.cx
@@ -440,7 +480,10 @@ def _free_cover_resolution(s2):
     incl = Mat.from_rows([[1, 0], [0, 1], [0, 0]])
     cx = BddComplex(alg, {0: a, -1: proj_module(alg, (0,))}, {-1: incl},
                     verts={0: (0, 1), -1: (0,)})
-    return Resolution(cx, s2, Mat.from_rows([[0, 0, 1]]))
+    cx.check()
+    res = Resolution(cx, s2, Mat.from_rows([[0, 0, 1]]))
+    res.check()
+    return res
 
 
 def test_reported_cohomology_does_not_depend_on_the_resolution():

@@ -53,6 +53,7 @@ from mcdescent.semicosimplicial import (
     CoverModel,
     ScDgla,
     ScError,
+    TotDelMorphism,
     TotDelObject,
     TotElem,
     TWElem,
@@ -78,7 +79,6 @@ from mcdescent.semicosimplicial import (
     tw_ctx,
     tw_gauge,
     tw_is_mc,
-    tw_mc_assemble,
     tw_mc_from_element,
     tw_mc_to_element,
     tw_mc_verify,
@@ -108,9 +108,9 @@ def test_counterexample_diagram_validates():
 def test_validate_catches_non_lie_face():
     g = sl2()
     ident = DglaMap.identity(g)
-    double = DglaMap(g, g, {0: Mat.identity(3).scale(Q(2))}, check=False)
+    double = DglaMap(g, g, {0: Mat.identity(3).scale(Q(2))})
     cof = {(1, 0): double, (1, 1): ident}
-    sc = ScDgla([g, g], cof, check=False)
+    sc = ScDgla([g, g], cof)
     rep = validate_sc(sc)
     assert not rep["ok"]
     assert any("bracket" in v or "face" in v for v in rep["violations"])
@@ -128,7 +128,7 @@ def test_validate_catches_broken_coface_identity():
         (2, 1): ident,
         (2, 2): ident,
     }
-    sc = ScDgla([g, g, g], cof, check=False)
+    sc = ScDgla([g, g, g], cof)
     rep = validate_sc(sc)
     assert not rep["ok"]
     assert any("identity" in v for v in rep["violations"])
@@ -137,17 +137,11 @@ def test_validate_catches_broken_coface_identity():
 def test_validate_catches_missing_and_stray_faces():
     g = sl2()
     ident = DglaMap.identity(g)
-    sc = ScDgla([g, g], {(1, 0): ident}, check=False)
+    sc = ScDgla([g, g], {(1, 0): ident})
     rep = validate_sc(sc)
-    assert not rep["ok"]
-    sc2 = ScDgla([g, g], {(1, 0): ident, (1, 1): ident, (1, 2): ident}, check=False)
+    assert rep == {"ok": False, "violations": ["missing face (1,1)"]}
+    sc2 = ScDgla([g, g], {(1, 0): ident, (1, 1): ident, (1, 2): ident})
     assert not validate_sc(sc2)["ok"]
-
-
-def test_constructor_rejects_bad_diagram():
-    g = sl2()
-    with pytest.raises(ScError):
-        ScDgla([g, g], {(1, 0): DglaMap.identity(g)}, check=True)
 
 
 def test_truncate_keeps_low_levels():
@@ -222,8 +216,26 @@ def test_cover_model_rejects_inconsistent_restrictions():
         S = T[:k] + T[k + 1 :]
         m = ident if k else ident.scale(Q(2))  # one leg scaled: squares break
         restrictions[(S, T)] = DglaMap(sections[S], triple, {0: m})
-    with pytest.raises(ScError):
-        CoverModel(3, sections, restrictions)
+    # the scaled leg breaks the two squares it belongs to
+    assert CoverModel(3, sections, restrictions).violations() == [
+        "restrictions into (0, 1, 2) do not commute"
+    ] * 2
+
+
+def test_the_builtin_covers_are_consistent():
+    """CoverModel does not check itself; the covers behind the Cech
+    builtins have maps of dgLas as restrictions and commuting squares."""
+    g, _ = end_dgla(two_step_complex(), label="end two-step")
+    covers = [
+        cover_identity(g, 3),
+        cover_conjugated(seed=5),
+        cover_twist(),
+        cover_twist_redundant(),
+    ]
+    for cover in covers:
+        assert cover.violations() == []
+        for m in cover.restrictions.values():
+            m.validate()
 
 
 def test_cech_identity_cover_reproduces_section_cohomology():
@@ -456,7 +468,7 @@ def test_trunc_mc_of_trivial_family():
     x = TensorCtx(sc.levels[0], A, ()).zero()
     p = TensorCtx(sc.levels[1], A, ("t",)).zero()
     r = TensorCtx(sc.levels[2], A, ("t", "s")).zero()
-    e = tw_mc_assemble(sc, x, p, r)
+    e = TwTruncMC(sc, A, x, p, r)
     assert tw_mc_verify(e)["ok"]
 
 
@@ -509,12 +521,16 @@ def test_trunc_mc_assemble_rejects_wrong_shapes():
     x = TensorCtx(sc.levels[0], A, ()).zero()
     p = TensorCtx(sc.levels[1], A, ("t",)).zero()
     r = TensorCtx(sc.levels[2], A, ("t", "s")).zero()
+    assert tw_mc_verify(TwTruncMC(sc, A, x, p, r))["ok"]
     bad_p = p.add(p.ctx.term(0, 0, 1, A.maximal_basis[0]))  # constant term
-    with pytest.raises(ScError):
-        tw_mc_assemble(sc, x, bad_p, r)
+    assert tw_mc_verify(TwTruncMC(sc, A, x, bad_p, r))["shape"] == [
+        "edge polynomial must be degree 0, divisible by t, no dt"
+    ]
     bad_r = r.add(r.ctx.term(0, 0, 1, A.maximal_basis[0], dmask=(0,)))
-    with pytest.raises(ScError):
-        tw_mc_assemble(sc, x, p, bad_r)
+    assert tw_mc_verify(TwTruncMC(sc, A, x, p, bad_r))["shape"] == [
+        "triangle polynomial must be a degree-0 part without constant"
+        " term plus a degree -1 part divisible by t carrying ds"
+    ]
 
 
 # --- simplicial Deligne groupoid ------------------------------------------
@@ -629,7 +645,7 @@ def test_totdel_witness_condition_is_binding():
         if r == c:
             z = z.add(sec_ctx.term(0, idx, 1, A.maximal_basis[-1]))
     inj = direct_sum([g] * 3)[1][0]
-    z0 = z.map_lie(DglaMap(g, sc.levels[0], inj.mats, check=False))
+    z0 = z.map_lie(DglaMap(g, sc.levels[0], inj.mats))
     assert gauge(bch(a, z0), o.l).eq(tgt.l)
     with pytest.raises(ScError):
         totdel_mor_assemble(o, tgt, bch(a, z0))
@@ -660,5 +676,8 @@ def test_totdel_mor_assemble_rejects_non_gauge():
     bad = a.add(o.l.ctx.term(0, 0, 1, A.maximal_basis[-1]))
     if gauge(bad, o.l).eq(tgt.l):
         return  # the shift happened to stabilize; nothing to test
+    witness = totdel_mor_assemble(o, tgt, a).b
+    rep = totdel_mor_verify(TotDelMorphism(o, tgt, bad, witness))
+    assert "gauge of the source by a is not the target" in rep["violations"]
     with pytest.raises(ScError):
         totdel_mor_assemble(o, tgt, bad)
