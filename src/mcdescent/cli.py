@@ -1,18 +1,15 @@
 """Command line interface.
 
-Eight subcommands over the JSON input schemas (or builtin:<name> inputs):
+    mcdescent COMMAND INPUT... [options]
 
-  validate     structural and algebraic axioms, named violations
-  cohomology   betti tables of dgLas and diagrams
-  mc           randomized Maurer-Cartan and gauge-action checks
-  gauge        group law, inverses, and stabilizer checks
-  decompose    path and square decomposition round trips
-  descent      gluing hypothesis, the two descent maps, orbit comparison
-  pipeline     module-morphism deformation report with the exactness checks
-  report       render a saved JSON report as markdown
+One parser for all commands; every option applies to every command, and
+options may come before or after the command. Each INPUT is a JSON file
+in one of the input schemas or builtin:<name>. The commands and their
+one-line help are the table `_COMMANDS`; `mcdescent --help` prints it.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 malformed input
-(including a file input that fails its axioms).
+(including a file input that fails its axioms, and a command line that
+does not parse).
 Every report is a plain JSON object built from seeded deterministic
 runs, so a fixed (input, seed) pair reproduces the output byte for byte.
 Each verdict sits next to the verbatim identity that was checked.
@@ -183,8 +180,10 @@ def _load_valid(spec: str) -> tuple:
     that breaks its axioms. Builtin inputs are built by code and are
     taken as they are. The dgLa and diagram constructors check no axiom:
     their check is the validate command, whose reports on every dgLa and
-    diagram builtin are kept in the golden corpus (tests/golden/validate.*);
-    the module builtins are checked where a2_module builds them."""
+    diagram builtin are kept in the golden corpus (tests/golden/validate.*).
+    A module is a representation of the quiver A2, which has no
+    relations, so every arrow matrix gives one; the tests run
+    FinMod.check on them."""
     kind, value = load_document(spec)
     if not spec.startswith("builtin:"):
         bad = _violations(kind, value)
@@ -710,63 +709,61 @@ def render_markdown(report: dict) -> str:
 
 
 _COMMANDS = {
-    "validate": cmd_validate,
-    "cohomology": cmd_cohomology,
-    "mc": cmd_mc,
-    "gauge": cmd_gauge,
-    "decompose": cmd_decompose,
-    "descent": cmd_descent,
-    "pipeline": cmd_pipeline,
-    "report": cmd_report,
+    "validate": (cmd_validate, "check the axioms of each input and name every violation"),
+    "cohomology": (cmd_cohomology, "betti tables of dgLa inputs and diagram totalisations"),
+    "mc": (cmd_mc, "randomized Maurer-Cartan and gauge-action identity checks"),
+    "gauge": (cmd_gauge, "group law, inverse, and stabilizer identity checks"),
+    "decompose": (cmd_decompose, "path and square decomposition round trips"),
+    "descent": (cmd_descent, "gluing hypothesis, descent functors, and orbit comparison"),
+    "pipeline": (cmd_pipeline, "deform a module morphism and verify the long exact sequence"),
+    "report": (cmd_report, "render a saved JSON report"),
 }
 
 
 def run(cfg: RunConfig) -> dict:
-    return _COMMANDS[cfg.command](cfg)
+    return _COMMANDS[cfg.command][0](cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: each option applies to all of them."""
+    names = builtin_input_names()
+    width = max(map(len, _COMMANDS))
+    epilog = (
+        ["commands:"]
+        + [f"  {name:<{width}}  {htext}" for name, (_, htext) in _COMMANDS.items()]
+        + ["", "builtin inputs (INPUT = builtin:<name>):"]
+        + ["  " + ", ".join(names[i:i + 4]) for i in range(0, len(names), 4)]
+    )
     p = argparse.ArgumentParser(
         prog="mcdescent",
-        description="Exact deformation calculus: Maurer-Cartan elements, "
-        "gauge actions, totalisation, descent, and module-morphism pipelines.",
-        epilog="Inputs are JSON files or builtin:<name> with name in: "
-        + ", ".join(builtin_input_names()),
+        description="Exact deformation calculus: Maurer-Cartan elements, gauge actions,\n"
+        "totalisation, descent, and module-morphism pipelines.",
+        epilog="\n".join(epilog),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    helps = {
-        "validate": "check the axioms of each input and name every violation",
-        "cohomology": "betti tables of dgLa inputs and diagram totalisations",
-        "mc": "randomized Maurer-Cartan and gauge-action identity checks",
-        "gauge": "group law, inverse, and stabilizer identity checks",
-        "decompose": "path and square decomposition round trips",
-        "descent": "gluing hypothesis, descent functors, and orbit comparison",
-        "pipeline": "deform a module morphism and verify the long exact sequence",
-        "report": "render a saved JSON report",
-    }
-    for name, htext in helps.items():
-        sp = sub.add_parser(name, help=htext, description=htext)
-        sp.add_argument(
-            "inputs", nargs="+", metavar="INPUT",
-            help="a JSON input file or builtin:<name>",
-        )
-        sp.add_argument(
-            "--format", choices=("json", "markdown"), default="json",
-            dest="fmt", help="output format (default json)",
-        )
-        sp.add_argument(
-            "--artin", default="t3", metavar="NAME",
-            help="coefficient ring, one of: " + ", ".join(builtin_artin_names()),
-        )
-        sp.add_argument("--seed", type=int, default=0, help="random seed")
-        sp.add_argument(
-            "--trials", type=int, default=8,
-            help="randomized trials per check (0 allowed where meaningful)",
-        )
-        sp.add_argument(
-            "--max-degree", type=int, default=4, dest="max_degree",
-            help="cohomological degree cap for tables",
-        )
+    p.add_argument(
+        "command", choices=_COMMANDS, metavar="COMMAND", help="one of the commands below",
+    )
+    p.add_argument(
+        "inputs", nargs="+", metavar="INPUT", help="a JSON input file or builtin:<name>",
+    )
+    p.add_argument(
+        "--format", choices=("json", "markdown"), default="json",
+        dest="fmt", help="output format (default json)",
+    )
+    p.add_argument(
+        "--artin", default="t3", metavar="NAME",
+        help="coefficient ring, one of: " + ", ".join(builtin_artin_names()),
+    )
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument(
+        "--trials", type=int, default=8,
+        help="randomized trials per check (0 allowed where meaningful)",
+    )
+    p.add_argument(
+        "--max-degree", type=int, default=4, dest="max_degree",
+        help="cohomological degree cap for tables",
+    )
     return p
 
 

@@ -285,7 +285,7 @@ class GaugeHomotopy:
     with a square of comparison paths, forming a homotopy between its
     two endpoint pairs."""
 
-    __slots__ = ("sc", "artin", "z0", "z1", "meta")
+    __slots__ = ("sc", "artin", "z0", "z1")
 
     def __init__(self, sc: ScDgla, artin: ArtinAlgebra, z0: Elem, z1: Elem):
         if sc.top < 1:
@@ -296,7 +296,6 @@ class GaugeHomotopy:
         self.artin = artin
         self.z0 = z0
         self.z1 = z1
-        self.meta = {}
 
 
 def homotopy_verify(h: GaugeHomotopy) -> dict:
@@ -355,10 +354,7 @@ def phi1_full_lift(f: TotDelMorphism) -> GaugeHomotopy:
         embed(sa0, xit),
     )
     z1 = gauge(p_log, embed(src.l.map_lie(d01), xit))
-    h = GaugeHomotopy(sc, src.artin, z0, z1)
-    h.meta["log"] = p_log
-    h.meta["witness_flow"] = w
-    return h
+    return GaugeHomotopy(sc, src.artin, z0, z1)
 
 
 def phi1_mor(h: GaugeHomotopy) -> Elem:

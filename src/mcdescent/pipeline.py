@@ -74,6 +74,7 @@ class FinAlg:
     between two vertices; ends[b] = (s, t), so A·e_s is spanned by the
     basis elements starting at s (Assem–Simson–Skowroński, Elements of
     the Representation Theory of Associative Algebras I, §I.5, §III.2).
+    The constructor only builds; check() verifies these axioms.
     """
 
     def __init__(self, mul, unit, idempotents, radical, label=""):
@@ -88,7 +89,6 @@ class FinAlg:
             tuple(b for b in range(self.dim) if self.ends[b] and self.ends[b][0] == s)
             for s in range(len(self.idempotents))
         ]
-        self.check()
 
     def _ends(self, b):
         """(s, t) with e_t·b = b = b·e_s, or None when b is no path."""
@@ -143,7 +143,7 @@ class FinAlg:
 def a2_algebra():
     """Path algebra of the quiver 1 -> 2, on the basis (first
     idempotent, second idempotent, arrow). The arrow a = e2 a e1 spans
-    the radical. Built and validated once; every A2 module shares it."""
+    the radical. Built once; every A2 module shares it."""
     e1, e2, a = (1, 0, 0), (0, 1, 0), (0, 0, 1)
     z = (0, 0, 0)
     mul = [
@@ -159,9 +159,10 @@ def a2_algebra():
 
 class FinMod:
     """Left module on a chosen basis: one action matrix per algebra
-    basis element."""
+    basis element. The constructor checks only their shapes; check()
+    verifies the module axioms."""
 
-    def __init__(self, alg: FinAlg, dim: int, acts, label="", check=True):
+    def __init__(self, alg: FinAlg, dim: int, acts, label=""):
         self.alg = alg
         self.dim = dim
         self.acts = [m if isinstance(m, Mat) else Mat.from_rows(m, cols=dim) for m in acts]
@@ -171,8 +172,6 @@ class FinMod:
         for m in self.acts:
             if m.rows != dim or m.cols != dim:
                 raise PipelineError("action matrix has the wrong shape")
-        if check:
-            self.check()
 
     def act_of(self, u) -> Mat:
         out = Mat(self.dim, self.dim)
@@ -211,7 +210,7 @@ def proj_module(alg: FinAlg, verts) -> FinMod:
                     if x:
                         acts[j].set_entry(pos[c], pos[b], x)
         off += len(pos)
-    return FinMod(alg, n, acts, check=False)
+    return FinMod(alg, n, acts)
 
 
 def module_direct_sum(m1: FinMod, m2: FinMod):
@@ -231,7 +230,7 @@ def module_direct_sum(m1: FinMod, m2: FinMod):
                 if v:
                     m.set_entry(m1.dim + r, m1.dim + c, v)
         acts.append(m)
-    out = FinMod(m1.alg, n, acts, check=False)
+    out = FinMod(m1.alg, n, acts)
     i1 = Mat(n, m1.dim)
     i2 = Mat(n, m2.dim)
     p1 = Mat(m1.dim, n)
@@ -388,7 +387,7 @@ def kernel_module(m: FinMod, t: Mat):
                 if v:
                     a.set_entry(r, c, v)
         acts.append(a)
-    return FinMod(m.alg, k, acts, check=False), incl
+    return FinMod(m.alg, k, acts), incl
 
 
 # --- bounded complexes of modules ----------------------------------------------

@@ -1,5 +1,5 @@
-"""The command line boundary: exit codes and named errors on inputs that
-break their axioms, run as a user runs the program."""
+"""The command line boundary: the argument surface, exit codes and named
+errors on inputs that break their axioms, run as a user runs the program."""
 
 import json
 import os
@@ -189,3 +189,93 @@ def test_a_failing_descent_check_is_counted(monkeypatch, capsys):
     assert code == 1
     assert rep["ok"] is False
     assert [c["failures"] for c in rep["checks"]] == [0, 0, 1, 0, 0, 0, 0, 0]
+
+
+# --- the argument surface --------------------------------------------------------
+
+COMMANDS = ("validate", "cohomology", "mc", "gauge", "decompose", "descent", "pipeline", "report")
+OPTIONS = ["--format", "markdown", "--artin", "sqz2", "--seed", "17", "--trials", "3",
+           "--max-degree", "2"]
+
+
+def test_help_names_every_command_and_builtin():
+    from mcdescent import cli
+    from mcdescent.artin import builtin_artin_names
+    from mcdescent.io import builtin_input_names
+
+    assert tuple(cli._COMMANDS) == COMMANDS
+    code, out, err = run_cli("--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: mcdescent")
+    lines = out.splitlines()
+    for name, (_, htext) in cli._COMMANDS.items():
+        assert any(line.split() == [name, *htext.split()] for line in lines), name
+    for name in builtin_input_names() + builtin_artin_names():
+        assert name in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobnicate", "builtin:zero"],
+        ["validate"],
+        ["validate", "builtin:zero", "--verbose"],
+        ["validate", "builtin:zero", "--format", "xml"],
+        ["mc", "builtin:sl2", "--seed", "x"],
+    ],
+    ids=["unknown-command", "missing-input", "unknown-option", "format-xml", "seed-not-int"],
+)
+def test_a_command_line_that_does_not_parse_exits_2_with_the_usage(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: mcdescent") and "mcdescent: error:" in err
+    assert "Traceback" not in err
+
+
+def _parsed_config(monkeypatch, argv):
+    from mcdescent import cli
+
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg)
+        return {"schema": "test/1", "ok": True}
+
+    monkeypatch.setattr(cli, "run", record)
+    assert cli.main(argv) == 0
+    (cfg,) = seen
+    return cfg
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_option_reaches_the_run_config_of_every_command(monkeypatch, command):
+    from mcdescent.cli import RunConfig
+
+    cfg = _parsed_config(monkeypatch, [command, "a.json", "b.json", *OPTIONS])
+    assert cfg == RunConfig(
+        command=command, inputs=("a.json", "b.json"), artin="sqz2", seed=17,
+        trials=3, fmt="markdown", max_degree=2,
+    )
+    assert _parsed_config(monkeypatch, [command, "a.json"]) == RunConfig(
+        command=command, inputs=("a.json",)
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*OPTIONS, "mc", "a.json"],
+        ["mc", *OPTIONS, "a.json"],
+        ["--seed", "17", "--trials", "3", "mc", "--artin", "sqz2", "a.json",
+         "--max-degree", "2", "--format", "markdown"],
+    ],
+    ids=["before-command", "before-input", "interleaved"],
+)
+def test_options_parse_wherever_they_stand(monkeypatch, argv):
+    from mcdescent.cli import RunConfig
+
+    assert _parsed_config(monkeypatch, argv) == RunConfig(
+        command="mc", inputs=("a.json",), artin="sqz2", seed=17, trials=3,
+        fmt="markdown", max_degree=2,
+    )

@@ -55,6 +55,7 @@ from mcdescent.semicosimplicial import validate_sc
 
 def test_a2_algebra_is_associative_and_unital():
     alg = a2_algebra()
+    alg.check()
     assert alg.dim == 3
     assert alg.mul_vec((0, 0, 1), (1, 0, 0)) == (Q(0), Q(0), Q(1))
     assert alg.mul_vec((1, 0, 0), (0, 0, 1)) == (Q(0), Q(0), Q(0))
@@ -67,7 +68,7 @@ def test_broken_multiplication_is_rejected():
     z = (0, 0, 0)
     mul = [[e1, z, z], [z, (0, 1, 0), z], [a, z, z]]
     with pytest.raises(PipelineError):
-        FinAlg(mul, (1, 1, 0), (0, 1), (2,))
+        FinAlg(mul, (1, 1, 0), (0, 1), (2,)).check()
 
 
 def _matrix_algebra_2():
@@ -115,17 +116,17 @@ def test_wrong_vertex_data_is_rejected(idempotents, radical, message):
     the basis out."""
     alg = a2_algebra()
     with pytest.raises(PipelineError, match=message):
-        FinAlg(alg.mul, alg.unit, idempotents, radical)
+        FinAlg(alg.mul, alg.unit, idempotents, radical).check()
 
 
 def test_radical_checks_fail_off_a_basic_algebra():
     # M_2(Q): the off-diagonal units span no ideal, since E12 E21 = E11
     mul, unit = _matrix_algebra_2()
     with pytest.raises(PipelineError, match="two-sided ideal"):
-        FinAlg(mul, unit, (0, 1), (2, 3))
+        FinAlg(mul, unit, (0, 1), (2, 3)).check()
     mul, unit = _two_loop_algebra_off_paths()
     with pytest.raises(PipelineError, match="not a path"):
-        FinAlg(mul, unit, (0, 1), (2, 3))
+        FinAlg(mul, unit, (0, 1), (2, 3)).check()
 
 
 def test_module_action_validation():
@@ -133,7 +134,25 @@ def test_module_action_validation():
     # a one-dimensional space where both idempotents act as 1 cannot be
     # a module: e1*e2 = 0 would have to act as 1 as well
     with pytest.raises(PipelineError):
-        FinMod(alg, 1, [Mat.from_rows([[1]]), Mat.from_rows([[1]]), Mat.from_rows([[0]])])
+        FinMod(alg, 1, [Mat.from_rows([[1]]), Mat.from_rows([[1]]), Mat.from_rows([[0]])]).check()
+
+
+def test_the_modules_the_pipeline_builds_pass_the_module_check():
+    """FinMod checks only shapes; the module axioms are checked here, on
+    every way the package builds a module: a2_module (A2 has no
+    relations, so every arrow matrix gives a module), proj_module, direct
+    sums and the kernels of resolve."""
+    alg = a2_algebra()
+    rng = random.Random(5)
+    mods = [random_a2_module(rng, 3) for _ in range(12)]
+    mods += list(a2_modules().values())[1:]
+    mods += [proj_module(alg, verts) for verts in ((0,), (1,), (0, 1, 1), (1, 0))]
+    mods.append(module_direct_sum(mods[0], mods[1])[0])
+    for m in list(mods):
+        cover, pi, _ = proj_cover(m)
+        mods += [cover, kernel_module(cover, pi)[0]]
+    for m in mods:
+        m.check()
 
 
 def test_hom_spaces_of_the_four_indecomposables():
@@ -684,7 +703,9 @@ def test_field_algebra_round_trip():
     """One-dimensional sanity case: one vertex, no radical, and Q^2 is
     its own cover by two copies of Q."""
     alg = FinAlg([[(1,)]], (1,), (0,), (), label="Q")
+    alg.check()
     m = FinMod(alg, 2, [Mat.identity(2)])
+    m.check()
     cover, pi, verts = proj_cover(m)
     assert verts == (0, 0)
     assert pi == Mat.identity(2)
