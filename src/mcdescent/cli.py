@@ -46,7 +46,6 @@ from .mcgauge import (
     decompose_path,
     decompose_square,
     embed,
-    endpoint,
     gauge,
     gauge_from_path,
     is_mc,
@@ -237,6 +236,7 @@ def cmd_cohomology(cfg: RunConfig) -> dict:
                 if kind == "dgla"
                 else total_complex(value)[0]
             )
+            cx.check()
         except ValueError as e:
             what = "differential" if kind == "dgla" else "total complex"
             raise InputError(
@@ -456,7 +456,7 @@ def cmd_decompose(cfg: RunConfig) -> dict:
                 p = decompose_path(x, xi)
                 _count(
                     checks[0],
-                    endpoint(xi, 0, 0).eq(x)
+                    xi.subs_values({0: 0}).eq(x)
                     and _path_shape_ok(p, _var_degree(xi, 0) + slack)
                     and gauge(p, xe1).eq(xi),
                 )

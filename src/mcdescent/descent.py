@@ -365,12 +365,6 @@ def phi1_mor(h: GaugeHomotopy) -> Elem:
     return t_log.subs_values({0: 1})
 
 
-def phi2_mor(h: GaugeHomotopy) -> Elem:
-    """Same descent on morphisms as the one-level case: only the
-    base-point path enters the glued morphism log."""
-    return phi1_mor(h)
-
-
 # --- base change -------------------------------------------------------------
 
 

@@ -53,19 +53,11 @@ class Dgla:
     bracket: callable (d1, i, d2, j) -> iterable of (k, coeff), or a dict
              with those keys; missing swapped pairs are filled in from
              graded antisymmetry
-    names:   optional {(degree, index): str} for printing
 
     The constructor does not check the axioms; see validate.
     """
 
-    def __init__(
-        self,
-        dims: dict,
-        diffs: dict,
-        bracket,
-        names=None,
-        label: str = "",
-    ):
+    def __init__(self, dims: dict, diffs: dict, bracket, label: str = ""):
         self.dims = {int(d): int(n) for d, n in dims.items() if n}
         self.label = label
         self.diffs = {}
@@ -79,7 +71,6 @@ class Dgla:
                 )
             if not m.is_zero():
                 self.diffs[int(d)] = m
-        self._names = dict(names) if names else {}
         self._dcols: dict = {}
         self._br: dict = {}
         pairs = [
@@ -142,7 +133,7 @@ class Dgla:
         return cols
 
     def name(self, deg: int, idx: int) -> str:
-        return self._names.get((deg, idx), f"b[{deg},{idx}]")
+        return f"b[{deg},{idx}]"
 
     def bracket_basis(self, d1: int, i: int, d2: int, j: int):
         return self._br.get((d1, i, d2, j), ())
@@ -153,7 +144,7 @@ class Dgla:
                 yield d, i
 
     def complex(self) -> ChainComplexQ:
-        return ChainComplexQ(dict(self.dims), dict(self.diffs), check=False)
+        return ChainComplexQ(dict(self.dims), dict(self.diffs))
 
     def cohomology(self, deg: int):
         return self.complex().cohomology(deg)
@@ -746,12 +737,7 @@ def direct_sum(parts: list) -> tuple:
             (off[p1] + k, c) for k, c in parts[p1].bracket_basis(d1, i1, d2, j2)
         ]
 
-    names = {}
-    for d in degs:
-        for pi, p in enumerate(parts):
-            for i in range(p.dim(d)):
-                names[(d, offs[d][pi] + i)] = f"{pi}:{p.name(d, i)}"
-    total = Dgla(dims, diffs, brk, names=names)
+    total = Dgla(dims, diffs, brk)
     injs = []
     projs = []
     for pi, p in enumerate(parts):
@@ -868,11 +854,7 @@ def end_dgla(cx: ChainComplexQ, label: str = "") -> tuple:
                 out[idx] = out.get(idx, 0) - neg_one_pow(p1 * p2)
         return [(k, v) for k, v in out.items() if v]
 
-    names = {}
-    for p, units in eb.by_deg.items():
-        for j, (i, r, c) in enumerate(units):
-            names[(p, j)] = f"E({i}->{i + p})[{r},{c}]"
-    L = Dgla(dims, diffs, brk, names=names, label=label or "end")
+    L = Dgla(dims, diffs, brk, label=label or "end")
     return L, eb
 
 
@@ -894,8 +876,7 @@ def sl2() -> Dgla:
             return [(order[k], -c) for k, c in table[(n2, n1)]]
         return ()
 
-    names = {(0, 0): "e", (0, 1): "h", (0, 2): "f"}
-    return Dgla({0: 3}, {}, brk, names=names, label="sl2")
+    return Dgla({0: 3}, {}, brk, label="sl2")
 
 
 def elem_base_change(f, e: "Elem") -> "Elem":

@@ -238,11 +238,6 @@ def embed(x: Elem, new_vars, positions=None) -> Elem:
     return x.form_subst(images, tuple(new_vars))
 
 
-def endpoint(x: Elem, var: int, value) -> Elem:
-    """Pull back along form variable var := value (a rational)."""
-    return x.subs_values({var: value})
-
-
 # --- the shape solvers -------------------------------------------------------
 
 
@@ -357,7 +352,7 @@ def decompose_path(x: Elem, xi: Elem) -> Elem:
     """
     if xi.ctx.nforms != 1:
         raise GaugeError("expected a one-variable path")
-    if not endpoint(xi, 0, 0).eq(x.form_subst([], ())):
+    if not xi.subs_values({0: 0}).eq(x.form_subst([], ())):
         raise GaugeError("path does not start at the given object")
     xe = embed(x.form_subst([], ()), xi.ctx.form_vars, positions=[])
 
@@ -373,8 +368,7 @@ def decompose_square(x: Elem, xi: Elem) -> Elem:
     """
     if xi.ctx.nforms != 2:
         raise GaugeError("expected a two-variable square")
-    origin = endpoint(endpoint(xi, 1, 0), 0, 0)
-    if not origin.eq(x.form_subst([], ())):
+    if not xi.subs_values({0: 0, 1: 0}).eq(x.form_subst([], ())):
         raise GaugeError("square does not start at the given object")
     xe = embed(x.form_subst([], ()), xi.ctx.form_vars, positions=[])
 
@@ -387,16 +381,16 @@ def decompose_square(x: Elem, xi: Elem) -> Elem:
 # --- paths (homotopies) -------------------------------------------------------
 
 
-def path_from_gauge(x: Elem, a: Elem, var: str = "t") -> Elem:
+def path_from_gauge(x: Elem, a: Elem) -> Elem:
     """The line t |-> e^{t a} * x as a Maurer-Cartan path."""
-    ctx1 = x.ctx.with_vars((var,))
-    ae = embed(a, (var,), positions=[])
+    ctx1 = x.ctx.with_vars(("t",))
+    ae = embed(a, ("t",), positions=[])
     # multiply a by the coordinate t
     terms = {}
     for (deg, idx, am, pm, S), c in ae.terms.items():
         terms[(deg, idx, am, (pm[0] + 1,), S)] = c
     ta = Elem(ctx1, terms)
-    xe = embed(x, (var,), positions=[])
+    xe = embed(x, ("t",), positions=[])
     return gauge(ta, xe)
 
 
@@ -404,4 +398,4 @@ def gauge_from_path(x: Elem, r: Elem) -> Elem:
     """Endpoint gauge of a path: a with e^a * x = r(1), from the canonical
     decomposition r = e^{p(t)} * x."""
     p = decompose_path(x, r)
-    return endpoint(p, 0, 1)
+    return p.subs_values({0: 1})

@@ -8,12 +8,15 @@ its vertex tuple), a lift of the morphism between the resolutions of
 source and target by the comparison theorem (one linear solve per
 degree, `factor_through`), the graph subcomplex and the dgLa of
 endomorphisms preserving it, the two-level diagram whose totalisation
-controls deformations of the morphism, and a long-exact-sequence
-checker that ties its cohomology to Ext groups computed from the hom
-complex of a resolution, themselves checked against the Euler form of
-the quiver. Any two choices of resolutions and lift give
-quasi-isomorphic diagrams, so the reported cohomology does not depend
-on them; the minimal ones are the smallest.
+controls deformations of the morphism (`build_H`, a `MorphismDiagram`
+that carries the parts its checks read), and a long-exact-sequence
+checker (`les_check`) that ties its cohomology to Ext groups computed
+from the hom complex of a resolution, themselves checked against the
+Euler form of the quiver. Direct-sum maps come from one place: the
+coordinate inclusions that `complex_direct_sum` builds, whose
+transposes are the projections. Any two choices of resolutions and
+lift give quasi-isomorphic diagrams, so the reported cohomology does
+not depend on them; the minimal ones are the smallest.
 `test_reported_cohomology_does_not_depend_on_the_resolution` checks this
 against a non-minimal resolution of the target. One reported list does
 follow the choice: `les_junctions` has one entry per degree from one
@@ -443,11 +446,7 @@ class BddComplex:
                 raise PipelineError("differential does not square to zero")
 
     def underlying(self) -> ChainComplexQ:
-        return ChainComplexQ(
-            {d: m.dim for d, m in self.mods.items()},
-            {d: m for d, m in self.diffs.items()},
-            check=False,
-        )
+        return ChainComplexQ({d: m.dim for d, m in self.mods.items()}, dict(self.diffs))
 
 
 def module_as_complex(m: FinMod) -> BddComplex:
@@ -604,16 +603,15 @@ def complex_direct_sum(k1: BddComplex, k2: BddComplex):
 
 def graph_complex(f: ChainMapM):
     """The graph of a chain map, with its embedding into the direct sum
-    of source and target. Returns (graph, embedding, ambient); the graph
-    has the source's terms and differentials, so the identity matrices
-    identify the two."""
+    of source and target and the inclusions of source and target into
+    that sum. Returns (graph, embedding, inj_source, inj_target); the
+    graph has the source's terms and differentials, so the identity
+    matrices identify the two."""
     k, m = f.source, f.target
     ambient, i1, i2 = complex_direct_sum(k, m)
     graph = BddComplex(k.alg, dict(k.mods), dict(k.diffs))
-    comps = {}
-    for d in k.mods:
-        comps[d] = (i1.comp(d)).add(i2.comp(d) @ f.comp(d))
-    return graph, ChainMapM(graph, ambient, comps), ambient
+    comps = {d: i1.comp(d).add(i2.comp(d) @ f.comp(d)) for d in k.mods}
+    return graph, ChainMapM(graph, ambient, comps), i1, i2
 
 
 # --- hom complexes and module-level endomorphism dgLas ----------------------------
@@ -707,7 +705,7 @@ def hom_complex(k: BddComplex, m: BddComplex):
                         dmat.set_entry(r, off + j, c)
         if not dmat.is_zero():
             diffs[p] = dmat
-    return ChainComplexQ(dims, diffs, check=True), book
+    return ChainComplexQ(dims, diffs), book
 
 
 def end_dgla_of_complex(k: BddComplex, label: str = ""):
@@ -925,79 +923,73 @@ def ext_matches_euler_form(ext: dict, f: FinMod, g: FinMod) -> bool:
 # --- the two-level diagram of a morphism ------------------------------------------------
 
 
-def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> ScDgla:
+class MorphismDiagram(ScDgla):
+    """The diagram that build_H returns, with the parts h_cohomology,
+    les_check and pipeline_report read. Each pair is indexed by side, 0
+    for the source F and 1 for the target G:
+
+    - lift: the chain map P_F -> P_G between the two resolutions;
+    - ends, books: End(P_F) and End(P_G), with their HomBooks;
+    - projs: the projections of level 0 onto ends;
+    - injs: the inclusions of P_F and P_G into their direct sum S;
+    - book_s: the HomBook of End(S), which is level 1.
+
+    total() builds the total complex on first use, so the checks of one
+    diagram share one complex and its cohomology."""
+
+    __slots__ = ("lift", "ends", "books", "projs", "injs", "book_s", "_total")
+
+    def __init__(self, levels, cofaces, lift, ends, books, projs, injs, book_s):
+        super().__init__(levels, cofaces, label="morphism diagram")
+        self.lift, self.ends, self.books = lift, ends, books
+        self.projs, self.injs, self.book_s = projs, injs, book_s
+        self._total = None
+
+    def total(self) -> tuple:
+        """(complex, basis) of total_complex(self)."""
+        if self._total is None:
+            self._total = total_complex(self)
+        return self._total
+
+
+def _corner(book_s: HomBook, p: int, mats: dict, inj_out: ChainMapM, inj_in: ChainMapM):
+    """Coordinates in book_s of the degree-p endomorphism of a direct sum
+    that maps the summand of inj_in to the summand of inj_out by the
+    blocks mats ({source degree: matrix}) and is zero elsewhere. The
+    transpose of a coordinate inclusion is its projection."""
+    return book_s.coords(p, {
+        i: inj_out.comp(i + p) @ t @ inj_in.comp(i).transpose() for i, t in mats.items()
+    })
+
+
+def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> MorphismDiagram:
     """The diagram controlling deformations of the morphism, [level 0,
-    level 1, 0]: level 0 is the direct sum of the endomorphisms of the
-    two resolutions and the endomorphisms of their direct sum preserving
-    the graph of the lift; level 1 is the endomorphisms of the direct
-    sum. Face 0 includes the End pair as block-diagonal endomorphisms,
-    face 1 includes the graph-preserving part; a zero level 2 closes the
-    diagram. Nothing here is validated: the dgLa axioms, the faces and
-    the coface identities hold by construction, and validate_sc checks
-    them in the tests. Cover data (one open or two) enters only in
-    h_cohomology."""
-    _, emb, ambient = graph_complex(lift)
+    level 1, 0]. Level 0 is End(P_F) ⊕ End(P_G) ⊕ L, with L the
+    endomorphisms of the direct sum S = P_F ⊕ P_G preserving the graph of
+    the lift; level 1 is End(S). Face 0 projects onto End(P_F) and
+    End(P_G) and includes each as a diagonal block of End(S); face 1
+    projects onto L and includes it; a zero level 2 closes the diagram.
+    Nothing here is validated: the dgLa axioms, the faces and the coface
+    identities hold by construction, and validate_sc checks them in the
+    tests. Cover data (one open or two) enters only in h_cohomology."""
+    _, emb, inj_f, inj_g = graph_complex(lift)
     l_g, l_incl, end_s, book_s = sub_preserving_dgla(emb)
     end_f, book_f = end_dgla_of_complex(res_f.cx, label="End(source res)")
     end_g, book_g = end_dgla_of_complex(res_g.cx, label="End(target res)")
-    level0, injs, projs = direct_sum([end_f, end_g, l_g])
+    level0, _, projs = direct_sum([end_f, end_g, l_g])
+    books, injs = (book_f, book_g), (inj_f, inj_g)
 
-    # block-diagonal inclusion of the End pair
-    sum_parts = {}
-    for d in ambient.mods:
-        fdim = res_f.cx.dim(d)
-        i_f = Mat(ambient.dim(d), fdim)
-        for r in range(fdim):
-            i_f.set_entry(r, r, Q(1))
-        gdim = res_g.cx.dim(d)
-        i_g = Mat(ambient.dim(d), gdim)
-        for r in range(gdim):
-            i_g.set_entry(fdim + r, r, Q(1))
-        sum_parts[d] = (i_f, i_g)
+    def diagonal(side, p):
+        inj = injs[side]
+        cols = [
+            _corner(book_s, p, {i: b}, inj, inj)
+            for i, solver in books[side].blocks.get(p, ())
+            for b in solver.basis
+        ]
+        return Mat.from_cols(cols, rows=end_s.dim(p)) @ projs[side].mat(p)
 
-    def pair_face_mats():
-        out = {}
-        for p in level0.dims:
-            m = Mat(end_s.dim(p), level0.dim(p))
-            for which, (end_part, book_part) in (
-                (0, (end_f, book_f)),
-                (1, (end_g, book_g)),
-            ):
-                pm = projs[which].mat(p)
-                for j in range(level0.dim(p)):
-                    v = pm.col(j)
-                    if vis_zero(v):
-                        continue
-                    mats = book_part.to_mats(p, v)
-                    big = {}
-                    for i, t in mats.items():
-                        i_src = sum_parts[i][which]
-                        i_tgt = sum_parts[i + p][which]
-                        blk = i_tgt @ t @ _left_inverse(i_src)
-                        big[i] = big.get(i, Mat(blk.rows, blk.cols)).add(blk)
-                    coords = book_s.coords(p, big)
-                    for r, c in enumerate(coords):
-                        if c:
-                            m.set_entry(r, j, m.entry(r, j) + c)
-            out[p] = m
-        return out
-
-    f0_mats = pair_face_mats()
-    f1_mats = {}
-    for p in level0.dims:
-        m = Mat(end_s.dim(p), level0.dim(p))
-        lm = l_incl.mats.get(p)
-        pm = projs[2].mat(p)
-        if lm is not None:
-            prod = lm @ pm
-            for r in range(prod.rows):
-                for c in range(prod.cols):
-                    v = prod.entry(r, c)
-                    if v:
-                        m.set_entry(r, c, v)
-        f1_mats[p] = m
-    face0 = DglaMap(level0, end_s, f0_mats)
-    face1 = DglaMap(level0, end_s, f1_mats)
+    face0 = DglaMap(level0, end_s, {p: diagonal(0, p).add(diagonal(1, p)) for p in level0.dims})
+    face1 = l_incl.compose(projs[2])
 
     from .builders import zero_dgla
 
@@ -1009,34 +1001,9 @@ def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> ScDgla:
         (2, 1): DglaMap(end_s, z, {}),
         (2, 2): DglaMap(end_s, z, {}),
     }
-    sc = ScDgla([level0, end_s, z], cof, label="morphism diagram")
-    sc.meta.update(
-        {
-            "face0": face0,
-            "face1": face1,
-            "level0_injs": injs,
-            "level0_projs": projs,
-            "books": {"F": book_f, "G": book_g, "S": book_s},
-            "ends": {"F": end_f, "G": end_g, "L": l_g},
-            "l_inclusion": l_incl,
-            "sum_parts": sum_parts,
-            "resolutions": (res_f, res_g),
-            "lift": lift,
-        }
+    return MorphismDiagram(
+        [level0, end_s, z], cof, lift, (end_f, end_g), books, tuple(projs[:2]), injs, book_s
     )
-    return sc
-
-
-def _left_inverse(m: Mat) -> Mat:
-    """Left inverse of an injective coordinate inclusion built from unit
-    columns."""
-    out = Mat(m.cols, m.rows)
-    for c in range(m.cols):
-        for r in range(m.rows):
-            if m.entry(r, c) == Q(1):
-                out.set_entry(c, r, Q(1))
-                break
-    return out
 
 
 def _block_diagonal(m: Mat) -> Mat:
@@ -1051,17 +1018,7 @@ def _block_diagonal(m: Mat) -> Mat:
     return out
 
 
-def _total(sc: ScDgla):
-    """total_complex(sc), built on first use and kept in sc.meta, so that
-    h_cohomology and les_check share one complex and its cohomology. A
-    truncation of the diagram starts with an empty meta, so it never sees
-    the complex of the whole diagram."""
-    if "total" not in sc.meta:
-        sc.meta["total"] = total_complex(sc)
-    return sc.meta["total"]
-
-
-def h_cohomology(sc: ScDgla, n_opens: int = 1) -> dict:
+def h_cohomology(sc: MorphismDiagram, n_opens: int = 1) -> dict:
     """Cohomology dimensions of the totalisation T of the diagram, taken
     over one or two synthetic opens. With two opens and identity gluings
     the Čech complex has T on each open and T on their overlap, with the
@@ -1069,13 +1026,12 @@ def h_cohomology(sc: ScDgla, n_opens: int = 1) -> dict:
     chain map T + T -> T shifted up one degree (Čech C^n = cone^(n-1))."""
     if n_opens not in (1, 2):
         raise PipelineError("only one or two synthetic opens are supported")
-    tot, _ = _total(sc)
+    tot, _ = sc.total()
     if n_opens == 1:
         return tot.betti()
     pair = ChainComplexQ(
         {n: 2 * k for n, k in tot.dims.items()},
         {n: _block_diagonal(m) for n, m in tot.diffs.items()},
-        check=False,
     )
     difference = {
         n: Mat.identity(k).neg().hstack(Mat.identity(k)) for n, k in tot.dims.items()
@@ -1087,161 +1043,96 @@ def h_cohomology(sc: ScDgla, n_opens: int = 1) -> dict:
 # --- the long exact sequence -----------------------------------------------------------
 
 
-def les_check(sc: ScDgla) -> dict:
-    """Exactness, junction by junction, of the sequence relating the
-    totalisation cohomology to the Ext groups of the two modules: the
-    explicit maps are (project to the End pair), (difference of push and
-    pull along the lift), and (include as the corner block of the
-    direct-sum endomorphisms one level up). Images and kernels are
-    compared as subspaces, not merely by dimension."""
-    res_f, res_g = sc.meta["resolutions"]
-    lift = sc.meta["lift"]
-    level0 = sc.levels[0]
-    end_f, end_g = sc.meta["ends"]["F"], sc.meta["ends"]["G"]
-    book_s = sc.meta["books"]["S"]
-    book_f, book_g = sc.meta["books"]["F"], sc.meta["books"]["G"]
-    projs = sc.meta["level0_projs"]
-    sum_parts = sc.meta["sum_parts"]
-    tot, tb = _total(sc)
-    cx_f = end_f.complex()
-    cx_g = end_g.complex()
-    cx_fg, book_fg = hom_complex(res_f.cx, res_g.cx)
+def _classes(cx: ChainComplexQ, deg: int, cocycles, what: str) -> list:
+    """The classes in H^deg(cx) of the given cocycles, by class_of."""
+    out = []
+    for v in cocycles:
+        c = cx.class_of(deg, v)
+        if c is None:
+            raise PipelineError(f"{what} of a cocycle failed to be closed")
+        out.append(c)
+    return out
 
-    lift_comp = {d: lift.comp(d) for d in set(res_f.cx.mods)}
+
+def _exact(incoming: Mat, outgoing: Mat) -> bool:
+    """Whether im(incoming) = ker(outgoing), compared as subspaces of the
+    middle space; true when that space is 0."""
+    n = incoming.rows
+    if not n:
+        return True
+    im = Subspace.from_vectors(n, [incoming.col(j) for j in range(incoming.cols)])
+    return im.eq(Subspace.from_vectors(n, outgoing.kernel_basis()))
+
+
+def les_check(sc: MorphismDiagram) -> dict:
+    """Exactness, junction by junction, of the sequence
+
+        H^i(T) -u-> Ext^i(F,F) ⊕ Ext^i(G,G) -v-> Ext^i(F,G) -θ-> H^{i+1}(T)
+
+    relating the totalisation cohomology to the Ext groups of the two
+    modules, each Ext computed from the hom complex of the resolutions.
+    u restricts a cocycle to level 0 and projects it onto the End pair;
+    v sends (a, b) to b∘lift - lift∘a; θ includes a map P_F -> P_G as
+    the corner block of End(P_F ⊕ P_G), one level up. Each map sends
+    cocycles to cocycles and their classes are read off by class_of;
+    images and kernels are compared as subspaces, not merely by
+    dimension."""
+    tot, tb = sc.total()
+    lift = sc.lift
+    cx = [g.complex() for g in sc.ends]
+    cx_fg, book_fg = hom_complex(lift.source, lift.target)
 
     def u_map(i):
-        hdim, reps = tot.cohomology(i)
-        nf = cx_f.cohomology(i)[0]
-        ng = cx_g.cohomology(i)[0]
-        m = Mat(nf + ng, hdim)
-        for j, rep in enumerate(reps):
-            x = [Q(0)] * level0.dim(i)
-            for p, idx in tb.slots.get(i, []):
-                if p == 0:
-                    x[idx] = rep[tb.index(i, p, idx)]
-            phi = projs[0].mat(i).matvec(vec(x))
-            psi = projs[1].mat(i).matvec(vec(x))
-            cf = cx_f.class_of(i, phi)
-            cg = cx_g.class_of(i, psi)
-            if cf is None or cg is None:
-                raise PipelineError("projection of a cocycle failed to be closed")
-            for r, c in enumerate(cf):
-                if c:
-                    m.set_entry(r, j, c)
-            for r, c in enumerate(cg):
-                if c:
-                    m.set_entry(nf + r, j, c)
-        return m
+        level0 = [
+            vec(rep[tb.index(i, 0, idx)] for idx in range(sc.levels[0].dim(i)))
+            for rep in tot.cohomology(i)[1]
+        ]
+        cf, cg = (
+            _classes(cx[s], i, [sc.projs[s].mat(i).matvec(x) for x in level0], "projection")
+            for s in (0, 1)
+        )
+        rows = cx[0].cohomology(i)[0] + cx[1].cohomology(i)[0]
+        return Mat.from_cols([a + b for a, b in zip(cf, cg)], rows=rows)
 
     def v_map(i):
-        nf, reps_f = cx_f.cohomology(i)
-        ng, reps_g = cx_g.cohomology(i)
-        nfg = cx_fg.cohomology(i)[0]
-        m = Mat(nfg, nf + ng)
-        cols = [(rep, 0) for rep in reps_f] + [(rep, 1) for rep in reps_g]
-        for j, (rep, side) in enumerate(cols):
-            out = {}
-            if side == 0:
-                mats = book_f.to_mats(i, rep)
-                for bi, t in mats.items():
-                    lm = lift_comp.get(bi + i)
-                    if lm is None or lm.rows == 0:
-                        continue
-                    prod = lm @ t
-                    if not prod.is_zero():
-                        out[bi] = out.get(bi, Mat(prod.rows, prod.cols)).add(
-                            prod.scale(Q(-1))
-                        )
-            else:
-                mats = book_g.to_mats(i, rep)
-                for bi, t in mats.items():
-                    lm = lift_comp.get(bi)
-                    if lm is None or lm.rows == 0:
-                        continue
-                    prod = t @ lm
-                    if not prod.is_zero():
-                        out[bi] = out.get(bi, Mat(prod.rows, prod.cols)).add(prod)
-            coords = book_fg.coords(i, out)
-            cls = cx_fg.class_of(i, vec(coords) if coords else vzero(cx_fg.dim(i)))
-            if cls is None:
-                raise PipelineError("face difference of a cocycle failed to be closed")
-            for r, c in enumerate(cls):
-                if c:
-                    m.set_entry(r, j, c)
-        return m
+        images = [
+            {j: (lift.comp(j + i) @ t).neg() for j, t in sc.books[0].to_mats(i, rep).items()}
+            for rep in cx[0].cohomology(i)[1]
+        ] + [
+            {j: t @ lift.comp(j) for j, t in sc.books[1].to_mats(i, rep).items()}
+            for rep in cx[1].cohomology(i)[1]
+        ]
+        cls = _classes(cx_fg, i, [book_fg.coords(i, m) for m in images], "face difference")
+        return Mat.from_cols(cls, rows=cx_fg.cohomology(i)[0])
 
     def theta_map(i):
-        nfg, reps = cx_fg.cohomology(i)
-        nh = tot.cohomology(i + 1)[0]
-        m = Mat(nh, nfg)
-        for j, rep in enumerate(reps):
-            mats = book_fg.to_mats(i, rep)
-            big = {}
-            for bi, t in mats.items():
-                i_f = sum_parts[bi][0]
-                i_g = sum_parts[bi + i][1]
-                blk = i_g @ t @ _left_inverse(i_f)
-                if not blk.is_zero():
-                    big[bi] = blk
-            y = book_s.coords(i, big)
-            w = [Q(0)] * tot.dim(i + 1)
-            for p, idx in tb.slots.get(i + 1, []):
-                if p == 1:
-                    w[tb.index(i + 1, p, idx)] = y[idx]
-            cls = tot.class_of(i + 1, vec(w))
-            if cls is None:
-                raise PipelineError("corner inclusion of a cocycle failed to be closed")
-            for r, c in enumerate(cls):
-                if c:
-                    m.set_entry(r, j, c)
-        return m
+        images = []
+        for rep in cx_fg.cohomology(i)[1]:
+            y = _corner(sc.book_s, i, book_fg.to_mats(i, rep), sc.injs[1], sc.injs[0])
+            w = [ZERO] * tot.dim(i + 1)
+            for idx, c in enumerate(y):
+                w[tb.index(i + 1, 1, idx)] = c
+            images.append(tuple(w))
+        cls = _classes(tot, i + 1, images, "corner inclusion")
+        return Mat.from_cols(cls, rows=tot.cohomology(i + 1)[0])
 
     lo = min(list(tot.dims) + [0]) - 1
     hi = max(list(tot.dims) + [0]) + 1
     junctions = []
-    exact = True
+    th_prev = theta_map(lo - 1)
     for i in range(lo, hi + 1):
-        u_i = u_map(i)
-        v_i = v_map(i)
-        th_prev = theta_map(i - 1)
-        th_i = theta_map(i)
-        # junction at H^i(total): image of theta = kernel of u
-        if tot.cohomology(i)[0]:
-            im_th = Subspace.from_vectors(
-                tot.cohomology(i)[0], [th_prev.col(j) for j in range(th_prev.cols)]
-            )
-            ker_u = Subspace.from_vectors(tot.cohomology(i)[0], u_i.kernel_basis())
-            ok1 = im_th.eq(ker_u)
-        else:
-            ok1 = th_prev.cols == 0 or all(
-                vis_zero(th_prev.col(j)) for j in range(th_prev.cols)
-            )
-        # junction at Ext^i(F,F) + Ext^i(G,G): image of u = kernel of v
-        npair = u_i.rows
-        if npair:
-            im_u = Subspace.from_vectors(npair, [u_i.col(j) for j in range(u_i.cols)])
-            ker_v = Subspace.from_vectors(npair, v_i.kernel_basis())
-            ok2 = im_u.eq(ker_v)
-        else:
-            ok2 = True
-        # junction at Ext^i(F,G): image of v = kernel of theta
-        nfg = v_i.rows
-        if nfg:
-            im_v = Subspace.from_vectors(nfg, [v_i.col(j) for j in range(v_i.cols)])
-            ker_th = Subspace.from_vectors(nfg, th_i.kernel_basis())
-            ok3 = im_v.eq(ker_th)
-        else:
-            ok3 = True
+        u_i, v_i, th_i = u_map(i), v_map(i), theta_map(i)
         junctions.append(
             {
                 "degree": i,
-                "at_total": bool(ok1),
-                "at_ext_pair": bool(ok2),
-                "at_ext_hom": bool(ok3),
+                "at_total": _exact(th_prev, u_i),
+                "at_ext_pair": _exact(u_i, v_i),
+                "at_ext_hom": _exact(v_i, th_i),
             }
         )
-        exact = exact and ok1 and ok2 and ok3
-    return {"exact": bool(exact), "junctions": junctions}
+        th_prev = th_i
+    exact = all(j["at_total"] and j["at_ext_pair"] and j["at_ext_hom"] for j in junctions)
+    return {"exact": exact, "junctions": junctions}
 
 
 # --- orchestration -----------------------------------------------------------------------
@@ -1258,8 +1149,7 @@ def pipeline_report(fmod: FinMod, gmod: FinMod, alpha: Mat, n_opens: int = 1) ->
         "GG": ext_bruteforce(gmod, gmod),
         "FG": ext_bruteforce(fmod, gmod),
     }
-    end_f = sc.meta["ends"]["F"]
-    end_g = sc.meta["ends"]["G"]
+    end_f, end_g = sc.ends
     match = True
     for i, dim_expected in enumerate(ext["FF"]):
         if end_f.cohomology(i)[0] != dim_expected:

@@ -2,7 +2,8 @@
 
 Every generator takes an explicit random.Random and iterates only over
 deterministically ordered structures, so a fixed seed reproduces the
-same objects byte for byte.
+same objects byte for byte. Each basis coefficient is drawn with
+probability 1/2, as an integer in [-2, 2].
 """
 
 from __future__ import annotations
@@ -28,42 +29,30 @@ from .semicosimplicial import (
 )
 
 
-def random_elem(
-    ctx: TensorCtx,
-    deg: int,
-    rng: random.Random,
-    density: float = 0.5,
-    span: int = 2,
-) -> Elem:
+def random_elem(ctx: TensorCtx, deg: int, rng: random.Random) -> Elem:
     """Random formless element of one Lie degree with coefficients in the
     maximal ideal."""
     e = ctx.zero()
     for idx in range(ctx.dgla.dim(deg)):
         for am in ctx.artin.maximal_basis:
-            if rng.random() < density:
-                c = rng.randint(-span, span)
+            if rng.random() < 0.5:
+                c = rng.randint(-2, 2)
                 if c:
                     e = e.add(ctx.term(deg, idx, c, am))
     return e
 
 
-def random_mc(ctx: TensorCtx, rng: random.Random, density: float = 0.5) -> Elem:
+def random_mc(ctx: TensorCtx, rng: random.Random) -> Elem:
     """A guaranteed Maurer-Cartan element: gauge the zero solution by a
     random degree-zero logarithm."""
-    return gauge(random_elem(ctx, 0, rng, density), ctx.zero())
+    return gauge(random_elem(ctx, 0, rng), ctx.zero())
 
 
-def random_tot_elem(
-    sc: ScDgla,
-    artin: ArtinAlgebra,
-    deg: int,
-    rng: random.Random,
-    density: float = 0.5,
-) -> TotElem:
+def random_tot_elem(sc: ScDgla, artin: ArtinAlgebra, deg: int, rng: random.Random) -> TotElem:
     comps = []
     for p in range(sc.top + 1):
         ctx = TensorCtx(sc.levels[p], artin, ())
-        comps.append(random_elem(ctx, deg - p, rng, density))
+        comps.append(random_elem(ctx, deg - p, rng))
     return TotElem(sc, artin, comps)
 
 
@@ -73,7 +62,6 @@ def bump_elem(
     level: int,
     rng: random.Random,
     deg: int = 0,
-    density: float = 0.5,
 ) -> Elem:
     """A form-valued element at one chart level whose pullback to every
     face vanishes: a random coefficient times the product of all
@@ -83,7 +71,7 @@ def bump_elem(
     e = ctx.zero()
     for idx in range(sc.levels[n].dim(deg)):
         for am in artin.maximal_basis:
-            if rng.random() < density:
+            if rng.random() < 0.5:
                 c = rng.randint(-2, 2)
                 if c:
                     e = e.add(ctx.term(deg, idx, c, am, pmono=(1,) * n))
@@ -101,46 +89,31 @@ def bump_elem(
 
 
 def random_compatible_family(
-    sc: ScDgla,
-    artin: ArtinAlgebra,
-    deg: int,
-    rng: random.Random,
-    density: float = 0.5,
-    with_bumps: bool = True,
+    sc: ScDgla, artin: ArtinAlgebra, deg: int, rng: random.Random
 ) -> TWElem:
     """A random compatible family of the given total degree: the image of
     a random totalisation element under the comparison map, plus a
     face-vanishing bump at the top level. A bump below the top would
     leak into the compatibility condition one level up through its
     coface image, so only the top level admits one freely."""
-    fam = whitney_map(random_tot_elem(sc, artin, deg, rng, density))
-    if not with_bumps or sc.top == 0:
+    fam = whitney_map(random_tot_elem(sc, artin, deg, rng))
+    if sc.top == 0:
         return fam
     comps = list(fam.comps)
     n = sc.top
     if sc.levels[n].dim(deg):
-        comps[n] = comps[n].add(bump_elem(sc, artin, n, rng, deg, density))
+        comps[n] = comps[n].add(bump_elem(sc, artin, n, rng, deg))
     return TWElem(sc, artin, comps)
 
 
-def random_tw_mc(
-    sc: ScDgla,
-    artin: ArtinAlgebra,
-    rng: random.Random,
-    density: float = 0.5,
-) -> TWElem:
+def random_tw_mc(sc: ScDgla, artin: ArtinAlgebra, rng: random.Random) -> TWElem:
     """A compatible family of Maurer-Cartan solutions: gauge the zero
     family by a random compatible degree-zero family."""
-    lam = random_compatible_family(sc, artin, 0, rng, density)
+    lam = random_compatible_family(sc, artin, 0, rng)
     return tw_gauge(lam, TWElem.zero(sc, artin))
 
 
-def random_totdel_object(
-    sc: ScDgla,
-    artin: ArtinAlgebra,
-    rng: random.Random,
-    density: float = 0.5,
-) -> TotDelObject:
+def random_totdel_object(sc: ScDgla, artin: ArtinAlgebra, rng: random.Random) -> TotDelObject:
     """A glued object read off the diagram alone.
 
     The local solution is l = gauge(x, 0) for a random degree-zero x in
@@ -154,24 +127,19 @@ def random_totdel_object(
     x = ctx.zero()
     for v in f10.mat(0).sub(f11.mat(0)).kernel_basis():
         for am in artin.maximal_basis:
-            if rng.random() < density:
+            if rng.random() < 0.5:
                 c = rng.randint(-2, 2)
                 if c:
                     x = x.add(ctx.from_lie_vec(0, [c * a for a in v], am))
     l = gauge(x, ctx.zero())
-    u = random_elem(TensorCtx(sc.levels[1], artin, ()), -1, rng, density)
+    u = random_elem(TensorCtx(sc.levels[1], artin, ()), -1, rng)
     return totdel_assemble(sc, l, stabilizer_log(l.map_lie(f11), u))
 
 
-def random_totdel_morphism(
-    sc: ScDgla,
-    o: TotDelObject,
-    rng: random.Random,
-    density: float = 0.5,
-) -> TotDelMorphism:
+def random_totdel_morphism(sc: ScDgla, o: TotDelObject, rng: random.Random) -> TotDelMorphism:
     """A random morphism out of a glued object: pick a degree-zero gauge
     log, transport the object along it, and package the comparison."""
-    a = random_elem(TensorCtx(sc.levels[0], o.artin, ()), 0, rng, density)
+    a = random_elem(TensorCtx(sc.levels[0], o.artin, ()), 0, rng)
     l1 = gauge(a, o.l)
     m1 = bch_many(
         [a.map_lie(sc.face(1, 1)), o.m, a.map_lie(sc.face(1, 0)).neg()]

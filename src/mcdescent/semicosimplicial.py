@@ -76,13 +76,12 @@ class ScDgla:
     level.
     """
 
-    __slots__ = ("levels", "cofaces", "label", "meta")
+    __slots__ = ("levels", "cofaces", "label")
 
     def __init__(self, levels, cofaces, label: str = ""):
         self.levels = list(levels)
         self.cofaces = dict(cofaces)
         self.label = label
-        self.meta: dict = {}
         if not self.levels:
             raise ScError("at least one level is required")
 

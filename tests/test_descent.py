@@ -27,7 +27,6 @@ from mcdescent.descent import (
     phi1_full_lift,
     phi1_mor,
     phi1_obj,
-    phi2_mor,
     phi2_obj,
     phi_descend,
     pi0_compare_square_zero,
@@ -347,7 +346,7 @@ def test_descended_morphism_is_independent_of_the_representative():
         assert morphism_equal(
             o0.l, gauge_from_path(o0.l, h.z0), gauge_from_path(o0.l, h2.z0)
         )
-        assert morphism_equal(o0.l, phi1_mor(h), phi2_mor(h2))
+        assert morphism_equal(o0.l, phi1_mor(h), phi1_mor(h2))
 
 
 def test_descent_of_composite_homotopy_is_the_composite():

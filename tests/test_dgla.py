@@ -26,7 +26,7 @@ def two_term() -> Dgla:
     br = {
         (0, 0, 1, 0): [(0, 1)],
     }
-    return Dgla({0: 1, 1: 1}, {}, br, names={(0, 0): "x", (1, 0): "y"})
+    return Dgla({0: 1, 1: 1}, {}, br)
 
 
 def test_sl2_validates():
@@ -62,12 +62,7 @@ def test_jacobi_violation_caught():
 def test_leibniz_violation_caught():
     # d(a) = c but [c, b] is not d[a, b] = 0
     br = {(0, 0, 0, 1): [], (1, 0, 0, 1): [(0, 1)]}
-    L = Dgla(
-        {0: 2, 1: 1},
-        {0: [[1, 0]]},
-        br,
-        names={(0, 0): "a", (0, 1): "b", (1, 0): "c"},
-    )
+    L = Dgla({0: 2, 1: 1}, {0: [[1, 0]]}, br)
     with pytest.raises(DglaError, match="Leibniz"):
         L.validate()
 

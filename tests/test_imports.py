@@ -43,8 +43,6 @@ TEST_ORACLES = {
     "semicosimplicial.totdel_invert": "test_semicosimplicial.py::test_totdel_morphisms_roundtrip",
     "semicosimplicial.totdel_mor_equal":
         "test_semicosimplicial.py::test_totdel_morphisms_roundtrip",
-    "descent.phi2_mor":
-        "test_descent.py::test_descended_morphism_is_independent_of_the_representative",
     # the naturality of phi1_obj
     "artin.base_change":
         "test_artin.py::test_base_change_of_composite_is_composite_of_base_changes",

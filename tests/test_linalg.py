@@ -349,8 +349,9 @@ def rand_complex(rng, max_deg_span=3, max_dim=3):
 
 
 def test_complex_validation():
+    cx = ChainComplexQ({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]})
     try:
-        ChainComplexQ({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]})
+        cx.check()
     except ValueError as e:
         assert "d^2" in str(e)
     else:

@@ -22,7 +22,6 @@ from mcdescent.mcgauge import (
     decompose_square,
     elem_linear_solve,
     embed,
-    endpoint,
     extract_irrelevant,
     gauge,
     gauge_from_path,
@@ -266,7 +265,7 @@ def test_decompose_path_roundtrip():
                 if c:
                     g = g.add(ctx1.term(-1, idx, c, am, (rng.randint(0, 2),), (0,)))
         xi = gauge(g, embed(x, ("t",), positions=[]))
-        assert endpoint(xi, 0, 0).eq(x)
+        assert xi.subs_values({0: 0}).eq(x)
         p = decompose_path(x, xi)
         # shape: no dt part, all terms divisible by t
         for (deg, _, _, pm, S) in p.terms:
@@ -281,7 +280,7 @@ def test_decompose_path_uniqueness_on_lines():
         x = rand_mc(ctx, rng)
         a = rand_in_degree(ctx, rng, 0)
         r = path_from_gauge(x, a)
-        assert is_mc(r) and endpoint(r, 0, 0).eq(x.form_subst([], ()))
+        assert is_mc(r) and r.subs_values({0: 0}).eq(x.form_subst([], ()))
         p = decompose_path(x, r)
         # the line log t*a is already in shape, so it is the answer
         want = ctx.with_vars(("t",)).zero()

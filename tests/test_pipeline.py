@@ -303,9 +303,10 @@ def test_the_dglas_of_a_morphism_diagram_pass_the_axiom_check(monkeypatch):
     passes its check: the five resolutions
     (two for the diagram, three for the Ext oracle) and their complexes,
     the lift with its augmented square, the direct sum and the graph
-    embedding, the diagram with its faces and coface identities, the
-    inclusion of the graph-preserving part, and the End dgLas."""
-    built = {"resolve": [], "lift": [], "graph": [], "H": []}
+    embedding and inclusions, the diagram with its faces and coface
+    identities, the inclusion of the graph-preserving part, and the End
+    dgLas."""
+    built = {"resolve": [], "lift": [], "graph": [], "L": [], "H": []}
 
     def recording(name, fn, key):
         def wrapped(*args):
@@ -317,6 +318,7 @@ def test_the_dglas_of_a_morphism_diagram_pass_the_axiom_check(monkeypatch):
     recording("resolve", pipeline.resolve, "resolve")
     recording("lift_morphism", pipeline.lift_morphism, "lift")
     recording("graph_complex", pipeline.graph_complex, "graph")
+    recording("sub_preserving_dgla", pipeline.sub_preserving_dgla, "L")
     recording("build_H", pipeline.build_H, "H")
     instances = [(f, g, alpha) for _, f, g, alpha in canonical_morphisms()]
     for seed in (2, 9):
@@ -335,14 +337,15 @@ def test_the_dglas_of_a_morphism_diagram_pass_the_axiom_check(monkeypatch):
         (((_, _, _, res_g), (res_f, lift)),) = built["lift"]
         lift.check()
         assert (res_g.aug @ lift.comp(0)) == (alpha @ res_f.aug)
-        ((_, (_, emb, ambient)),) = built["graph"]
-        ambient.check()
-        emb.check()
+        ((_, (_, emb, inj_f, inj_g)),) = built["graph"]
+        emb.target.check()
+        for m in (emb, inj_f, inj_g):
+            m.check()
+        ((_, (l_g, l_incl, _, _)),) = built["L"]
         ((_, sc),) = built["H"]
         assert validate_sc(sc) == {"ok": True, "violations": []}
-        sc.meta["l_inclusion"].validate()
-        ends = sc.meta["ends"]
-        for dg in (ends["F"], ends["G"], sc.levels[1], ends["L"]):
+        l_incl.validate()
+        for dg in (*sc.ends, sc.levels[1], l_g):
             dg.validate(mode="auto")
 
 
@@ -362,14 +365,14 @@ def test_graph_of_zero_and_identity_maps():
     mods = a2_modules()
     r = resolve(mods["S1"])
     zero = ChainMapM(r.cx, r.cx, {})
-    g, emb, amb = graph_complex(zero)
-    amb.check()
-    emb.check()
+    g, emb, inj_f, inj_g = graph_complex(zero)
+    for m in (emb.target, emb, inj_f, inj_g):
+        m.check()
     assert g.underlying().betti() == r.cx.underlying().betti()
     for d in g.mods:
         assert emb.comp(d).rank() == g.dim(d)
     ident = ChainMapM.identity(r.cx)
-    g2, emb2, _ = graph_complex(ident)
+    g2, emb2, *_ = graph_complex(ident)
     emb2.check()
     for d in g2.mods:
         assert emb2.comp(d).rank() == g2.dim(d)
@@ -416,7 +419,7 @@ def test_sub_preserving_a_graph_cuts_dimensions():
     s1 = a2_modules()["S1"]
     res_g = resolve(s1)
     res_f, lift = lift_morphism(Mat.identity(1), s1, s1, res_g)
-    graph, emb, amb = graph_complex(lift)
+    graph, emb, *_ = graph_complex(lift)
     l_g, incl, end_amb, _ = sub_preserving_dgla(emb)
     assert dict(sorted(end_amb.dims.items())) == {0: 8, 1: 4}
     assert dict(sorted(l_g.dims.items())) == {0: 6, 1: 3}
@@ -533,24 +536,32 @@ def test_morphism_diagram_shape_and_hypothesis():
         sc = build_H(res_f, res_g, lift)
         assert sc.top == 2
         assert sc.levels[2].total_dim == 0
-        ends = sc.meta["ends"]
-        expected = ends["F"].total_dim + ends["G"].total_dim + ends["L"].total_dim
+        l_g = sub_preserving_dgla(graph_complex(lift)[1])[0]
+        expected = sum(g.total_dim for g in sc.ends) + l_g.total_dim
         assert sc.levels[0].total_dim == expected
         hyp = check_hypothesis(sc)
         assert hyp["strong"]
         assert hyp["table"] == {}
 
 
-def test_faces_see_the_pair_and_the_graph_part():
+def test_faces_see_the_pair_and_the_graph_part(monkeypatch):
+    built = {}
+
+    def recording(name):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *a: built.setdefault(name, real(*a)))
+
+    recording("direct_sum")
+    recording("sub_preserving_dgla")
     mods = a2_modules()
     p1, s2 = mods["P1"], mods["S2"]
     alpha = hom_basis(s2, p1)[0]
     res_g = resolve(p1)
     res_f, lift = lift_morphism(alpha, s2, p1, res_g)
     sc = build_H(res_f, res_g, lift)
-    face0, face1 = sc.meta["face0"], sc.meta["face1"]
-    injs = sc.meta["level0_injs"]
-    l_incl = sc.meta["l_inclusion"]
+    face0, face1 = sc.face(1, 0), sc.face(1, 1)
+    _, injs, _ = built["direct_sum"]
+    l_incl = built["sub_preserving_dgla"][1]
     for p in sc.levels[0].dims:
         # the block-diagonal face ignores the graph-preserving summand
         assert (face0.mat(p) @ injs[2].mat(p)).is_zero()
@@ -609,6 +620,30 @@ def test_les_exact_on_random_instances():
         sc = build_H(res_f, res_g, lift)
         les = les_check(sc)
         assert les["exact"], (seed, les["junctions"])
+
+
+def test_les_check_fails_when_the_lift_is_replaced_by_zero():
+    """The diagram is built from the lift, but les_check reads the lift
+    again for v. With the zero chain map in its place, v vanishes while
+    u and θ are unchanged, and the sequence breaks at degree 0 on both
+    sides of Ext^0(F,G)."""
+    _, ident, simple = canonical_morphisms()
+    rng = random.Random(9)
+    f = random_a2_module(rng)
+    g = random_a2_module(rng)
+    for f, g, alpha in (ident[1:], simple[1:], (f, g, random_module_map(f, g, rng))):
+        res_g = resolve(g)
+        res_f, lift = lift_morphism(alpha, f, g, res_g)
+        sc = build_H(res_f, res_g, lift)
+        assert les_check(sc)["exact"]
+        sc.lift = ChainMapM(lift.source, lift.target, {})
+        les = les_check(sc)
+        assert not les["exact"]
+        broken = [j for j in les["junctions"] if not all(
+            j[k] for k in ("at_total", "at_ext_pair", "at_ext_hom"))]
+        assert broken == [
+            {"degree": 0, "at_total": True, "at_ext_pair": False, "at_ext_hom": False}
+        ]
 
 
 def test_reports_on_morphisms_that_were_slow():
@@ -853,8 +888,7 @@ def test_end_bracket_table_matches_the_conversion_reference():
 
 
 def test_one_total_complex_per_diagram(monkeypatch):
-    """h_cohomology and les_check share the diagram's total complex; a
-    truncation of the diagram is another diagram and builds its own."""
+    """h_cohomology and les_check share the diagram's total complex."""
     built = []
     real = pipeline.total_complex
     monkeypatch.setattr(pipeline, "total_complex", lambda sc: built.append(sc) or real(sc))
@@ -867,6 +901,5 @@ def test_one_total_complex_per_diagram(monkeypatch):
     h = h_cohomology(sc)
     les_check(sc)
     assert len(built) == 2
-    low = sc.truncate(0)
-    assert h_cohomology(low) == real(low)[0].betti() != h
-    assert built[-1] is low
+    assert built[-1] is sc
+    assert h == real(sc)[0].betti()

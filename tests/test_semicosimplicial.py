@@ -654,13 +654,13 @@ def test_totdel_witness_condition_is_binding():
 def test_totdel_composition_is_associative():
     sc, A, rng = groupoid_setup(62)
     o = random_totdel_object(sc, A, rng)
-    a1 = random_elem(o.l.ctx, 0, rng, density=0.4)
+    a1 = random_elem(o.l.ctx, 0, rng)
     t1 = transported_target(sc, o, a1)
     f1 = totdel_mor_assemble(o, t1, a1)
-    a2 = random_elem(o.l.ctx, 0, rng, density=0.4)
+    a2 = random_elem(o.l.ctx, 0, rng)
     t2 = transported_target(sc, t1, a2)
     f2 = totdel_mor_assemble(t1, t2, a2)
-    a3 = random_elem(o.l.ctx, 0, rng, density=0.4)
+    a3 = random_elem(o.l.ctx, 0, rng)
     t3 = transported_target(sc, t2, a3)
     f3 = totdel_mor_assemble(t2, t3, a3)
     left = totdel_compose(f3, totdel_compose(f2, f1))
