@@ -2,7 +2,9 @@
 
 A Dgla is bounded with a finite basis in each degree: differentials are
 matrices, the bracket is a table of structure constants on basis pairs.
-Construction checks shapes and bracket targets only; Dgla.validate checks
+Construction checks shapes, and the bracket targets of a table given as a
+dict; a bracket given as a callable is tabulated, and its targets
+checked, when the table is first used. Dgla.validate checks
 graded antisymmetry, the Leibniz rule and the graded Jacobi identity
 exactly (full sweep for small algebras, seeded sample above a size
 threshold), and runs where input enters: the command line's validate and
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .artin import ArtinAlgebra
 from .forms import fkey_d, fkey_mul
@@ -54,7 +57,10 @@ class Dgla:
              with those keys; missing swapped pairs are filled in from
              graded antisymmetry
 
-    The constructor does not check the axioms; see validate.
+    The constructor does not check the axioms; see validate. A dict is
+    tabulated and its targets checked here; a callable is kept, and
+    tabulated and checked when the table is first used (_br), so a dgLa
+    whose brackets nothing reads never computes them.
     """
 
     def __init__(self, dims: dict, diffs: dict, bracket, label: str = ""):
@@ -72,33 +78,45 @@ class Dgla:
             if not m.is_zero():
                 self.diffs[int(d)] = m
         self._dcols: dict = {}
-        self._br: dict = {}
+        if callable(bracket):
+            self._bracket = bracket
+            return
+        br = self._br = {}
+        for (d1, i, d2, j), val in bracket.items():
+            val = _norm_bracket_value(val)
+            self._check_targets(d1 + d2, val)
+            if val:
+                br[(d1, i, d2, j)] = val
+        # fill missing orientation from graded antisymmetry
+        for (d1, i, d2, j), val in list(br.items()):
+            rev = (d2, j, d1, i)
+            if rev not in br and (d1, i) != (d2, j):
+                sign = -neg_one_pow(d1 * d2)
+                br[rev] = tuple((k, sign * c) for k, c in val)
+
+    @cached_property
+    def _br(self) -> dict:
+        """The non-zero structure constants {(d1, i, d2, j): ((k, c), ...)}
+        of a callable bracket: on first use the callable is asked for every
+        pair of basis elements whose degrees sum to a non-zero part of L,
+        then dropped, and the table stays as an instance attribute. Raises
+        DglaError if a bracket lands outside its target degree."""
+        br = {}
         pairs = [
             (d1, d2)
             for d1 in self.dims
             for d2 in self.dims
             if self.dim(d1 + d2) > 0
         ]
-        if callable(bracket):
-            for d1, d2 in pairs:
-                for i in range(self.dim(d1)):
-                    for j in range(self.dim(d2)):
-                        val = _norm_bracket_value(bracket(d1, i, d2, j) or ())
-                        self._check_targets(d1 + d2, val)
-                        if val:
-                            self._br[(d1, i, d2, j)] = val
-        else:
-            for (d1, i, d2, j), val in bracket.items():
-                val = _norm_bracket_value(val)
-                self._check_targets(d1 + d2, val)
-                if val:
-                    self._br[(d1, i, d2, j)] = val
-            # fill missing orientation from graded antisymmetry
-            for (d1, i, d2, j), val in list(self._br.items()):
-                rev = (d2, j, d1, i)
-                if rev not in self._br and (d1, i) != (d2, j):
-                    sign = -neg_one_pow(d1 * d2)
-                    self._br[rev] = tuple((k, sign * c) for k, c in val)
+        for d1, d2 in pairs:
+            for i in range(self.dim(d1)):
+                for j in range(self.dim(d2)):
+                    val = _norm_bracket_value(self._bracket(d1, i, d2, j) or ())
+                    self._check_targets(d1 + d2, val)
+                    if val:
+                        br[(d1, i, d2, j)] = val
+        self._bracket = None
+        return br
 
     def _check_targets(self, deg: int, val):
         n = self.dim(deg)
@@ -143,11 +161,17 @@ class Dgla:
             for i in range(self.dim(d)):
                 yield d, i
 
-    def complex(self) -> ChainComplexQ:
+    @cached_property
+    def _complex(self) -> ChainComplexQ:
         return ChainComplexQ(dict(self.dims), dict(self.diffs))
 
+    def complex(self) -> ChainComplexQ:
+        """The underlying complex, built on first use; every caller shares
+        it and the cohomology it has computed."""
+        return self._complex
+
     def cohomology(self, deg: int):
-        return self.complex().cohomology(deg)
+        return self._complex.cohomology(deg)
 
     def __repr__(self):
         dd = ", ".join(f"{d}:{n}" for d, n in sorted(self.dims.items()))

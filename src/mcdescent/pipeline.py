@@ -717,7 +717,9 @@ def end_dgla_of_complex(k: BddComplex, label: str = ""):
     So a∘b of two basis elements is one product, nonzero only when b's
     target block is a's source block, and maps b's source block i to
     i + p1 + p2. Each composite is computed once and serves both [a, b]
-    and [b, a]. The graded commutator of composition is a dgLa by
+    and [b, a]. The differential is built here; the bracket table only
+    when something first brackets (see Dgla), which a pipeline report
+    never does. The graded commutator of composition is a dgLa by
     construction; the tests run its axiom check."""
     cplx, book = hom_complex(k, k)
     elems = {}
@@ -764,9 +766,11 @@ def end_dgla_of_complex(k: BddComplex, label: str = ""):
 
 
 def sub_dgla_from_spans(g: Dgla, spans: dict, label: str = ""):
-    """The sub-dgLa spanned degreewise by the given coordinate vectors;
-    closure under d and bracket is solved for and asserted. Returns
-    (sub, inclusion DglaMap)."""
+    """The sub-dgLa spanned degreewise by the given coordinate vectors.
+    Returns (sub, inclusion DglaMap). Closure under d is solved for and
+    asserted here. Each bracket is solved for when the sub-dgLa's table
+    is first used (see Dgla), and a span not closed under the bracket
+    raises PipelineError then."""
     mats = {}
     solvers = {}
     dims = {}
@@ -969,6 +973,9 @@ def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> MorphismDi
     the lift; level 1 is End(S). Face 0 projects onto End(P_F) and
     End(P_G) and includes each as a diagonal block of End(S); face 1
     projects onto L and includes it; a zero level 2 closes the diagram.
+    Every dgLa here keeps its bracket as a callable and tabulates it on
+    first use: the reports read only dimensions, differentials and face
+    maps, so none of them computes a bracket.
     Nothing here is validated: the dgLa axioms, the faces and the coface
     identities hold by construction, and validate_sc checks them in the
     tests. Cover data (one open or two) enters only in h_cohomology."""

@@ -79,6 +79,24 @@ def test_derived_antisymmetry_fill():
     assert L.bracket_basis(1, 0, 0, 0) == ((0, Q(-1)),)
 
 
+def test_a_callable_bracket_is_tabulated_and_checked_at_first_use():
+    """A bracket that lands outside its target degree is refused: a
+    callable one at the first bracket, a dict one at construction."""
+    outside = {(0, 0, 0, 0): [(2, 1)]}
+    L = Dgla({0: 1}, {}, lambda *key: outside.get(key, ()))
+    assert "_br" not in vars(L)
+    with pytest.raises(DglaError, match="bracket lands on index 2"):
+        L.bracket_basis(0, 0, 0, 0)
+    with pytest.raises(DglaError, match="bracket lands on index 2"):
+        Dgla({0: 1}, {}, outside)
+
+
+def test_the_complex_of_a_dgla_is_built_once():
+    L = end_dgla(ChainComplexQ({0: 1, 1: 1}, {0: [[1]]}))[0]
+    assert L.complex() is L.complex()
+    assert L.cohomology(0) == L.complex().cohomology(0)
+
+
 def rand_elem(ctx, rng, total_deg, nterms=3, min_level=1):
     A = ctx.artin
     L = ctx.dgla

@@ -349,6 +349,35 @@ def test_the_dglas_of_a_morphism_diagram_pass_the_axiom_check(monkeypatch):
             dg.validate(mode="auto")
 
 
+def test_a_pipeline_report_tabulates_no_bracket(monkeypatch):
+    """A pipeline report reads dimensions, differentials and face maps
+    only, so no dgLa of the diagram tabulates its bracket: neither the
+    levels, nor the End dgLas of the two resolutions, nor the part L
+    preserving the graph, the third summand of level 0."""
+    built = []
+
+    def recording(name):
+        fn = getattr(pipeline, name)
+
+        def wrapped(*args):
+            out = fn(*args)
+            built.append(out)
+            return out
+        monkeypatch.setattr(pipeline, name, wrapped)
+
+    recording("sub_preserving_dgla")
+    recording("build_H")
+    for _, f, g, alpha in canonical_morphisms():
+        built.clear()
+        pipeline_report(f, g, alpha)
+        (l_g, *_), sc = built
+        dglas = (*sc.levels, *sc.ends, l_g)
+        assert all("_br" not in vars(dg) for dg in dglas)
+        # the table is still there for whoever brackets
+        sc.levels[0].bracket_basis(0, 0, 0, 0)
+        assert "_br" in vars(sc.levels[0])
+
+
 def test_hom_complex_into_a_module():
     # Hom(C, S2) with C = [P2 -> P1]: degree 0 is Hom(P1, S2) = e1 S2 = 0
     # and degree 1 is Hom(P2, S2) = e2 S2 = Q
@@ -386,12 +415,17 @@ def test_sub_dgla_from_spans_solves_and_rejects_unclosed_spans():
     assert sub.dim(0) == 2
     # [e + h, 2h] = -4e = -4(e + h) + 2(2h)
     assert sub.bracket_basis(0, 0, 0, 1) == ((0, Q(-4)), (1, Q(2)))
-    with pytest.raises(PipelineError, match="not closed"):
-        sub_dgla_from_spans(g, {0: [e, f]})
-    # [h, e + f] = 2e - 2f
-    with pytest.raises(PipelineError, match="not closed"):
-        sub_dgla_from_spans(g, {0: [(1, 0, 1), h]})
     assert incl.source is sub and incl.target is g
+    # the bracket is solved for when the table is first used, so an
+    # unclosed span is refused at the first bracket
+    # [e, f] = h
+    unclosed, _ = sub_dgla_from_spans(g, {0: [e, f]})
+    with pytest.raises(PipelineError, match="not closed"):
+        unclosed.bracket_basis(0, 0, 0, 1)
+    # [h, e + f] = 2e - 2f
+    unclosed, _ = sub_dgla_from_spans(g, {0: [(1, 0, 1), h]})
+    with pytest.raises(PipelineError, match="not closed"):
+        unclosed.bracket_basis(0, 0, 0, 1)
 
 
 def test_sub_preserving_everything_or_nothing_gives_full_end():
