@@ -53,7 +53,7 @@ from .mcgauge import (
     path_from_gauge,
     stabilizer_log,
 )
-from .pipeline import is_module_map, pipeline_report, report_markdown
+from .pipeline import is_module_map, pipeline_report
 from .sampling import (
     random_elem,
     random_mc,
@@ -690,15 +690,6 @@ def _md_item(lines: list, key: str, val, depth: int):
 
 
 def render_markdown(report: dict) -> str:
-    if report.get("schema") == "pipeline-report/1":
-        return report_markdown(report)
-    if report.get("schema") == "cli-pipeline/1":
-        head = [
-            f"# pipeline: {report.get('input', '')}",
-            f"- ok: {_md_scalar(report.get('ok'))}",
-            "",
-        ]
-        return "\n".join(head) + report_markdown(report["report"])
     title = report.get("command") or report.get("schema") or "report"
     lines = [f"# {title}"]
     for key, val in report.items():

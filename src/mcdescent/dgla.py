@@ -180,18 +180,6 @@ class Dgla:
 
     # --- validation ----------------------------------------------------
 
-    def _bracket_vec(self, d1: int, v1: Vec, d2: int, v2: Vec) -> Vec:
-        out = [ZERO] * self.dim(d1 + d2)
-        for i, a in enumerate(v1):
-            if not a:
-                continue
-            for j, b in enumerate(v2):
-                if not b:
-                    continue
-                for k, c in self.bracket_basis(d1, i, d2, j):
-                    out[k] += a * b * c
-        return tuple(out)
-
     def validate(self, mode: str = "full", seed: int = 0):
         """Check d^2 = 0, graded antisymmetry, Leibniz and Jacobi.
 

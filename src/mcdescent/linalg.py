@@ -47,10 +47,6 @@ class Mat:
     # --- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "Mat":
         m = cls(n, n)
         for i in range(n):

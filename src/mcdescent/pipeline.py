@@ -6,22 +6,25 @@ resolutions (`resolve`, the one resolution routine: each term is the
 projective cover ⊕ A·e_i of the top of the previous kernel, recorded by
 its vertex tuple), a lift of the morphism between the resolutions of
 source and target by the comparison theorem (one linear solve per
-degree, `factor_through`), the graph subcomplex and the dgLa of
-endomorphisms preserving it, the two-level diagram whose totalisation
-controls deformations of the morphism (`build_H`, a `MorphismDiagram`
-that carries the parts its checks read), and a long-exact-sequence
-checker (`les_check`) that ties its cohomology to Ext groups computed
-from the hom complex of a resolution, themselves checked against the
-Euler form of the quiver. Direct-sum maps come from one place: the
-coordinate inclusions that `complex_direct_sum` builds, whose
-transposes are the projections. Any two choices of resolutions and
-lift give quasi-isomorphic diagrams, so the reported cohomology does
-not depend on them; the minimal ones are the smallest.
+degree, `factor_through`), the dgLa L of the endomorphisms of S = P_F ⊕
+P_G preserving the graph of that lift (`graph_preserving_dgla`: L = u T
+u⁻¹, the block upper-triangular part T of End(S) conjugated by the chain
+automorphism u = 1 + inj_G∘lift∘inj_Fᵀ that takes P_F ⊕ 0 onto the
+graph, so no linear system is solved for it), the two-level diagram
+whose totalisation controls deformations of the morphism (`build_H`, a
+`MorphismDiagram` that carries the parts its checks read), and a
+long-exact-sequence checker (`les_check`) that ties its cohomology to
+Ext groups computed from the hom complex of a resolution, themselves
+checked against the Euler form of the quiver. Direct-sum maps come from
+one place: the coordinate inclusions that `complex_direct_sum` builds,
+whose transposes are the projections. Any two choices of resolutions and
+lift give quasi-isomorphic diagrams, so the reported cohomology does not
+depend on them; the minimal ones are the smallest.
 `test_reported_cohomology_does_not_depend_on_the_resolution` checks this
 against a non-minimal resolution of the target. One reported list does
 follow the choice: `les_junctions` has one entry per degree from one
-below the total complex's lowest degree to one above its highest, so
-its length follows the length of the resolutions. Its verdicts do not.
+below the total complex's lowest degree to one above its highest, so its
+length follows the length of the resolutions. Its verdicts do not.
 Everything is exact rational linear algebra.
 """
 
@@ -31,7 +34,7 @@ import functools
 import random
 
 from .dgla import Dgla, DglaMap, direct_sum
-from .linalg import ChainComplexQ, ChainMapQ, Mat, Subspace, cone, vec, vis_zero, vzero
+from .linalg import ChainComplexQ, ChainMapQ, Mat, Subspace, cone, vec, vzero
 from .ratio import ZERO, Q, rat
 from .semicosimplicial import ScDgla, total_complex
 
@@ -381,15 +384,10 @@ def kernel_module(m: FinMod, t: Mat):
     acts = []
     for i in range(m.alg.dim):
         img = m.acts[i] @ incl
-        a = Mat(k, k)
-        for c in range(k):
-            s = incl.solve(img.col(c))
-            if s is None:
-                raise PipelineError("kernel is not closed under the action")
-            for r, v in enumerate(s):
-                if v:
-                    a.set_entry(r, c, v)
-        acts.append(a)
+        sols = incl.solve_many([img.col(c) for c in range(k)])
+        if None in sols:
+            raise PipelineError("kernel is not closed under the action")
+        acts.append(Mat.from_cols(sols, rows=k))
     return FinMod(m.alg, k, acts), incl
 
 
@@ -579,7 +577,7 @@ def lift_morphism(alpha: Mat, fmod: FinMod, gmod: FinMod, res_g: Resolution):
     return res_f, ChainMapM(pf, pg, comps)
 
 
-# --- graph, direct sums, cones ---------------------------------------------------
+# --- direct sums ---------------------------------------------------------------
 
 
 def complex_direct_sum(k1: BddComplex, k2: BddComplex):
@@ -599,19 +597,6 @@ def complex_direct_sum(k1: BddComplex, k2: BddComplex):
             )
     total = BddComplex(k1.alg, mods, diffs)
     return total, ChainMapM(k1, total, i1c), ChainMapM(k2, total, i2c)
-
-
-def graph_complex(f: ChainMapM):
-    """The graph of a chain map, with its embedding into the direct sum
-    of source and target and the inclusions of source and target into
-    that sum. Returns (graph, embedding, inj_source, inj_target); the
-    graph has the source's terms and differentials, so the identity
-    matrices identify the two."""
-    k, m = f.source, f.target
-    ambient, i1, i2 = complex_direct_sum(k, m)
-    graph = BddComplex(k.alg, dict(k.mods), dict(k.diffs))
-    comps = {d: i1.comp(d).add(i2.comp(d) @ f.comp(d)) for d in k.mods}
-    return graph, ChainMapM(graph, ambient, comps), i1, i2
 
 
 # --- hom complexes and module-level endomorphism dgLas ----------------------------
@@ -765,114 +750,54 @@ def end_dgla_of_complex(k: BddComplex, label: str = ""):
     return g, book
 
 
-def sub_dgla_from_spans(g: Dgla, spans: dict, label: str = ""):
-    """The sub-dgLa spanned degreewise by the given coordinate vectors.
-    Returns (sub, inclusion DglaMap). Closure under d is solved for and
-    asserted here. Each bracket is solved for when the sub-dgLa's table
-    is first used (see Dgla), and a span not closed under the bracket
-    raises PipelineError then."""
-    mats = {}
-    solvers = {}
-    dims = {}
-    for d, vecs in spans.items():
-        if not vecs:
-            continue
-        mats[d] = Mat.from_cols(vecs, rows=g.dim(d))
-        dims[d] = len(vecs)
+def graph_preserving_dgla(lift: ChainMapM, end_s: Dgla, book_s: HomBook,
+                          inj_f: ChainMapM, inj_g: ChainMapM):
+    """The dgLa L of the endomorphisms of S = P_F ⊕ P_G that preserve the
+    graph Γ of the lift, with its inclusion into End(S) = end_s, whose
+    HomBook is book_s. Returns (L, inclusion).
 
-    def in_coords(d, v):
-        m = mats.get(d)
-        if m is None:
-            if vis_zero(v):
-                return ()
-            raise PipelineError("sub-dgla is not closed")
-        if d not in solvers:
-            solvers[d] = m.solver()
-        sol = solvers[d](v)
-        if sol is None:
-            raise PipelineError("sub-dgla is not closed")
-        return sol
-
+    With N = inj_G∘lift∘inj_Fᵀ, u = 1 + N is a chain automorphism of S,
+    because the lift is a chain map, with inverse 1 - N (N∘N = 0); it is
+    the identity on 0 ⊕ P_G and takes P_F ⊕ 0 onto Γ. So L = u T u⁻¹, with
+    T the endomorphisms preserving P_F ⊕ 0: those whose P_F -> P_G corner
+    vanishes. S's action is block diagonal, so the conditions on a module
+    map split corner by corner and every basis map of book_s lies in one
+    corner. T is thus spanned by the basis maps outside the P_F -> P_G
+    corner, its differential and bracket are End(S)'s restricted to them,
+    and L is T carried across by u: its dimensions, differential and
+    bracket are T's, and its inclusion sends t to u∘t∘u⁻¹."""
+    u, u_inv = {}, {}
+    for d in book_s.k.mods:
+        n = inj_g.comp(d) @ lift.comp(d) @ inj_f.comp(d).transpose()
+        one = Mat.identity(book_s.k.dim(d))
+        u[d], u_inv[d] = one.add(n), one.sub(n)
+    keep, mats = {}, {}
+    for p, blocks in book_s.blocks.items():
+        idx, cols = [], []
+        for i, solver in blocks:
+            off = book_s.offsets[(p, i)]
+            to_g, from_f = inj_g.comp(i + p).transpose(), inj_f.comp(i)
+            for j, b in enumerate(solver.basis):
+                if (to_g @ b @ from_f).is_zero():
+                    idx.append(off + j)
+                    cols.append(book_s.coords(p, {i: u[i + p] @ b @ u_inv[i]}))
+        if idx:
+            keep[p] = idx
+            mats[p] = Mat.from_cols(cols, rows=book_s.dim(p))
+    pos = {p: {k: t for t, k in enumerate(idx)} for p, idx in keep.items()}
     diffs = {}
-    for d in dims:
-        if dims.get(d + 1, 0) == 0:
-            img_ok = all(
-                vis_zero(g.diff(d).matvec(mats[d].col(j))) for j in range(dims[d])
-            )
-            if not img_ok:
-                raise PipelineError("sub-dgla is not closed under d")
-            continue
-        dm = Mat(dims[d + 1], dims[d])
-        for j in range(dims[d]):
-            co = in_coords(d + 1, g.diff(d).matvec(mats[d].col(j)))
-            for r, c in enumerate(co):
-                if c:
-                    dm.set_entry(r, j, c)
-        if not dm.is_zero():
-            diffs[d] = dm
+    for p, idx in keep.items():
+        rows, dm = keep.get(p + 1, ()), end_s.diff(p)._rows
+        diffs[p] = Mat(len(rows), len(idx), {
+            (r, pos[p][j]): x for r, k in enumerate(rows) for j, x in dm[k].items() if j in pos[p]
+        })
 
-    def brk(d1, i, d2, j):
-        v1 = mats[d1].col(i)
-        v2 = mats[d2].col(j)
-        w = g._bracket_vec(d1, v1, d2, v2)
-        if vis_zero(vec(w)):
-            return []
-        co = in_coords(d1 + d2, vec(w))
-        return [(t, c) for t, c in enumerate(co) if c]
+    def brk(p1, a, p2, b):
+        val = end_s.bracket_basis(p1, keep[p1][a], p2, keep[p2][b])
+        return [(pos[p1 + p2][k], c) for k, c in val]
 
-    sub = Dgla(dims, diffs, brk, label=label)
-    incl = DglaMap(sub, g, {d: mats[d] for d in dims})
-    return sub, incl
-
-
-def sub_preserving_dgla(emb: ChainMapM):
-    """The dgLa of endomorphisms of the ambient complex preserving the
-    image of a degreewise-injective chain embedding. Returns
-    (L, inclusion into End(ambient), end_of_ambient, its HomBook)."""
-    sub, amb = emb.source, emb.target
-    for d in sub.mods:
-        if emb.comp(d).rank() != sub.dim(d):
-            raise PipelineError("the embedding is not degreewise injective")
-    end_g, book = end_dgla_of_complex(amb, label="End(ambient)")
-    spans = {}
-    for p in sorted(book.dims):
-        n = book.dim(p)
-        rows = []
-        for i, solver in book.blocks[p]:
-            tgt = i + p
-            img = Subspace(
-                amb.dim(tgt),
-                [emb.comp(tgt).col(j) for j in range(sub.dim(tgt))]
-                if sub.dim(tgt)
-                else [],
-            )
-            ann = img.annihilator_matrix()
-            if ann.rows == 0 or sub.dim(i) == 0:
-                continue
-            off = book.offsets[(p, i)]
-            for rr in range(ann.rows):
-                for cc in range(sub.dim(i)):
-                    row = [Q(0)] * n
-                    nz = False
-                    for j, b in enumerate(solver.basis):
-                        val = Q(0)
-                        col = (b @ emb.comp(i)).col(cc)
-                        for t, a in enumerate(col):
-                            av = ann.entry(rr, t)
-                            if av and a:
-                                val += av * a
-                        if val:
-                            row[off + j] = val
-                            nz = True
-                    if nz:
-                        rows.append(tuple(row))
-        if rows:
-            m = Mat.from_rows(rows, cols=n)
-            spans[p] = m.kernel_basis()
-        else:
-            spans[p] = [_unit_vec(n, j) for j in range(n)]
-    sub_g, incl = sub_dgla_from_spans(end_g, spans, label="preserving")
-    return sub_g, incl, end_g, book
+    l_g = Dgla({p: len(idx) for p, idx in keep.items()}, diffs, brk, label="preserving")
+    return l_g, DglaMap(l_g, end_s, mats)
 
 
 # --- Ext oracle --------------------------------------------------------------------
@@ -938,6 +863,10 @@ class MorphismDiagram(ScDgla):
     - injs: the inclusions of P_F and P_G into their direct sum S;
     - book_s: the HomBook of End(S), which is level 1.
 
+    The third summand of level 0, L = u T u⁻¹ (graph_preserving_dgla),
+    is reached through face 1, which includes it into End(S) by
+    t -> u∘t∘u⁻¹.
+
     total() builds the total complex on first use, so the checks of one
     diagram share one complex and its cohomology."""
 
@@ -968,19 +897,23 @@ def _corner(book_s: HomBook, p: int, mats: dict, inj_out: ChainMapM, inj_in: Cha
 
 def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> MorphismDiagram:
     """The diagram controlling deformations of the morphism, [level 0,
-    level 1, 0]. Level 0 is End(P_F) ⊕ End(P_G) ⊕ L, with L the
-    endomorphisms of the direct sum S = P_F ⊕ P_G preserving the graph of
-    the lift; level 1 is End(S). Face 0 projects onto End(P_F) and
-    End(P_G) and includes each as a diagonal block of End(S); face 1
-    projects onto L and includes it; a zero level 2 closes the diagram.
+    level 1, 0]. Level 1 is End(S) of the direct sum S = P_F ⊕ P_G. Level
+    0 is End(P_F) ⊕ End(P_G) ⊕ L, with L the endomorphisms of S preserving
+    the graph Γ of the lift: L = u T u⁻¹, with T the block upper-triangular
+    part of End(S) (no P_F -> P_G corner) and u = 1 + inj_G∘lift∘inj_Fᵀ
+    the chain automorphism of S taking P_F ⊕ 0 onto Γ
+    (graph_preserving_dgla). Face 0 projects onto End(P_F) and End(P_G)
+    and includes each as a diagonal block of End(S); face 1 projects onto
+    L and includes it by t -> u∘t∘u⁻¹; a zero level 2 closes the diagram.
     Every dgLa here keeps its bracket as a callable and tabulates it on
     first use: the reports read only dimensions, differentials and face
     maps, so none of them computes a bracket.
     Nothing here is validated: the dgLa axioms, the faces and the coface
     identities hold by construction, and validate_sc checks them in the
     tests. Cover data (one open or two) enters only in h_cohomology."""
-    _, emb, inj_f, inj_g = graph_complex(lift)
-    l_g, l_incl, end_s, book_s = sub_preserving_dgla(emb)
+    s, inj_f, inj_g = complex_direct_sum(res_f.cx, res_g.cx)
+    end_s, book_s = end_dgla_of_complex(s, label="End(ambient)")
+    l_g, l_incl = graph_preserving_dgla(lift, end_s, book_s, inj_f, inj_g)
     end_f, book_f = end_dgla_of_complex(res_f.cx, label="End(source res)")
     end_g, book_g = end_dgla_of_complex(res_g.cx, label="End(target res)")
     level0, _, projs = direct_sum([end_f, end_g, l_g])
@@ -1183,47 +1116,6 @@ def pipeline_report(fmod: FinMod, gmod: FinMod, alpha: Mat, n_opens: int = 1) ->
         out["les_exact"] = les["exact"]
         out["les_junctions"] = les["junctions"]
     return out
-
-
-def report_markdown(report: dict) -> str:
-    lines = [
-        "# Morphism deformation report",
-        "",
-        f"- algebra: {report['algebra']}",
-        f"- source dim {report['source_dim']}, target dim {report['target_dim']},"
-        f" morphism rank {report['morphism_rank']}",
-        f"- tangent dim {report['tangent_dim']},"
-        f" obstruction dim {report['obstruction_dim']}",
-        "",
-        "| degree | H of totalisation |",
-        "|---|---|",
-    ]
-    for d, h in report["h_cohomology"].items():
-        lines.append(f"| {d} | {h} |")
-    lines += [
-        "",
-        "| pair | Ext dims |",
-        "|---|---|",
-        f"| source, source | {report['ext']['FF']} |",
-        f"| target, target | {report['ext']['GG']} |",
-        f"| source, target | {report['ext']['FG']} |",
-        "",
-    ]
-    if "les_exact" in report:
-        lines.append(
-            "long exact sequence: "
-            + ("exact at every junction" if report["les_exact"] else "NOT exact")
-        )
-        lines.append("")
-    lines.append(
-        "Ext via endomorphism complexes matches the oracle: "
-        + ("yes" if report["end_matches_ext"] else "NO")
-    )
-    lines.append(
-        "Ext matches the Euler form: "
-        + ("yes" if report["ext_matches_euler_form"] else "NO")
-    )
-    return "\n".join(lines) + "\n"
 
 
 # --- canonical and random instances --------------------------------------------------------

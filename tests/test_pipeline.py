@@ -7,8 +7,8 @@ import random
 import pytest
 
 from mcdescent import pipeline
+from mcdescent.cli import render_markdown
 from mcdescent.descent import check_hypothesis
-from mcdescent.dgla import sl2
 from mcdescent.linalg import Mat, Subspace
 from mcdescent.pipeline import (
     BddComplex,
@@ -28,7 +28,7 @@ from mcdescent.pipeline import (
     euler_form,
     ext_bruteforce,
     ext_matches_euler_form,
-    graph_complex,
+    graph_preserving_dgla,
     h_cohomology,
     hom_basis,
     hom_complex,
@@ -43,10 +43,7 @@ from mcdescent.pipeline import (
     proj_module,
     random_a2_module,
     random_module_map,
-    report_markdown,
     resolve,
-    sub_dgla_from_spans,
-    sub_preserving_dgla,
     zero_module,
 )
 from mcdescent.ratio import Q
@@ -298,15 +295,14 @@ def test_end_dgla_validates_in_full():
 
 
 def test_the_dglas_of_a_morphism_diagram_pass_the_axiom_check(monkeypatch):
-    """The pipeline report builds its resolutions, lift, graph and diagram
-    without checking them. Recorded as pipeline_report builds them, each
-    passes its check: the five resolutions
+    """The pipeline report builds its resolutions, lift, direct sum and
+    diagram without checking them. Recorded as pipeline_report builds
+    them, each passes its check: the five resolutions
     (two for the diagram, three for the Ext oracle) and their complexes,
-    the lift with its augmented square, the direct sum and the graph
-    embedding and inclusions, the diagram with its faces and coface
-    identities, the inclusion of the graph-preserving part, and the End
-    dgLas."""
-    built = {"resolve": [], "lift": [], "graph": [], "L": [], "H": []}
+    the lift with its augmented square, the direct sum S and its
+    inclusions, the diagram with its faces and coface identities, the
+    graph-preserving part L and its inclusion, and the End dgLas."""
+    built = {"resolve": [], "lift": [], "sum": [], "L": [], "H": []}
 
     def recording(name, fn, key):
         def wrapped(*args):
@@ -317,8 +313,8 @@ def test_the_dglas_of_a_morphism_diagram_pass_the_axiom_check(monkeypatch):
 
     recording("resolve", pipeline.resolve, "resolve")
     recording("lift_morphism", pipeline.lift_morphism, "lift")
-    recording("graph_complex", pipeline.graph_complex, "graph")
-    recording("sub_preserving_dgla", pipeline.sub_preserving_dgla, "L")
+    recording("complex_direct_sum", pipeline.complex_direct_sum, "sum")
+    recording("graph_preserving_dgla", pipeline.graph_preserving_dgla, "L")
     recording("build_H", pipeline.build_H, "H")
     instances = [(f, g, alpha) for _, f, g, alpha in canonical_morphisms()]
     for seed in (2, 9):
@@ -337,11 +333,11 @@ def test_the_dglas_of_a_morphism_diagram_pass_the_axiom_check(monkeypatch):
         (((_, _, _, res_g), (res_f, lift)),) = built["lift"]
         lift.check()
         assert (res_g.aug @ lift.comp(0)) == (alpha @ res_f.aug)
-        ((_, (_, emb, inj_f, inj_g)),) = built["graph"]
-        emb.target.check()
-        for m in (emb, inj_f, inj_g):
+        ((_, (s, inj_f, inj_g)),) = built["sum"]
+        s.check()
+        for m in (inj_f, inj_g):
             m.check()
-        ((_, (l_g, l_incl, _, _)),) = built["L"]
+        ((_, (l_g, l_incl)),) = built["L"]
         ((_, sc),) = built["H"]
         assert validate_sc(sc) == {"ok": True, "violations": []}
         l_incl.validate()
@@ -365,12 +361,12 @@ def test_a_pipeline_report_tabulates_no_bracket(monkeypatch):
             return out
         monkeypatch.setattr(pipeline, name, wrapped)
 
-    recording("sub_preserving_dgla")
+    recording("graph_preserving_dgla")
     recording("build_H")
     for _, f, g, alpha in canonical_morphisms():
         built.clear()
         pipeline_report(f, g, alpha)
-        (l_g, *_), sc = built
+        (l_g, _), sc = built
         dglas = (*sc.levels, *sc.ends, l_g)
         assert all("_br" not in vars(dg) for dg in dglas)
         # the table is still there for whoever brackets
@@ -390,52 +386,28 @@ def test_hom_complex_into_a_module():
     assert cplx.cohomology(1)[0] == 1
 
 
-def test_graph_of_zero_and_identity_maps():
-    mods = a2_modules()
-    r = resolve(mods["S1"])
-    zero = ChainMapM(r.cx, r.cx, {})
-    g, emb, inj_f, inj_g = graph_complex(zero)
-    for m in (emb.target, emb, inj_f, inj_g):
-        m.check()
-    assert g.underlying().betti() == r.cx.underlying().betti()
-    for d in g.mods:
-        assert emb.comp(d).rank() == g.dim(d)
-    ident = ChainMapM.identity(r.cx)
-    g2, emb2, *_ = graph_complex(ident)
-    emb2.check()
-    for d in g2.mods:
-        assert emb2.comp(d).rank() == g2.dim(d)
-
-
-def test_sub_dgla_from_spans_solves_and_rejects_unclosed_spans():
-    g = sl2()  # basis e, h, f
-    e, h, f = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    # the Borel span {e, h} written in a non-standard basis
-    sub, incl = sub_dgla_from_spans(g, {0: [(1, 1, 0), (0, 2, 0)]})
-    assert sub.dim(0) == 2
-    # [e + h, 2h] = -4e = -4(e + h) + 2(2h)
-    assert sub.bracket_basis(0, 0, 0, 1) == ((0, Q(-4)), (1, Q(2)))
-    assert incl.source is sub and incl.target is g
-    # the bracket is solved for when the table is first used, so an
-    # unclosed span is refused at the first bracket
-    # [e, f] = h
-    unclosed, _ = sub_dgla_from_spans(g, {0: [e, f]})
-    with pytest.raises(PipelineError, match="not closed"):
-        unclosed.bracket_basis(0, 0, 0, 1)
-    # [h, e + f] = 2e - 2f
-    unclosed, _ = sub_dgla_from_spans(g, {0: [(1, 0, 1), h]})
-    with pytest.raises(PipelineError, match="not closed"):
-        unclosed.bracket_basis(0, 0, 0, 1)
+def _graph_parts(lift):
+    """What build_H builds around the lift: the direct sum S of source
+    and target with its inclusions, End(S) with its HomBook, and the part
+    L preserving the graph with its inclusion. Returns (L, inclusion,
+    End(S), HomBook, inj_f, inj_g)."""
+    s, inj_f, inj_g = complex_direct_sum(lift.source, lift.target)
+    end_s, book_s = end_dgla_of_complex(s)
+    l_g, incl = graph_preserving_dgla(lift, end_s, book_s, inj_f, inj_g)
+    return l_g, incl, end_s, book_s, inj_f, inj_g
 
 
 def test_sub_preserving_everything_or_nothing_gives_full_end():
-    mods = a2_modules()
-    r = resolve(mods["S1"])
+    """The graph of the map out of the zero complex is 0 and the graph of
+    the map into it is all of S: either way every endomorphism preserves
+    it, so L is End(S) and its inclusion is the identity."""
+    r = resolve(a2_modules()["S1"])
     zerocx = BddComplex(r.cx.alg, {}, {})
-    l0, _, end0, _ = sub_preserving_dgla(ChainMapM(zerocx, r.cx, {}))
-    assert dict(l0.dims) == dict(end0.dims)
-    l1, _, end1, _ = sub_preserving_dgla(ChainMapM.identity(r.cx))
-    assert dict(l1.dims) == dict(end1.dims)
+    for lift in (ChainMapM(zerocx, r.cx, {}), ChainMapM(r.cx, zerocx, {})):
+        l_g, incl, end_s, *_ = _graph_parts(lift)
+        assert dict(l_g.dims) == dict(end_s.dims) == {0: 2, 1: 1}
+        for p in end_s.dims:
+            assert incl.mat(p) == Mat.identity(end_s.dim(p))
 
 
 def test_sub_preserving_a_graph_cuts_dimensions():
@@ -453,8 +425,7 @@ def test_sub_preserving_a_graph_cuts_dimensions():
     s1 = a2_modules()["S1"]
     res_g = resolve(s1)
     res_f, lift = lift_morphism(Mat.identity(1), s1, s1, res_g)
-    graph, emb, *_ = graph_complex(lift)
-    l_g, incl, end_amb, _ = sub_preserving_dgla(emb)
+    l_g, incl, end_amb, *_ = _graph_parts(lift)
     assert dict(sorted(end_amb.dims.items())) == {0: 8, 1: 4}
     assert dict(sorted(l_g.dims.items())) == {0: 6, 1: 3}
     # the inclusion is a map of dgLas; spot-check the chain property once
@@ -570,7 +541,7 @@ def test_morphism_diagram_shape_and_hypothesis():
         sc = build_H(res_f, res_g, lift)
         assert sc.top == 2
         assert sc.levels[2].total_dim == 0
-        l_g = sub_preserving_dgla(graph_complex(lift)[1])[0]
+        l_g = _graph_parts(lift)[0]
         expected = sum(g.total_dim for g in sc.ends) + l_g.total_dim
         assert sc.levels[0].total_dim == expected
         hyp = check_hypothesis(sc)
@@ -586,7 +557,7 @@ def test_faces_see_the_pair_and_the_graph_part(monkeypatch):
         monkeypatch.setattr(pipeline, name, lambda *a: built.setdefault(name, real(*a)))
 
     recording("direct_sum")
-    recording("sub_preserving_dgla")
+    recording("graph_preserving_dgla")
     mods = a2_modules()
     p1, s2 = mods["P1"], mods["S2"]
     alpha = hom_basis(s2, p1)[0]
@@ -595,7 +566,7 @@ def test_faces_see_the_pair_and_the_graph_part(monkeypatch):
     sc = build_H(res_f, res_g, lift)
     face0, face1 = sc.face(1, 0), sc.face(1, 1)
     _, injs, _ = built["direct_sum"]
-    l_incl = built["sub_preserving_dgla"][1]
+    l_incl = built["graph_preserving_dgla"][1]
     for p in sc.levels[0].dims:
         # the block-diagonal face ignores the graph-preserving summand
         assert (face0.mat(p) @ injs[2].mat(p)).is_zero()
@@ -737,10 +708,11 @@ def test_pipeline_report_fields_and_consistency():
     assert rep["ext_matches_euler_form"] is True
     assert rep["tangent_dim"] == rep["h_cohomology"].get("1", 0)
     assert rep["obstruction_dim"] == rep["h_cohomology"].get("2", 0)
-    md = report_markdown(rep)
-    assert "exact at every junction" in md
-    assert "Ext matches the Euler form: yes" in md
-    assert "| source, target | [1] |" in md
+    md = render_markdown(rep)
+    for verdict in ("les_exact", "end_matches_ext", "ext_matches_euler_form"):
+        assert f"\n- {verdict}: yes\n" in md
+    assert md.count("at_total: yes; at_ext_pair: yes; at_ext_hom: yes") == len(rep["les_junctions"])
+    assert "\n  - FG: [1]\n" in md
 
 
 def test_pipeline_report_is_deterministic():
@@ -748,7 +720,7 @@ def test_pipeline_report_is_deterministic():
     a = pipeline_report(mods["S1"], mods["S1"], Mat(1, 1))
     b = pipeline_report(mods["S1"], mods["S1"], Mat(1, 1))
     assert a == b
-    assert report_markdown(a) == report_markdown(b)
+    assert render_markdown(a) == render_markdown(b)
 
 
 def test_tangent_dimension_is_the_first_cohomology():
@@ -815,16 +787,21 @@ def _instances():
 
 
 @functools.cache
+def _instance_graphs():
+    """For each of _instances(): the lift between the two resolutions
+    and _graph_parts of it."""
+    out = []
+    for f, g, alpha in _instances():
+        _, lift = lift_morphism(alpha, f, g, resolve(g))
+        out.append((lift, _graph_parts(lift)))
+    return out
+
+
 def _instance_complexes():
     """For each of _instances(): the resolutions of source and target and
     their direct sum, the complexes whose endomorphism dgLas build_H
     builds."""
-    out = []
-    for f, g, alpha in _instances():
-        res_g = resolve(g)
-        res_f, _ = lift_morphism(alpha, f, g, res_g)
-        out.append((res_f.cx, res_g.cx, complex_direct_sum(res_f.cx, res_g.cx)[0]))
-    return out
+    return [(lift.source, lift.target, inj_f.target) for lift, (*_, inj_f, _) in _instance_graphs()]
 
 
 def _flat(t):
@@ -839,6 +816,80 @@ def _rebased(m, rng):
         inv = p.inverse()
         if inv is not None:
             return FinMod(m.alg, m.dim, [inv @ a @ p for a in m.acts])
+
+
+def _graph_defect(lift, inj_f, inj_g, book_s, p, v):
+    """How far the degree-p endomorphism v (coordinates in book_s) of
+    S = P_F ⊕ P_G is from preserving the graph Γ of the lift: on each
+    block i, φ_i sends (x, lift·x) to some (y, z), which lies in Γ exactly
+    when z = lift·y. Returns the entries of every z - lift·y, all zero
+    exactly when v preserves Γ."""
+    mats = book_s.to_mats(p, v)
+    out = []
+    for i, _ in book_s.blocks.get(p, ()):
+        phi = mats.get(i, Mat(book_s.m.dim(i + p), book_s.k.dim(i)))
+        w = phi @ inj_f.comp(i).add(inj_g.comp(i) @ lift.comp(i))
+        y, z = inj_f.comp(i + p).transpose() @ w, inj_g.comp(i + p).transpose() @ w
+        out += _flat(z.sub(lift.comp(i + p) @ y))
+    return out
+
+
+def test_every_basis_map_of_end_s_lies_in_one_corner():
+    """graph_preserving_dgla reads T off the basis of End(S), as the basis
+    maps without a P_F -> P_G corner. That is all of T because each basis
+    map lies in exactly one of the four corners: checked on the canonical
+    morphisms and the random_a2_module seeds 0-24."""
+    counts = [0, 0, 0, 0]
+    for _, (_, _, _, book_s, inj_f, inj_g) in _instance_graphs():
+        for p, blocks in book_s.blocks.items():
+            for i, solver in blocks:
+                for b in solver.basis:
+                    nonzero = [
+                        not (out.comp(i + p).transpose() @ b @ into.comp(i)).is_zero()
+                        for out in (inj_f, inj_g) for into in (inj_f, inj_g)
+                    ]
+                    assert sum(nonzero) == 1
+                    counts[nonzero.index(True)] += 1
+    # every corner, the P_F -> P_G one (third) included, occurs
+    assert all(counts), counts
+
+
+def test_l_is_exactly_the_endomorphisms_preserving_the_graph():
+    """Every image under L's inclusion maps the graph of the lift into
+    itself, and the inclusion has full rank, equal to the dimension of
+    all such endomorphisms: the kernel of the graph defect over the whole
+    basis of End(S)."""
+    for lift, (l_g, incl, end_s, book_s, inj_f, inj_g) in _instance_graphs():
+        for p in end_s.dims:
+            n = end_s.dim(p)
+            defects = [
+                _graph_defect(lift, inj_f, inj_g, book_s, p, [Q(int(t == k)) for t in range(n)])
+                for k in range(n)
+            ]
+            oracle = Mat.from_cols(defects, rows=len(defects[0]))
+            for j in range(l_g.dim(p)):
+                assert not any(_graph_defect(lift, inj_f, inj_g, book_s, p, incl.mat(p).col(j)))
+            assert incl.mat(p).rank() == l_g.dim(p) == n - oracle.rank()
+
+
+def test_dropping_u_breaks_the_graph_check():
+    """With the zero chain map in place of the lift, u = 1 and
+    graph_preserving_dgla includes T itself. For a nonzero lift some image
+    then leaves the graph (the projection onto P_F ⊕ 0 lies in T and sends
+    (x, lift·x) to (x, 0)), so the graph check can fail; for a zero lift
+    T is L."""
+    nonzero = 0
+    for lift, (l_g, _, end_s, book_s, inj_f, inj_g) in _instance_graphs():
+        zero = ChainMapM(lift.source, lift.target, {})
+        t_g, t_incl = graph_preserving_dgla(zero, end_s, book_s, inj_f, inj_g)
+        assert t_g.dims == l_g.dims
+        leaves = any(
+            any(_graph_defect(lift, inj_f, inj_g, book_s, p, t_incl.mat(p).col(j)))
+            for p in t_g.dims for j in range(t_g.dim(p))
+        )
+        assert leaves == bool(lift.comps)
+        nonzero += leaves
+    assert nonzero >= 10, nonzero
 
 
 def test_hom_coords_match_an_elimination_on_every_block():
