@@ -446,7 +446,7 @@ def pi0_compare_square_zero(sc: ScDgla, artin: ArtinAlgebra) -> dict:
     ]
     if sc.top >= 2:
         g2 = sc.levels[2]
-        img = Subspace.from_vectors(
+        img = Subspace(
             g2.dim(0), [g2.complex().diff(-1).col(j) for j in range(g2.dim(-1))]
         )
         ann = img.annihilator_matrix()
@@ -456,7 +456,7 @@ def pi0_compare_square_zero(sc: ScDgla, artin: ArtinAlgebra) -> dict:
         rows.append([None, ann @ cocycle_faces])
     eqn = _stack(rows)
     solutions = eqn.kernel_basis()
-    sol_space = Subspace.from_vectors(n_l + n_m, solutions)
+    sol_space = Subspace(n_l + n_m, solutions)
 
     face_diff_0 = sc.face(1, 1).mat(0).sub(sc.face(1, 0).mat(0))
     action = _stack(
@@ -465,9 +465,7 @@ def pi0_compare_square_zero(sc: ScDgla, artin: ArtinAlgebra) -> dict:
             [face_diff_0, d1.diff(-1)],
         ]
     )
-    act_space = Subspace.from_vectors(
-        n_l + n_m, [action.col(j) for j in range(action.cols)]
-    )
+    act_space = Subspace(n_l + n_m, [action.col(j) for j in range(action.cols)])
     if not sol_space.contains_space(act_space):
         raise DescentError("internal inconsistency: the action leaves the solutions")
     del_pi0 = (sol_space.dim - act_space.dim) * k

@@ -342,20 +342,17 @@ class Mat:
         return solve
 
     def inverse(self):
-        """Exact inverse, or None when the matrix is not invertible."""
+        """Exact inverse, or None when the matrix is not invertible.
+
+        A square A is invertible exactly when every A x = e_i is solvable,
+        and then the solutions are the columns of the inverse; all of them
+        come from one solve_many on the columns of the identity."""
         if self.rows != self.cols:
             return None
-        aug = self.hstack(Mat.identity(self.rows))
-        R, pivots = aug.rref()
-        if pivots != list(range(self.rows)):
+        cols = self.solve_many(Mat.identity(self.rows).to_rows())
+        if any(c is None for c in cols):
             return None
-        inv = Mat(self.rows, self.rows)
-        for i in range(self.rows):
-            for j in range(self.rows):
-                v = R.entry(i, self.rows + j)
-                if v:
-                    inv.set_entry(i, j, v)
-        return inv
+        return Mat.from_cols(cols, rows=self.rows)
 
 
 def _clear(row: dict, col: int, prow: dict):
@@ -377,43 +374,31 @@ def _clear(row: dict, col: int, prow: dict):
 
 
 class Subspace:
-    """Subspace of Q^n with a canonical (RREF) basis."""
+    """Subspace of Q^n, held by its canonical basis: the nonzero rows of
+    the RREF of any spanning set. The RREF is unique, so two subspaces are
+    equal exactly when their canonical bases are; vectors lie in the
+    subspace exactly when adding them to the basis leaves the rank at
+    dim."""
 
     __slots__ = ("ambient", "basis")
 
-    def __init__(self, ambient: int, basis_rows=None):
+    def __init__(self, ambient: int, basis_rows=()):
         self.ambient = ambient
-        if not basis_rows:
-            self.basis = []
-        else:
-            R, pivots = Mat.from_rows(basis_rows, cols=ambient).rref()
-            self.basis = [R.row(i) for i in range(len(pivots))]
-
-    @classmethod
-    def from_vectors(cls, ambient: int, vectors) -> "Subspace":
-        return cls(ambient, list(vectors))
+        R, pivots = Mat.from_rows(basis_rows, cols=ambient).rref()
+        self.basis = [R.row(i) for i in range(len(pivots))]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, v: Vec) -> bool:
-        if vis_zero(v):
-            return True
-        if not self.basis:
-            return False
-        m = Mat.from_rows(self.basis, cols=self.ambient).transpose()
-        return m.solve(tuple(rat(x) for x in v)) is not None
+        return Mat.from_rows(self.basis + [v], cols=self.ambient).rank() == self.dim
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(b) for b in other.basis)
+        return Mat.from_rows(self.basis + other.basis, cols=self.ambient).rank() == self.dim
 
     def eq(self, other: "Subspace") -> bool:
-        return (
-            self.ambient == other.ambient
-            and self.dim == other.dim
-            and self.contains_space(other)
-        )
+        return self.ambient == other.ambient and self.basis == other.basis
 
     def annihilator_matrix(self) -> Mat:
         """Matrix whose kernel is exactly this subspace."""
@@ -492,9 +477,11 @@ class ChainComplexQ:
         on the first call; later calls return a fresh list of the same
         representatives.
 
-        Representatives are deterministic: the canonical kernel basis is
-        reduced against the coboundary space, keeping the vectors that
-        extend its RREF basis (first-come order).
+        Representatives are deterministic: they are the canonical kernel
+        basis vectors that are pivot columns of the RREF of [coboundary
+        basis | kernel basis]. A column is a pivot exactly when it lies
+        outside the span of the columns before it, so these are the
+        cocycles that, taken in order, extend the coboundaries (first-come).
         """
         got = self._coh.get(deg)
         if got is None:
@@ -504,22 +491,11 @@ class ChainComplexQ:
     def _cohomology(self, deg: int) -> tuple[int, list[Vec]]:
         cyc = self.cocycles(deg)
         bnd = self.coboundaries(deg)
-        if not cyc:
-            return 0, []
-        n = self.dim(deg)
         hdim = len(cyc) - len(bnd)
         if hdim == 0:
             return 0, []
-        reps = []
-        space = Subspace(n, bnd)
-        for z in cyc:
-            grown = Subspace(n, list(space.basis) + [z])
-            if grown.dim > space.dim:
-                reps.append(z)
-                space = grown
-            if len(reps) == hdim:
-                break
-        return hdim, reps
+        pivots = Mat.from_cols(bnd + cyc, rows=self.dim(deg)).rref()[1]
+        return hdim, [cyc[p - len(bnd)] for p in pivots if p >= len(bnd)]
 
     def betti(self) -> dict:
         out = {}

@@ -258,37 +258,33 @@ def is_module_map(m1: FinMod, m2: FinMod, t: Mat) -> bool:
 
 def hom_basis(m1: FinMod, m2: FinMod):
     """Basis of the space of module maps, as matrices: the kernel basis
-    (Mat.kernel_basis) of the linear conditions on the row-major entries.
-    So each basis map has a free entry, its last nonzero entry in
-    row-major order, where it is 1 and every other basis map is 0;
+    (Mat.kernel_basis) of the linear conditions T a = b T on the row-major
+    entries, one sparse row per (action, row, column) whose condition is
+    not empty. So each basis map has a free entry, its last nonzero entry
+    in row-major order, where it is 1 and every other basis map is 0;
     HomSolver reads coordinates off these entries."""
     if m1.dim == 0 or m2.dim == 0:
         return []
-    nunk = m2.dim * m1.dim
+    n1, n2 = m1.dim, m2.dim
     rows = []
     for i in range(m1.alg.dim):
-        a, b = m1.acts[i], m2.acts[i]
+        acols, brows = m1.acts[i].columns(), m2.acts[i]._rows
         # (T a - b T)[r, c] = sum_k T[r,k] a[k,c] - b[r,k] T[k,c]
-        for r in range(m2.dim):
-            for c in range(m1.dim):
-                row = [Q(0)] * nunk
-                for k in range(m1.dim):
-                    v = a.entry(k, c)
-                    if v:
-                        row[r * m1.dim + k] += v
-                for k in range(m2.dim):
-                    v = b.entry(r, k)
-                    if v:
-                        row[k * m1.dim + c] -= v
-                if any(row):
-                    rows.append(tuple(row))
-    if not rows:
-        return [
-            _unflatten(v, m2.dim, m1.dim)
-            for v in Mat(0, nunk).kernel_basis()
-        ]
-    m = Mat.from_rows(rows, cols=nunk)
-    return [_unflatten(v, m2.dim, m1.dim) for v in m.kernel_basis()]
+        for r in range(n2):
+            for c in range(n1):
+                row = {r * n1 + k: v for k, v in acols[c]}
+                for k, v in brows[r].items():
+                    j = k * n1 + c
+                    w = row.get(j, ZERO) - v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                if row:
+                    rows.append(row)
+    m = Mat(len(rows), n2 * n1)
+    m._rows = rows
+    return [_unflatten(v, n2, n1) for v in m.kernel_basis()]
 
 
 class HomSolver:
@@ -1000,8 +996,8 @@ def _exact(incoming: Mat, outgoing: Mat) -> bool:
     n = incoming.rows
     if not n:
         return True
-    im = Subspace.from_vectors(n, [incoming.col(j) for j in range(incoming.cols)])
-    return im.eq(Subspace.from_vectors(n, outgoing.kernel_basis()))
+    im = Subspace(n, [incoming.col(j) for j in range(incoming.cols)])
+    return im.eq(Subspace(n, outgoing.kernel_basis()))
 
 
 def les_check(sc: MorphismDiagram) -> dict:

@@ -279,15 +279,114 @@ def test_matmul_transpose_random():
 
 
 def test_subspace_ops():
-    s = Subspace.from_vectors(3, [vec([1, 0, 1]), vec([2, 0, 2]), vec([0, 1, 0])])
+    s = Subspace(3, [vec([1, 0, 1]), vec([2, 0, 2]), vec([0, 1, 0])])
     assert s.dim == 2
     assert s.contains(vec([3, -1, 3]))
     assert not s.contains(vec([0, 0, 1]))
-    t = Subspace.from_vectors(3, [vec([1, 0, 1])])
+    t = Subspace(3, [vec([1, 0, 1])])
     assert s.contains_space(t)
     ann = t.annihilator_matrix()
     assert ann.matvec(vec([1, 0, 1])) == vzero(ann.rows)
     assert len(ann.kernel_basis()) == 1
+
+
+def dense_rank(vectors):
+    return len(dense_rref([list(v) for v in vectors])[1])
+
+
+def rand_span(rng, n, k):
+    """k vectors of Q^n, about half of them combinations of the others."""
+    out = []
+    for _ in range(k):
+        if out and rng.random() < 0.5:
+            v = vzero(n)
+            for u in out:
+                c = Q(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+                v = tuple(a + c * b for a, b in zip(v, u))
+            out.append(v)
+        else:
+            out.append(vec(Q(rng.randint(-3, 3), rng.choice([1, 1, 2])) for _ in range(n)))
+    return out
+
+
+def test_subspace_eq_compares_spans():
+    rng = random.Random(43)
+    same = differ = 0
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        gens = rand_span(rng, n, rng.randint(0, 4))
+        s = Subspace(n, gens)
+        # another generating set of the same span: each generator plus a
+        # combination of the others, a multiple of one and a zero vector
+        others = []
+        for i, g in enumerate(gens):
+            v = g
+            for j, u in enumerate(gens):
+                if j != i:
+                    c = rng.randint(-1, 1)
+                    v = tuple(a + c * b for a, b in zip(v, u))
+            others.append(v)
+        if dense_rank(others) == dense_rank(gens):
+            others += [tuple(2 * a for a in v) for v in others[:1]] + [vzero(n)]
+            rng.shuffle(others)
+            assert Subspace(n, others).eq(s) and s.eq(Subspace(n, others))
+            same += 1
+        other = rand_span(rng, n, s.dim + rng.randint(0, 1))
+        if dense_rank(other) == s.dim:
+            spans_differ = dense_rank(gens + other) > s.dim
+            assert Subspace(n, other).eq(s) is not spans_differ
+            differ += spans_differ
+        assert not s.eq(Subspace(n + 1, [tuple(g) + (Q(0),) for g in gens]))
+    assert not Subspace(2).eq(Subspace(3))
+    assert same > 40 and differ > 10
+
+
+def test_contains_agrees_with_dense_rank():
+    rng = random.Random(47)
+    inside = outside = 0
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        gens = rand_span(rng, n, rng.randint(0, 4))
+        s = Subspace(n, gens)
+        for kind in range(6):
+            probe = rand_span(rng, n, rng.randint(1, 3))
+            if kind % 2:
+                # combinations of the generators, inside the span, and for
+                # kind 3 and 5 one vector in the last coordinate, so that
+                # the probe's canonical basis can start inside the span
+                probe = [
+                    vec(sum((c * g[i] for c, g in zip(cs, gens)), Q(0)) for i in range(n))
+                    for cs in ([rng.randint(-2, 2) for _ in gens] for _ in probe)
+                ]
+                if kind > 1:
+                    probe.append(vec([0] * (n - 1) + [rng.randint(1, 3)]))
+            want = dense_rank(gens + probe) == dense_rank(gens)
+            assert s.contains_space(Subspace(n, probe)) is want
+            for v in probe:
+                got = s.contains(v)
+                assert got is (dense_rank(gens + [v]) == dense_rank(gens))
+                inside += got
+                outside += not got
+    assert inside > 100 and outside > 100
+
+
+def test_inverse_is_none_exactly_when_singular():
+    rng = random.Random(53)
+    inverted = singular = 0
+    for _ in range(80):
+        n = rng.randint(0, 6)
+        rank = None if rng.random() < 0.6 else rng.randint(0, max(0, n - 1))
+        a = rand_rational_mat(rng, n, n, rank)
+        inv = a.inverse()
+        if dense_rank(a.to_rows()) < n:
+            assert inv is None
+            singular += 1
+        else:
+            assert a @ inv == Mat.identity(n) == inv @ a
+            inverted += 1
+        for r, c in ((n, n + 1), (n + 1, n)):
+            assert rand_rational_mat(rng, r, c).inverse() is None
+    assert inverted > 20 and singular > 20
 
 
 def naive_cohomology_dim(cx, deg):
@@ -368,6 +467,26 @@ def test_cohomology_vs_rank_nullity():
             assert len(reps) == h
             for z in reps:
                 assert vis_zero(cx.diff(d).matvec(z))
+
+
+def test_cohomology_representatives_are_the_first_come_cocycles():
+    """The representatives are the canonical cocycles that, taken in
+    order, each enlarge the span of the coboundaries and the cocycles
+    kept before them; the loop below is that rule with a dense rank."""
+    rng = random.Random(37)
+    skipped = 0
+    for _ in range(120):
+        cx = rand_complex(rng, max_dim=4)
+        for d in range(min(cx.dims, default=0) - 1, max(cx.dims, default=0) + 2):
+            cyc, space = cx.cocycles(d), cx.coboundaries(d)
+            want = []
+            for z in cyc:
+                if dense_rank(space + [z]) > dense_rank(space):
+                    want.append(z)
+                    space = space + [z]
+            assert cx.cohomology(d) == (len(want), want)
+            skipped += bool(want) and want != cyc[: len(want)]
+    assert skipped > 10
 
 
 def test_cohomology_euler():

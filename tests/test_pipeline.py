@@ -165,6 +165,47 @@ def test_hom_spaces_of_the_four_indecomposables():
         assert is_module_map(p2, p1, t)
 
 
+def _dense_hom_basis(m1, m2):
+    """The hom basis as first written: one dense condition row per
+    (action, row, column), zero rows dropped, and the kernel basis of the
+    matrix they make. The RREF is unique, so any assembly of the same
+    conditions gives the same basis."""
+    if m1.dim == 0 or m2.dim == 0:
+        return []
+    nunk = m2.dim * m1.dim
+    rows = []
+    for i in range(m1.alg.dim):
+        a, b = m1.acts[i].to_rows(), m2.acts[i].to_rows()
+        for r in range(m2.dim):
+            for c in range(m1.dim):
+                row = [Q(0)] * nunk
+                for k in range(m1.dim):
+                    row[r * m1.dim + k] += a[k][c]
+                for k in range(m2.dim):
+                    row[k * m1.dim + c] -= b[r][k]
+                if any(row):
+                    rows.append(row)
+    return [
+        Mat.from_rows([v[r * m1.dim:(r + 1) * m1.dim] for r in range(m2.dim)])
+        for v in Mat.from_rows(rows, cols=nunk).kernel_basis()
+    ]
+
+
+def test_hom_basis_equals_the_dense_construction():
+    mods = [m for k, m in a2_modules().items() if k not in ("alg", "S2")]
+    pairs = [(m, n) for m in mods for n in mods]
+    for seed in range(30):
+        rng = random.Random(seed)
+        f, g = random_a2_module(rng), random_a2_module(rng)
+        pairs += [(f, g), (g, f), (f, f)]
+    nonzero = 0
+    for m, n in pairs:
+        got = hom_basis(m, n)
+        assert got == _dense_hom_basis(m, n), (m.label, n.label)
+        nonzero += bool(got)
+    assert nonzero > 60
+
+
 def test_projective_modules_of_the_vertices():
     alg = a2_algebra()
     mods = a2_modules()
@@ -258,6 +299,70 @@ def test_ext_oracle_golden_values():
     assert ext_bruteforce(p1, s1) == [1]
     assert ext_bruteforce(s1, p1) == [0, 0]
     assert ext_bruteforce(p2, p1) == [1]
+
+
+@functools.cache
+def _kronecker_algebra():
+    """Path algebra of the Kronecker quiver 1 ⇉ 2 on the basis (e1, e2,
+    x, y), laid out like a2_algebra: x = e2 x e1 and y = e2 y e1 span
+    the radical."""
+    e1, e2, x, y, z = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)
+    mul = [
+        [e1, z, z, z],
+        [z, e2, x, y],
+        [x, z, z, z],
+        [y, z, z, z],
+    ]
+    return FinAlg(mul, (1, 1, 0, 0), (0, 1), (2, 3), label="Kronecker")
+
+
+def _line_bundle(n):
+    """O(n), n >= 0, on P¹ under Beilinson's equivalence with the tilting
+    bundle O ⊕ O(1): the representation Q^n ⇉ Q^(n+1) with x = [I; 0] and
+    y = [0; I]."""
+    d = 2 * n + 1
+    acts = [Mat(d, d) for _ in range(4)]
+    for r in range(n):
+        acts[0].set_entry(r, r, 1)
+    for r in range(n + 1):
+        acts[1].set_entry(n + r, n + r, 1)
+    for c in range(n):
+        acts[2].set_entry(n + c, c, 1)
+        acts[3].set_entry(n + c + 1, c, 1)
+    return FinMod(_kronecker_algebra(), d, acts, label=f"O({n})")
+
+
+def _line_bundle_sum(*ns):
+    out = _line_bundle(ns[0])
+    for n in ns[1:]:
+        out = module_direct_sum(out, _line_bundle(n))[0]
+    return out
+
+
+def test_kronecker_ext_is_line_bundle_cohomology():
+    """Ext^i(O(a), O(b)) = H^i(P¹, O(b - a)), with h⁰(O(k)) = max(0, k + 1)
+    and h¹(O(k)) = max(0, -k - 1)."""
+    _kronecker_algebra().check()
+    for a in range(4):
+        _line_bundle(a).check()
+        for b in range(4):
+            k = b - a
+            ext = ext_bruteforce(_line_bundle(a), _line_bundle(b))
+            assert (ext + [0, 0])[:2] == [max(0, k + 1), max(0, -k - 1)], (a, b)
+            assert not any(ext[2:])
+
+
+def test_kronecker_line_bundle_morphisms_pass_every_check():
+    """Seeded random maps O(1) ⊕ O(3) -> O(2) ⊕ O(4) and O(2) ⊕ O(4) ->
+    O(3) ⊕ O(5) (modules of dimension 10 -> 14 and 14 -> 18)."""
+    for src, tgt in (((1, 3), (2, 4)), ((2, 4), (3, 5))):
+        f, g = _line_bundle_sum(*src), _line_bundle_sum(*tgt)
+        alpha = random_module_map(f, g, random.Random(0))
+        assert not alpha.is_zero()
+        rep = pipeline_report(f, g, alpha)
+        assert rep["end_matches_ext"] is True, (src, tgt)
+        assert rep["ext_matches_euler_form"] is True, (src, tgt)
+        assert rep["les_exact"] is True, (src, tgt)
 
 
 def test_ext_vanishes_beyond_degree_one():
