@@ -2,16 +2,20 @@
 
 Everything here is desk scale: small rational complexes, their
 endomorphism dgLas, and synthetic covers whose Cech diagrams exercise
-the totalisation and descent machinery. The builders are deterministic
-(seeded) so frozen test values stay valid.
+the totalisation and descent machinery. End of a complex is End over the
+ground field, end_dgla_of_complex(vector_complex(cx)) from pipeline, and
+a chain automorphism acts on it by conjugation through its HomBook. The
+builders are deterministic (seeded) so frozen test values stay valid.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
-from .dgla import Dgla, DglaMap, abelian_dgla, end_dgla, sl2
+from .dgla import Dgla, DglaMap, abelian_dgla, sl2
 from .linalg import ChainComplexQ, Mat
+from .pipeline import end_dgla_of_complex, vector_complex
 from .ratio import Q
 from .semicosimplicial import CoverModel, ScDgla, cech_from_cover, constant_sc
 
@@ -41,7 +45,7 @@ def sc_constant_sl2(top: int = 3) -> ScDgla:
 
 def sc_constant_end(top: int = 3) -> ScDgla:
     """Constant diagram on the endomorphism dgLa of the two-step complex."""
-    g, _ = end_dgla(two_step_complex(), label="end two-step")
+    g, _ = end_dgla_of_complex(vector_complex(two_step_complex()), label="end two-step")
     return constant_sc(g, top, label="constant end")
 
 
@@ -92,8 +96,6 @@ def cover_identity(g: Dgla, n_opens: int) -> CoverModel:
     sections = {}
     restrictions = {}
     for size in range(1, n_opens + 1):
-        from itertools import combinations
-
         for T in combinations(range(n_opens), size):
             sections[T] = g
             if size > 1:
@@ -104,7 +106,7 @@ def cover_identity(g: Dgla, n_opens: int) -> CoverModel:
 
 def sc_cech_identity(g: Dgla | None = None, n_opens: int = 3) -> ScDgla:
     if g is None:
-        g, _ = end_dgla(two_step_complex(), label="end two-step")
+        g, _ = end_dgla_of_complex(vector_complex(two_step_complex()), label="end two-step")
     return cech_from_cover(cover_identity(g, n_opens))
 
 
@@ -174,11 +176,9 @@ def random_chain_auto(cx: ChainComplexQ, rng: random.Random) -> dict:
     h = {}
     for d in degs:
         rows, cols = cx.dim(d - 1), cx.dim(d)
-        m = Mat(rows, cols)
-        for r in range(rows):
-            for c in range(cols):
-                m.set_entry(r, c, Q(rng.randint(-2, 2)))
-        h[d] = m
+        h[d] = Mat.from_rows(
+            [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)], cols=cols
+        )
     scale = Q(1)
     for _ in range(8):
         phi = {}
@@ -201,33 +201,6 @@ def random_chain_auto(cx: ChainComplexQ, rng: random.Random) -> dict:
     return {d: Mat.identity(cx.dim(d)) for d in degs}
 
 
-def conjugation_map(g: Dgla, eb, cx: ChainComplexQ, phi: dict) -> DglaMap:
-    """The dgLa automorphism of an endomorphism dgLa given by conjugating
-    with an invertible chain automorphism of the underlying complex."""
-    phiinv = {d: m.inverse() for d, m in phi.items()}
-    mats = {}
-    for p in g.degrees():
-        n = g.dim(p)
-        m = Mat(n, n)
-        for col in range(n):
-            i, r, c = eb.unit(p, col)
-            left = phi.get(i + p)
-            right = phiinv.get(i)
-            if left is None or right is None:
-                continue
-            for r2 in range(left.rows):
-                lv = left.entry(r2, r)
-                if not lv:
-                    continue
-                for c2 in range(right.cols):
-                    rv = right.entry(c, c2)
-                    if rv:
-                        row = eb.index(i, p, r2, c2)
-                        m.set_entry(row, col, m.entry(row, col) + lv * rv)
-        mats[p] = m
-    return DglaMap(g, g, mats)
-
-
 def cover_conjugated(
     cx: ChainComplexQ | None = None, n_opens: int = 3, seed: int = 0
 ) -> CoverModel:
@@ -235,11 +208,22 @@ def cover_conjugated(
     complex, but each tuple of opens is twisted by its own random chain
     automorphism; restrictions are the comparison conjugations, which
     commute on the nose."""
-    from itertools import combinations
-
     if cx is None:
         cx = two_step_complex()
-    g, eb = end_dgla(cx, label="end")
+    g, book = end_dgla_of_complex(vector_complex(cx), label="end")
+
+    def conjugation(phi: dict) -> DglaMap:
+        # t -> φ∘t∘φ⁻¹, one column per basis map t of the HomBook
+        inv = {d: m.inverse() for d, m in phi.items()}
+        return DglaMap(g, g, {
+            p: Mat.from_cols([
+                book.coords(p, {i: phi[i + p] @ b @ inv[i]})
+                for i, solver in blocks
+                for b in solver.basis
+            ], rows=g.dim(p))
+            for p, blocks in book.blocks.items()
+        })
+
     rng = random.Random(seed)
     autos = {}
     for size in range(1, n_opens + 1):
@@ -253,11 +237,9 @@ def cover_conjugated(
             if size > 1:
                 for k in range(size):
                     S = T[:k] + T[k + 1 :]
-                    comp = {
-                        d: autos[T][d] @ autos[S][d].inverse()
-                        for d in autos[T]
-                    }
-                    restrictions[(S, T)] = conjugation_map(g, eb, cx, comp)
+                    restrictions[(S, T)] = conjugation(
+                        {d: autos[T][d] @ autos[S][d].inverse() for d in autos[T]}
+                    )
     return CoverModel(n_opens, sections, restrictions)
 
 

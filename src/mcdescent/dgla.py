@@ -17,6 +17,11 @@ quotient (or nothing), the form slot a polynomial-forms algebra in named
 variables (or nothing). Total degree = Lie degree + number of differentials
 in the mask; the coefficient ring is inert degree 0.
 
+The examples here are abelian dgLas and sl2. Endomorphism dgLas come from
+one place, pipeline.end_dgla_of_complex, for complexes of modules; End of a
+complex of rational vector spaces is End over the ground field,
+end_dgla_of_complex(vector_complex(cx)).
+
 Sign conventions (Lie factor first):
     d(l (x) w)          = dl (x) w + (-1)^{|l|} l (x) dw
     [l (x) w, l' (x) w'] = (-1)^{|w| |l'|} [l, l'] (x) (w ^ w')
@@ -776,98 +781,6 @@ def direct_sum(parts: list) -> tuple:
 
 def abelian_dgla(dims: dict, diffs: dict | None = None, label: str = "") -> Dgla:
     return Dgla(dims, diffs or {}, lambda *a: (), label=label or "abelian")
-
-
-class EndBasis:
-    """Bookkeeping for the endomorphism dgLa of a bounded complex: in each
-    degree p the basis is the matrix units of Hom(C^i, C^{i+p}) over all i."""
-
-    def __init__(self, cx: ChainComplexQ):
-        self.cx = cx
-        self.by_deg: dict = {}
-        self.lookup: dict = {}
-        for p in range(
-            min(cx.dims, default=0) - max(cx.dims, default=0),
-            max(cx.dims, default=0) - min(cx.dims, default=0) + 1,
-        ):
-            units = []
-            for i in sorted(cx.dims):
-                if cx.dim(i) and cx.dim(i + p):
-                    for r in range(cx.dim(i + p)):
-                        for c in range(cx.dim(i)):
-                            self.lookup[(i, p, r, c)] = (p, len(units))
-                            units.append((i, r, c))
-            if units:
-                self.by_deg[p] = units
-
-    def dims(self) -> dict:
-        return {p: len(u) for p, u in self.by_deg.items()}
-
-    def unit(self, deg: int, idx: int):
-        """(source degree, row, col) of a basis endomorphism."""
-        return self.by_deg[deg][idx]
-
-    def index(self, i: int, p: int, r: int, c: int):
-        got = self.lookup.get((i, p, r, c))
-        return got[1] if got else None
-
-
-def end_dgla(cx: ChainComplexQ, label: str = "") -> tuple:
-    """Endomorphism dgLa of a bounded complex: degree-p part Hom(C, C[p]),
-    differential phi -> d phi - (-1)^p phi d, bracket the graded commutator.
-    Returns (Dgla, EndBasis)."""
-    eb = EndBasis(cx)
-    dims = eb.dims()
-
-    def compose(p1, i1, r1, c1, p2, i2, r2, c2):
-        # unit1 . unit2 as a basis unit of degree p1 + p2, or None
-        if i2 + p2 != i1 or c1 != r2:
-            return None
-        return (i2, p1 + p2, r1, c2)
-
-    diffs = {}
-    for p, units in eb.by_deg.items():
-        rows = len(eb.by_deg.get(p + 1, ()))
-        if rows == 0:
-            continue
-        m = Mat(rows, len(units))
-        for j, (i, r, c) in enumerate(units):
-            dm = cx.diff(i + p)
-            for rr in range(dm.rows):
-                v = dm.entry(rr, r)
-                if v:
-                    idx = eb.index(i, p + 1, rr, c)
-                    if idx is not None:
-                        m.set_entry(idx, j, m.entry(idx, j) + v)
-            dm2 = cx.diff(i - 1)
-            sgn = -neg_one_pow(p)
-            for cc in range(dm2.cols):
-                v = dm2.entry(c, cc)
-                if v:
-                    idx = eb.index(i - 1, p + 1, r, cc)
-                    if idx is not None:
-                        m.set_entry(idx, j, m.entry(idx, j) + sgn * v)
-        if not m.is_zero():
-            diffs[p] = m
-
-    def brk(p1, a, p2, b):
-        i1, r1, c1 = eb.unit(p1, a)
-        i2, r2, c2 = eb.unit(p2, b)
-        out: dict = {}
-        comp = compose(p1, i1, r1, c1, p2, i2, r2, c2)
-        if comp is not None:
-            idx = eb.index(comp[0], comp[1], comp[2], comp[3])
-            if idx is not None:
-                out[idx] = out.get(idx, 0) + 1
-        comp = compose(p2, i2, r2, c2, p1, i1, r1, c1)
-        if comp is not None:
-            idx = eb.index(comp[0], comp[1], comp[2], comp[3])
-            if idx is not None:
-                out[idx] = out.get(idx, 0) - neg_one_pow(p1 * p2)
-        return [(k, v) for k, v in out.items() if v]
-
-    L = Dgla(dims, diffs, brk, label=label or "end")
-    return L, eb
 
 
 def sl2() -> Dgla:

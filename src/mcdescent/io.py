@@ -237,7 +237,7 @@ def sc_from_json(obj, where: str = "$") -> ScDgla:
 
 
 def _module_from_json(obj, where: str):
-    from .pipeline import a2_module
+    from .pipeline import a2_algebra, representation
 
     obj = _require_dict(obj, where)
     dims = obj.get("dims")
@@ -249,7 +249,7 @@ def _module_from_json(obj, where: str):
         raise InputError("dims must be a pair of nonnegative ints", f"{where}.dims")
     d1, d2 = dims
     arrow = mat_from_json(obj.get("arrow", []), d2, d1, f"{where}.arrow")
-    return a2_module(d1, d2, arrow)
+    return representation(a2_algebra(), (d1, d2), [arrow])
 
 
 def pipeline_from_json(obj, where: str = "$") -> dict:
@@ -315,9 +315,12 @@ def _builtin_factories() -> dict:
         two_step_complex,
         zero_dgla,
     )
-    from .dgla import end_dgla, sl2
-    from .pipeline import canonical_morphisms
+    from .dgla import sl2
+    from .pipeline import canonical_morphisms, end_dgla_of_complex, vector_complex
     from .semicosimplicial import cech_from_cover
+
+    def end_of(cx, label):
+        return end_dgla_of_complex(vector_complex(cx), label)[0]
 
     def pipeline_entry(idx):
         def make():
@@ -335,8 +338,8 @@ def _builtin_factories() -> dict:
 
     return {
         "sl2": ("dgla", sl2),
-        "end-two-step": ("dgla", lambda: end_dgla(two_step_complex(), "end-two-step")[0]),
-        "end-acyclic": ("dgla", lambda: end_dgla(acyclic_complex(), "end-acyclic")[0]),
+        "end-two-step": ("dgla", lambda: end_of(two_step_complex(), "end-two-step")),
+        "end-acyclic": ("dgla", lambda: end_of(acyclic_complex(), "end-acyclic")),
         "zero": ("dgla", zero_dgla),
         "sc-sl2": ("sc", lambda: sc_constant_sl2(3)),
         "sc-end": ("sc", lambda: sc_constant_end(3)),

@@ -1,5 +1,12 @@
 """Deformations of a morphism of modules, end to end at desk scale.
 
+The algebras come from one builder, path_algebra (a2_algebra and the
+ground field, field_algebra, are its instances), and modules given as
+quiver representations from one builder, representation. End of a
+complex of rational vector spaces is End over the ground field:
+end_dgla_of_complex(vector_complex(cx)), the builder the pipeline uses
+for complexes of modules.
+
 The chain: finite-dimensional basic algebras that know their vertex
 idempotents and radical, modules over them, minimal projective
 resolutions (`resolve`, the one resolution routine: each term is the
@@ -145,19 +152,38 @@ class FinAlg:
                 raise PipelineError(f"basis element {b} is not a path between two vertices")
 
 
+def path_algebra(vertices: int, arrows, label: str = "") -> FinAlg:
+    """The algebra of the quiver with the given number of vertices and
+    arrows (s, t), one per arrow s -> t, on the basis of the vertex
+    idempotents in vertex order, then the arrows in the given order. The
+    products are e_v·e_v = e_v and e_t·a = a = a·e_s for an arrow a: s ->
+    t; every other product of basis elements is 0. The arrows span the
+    radical.
+
+    This is the path algebra exactly when no arrow ends where another
+    starts, so that every path has length at most 1: the field Q (one
+    vertex, no arrow), A2 (0 -> 1) and the Kronecker quiver (0 ⇉ 1)."""
+    n = vertices + len(arrows)
+    ends = [(v, v) for v in range(vertices)] + [tuple(a) for a in arrows]
+    mul = [[vzero(n)] * n for _ in range(n)]
+    for b, (s, t) in enumerate(ends):
+        mul[t][b] = mul[b][s] = _unit_vec(n, b)
+    unit = [int(b < vertices) for b in range(n)]
+    return FinAlg(mul, unit, range(vertices), range(vertices, n), label=label)
+
+
 @functools.cache
 def a2_algebra():
-    """Path algebra of the quiver 1 -> 2, on the basis (first
-    idempotent, second idempotent, arrow). The arrow a = e2 a e1 spans
-    the radical. Built once; every A2 module shares it."""
-    e1, e2, a = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    z = (0, 0, 0)
-    mul = [
-        [e1, z, z],  # e1*e1, e1*e2, e1*a
-        [z, e2, a],  # e2*e1, e2*e2, e2*a
-        [a, z, z],  # a*e1,  a*e2,  a*a
-    ]
-    return FinAlg(mul, (1, 1, 0), (0, 1), (2,), label="A2")
+    """The path algebra of the quiver 0 -> 1, on the basis (e_0, e_1,
+    arrow). Built once; every A2 module shares it."""
+    return path_algebra(2, ((0, 1),), "A2")
+
+
+@functools.cache
+def field_algebra():
+    """The ground field Q, the path algebra of one vertex and no arrow.
+    Built once; every complex of vector_complex shares it."""
+    return path_algebra(1, (), "Q")
 
 
 # --- modules ------------------------------------------------------------------
@@ -202,6 +228,26 @@ def zero_module(alg: FinAlg) -> FinMod:
     return FinMod(alg, 0, [Mat(0, 0)] * alg.dim, label="0")
 
 
+def representation(alg: FinAlg, dims, arrow_mats) -> FinMod:
+    """The module over a path_algebra given by a quiver representation:
+    the space of vertex v has dimension dims[v], and the vertex spaces
+    are stacked in vertex order. e_v acts as the identity on its own
+    block; the arrow s -> t acts by its dims[t] x dims[s] matrix, from
+    block s into block t."""
+    offs = [sum(dims[:v]) for v in range(len(dims))]
+    n = sum(dims)
+    acts = [Mat(n, n) for _ in range(alg.dim)]
+    for v, e in enumerate(alg.idempotents):
+        for r in range(dims[v]):
+            acts[e].set_entry(offs[v] + r, offs[v] + r, Q(1))
+    for a, m in zip(alg.radical, arrow_mats):
+        s, t = alg.ends[a]
+        for r, row in enumerate(m._rows):
+            for c, x in row.items():
+                acts[a].set_entry(offs[t] + r, offs[s] + c, x)
+    return FinMod(alg, n, acts, label=f"rep({','.join(map(str, dims))})")
+
+
 def proj_module(alg: FinAlg, verts) -> FinMod:
     """The projective ⊕ A·e_i over the vertex tuple, one summand per
     entry; A·e_i has the basis of the paths starting at vertex i."""
@@ -221,33 +267,17 @@ def proj_module(alg: FinAlg, verts) -> FinMod:
 
 def module_direct_sum(m1: FinMod, m2: FinMod):
     """Returns (sum, inj1, inj2, proj1, proj2)."""
-    n = m1.dim + m2.dim
-    acts = []
-    for i in range(m1.alg.dim):
-        m = Mat(n, n)
-        for r in range(m1.dim):
-            for c in range(m1.dim):
-                v = m1.acts[i].entry(r, c)
-                if v:
-                    m.set_entry(r, c, v)
-        for r in range(m2.dim):
-            for c in range(m2.dim):
-                v = m2.acts[i].entry(r, c)
-                if v:
-                    m.set_entry(m1.dim + r, m1.dim + c, v)
-        acts.append(m)
-    out = FinMod(m1.alg, n, acts)
-    i1 = Mat(n, m1.dim)
-    i2 = Mat(n, m2.dim)
-    p1 = Mat(m1.dim, n)
-    p2 = Mat(m2.dim, n)
-    for r in range(m1.dim):
-        i1.set_entry(r, r, Q(1))
-        p1.set_entry(r, r, Q(1))
-    for r in range(m2.dim):
-        i2.set_entry(m1.dim + r, r, Q(1))
-        p2.set_entry(r, m1.dim + r, Q(1))
-    return out, i1, i2, p1, p2
+    n1, n = m1.dim, m1.dim + m2.dim
+
+    def block(m: Mat, off: int) -> dict:
+        return {
+            (off + r, off + c): v for r, row in enumerate(m._rows) for c, v in sorted(row.items())
+        }
+
+    acts = [Mat(n, n, {**block(a, 0), **block(b, n1)}) for a, b in zip(m1.acts, m2.acts)]
+    i1 = Mat(n, n1, {(r, r): 1 for r in range(n1)})
+    i2 = Mat(n, m2.dim, {(n1 + r, r): 1 for r in range(m2.dim)})
+    return FinMod(m1.alg, n, acts), i1, i2, i1.transpose(), i2.transpose()
 
 
 def is_module_map(m1: FinMod, m2: FinMod, t: Mat) -> bool:
@@ -391,7 +421,7 @@ def kernel_module(m: FinMod, t: Mat):
 
 
 class BddComplex:
-    """Bounded complex of modules in nonpositive degrees.
+    """Bounded complex of modules.
 
     mods: {deg: FinMod}; diffs: {deg: Mat for d taking deg to deg+1}.
     verts: {deg: vertex tuple} for a term that is the projective
@@ -427,9 +457,6 @@ class BddComplex:
         return m if m is not None else Mat(self.dim(d + 1), self.dim(d))
 
     def check(self):
-        lo, hi = self.deg_range()
-        if self.mods and hi > 0:
-            raise PipelineError("complex must live in nonpositive degrees")
         for d in self.mods:
             dm = self.diff(d)
             if dm.rows != self.dim(d + 1) or dm.cols != self.dim(d):
@@ -445,6 +472,18 @@ class BddComplex:
 
 def module_as_complex(m: FinMod) -> BddComplex:
     return BddComplex(m.alg, {0: m}, {})
+
+
+def vector_complex(cx: ChainComplexQ) -> BddComplex:
+    """A complex of rational vector spaces as a complex of modules over
+    field_algebra(): the free module Q^n in each degree, with cx's
+    differentials. Over Q, hom_basis returns the matrix units in
+    row-major order, so end_dgla_of_complex(vector_complex(cx)) is End of
+    cx on the basis of its matrix units, block by block in the order of
+    the source degree."""
+    alg = field_algebra()
+    mods = {d: FinMod(alg, n, [Mat.identity(n)]) for d, n in cx.dims.items()}
+    return BddComplex(alg, mods, cx.diffs)
 
 
 class ChainMapM:
@@ -480,9 +519,6 @@ class ChainMapM:
             if lhs != rhs:
                 raise PipelineError(f"square at degree {d} does not commute")
 
-    @classmethod
-    def identity(cls, k: BddComplex) -> "ChainMapM":
-        return cls(k, k, {d: Mat.identity(k.dim(d)) for d in k.mods})
 
 # --- resolutions ---------------------------------------------------------------
 
@@ -498,6 +534,8 @@ class Resolution:
         self.aug = aug
 
     def check(self):
+        if self.cx.deg_range()[1] > 0:
+            raise PipelineError("complex must live in nonpositive degrees")
         if self.aug.rows != self.module.dim or self.aug.cols != self.cx.dim(0):
             raise PipelineError("augmentation has the wrong shape")
         if self.module.dim and not is_module_map(
@@ -1121,35 +1159,14 @@ def a2_modules() -> dict:
     """The four indecomposables of the two-vertex quiver: both
     projectives, both simples (the second simple is projective)."""
     alg = a2_algebra()
-    p1 = FinMod(
-        alg,
-        2,
-        [Mat.from_rows([[1, 0], [0, 0]]), Mat.from_rows([[0, 0], [0, 1]]), Mat.from_rows([[0, 0], [1, 0]])],
-        label="P1",
-    )
-    p2 = FinMod(alg, 1, [Mat.from_rows([[0]]), Mat.from_rows([[1]]), Mat.from_rows([[0]])], label="P2")
-    s1 = FinMod(alg, 1, [Mat.from_rows([[1]]), Mat.from_rows([[0]]), Mat.from_rows([[0]])], label="S1")
-    return {"alg": alg, "P1": p1, "P2": p2, "S1": s1, "S2": p2}
-
-
-def a2_module(d1: int, d2: int, arrow: Mat) -> FinMod:
-    """Representation of the quiver with spaces of the two dimensions
-    and the given arrow matrix (d2 x d1)."""
-    alg = a2_algebra()
-    n = d1 + d2
-    e1 = Mat(n, n)
-    for r in range(d1):
-        e1.set_entry(r, r, Q(1))
-    e2 = Mat(n, n)
-    for r in range(d2):
-        e2.set_entry(d1 + r, d1 + r, Q(1))
-    a = Mat(n, n)
-    for r in range(d2):
-        for c in range(d1):
-            v = arrow.entry(r, c)
-            if v:
-                a.set_entry(d1 + r, c, v)
-    return FinMod(alg, n, [e1, e2, a], label=f"rep({d1},{d2})")
+    mods = {
+        "P1": representation(alg, (1, 1), [Mat.identity(1)]),
+        "P2": representation(alg, (0, 1), [Mat(1, 0)]),
+        "S1": representation(alg, (1, 0), [Mat(0, 1)]),
+    }
+    for name, m in mods.items():
+        m.label = name
+    return {"alg": alg, **mods, "S2": mods["P2"]}
 
 
 def random_a2_module(rng: random.Random, dmax: int = 2) -> FinMod:
@@ -1157,11 +1174,8 @@ def random_a2_module(rng: random.Random, dmax: int = 2) -> FinMod:
     d2 = rng.randrange(0, dmax + 1)
     if d1 + d2 == 0:
         d1 = 1
-    arrow = Mat(d2, d1)
-    for r in range(d2):
-        for c in range(d1):
-            arrow.set_entry(r, c, Q(rng.randrange(-2, 3)))
-    return a2_module(d1, d2, arrow)
+    arrow = Mat.from_rows([[rng.randrange(-2, 3) for _ in range(d1)] for _ in range(d2)], cols=d1)
+    return representation(a2_algebra(), (d1, d2), [arrow])
 
 
 def random_module_map(m1: FinMod, m2: FinMod, rng: random.Random) -> Mat:

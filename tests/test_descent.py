@@ -33,7 +33,7 @@ from mcdescent.descent import (
     totdel_base_change,
     tw_lift,
 )
-from mcdescent.dgla import DglaMap, TensorCtx, direct_sum, end_dgla
+from mcdescent.dgla import DglaMap, TensorCtx, direct_sum
 from mcdescent.io import builtin_input_names, load_builtin, sc_from_json, sc_to_json
 from mcdescent.mcgauge import (
     bch,
@@ -44,6 +44,7 @@ from mcdescent.mcgauge import (
     morphism_equal,
     stabilizer_log,
 )
+from mcdescent.pipeline import end_dgla_of_complex, vector_complex
 from mcdescent.ratio import Q
 from mcdescent.sampling import (
     random_elem,
@@ -178,7 +179,7 @@ def test_phi1_roundtrip_is_the_identity():
 def test_phi1_on_zero_path_gives_identity_gluing():
     # a base point with matching faces and the zero path descends to the
     # identity morphism glue
-    g, _ = end_dgla(two_step_complex(), label="end two-step")
+    g, _ = end_dgla_of_complex(vector_complex(two_step_complex()), label="end two-step")
     sc = sc_cech_identity(g, n_opens=3).truncate(2)
     A = truncated_poly(3)
     rng = random.Random(2)
@@ -282,7 +283,7 @@ def test_full_lift_of_inessential_self_morphism_has_equal_endpoints():
     from mcdescent.builders import acyclic_complex
     from mcdescent.semicosimplicial import TotDelMorphism, totdel_mor_verify
 
-    g, _ = end_dgla(acyclic_complex(), label="end acyclic")
+    g, _ = end_dgla_of_complex(vector_complex(acyclic_complex()), label="end acyclic")
     sc = sc_cech_identity(g=g, n_opens=3).truncate(2)
     A = truncated_poly(3)
     o = random_totdel_object(sc, A, random.Random(6))

@@ -1,10 +1,12 @@
 """Graded Lie structure: validation, tensor elements, substitution."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from mcdescent.artin import builtin_artin, mono_mul_raw, truncated_poly
+from mcdescent.builders import acyclic_complex, cover_conjugated, random_chain_auto, two_step_complex
 from mcdescent.dgla import (
     Dgla,
     DglaError,
@@ -12,12 +14,12 @@ from mcdescent.dgla import (
     TensorCtx,
     abelian_dgla,
     direct_sum,
-    end_dgla,
     sl2,
 )
 from mcdescent.forms import f_const, f_sub, f_var
 from mcdescent.io import builtin_input_names, load_builtin
 from mcdescent.linalg import ChainComplexQ, Mat
+from mcdescent.pipeline import end_dgla_of_complex, vector_complex
 from mcdescent.ratio import Q, rat
 
 
@@ -92,7 +94,7 @@ def test_a_callable_bracket_is_tabulated_and_checked_at_first_use():
 
 
 def test_the_complex_of_a_dgla_is_built_once():
-    L = end_dgla(ChainComplexQ({0: 1, 1: 1}, {0: [[1]]}))[0]
+    L = end_dgla_of_complex(vector_complex(ChainComplexQ({0: 1, 1: 1}, {0: [[1]]})))[0]
     assert L.complex() is L.complex()
     assert L.cohomology(0) == L.complex().cohomology(0)
 
@@ -187,7 +189,7 @@ def naive_bracket(x, y) -> dict:
 def test_slot_grouped_bracket_matches_term_by_term(ring):
     # End(Q -> Q^2) has degrees -1, 0, 1, so Koszul signs (-1)^{|w| |l'|}
     # meet odd Lie degrees; three form variables give odd masks and shuffles
-    L, _ = end_dgla(ChainComplexQ({0: 1, 1: 2}, {0: [[1], [2]]}))
+    L, _ = end_dgla_of_complex(vector_complex(ChainComplexQ({0: 1, 1: 2}, {0: [[1], [2]]})))
     A = builtin_artin(ring)
     ctx = TensorCtx(L, A, ("t", "s", "u"))
     rng = random.Random(ring)
@@ -251,7 +253,7 @@ def zero_free(e) -> bool:
 def test_operations_keep_elements_zero_free():
     # inputs built to cancel: a result holds no zero coefficient, so a
     # cancelled result is the empty element
-    L, _ = end_dgla(ChainComplexQ({0: 1, 1: 2}, {0: [[1], [2]]}))
+    L, _ = end_dgla_of_complex(vector_complex(ChainComplexQ({0: 1, 1: 2}, {0: [[1], [2]]})))
     A = truncated_poly(3)
     ctx = TensorCtx(L, A, ("t", "s"))
     rng = random.Random(27)
@@ -464,3 +466,152 @@ def test_map_validate_matches_the_pair_sweep_on_perturbed_builtin_cofaces():
                 outcomes["ok" if want is None else "d" if "commute" in want else "lie"] += 1
     # the perturbations reach every branch, the bracket check most of all
     assert outcomes["d"] > 20 and outcomes["lie"] > 100 and outcomes["ok"] > 0, outcomes
+
+
+# --- End of a vector-space complex against its matrix units -------------------
+
+
+def _matrix_unit_end(cx: ChainComplexQ):
+    """End of cx on the matrix units E_rc of Hom(C^i, C^(i+p)), built
+    index by index: in each degree p the units in the order of the source
+    degree i, then row-major. The differential is h -> d∘h - (-1)^p h∘d
+    and the bracket the graded commutator of composition, both read off
+    the units' indices. Returns (Dgla, units, index) with units[p] the
+    (i, r, c) of each basis element and index the inverse lookup."""
+    degs = sorted(cx.dims)
+    span = degs[-1] - degs[0] if degs else 0
+    units, index = {}, {}
+    for p in range(-span, span + 1):
+        us = [
+            (i, r, c)
+            for i in degs
+            for r in range(cx.dim(i + p))
+            for c in range(cx.dim(i))
+        ]
+        if us:
+            units[p] = us
+            index.update({(p, *u): k for k, u in enumerate(us)})
+    diffs = {}
+    for p, us in units.items():
+        m = Mat(len(units.get(p + 1, ())), len(us))
+        for j, (i, r, c) in enumerate(us):
+            post, pre = cx.diff(i + p), cx.diff(i - 1)
+            for rr in range(post.rows):  # d∘E_rc = sum d[rr, r] E_(rr, c)
+                if post.entry(rr, r):
+                    k = index[(p + 1, i, rr, c)]
+                    m.set_entry(k, j, m.entry(k, j) + post.entry(rr, r))
+            for cc in range(pre.cols):  # E_rc∘d = sum d[c, cc] E_(r, cc)
+                if pre.entry(c, cc):
+                    k = index[(p + 1, i - 1, r, cc)]
+                    m.set_entry(k, j, m.entry(k, j) - (-1) ** (p % 2) * pre.entry(c, cc))
+        if not m.is_zero():
+            diffs[p] = m
+
+    def compose(p1, u1, p2, u2):
+        """The index of E1∘E2 in degree p1 + p2, or None when it is 0."""
+        (i1, r1, c1), (i2, r2, c2) = u1, u2
+        if i2 + p2 != i1 or c1 != r2:
+            return None
+        return index[(p1 + p2, i2, r1, c2)]
+
+    def brk(p1, a, p2, b):
+        out = {}
+        u1, u2 = units[p1][a], units[p2][b]
+        for k, sign in ((compose(p1, u1, p2, u2), 1), (compose(p2, u2, p1, u1), -(-1) ** (p1 * p2 % 2))):
+            if k is not None:
+                out[k] = out.get(k, 0) + sign
+        return [(k, v) for k, v in out.items() if v]
+
+    g = Dgla({p: len(us) for p, us in units.items()}, diffs, brk, label="matrix units")
+    return g, units, index
+
+
+def _index_loop_conjugation(g, units, index, phi):
+    """t -> φ∘t∘φ⁻¹ on the matrix units: the image of E_rc is the sum
+    of φ[i + p][r2, r] φ⁻¹[i][c, c2] E_(r2, c2)."""
+    inv = {d: m.inverse() for d, m in phi.items()}
+    mats = {}
+    for p, us in units.items():
+        m = Mat(len(us), len(us))
+        for col, (i, r, c) in enumerate(us):
+            left, right = phi[i + p], inv[i]
+            for r2 in range(left.rows):
+                for c2 in range(right.cols):
+                    v = left.entry(r2, r) * right.entry(c, c2)
+                    if v:
+                        k = index[(p, i, r2, c2)]
+                        m.set_entry(k, col, m.entry(k, col) + v)
+        mats[p] = m
+    return DglaMap(g, g, mats)
+
+
+def _random_complex(rng):
+    """A complex with d∘d = 0 on degrees lo..hi, lo < 0 < hi: a direct sum
+    of copies of Q and of pairs Q -> Q (the identity), each degree then
+    changed by a random invertible matrix, so d_k = g_(k+1) E_k g_k⁻¹."""
+    lo, hi = -rng.randint(1, 2), rng.randint(1, 2)
+    pairs = {k: rng.randint(0, 1) if k < hi else 0 for k in range(lo, hi + 1)}
+    singles = {k: 1 if k in (lo, hi) else rng.randint(0, 1) for k in range(lo, hi + 1)}
+    dims = {k: singles[k] + pairs.get(k - 1, 0) + pairs[k] for k in pairs}
+    change = {}
+    for k, n in dims.items():
+        while True:
+            m = Mat.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)], cols=n)
+            if m.inverse() is not None:
+                change[k] = m
+                break
+    diffs = {}
+    for k in range(lo, hi):
+        e = Mat(dims[k + 1], dims[k])
+        for j in range(pairs[k]):
+            e.set_entry(singles[k + 1] + j, singles[k] + pairs.get(k - 1, 0) + j, 1)
+        diffs[k] = change[k + 1] @ e @ change[k].inverse()
+    return ChainComplexQ(dims, diffs)
+
+
+def test_end_of_a_vector_complex_is_the_matrix_unit_end():
+    """end_dgla_of_complex(vector_complex(cx)) has the dimensions,
+    differentials and bracket table of End on the matrix units, on the
+    builtin complexes, three small ones and 30 seeded random ones whose
+    degrees run from below 0 to above it."""
+    rng = random.Random(19)
+    randoms = [_random_complex(rng) for _ in range(30)]
+    assert all(min(cx.dims) < 0 < max(cx.dims) for cx in randoms)
+    assert sum(bool(cx.diffs) for cx in randoms) > 20
+    complexes = [
+        two_step_complex(),
+        acyclic_complex(),
+        ChainComplexQ({0: 1, 1: 2}, {0: [[1], [2]]}),
+        ChainComplexQ({0: 1, 1: 1}, {}),
+        ChainComplexQ({-1: 2, 0: 3, 1: 1}, {-1: [[1, 0], [0, 1], [0, 0]], 0: [[0, 0, 1]]}),
+    ] + randoms
+    for n, cx in enumerate(complexes):
+        cx.check()
+        got, _ = end_dgla_of_complex(vector_complex(cx))
+        want, _, _ = _matrix_unit_end(cx)
+        assert got.dims == want.dims, n
+        assert got.diffs == want.diffs, n
+        assert got._br == want._br, n
+
+
+def test_cover_conjugated_restrictions_are_the_index_loop_conjugations():
+    """Seeds 0-9: each restriction of cover_conjugated is the conjugation
+    by φ_T∘φ_S⁻¹ computed on the matrix units, with the chain
+    automorphisms φ drawn as cover_conjugated draws them."""
+    cx = two_step_complex()
+    g, units, index = _matrix_unit_end(cx)
+    moved = 0
+    for seed in range(10):
+        cover = cover_conjugated(seed=seed)
+        rng = random.Random(seed)
+        autos = {
+            T: random_chain_auto(cx, rng)
+            for size in range(1, 4)
+            for T in combinations(range(3), size)
+        }
+        for (S, T), got in cover.restrictions.items():
+            phi = {d: autos[T][d] @ autos[S][d].inverse() for d in autos[T]}
+            want = _index_loop_conjugation(g, units, index, phi)
+            assert got.mats == want.mats, (seed, S, T)
+            moved += got.mats != DglaMap.identity(g).mats
+    assert moved > 20

@@ -1,4 +1,4 @@
-"""Two checks on the package source, with the standard library only.
+"""Three checks on the package source, with the standard library only.
 
 Every name a module of the package imports is used in that module: a
 name bound by an import statement must appear as a name somewhere in the
@@ -12,10 +12,17 @@ walk goes by bare name: a name or an attribute reaches every top-level
 function and class so called, and a reached class reaches every name its
 methods use. So it can only overcount what is reached; a function it
 reports has no caller.
+
+Every module of the package imports first: in a fresh interpreter, with
+nothing of the package imported before it. pytest imports the modules in
+its own order, which can hide an import cycle.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -60,6 +67,11 @@ TEST_ORACLES = {
     "pipeline.random_a2_module": "test_pipeline.py::test_les_exact_on_random_instances",
     "pipeline.random_module_map": "test_pipeline.py::test_les_exact_on_random_instances",
 }
+
+
+# the submodules: __init__ is the package itself, and __main__ runs the
+# command line when imported
+SUBMODULES = [p.stem for p in MODULES if not p.stem.startswith("__")]
 
 
 def unused_imports(source: str) -> list:
@@ -191,3 +203,13 @@ def test_each_test_oracle_is_reached_from_its_test():
                 continue
             assert test in tests, f"{where} does not exist"
             assert oracle in reach(defs, {test}), f"{where} does not use {oracle}"
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", f"import mcdescent.{module}"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr

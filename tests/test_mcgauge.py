@@ -13,7 +13,7 @@ import random
 import pytest
 
 from mcdescent.artin import builtin_artin, dual_numbers, fat_point, truncated_poly
-from mcdescent.dgla import TensorCtx, end_dgla
+from mcdescent.dgla import TensorCtx
 from mcdescent.linalg import ChainComplexQ, Mat
 from mcdescent.mcgauge import (
     GaugeError,
@@ -32,6 +32,7 @@ from mcdescent.mcgauge import (
     path_from_gauge,
     stabilizer_log,
 )
+from mcdescent.pipeline import end_dgla_of_complex, vector_complex
 from mcdescent.ratio import Q
 
 CX = ChainComplexQ({0: 1, 1: 1, 2: 1}, {0: [[0]], 1: [[0]]})  # zero differential
@@ -39,9 +40,9 @@ CXD = ChainComplexQ({0: 2, 1: 1}, {0: [[1, 0]]})
 
 
 def make_ctx(cx, A):
-    L, eb = end_dgla(cx)
+    L, book = end_dgla_of_complex(vector_complex(cx))
     L.validate(mode="full")
-    return TensorCtx(L, A), eb
+    return TensorCtx(L, A), book
 
 
 def rand_in_degree(ctx, rng, deg, span=2):
@@ -66,10 +67,17 @@ def rand_mc(ctx, rng):
 class Operator:
     """Elements of End(C) (x) A as matrices on C (x) A over Q."""
 
-    def __init__(self, cx, eb, A):
+    def __init__(self, cx, book, A):
         self.cx = cx
-        self.eb = eb
         self.A = A
+        # over Q each basis map is the matrix unit at its free entry:
+        # (degree, index) -> (source degree, row, column)
+        self.units = {
+            (p, book.offsets[(p, i)] + j): (i, r, c)
+            for p, blocks in book.blocks.items()
+            for i, solver in blocks
+            for j, (r, c) in enumerate(solver.free)
+        }
         self.slots = [
             (i, c, am)
             for i in sorted(cx.dims)
@@ -82,7 +90,7 @@ class Operator:
     def of_elem(self, z):
         m = Mat(self.n, self.n)
         for (p, idx, am, _, _), coeff in z.terms.items():
-            i, r, c = self.eb.unit(p, idx)
+            i, r, c = self.units[(p, idx)]
             for (i2, c2, mu) in self.slots:
                 if i2 != i or c2 != c:
                     continue
@@ -120,8 +128,8 @@ class Operator:
 def test_bch_matches_matrix_exponentials():
     rng = random.Random(31)
     for A in (truncated_poly(3), truncated_poly(4), fat_point()):
-        ctx, eb = make_ctx(CX, A)
-        op = Operator(CX, eb, A)
+        ctx, book = make_ctx(CX, A)
+        op = Operator(CX, book, A)
         for _ in range(6):
             a = rand_in_degree(ctx, rng, 0)
             b = rand_in_degree(ctx, rng, 0)
@@ -170,8 +178,8 @@ def test_gauge_is_conjugation_of_twisted_differential():
     rng = random.Random(34)
     for cx in (CX, CXD):
         A = truncated_poly(4)
-        ctx, eb = make_ctx(cx, A)
-        op = Operator(cx, eb, A)
+        ctx, book = make_ctx(cx, A)
+        op = Operator(cx, book, A)
         d = op.of_diff()
         for _ in range(6):
             a = rand_in_degree(ctx, rng, 0)
@@ -198,7 +206,7 @@ def test_gauge_action_laws():
 def test_mc_residual_depends_on_coefficients():
     # x = (shift by one step) * t is flat over dual numbers but not mod t^3
     for A, flat in ((dual_numbers(), True), (truncated_poly(3), False)):
-        ctx, eb = make_ctx(CX, A)
+        ctx, _ = make_ctx(CX, A)
         x = ctx.zero()
         for idx in range(ctx.dgla.dim(1)):
             x = x.add(ctx.term(1, idx, 1, (1,)))

@@ -19,7 +19,6 @@ from mcdescent.pipeline import (
     PipelineError,
     Resolution,
     a2_algebra,
-    a2_module,
     a2_modules,
     build_H,
     canonical_morphisms,
@@ -38,11 +37,13 @@ from mcdescent.pipeline import (
     lift_morphism,
     module_as_complex,
     module_direct_sum,
+    path_algebra,
     pipeline_report,
     proj_cover,
     proj_module,
     random_a2_module,
     random_module_map,
+    representation,
     resolve,
     zero_module,
 )
@@ -136,7 +137,7 @@ def test_module_action_validation():
 
 def test_the_modules_the_pipeline_builds_pass_the_module_check():
     """FinMod checks only shapes; the module axioms are checked here, on
-    every way the package builds a module: a2_module (A2 has no
+    every way the package builds a module: representation (A2 has no
     relations, so every arrow matrix gives a module), proj_module, direct
     sums and the kernels of resolve."""
     alg = a2_algebra()
@@ -229,7 +230,7 @@ def test_projective_covers():
     assert is_module_map(cover, mods["S1"], pi)
     ker, _ = kernel_module(cover, pi)
     assert ker.acts == mods["P2"].acts
-    s1sq_s2 = a2_module(2, 1, Mat.from_rows([[1, 0]]))
+    s1sq_s2 = representation(a2_algebra(), (2, 1), [Mat.from_rows([[1, 0]])])
     assert proj_cover(s1sq_s2)[2] == (0, 0)
 
 
@@ -248,6 +249,26 @@ def test_resolution_check_rejects_a_term_off_its_vertex_tuple():
     cx = BddComplex(s1.alg, {0: s1}, {}, verts={0: (0,)})
     with pytest.raises(PipelineError, match="vertex tuple"):
         Resolution(cx, s1, Mat.identity(1)).check()
+
+
+def test_resolution_check_rejects_a_term_in_positive_degree():
+    """The resolution of P1 with an exact pair P2 -> P2 (the identity)
+    added passes in degrees -2 and -1; in degrees 1 and 2, where only the
+    degrees are wrong, it is rejected. BddComplex.check accepts both."""
+    mods = a2_modules()
+    p1, p2 = mods["P1"], mods["P2"]
+    for lo in (-2, 1):
+        cx = BddComplex(
+            p1.alg, {0: p1, lo: p2, lo + 1: p2}, {lo: Mat.identity(1)},
+            verts={0: (0,), lo: (1,), lo + 1: (1,)},
+        )
+        cx.check()
+        res = Resolution(cx, p1, Mat.identity(2))
+        if lo < 0:
+            res.check()
+        else:
+            with pytest.raises(PipelineError, match="nonpositive degrees"):
+                res.check()
 
 
 def test_kernel_of_projection_is_the_complement():
@@ -301,35 +322,72 @@ def test_ext_oracle_golden_values():
     assert ext_bruteforce(p2, p1) == [1]
 
 
-@functools.cache
-def _kronecker_algebra():
-    """Path algebra of the Kronecker quiver 1 ⇉ 2 on the basis (e1, e2,
-    x, y), laid out like a2_algebra: x = e2 x e1 and y = e2 y e1 span
-    the radical."""
-    e1, e2, x, y, z = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)
-    mul = [
-        [e1, z, z, z],
-        [z, e2, x, y],
-        [x, z, z, z],
-        [y, z, z, z],
-    ]
-    return FinAlg(mul, (1, 1, 0, 0), (0, 1), (2, 3), label="Kronecker")
+KRONECKER = path_algebra(2, ((0, 1), (0, 1)), "Kronecker")
 
 
 def _line_bundle(n):
     """O(n), n >= 0, on P¹ under Beilinson's equivalence with the tilting
     bundle O ⊕ O(1): the representation Q^n ⇉ Q^(n+1) with x = [I; 0] and
     y = [0; I]."""
-    d = 2 * n + 1
-    acts = [Mat(d, d) for _ in range(4)]
-    for r in range(n):
-        acts[0].set_entry(r, r, 1)
-    for r in range(n + 1):
-        acts[1].set_entry(n + r, n + r, 1)
+    x, y = Mat(n + 1, n), Mat(n + 1, n)
     for c in range(n):
-        acts[2].set_entry(n + c, c, 1)
-        acts[3].set_entry(n + c + 1, c, 1)
-    return FinMod(_kronecker_algebra(), d, acts, label=f"O({n})")
+        x.set_entry(c, c, 1)
+        y.set_entry(c + 1, c, 1)
+    return representation(KRONECKER, (n, n + 1), [x, y])
+
+
+def test_path_algebra_gives_the_literal_tables():
+    """A2 on (e1, e2, a) and Kronecker on (e1, e2, x, y): a = e2 a e1,
+    x = e2 x e1 and y = e2 y e1 span the radical; the field is one
+    idempotent. Each passes FinAlg.check."""
+    e1, e2, a, z = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    a2 = [
+        [e1, z, z],  # e1*e1, e1*e2, e1*a
+        [z, e2, a],  # e2*e1, e2*e2, e2*a
+        [a, z, z],  # a*e1,  a*e2,  a*a
+    ]
+    e1, e2, x, y, z = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)
+    kronecker = [
+        [e1, z, z, z],
+        [z, e2, x, y],
+        [x, z, z, z],
+        [y, z, z, z],
+    ]
+    cases = [
+        (a2_algebra(), a2, (1, 1, 0), (0, 1), (2,)),
+        (KRONECKER, kronecker, (1, 1, 0, 0), (0, 1), (2, 3)),
+        (path_algebra(1, ()), [[(1,)]], (1,), (0,), ()),
+    ]
+    for alg, mul, unit, idempotents, radical in cases:
+        alg.check()
+        assert alg.mul == [[tuple(map(Q, v)) for v in row] for row in mul], alg.label
+        assert alg.unit == tuple(map(Q, unit))
+        assert (alg.idempotents, alg.radical) == (idempotents, radical)
+
+
+def test_representation_gives_the_literal_modules():
+    """P1, P2 and S1 of A2 as their action matrices on (e1, e2, a), and
+    O(n) as e1 = I on the first n coordinates, e2 = I on the last n + 1,
+    x = [I; 0] and y = [0; I] from the first block into the second."""
+    mods = a2_modules()
+    literal = {
+        "P1": [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [1, 0]]],
+        "P2": [[[0]], [[1]], [[0]]],
+        "S1": [[[1]], [[0]], [[0]]],
+    }
+    for name, acts in literal.items():
+        assert mods[name].acts == [Mat.from_rows(m) for m in acts], name
+    for n in range(4):
+        d = 2 * n + 1
+        acts = [Mat(d, d) for _ in range(4)]
+        for r in range(n):
+            acts[0].set_entry(r, r, 1)
+        for r in range(n + 1):
+            acts[1].set_entry(n + r, n + r, 1)
+        for c in range(n):
+            acts[2].set_entry(n + c, c, 1)
+            acts[3].set_entry(n + c + 1, c, 1)
+        assert _line_bundle(n).acts == acts, n
 
 
 def _line_bundle_sum(*ns):
@@ -342,7 +400,6 @@ def _line_bundle_sum(*ns):
 def test_kronecker_ext_is_line_bundle_cohomology():
     """Ext^i(O(a), O(b)) = H^i(P¹, O(b - a)), with h⁰(O(k)) = max(0, k + 1)
     and h¹(O(k)) = max(0, -k - 1)."""
-    _kronecker_algebra().check()
     for a in range(4):
         _line_bundle(a).check()
         for b in range(4):
@@ -393,7 +450,7 @@ def test_end_complex_cohomology_matches_ext_oracle():
 
 
 def test_end_dgla_validates_in_full():
-    m = a2_module(1, 1, Mat(1, 1))
+    m = representation(a2_algebra(), (1, 1), [Mat(1, 1)])
     r = resolve(m)
     eg, _ = end_dgla_of_complex(r.cx)
     eg.validate("full")
@@ -556,12 +613,12 @@ def test_lift_of_an_identity_or_an_iso_is_invertible():
     isomorphism in every degree. The seed-19 instance is the automorphism
     [[2, -1], [1, 0]] of S1^2."""
     mods = a2_modules()
-    s2sq = a2_module(0, 2, Mat(2, 0))
+    s2sq = representation(a2_algebra(), (0, 2), [Mat(2, 0)])
     rng = random.Random(19)
     f = random_a2_module(rng)
     g = random_a2_module(rng)
     alpha19 = random_module_map(f, g, rng)
-    assert f.acts == g.acts == a2_module(2, 0, Mat(0, 2)).acts
+    assert f.acts == g.acts == representation(a2_algebra(), (2, 0), [Mat(0, 2)]).acts
     cases = [
         (mods["P1"], Mat.identity(2)),
         (s2sq, Mat.from_rows([[2, 1], [1, 1]])),
@@ -762,8 +819,8 @@ def test_reports_on_morphisms_that_were_slow():
     Euler characteristic of the totalisation as <F, F> + <G, G> - <F, G>."""
     mods = a2_modules()
     p1, s1 = mods["P1"], mods["S1"]
-    s2sq = a2_module(0, 2, Mat(2, 0))
-    s1sq = a2_module(2, 0, Mat(0, 2))
+    s2sq = representation(a2_algebra(), (0, 2), [Mat(2, 0)])
+    s1sq = representation(a2_algebra(), (2, 0), [Mat(0, 2)])
     instances = [
         (p1, s1, hom_basis(p1, s1)[0]),
         (s2sq, s2sq, Mat.from_rows([[1, 0], [0, 0]])),
@@ -848,8 +905,7 @@ def test_zero_module_edge_cases():
 def test_field_algebra_round_trip():
     """One-dimensional sanity case: one vertex, no radical, and Q^2 is
     its own cover by two copies of Q."""
-    alg = FinAlg([[(1,)]], (1,), (0,), (), label="Q")
-    alg.check()
+    alg = path_algebra(1, ())
     m = FinMod(alg, 2, [Mat.identity(2)])
     m.check()
     cover, pi, verts = proj_cover(m)

@@ -34,11 +34,11 @@ from mcdescent.dgla import (
     TensorCtx,
     abelian_dgla,
     direct_sum,
-    end_dgla,
     sl2,
 )
 from mcdescent.linalg import ChainComplexQ, Mat
 from mcdescent.mcgauge import bch, gauge, is_mc, stabilizer_log
+from mcdescent.pipeline import end_dgla_of_complex, vector_complex
 from mcdescent.ratio import Q
 from mcdescent.sampling import (
     bump_elem,
@@ -225,7 +225,7 @@ def test_cover_model_rejects_inconsistent_restrictions():
 def test_the_builtin_covers_are_consistent():
     """CoverModel does not check itself; the covers behind the Cech
     builtins have maps of dgLas as restrictions and commuting squares."""
-    g, _ = end_dgla(two_step_complex(), label="end two-step")
+    g, _ = end_dgla_of_complex(vector_complex(two_step_complex()), label="end two-step")
     covers = [
         cover_identity(g, 3),
         cover_conjugated(seed=5),
@@ -239,7 +239,7 @@ def test_the_builtin_covers_are_consistent():
 
 
 def test_cech_identity_cover_reproduces_section_cohomology():
-    g, _ = end_dgla(two_step_complex())
+    g, _ = end_dgla_of_complex(vector_complex(two_step_complex()))
     sc = sc_cech_identity(g, n_opens=3)
     assert validate_sc(sc)["ok"]
     tot, _ = total_complex(sc)
@@ -276,7 +276,7 @@ def test_cech_conjugated_cover_matches_untwisted_cohomology():
         sc = sc_cech_conjugated(n_opens=3, seed=seed)
         assert validate_sc(sc)["ok"]
         tot, _ = total_complex(sc)
-        g, _ = end_dgla(two_step_complex())
+        g, _ = end_dgla_of_complex(vector_complex(two_step_complex()))
         assert h_dims(tot) == h_dims(g.complex())
 
 
@@ -630,7 +630,7 @@ def test_totdel_witness_condition_is_binding():
     # cocycle, so shifting a morphism log by it keeps the gauge
     # condition; the defect then moves by a nonzero cohomology class and
     # the compatibility witness disappears
-    g, eb = end_dgla(two_step_complex())
+    g, book = end_dgla_of_complex(vector_complex(two_step_complex()))
     sc = sc_cech_identity(g, n_opens=3).truncate(2)
     A = truncated_poly(3)
     rng = random.Random(64)
@@ -640,10 +640,11 @@ def test_totdel_witness_condition_is_binding():
     totdel_mor_assemble(o, tgt, a)
     sec_ctx = TensorCtx(g, A, ())
     z = sec_ctx.zero()
-    for idx in range(g.dim(0)):
-        i, r, c = eb.unit(0, idx)
-        if r == c:
-            z = z.add(sec_ctx.term(0, idx, 1, A.maximal_basis[-1]))
+    # over Q each basis map is the matrix unit at its free entry
+    for i, solver in book.blocks[0]:
+        for j, (r, c) in enumerate(solver.free):
+            if r == c:
+                z = z.add(sec_ctx.term(0, book.offsets[(0, i)] + j, 1, A.maximal_basis[-1]))
     inj = direct_sum([g] * 3)[1][0]
     z0 = z.map_lie(DglaMap(g, sc.levels[0], inj.mats))
     assert gauge(bch(a, z0), o.l).eq(tgt.l)
