@@ -386,64 +386,18 @@ def totdel_base_change(f: ArtinMorphism, o: TotDelObject) -> TotDelObject:
 # --- square-zero orbit comparison --------------------------------------------
 
 
-def _stack(blocks) -> Mat:
-    """Assemble a block matrix from a list of rows of (Mat or None)."""
-    row_dims = [max(b.rows for b in row if b is not None) for row in blocks]
-    col_dims = []
-    ncols = max(len(row) for row in blocks)
-    for j in range(ncols):
-        dim = 0
-        for row in blocks:
-            if j < len(row) and row[j] is not None:
-                dim = max(dim, row[j].cols)
-        col_dims.append(dim)
-    out = Mat(sum(row_dims), sum(col_dims))
-    r0 = 0
-    for i, row in enumerate(blocks):
-        c0 = 0
-        for j in range(ncols):
-            b = row[j] if j < len(row) else None
-            if b is not None:
-                for r in range(b.rows):
-                    for c in range(b.cols):
-                        v = b.entry(r, c)
-                        if v:
-                            out.set_entry(r0 + r, c0 + c, v)
-            c0 += col_dims[j]
-        r0 += row_dims[i]
-    return out
-
-
-def pi0_compare_square_zero(sc: ScDgla, artin: ArtinAlgebra) -> dict:
-    """Compare the two orbit sets at square-zero coefficients.
-
-    Both sides are quotients of solution spaces of linear equations by
-    linear group actions, so each is described exactly by a pair of
-    dimensions. The totalisation side is first cohomology of the total
-    complex tensored with the maximal ideal; the glued side is computed
-    from the object and morphism equations with all products dropped.
-    """
-    if not artin.is_square_zero():
-        raise DescentError("the comparison is only decided at square zero")
-    k = artin.mdim
-    tot, _ = total_complex(sc)
-    h1 = tot.cohomology(1)[0]
-    z1 = len(tot.cocycles(1))
-    b1 = len(tot.coboundaries(1))
-
-    g0 = sc.levels[0]
-    g1 = sc.levels[1] if sc.top >= 1 else None
-    if g1 is None:
+def _glued_systems(sc: ScDgla) -> tuple:
+    """The glued side at square zero as two block matrices on (l, m) in
+    g0^1 ⊕ g1^0: the object equations, whose kernel is the solution
+    space, and the action of (a, b) in g0^0 ⊕ g1^-1, whose column space
+    spans the orbit directions."""
+    if sc.top < 1:
         raise DescentError("the comparison needs at least two levels")
-    n_l = g0.dim(1)
-    n_m = g1.dim(0)
-    d0 = g0.complex()
-    d1 = g1.complex()
+    g0, g1 = sc.levels[0], sc.levels[1]
+    d0, d1 = g0.complex(), g1.complex()
     face_diff_1 = sc.face(1, 1).mat(1).sub(sc.face(1, 0).mat(1))
-    rows = [
-        [d0.diff(1), None],
-        [face_diff_1, d1.diff(0).neg()],
-    ]
+    eqn_rows = [g0.dim(2), g1.dim(1)]
+    eqn_blocks = {(0, 0): d0.diff(1), (1, 0): face_diff_1, (1, 1): d1.diff(0).neg()}
     if sc.top >= 2:
         g2 = sc.levels[2]
         img = Subspace(
@@ -453,19 +407,39 @@ def pi0_compare_square_zero(sc: ScDgla, artin: ArtinAlgebra) -> dict:
         cocycle_faces = (
             sc.face(2, 0).mat(0).sub(sc.face(2, 1).mat(0)).add(sc.face(2, 2).mat(0))
         )
-        rows.append([None, ann @ cocycle_faces])
-    eqn = _stack(rows)
-    solutions = eqn.kernel_basis()
-    sol_space = Subspace(n_l + n_m, solutions)
-
+        eqn_rows.append(ann.rows)
+        eqn_blocks[(2, 1)] = ann @ cocycle_faces
+    eqn = Mat.blocks(eqn_rows, (g0.dim(1), g1.dim(0)), eqn_blocks)
     face_diff_0 = sc.face(1, 1).mat(0).sub(sc.face(1, 0).mat(0))
-    action = _stack(
-        [
-            [d0.diff(0), None],
-            [face_diff_0, d1.diff(-1)],
-        ]
+    action = Mat.blocks(
+        (g0.dim(1), g1.dim(0)),
+        (g0.dim(0), g1.dim(-1)),
+        {(0, 0): d0.diff(0), (1, 0): face_diff_0, (1, 1): d1.diff(-1)},
     )
-    act_space = Subspace(n_l + n_m, [action.col(j) for j in range(action.cols)])
+    return eqn, action
+
+
+def pi0_compare_square_zero(sc: ScDgla, artin: ArtinAlgebra) -> dict:
+    """Compare the two orbit sets at square-zero coefficients.
+
+    Both sides are quotients of solution spaces of linear equations by
+    linear group actions, so each is described exactly by a pair of
+    dimensions. The totalisation side is first cohomology of the total
+    complex tensored with the maximal ideal; the glued side is computed
+    from the object and morphism equations with all products dropped
+    (_glued_systems).
+    """
+    if not artin.is_square_zero():
+        raise DescentError("the comparison is only decided at square zero")
+    k = artin.mdim
+    tot, _ = total_complex(sc)
+    h1 = tot.cohomology(1)[0]
+    z1 = len(tot.cocycles(1))
+    b1 = len(tot.coboundaries(1))
+
+    eqn, action = _glued_systems(sc)
+    sol_space = Subspace(eqn.cols, eqn.kernel_basis())
+    act_space = Subspace(eqn.cols, [action.col(j) for j in range(action.cols)])
     if not sol_space.contains_space(act_space):
         raise DescentError("internal inconsistency: the action leaves the solutions")
     del_pi0 = (sol_space.dim - act_space.dim) * k

@@ -32,10 +32,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .artin import ArtinAlgebra
 from .forms import fkey_d, fkey_mul
-from .linalg import ChainComplexQ, Mat, Vec
+from .linalg import ChainComplexQ, Mat
 from .ratio import ZERO, Q, neg_one_pow, rat
 
 
@@ -525,18 +526,6 @@ class Elem:
                 _bump(out, (deg, idx, am, npm, nS), c if f is None else c * f)
         return Elem.wrap(nctx, out)
 
-    def lie_vector(self, deg: int, amono, pmono=None, dmask=()) -> Vec:
-        """Coefficient vector in L^deg of a fixed (monomial, form) slot."""
-        if pmono is None:
-            pmono = (0,) * self.ctx.nforms
-        key_tail = (tuple(amono), tuple(pmono), tuple(sorted(dmask)))
-        n = self.ctx.dgla.dim(deg)
-        v = [ZERO] * n
-        for (d, i, am, pm, S), c in self.terms.items():
-            if d == deg and (am, pm, S) == key_tail:
-                v[i] = c
-        return tuple(v)
-
     def map_lie(self, dmap: "DglaMap") -> "Elem":
         """Push forward along a dgLa map, keeping the other slots."""
         if dmap.source is not self.ctx.dgla:
@@ -707,33 +696,19 @@ class DglaMap:
 
 
 def direct_sum(parts: list) -> tuple:
-    """Direct sum of dgLas. Returns (sum, injections, projections)."""
-    degs = set()
-    for p in parts:
-        degs |= set(p.dims)
-    offs = {}
-    dims = {}
-    for d in degs:
-        off = []
-        tot = 0
-        for p in parts:
-            off.append(tot)
-            tot += p.dim(d)
-        offs[d] = off
-        if tot:
-            dims[d] = tot
+    """Direct sum of dgLas. Returns (sum, injections, projections): the
+    differential is block diagonal, and each projection is the transpose
+    of its injection."""
+    degs = set().union(*(p.dims for p in parts))
+    sizes = {d: [p.dim(d) for p in parts] for d in degs | {d + 1 for d in degs}}
+    offs = {d: list(accumulate(sizes[d], initial=0)) for d in degs}
+    dims = {d: off[-1] for d, off in offs.items() if off[-1]}
     diffs = {}
     for d in degs:
-        rows, cols = dims.get(d + 1, 0), dims.get(d, 0)
-        m = Mat(rows, cols)
-        for pi, p in enumerate(parts):
-            dm = p.diff(d)
-            ro = offs.get(d + 1, [0] * len(parts))[pi]
-            co = offs[d][pi]
-            for r in range(dm.rows):
-                for cc, v in dm._rows[r].items():
-                    m.set_entry(ro + r, co + cc, v)
-        if rows and cols and not m.is_zero():
+        m = Mat.blocks(
+            sizes[d + 1], sizes[d], {(pi, pi): p.diff(d) for pi, p in enumerate(parts)}
+        )
+        if m.rows and m.cols and not m.is_zero():
             diffs[d] = m
 
     idx_of = {}
@@ -758,21 +733,13 @@ def direct_sum(parts: list) -> tuple:
     injs = []
     projs = []
     for pi, p in enumerate(parts):
-        imats = {}
-        pmats = {}
-        for d in degs:
-            n = p.dim(d)
-            if n == 0:
-                continue
-            im = Mat(dims.get(d, 0), n)
-            pm = Mat(n, dims.get(d, 0))
-            for i in range(n):
-                im.set_entry(offs[d][pi] + i, i, 1)
-                pm.set_entry(i, offs[d][pi] + i, 1)
-            imats[d] = im
-            pmats[d] = pm
+        imats = {
+            d: Mat.blocks(sizes[d], (n,), {(pi, 0): Mat.identity(n)})
+            for d in degs
+            if (n := p.dim(d))
+        }
         injs.append(DglaMap(p, total, imats))
-        projs.append(DglaMap(total, p, pmats))
+        projs.append(DglaMap(total, p, {d: m.transpose() for d, m in imats.items()}))
     return total, injs, projs
 
 

@@ -263,7 +263,7 @@ def pipeline_from_json(obj, where: str = "$") -> dict:
     fmod = _module_from_json(obj.get("source"), f"{where}.source")
     gmod = _module_from_json(obj.get("target"), f"{where}.target")
     alpha = mat_from_json(obj.get("alpha", []), gmod.dim, fmod.dim, f"{where}.alpha")
-    opens = obj.get("opens", 1)
+    opens = _int_from_json(obj.get("opens", 1), f"{where}.opens")
     if opens not in (1, 2):
         raise InputError("opens must be 1 or 2", f"{where}.opens")
     label = obj.get("label", "")

@@ -5,12 +5,17 @@ solving; rational subspaces with canonical bases; bounded cochain complexes
 with cohomology (dimensions plus deterministic representatives) and
 mapping cones.
 
+Block matrices come from one constructor, Mat.blocks: every direct sum,
+total complex, cone and stacked linear system of the package places its
+blocks through it, so where a summand sits in a sum is decided there.
+
 Everything is exact: no floats anywhere, no tolerances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .ratio import ONE, ZERO, Q, neg_one_pow, rat
 
@@ -80,6 +85,31 @@ class Mat:
                 if v:
                     m._rows[i][j] = v
         return m
+
+    @classmethod
+    def blocks(cls, row_dims, col_dims, placed: dict) -> "Mat":
+        """The block matrix with row blocks of the sizes row_dims and
+        column blocks of the sizes col_dims: block (i, j) is
+        placed[(i, j)], and every block not given is zero. Block i starts
+        after the blocks before it. A given block whose shape is not
+        row_dims[i] x col_dims[j] raises ValueError."""
+        roffs = list(accumulate(row_dims, initial=0))
+        coffs = list(accumulate(col_dims, initial=0))
+        out = cls(roffs[-1], coffs[-1])
+        rows = out._rows
+        for (i, j), b in placed.items():
+            if b.rows != row_dims[i] or b.cols != col_dims[j]:
+                raise ValueError(
+                    f"block ({i}, {j}) is {b.rows}x{b.cols}, "
+                    f"expected {row_dims[i]}x{col_dims[j]}"
+                )
+            r0, c0 = roffs[i], coffs[j]
+            for r, src in enumerate(b._rows):
+                if src:
+                    tr = rows[r0 + r]
+                    for c, v in src.items():
+                        tr[c0 + c] = v
+        return out
 
     # --- access -------------------------------------------------------
 
@@ -197,16 +227,6 @@ class Mat:
         out._rows = [{j: c * v for j, v in r.items()} for r in self._rows]
         return out
 
-    def hstack(self, other: "Mat") -> "Mat":
-        if self.rows != other.rows:
-            raise ValueError("hstack shape mismatch")
-        out = self.copy()
-        out.cols = self.cols + other.cols
-        for i, r in enumerate(other._rows):
-            for j, v in r.items():
-                out._rows[i][self.cols + j] = v
-        return out
-
     # --- elimination ----------------------------------------------------
 
     def rref(self) -> tuple["Mat", list[int]]:
@@ -299,7 +319,11 @@ class Mat:
         n = self.cols
         if any(len(b) != self.rows for b in rhs):
             raise ValueError("solve shape mismatch")
-        R, pivots = self.hstack(Mat.from_cols(rhs, rows=self.rows)).rref()
+        R, pivots = Mat.blocks(
+            (self.rows,),
+            (n, len(rhs)),
+            {(0, 0): self, (0, 1): Mat.from_cols(rhs, rows=self.rows)},
+        ).rref()
         rank = sum(1 for p in pivots if p < n)
         head, below = R._rows[:rank], R._rows[rank : len(pivots)]
         out = []
@@ -322,10 +346,10 @@ class Mat:
         vanishes below the rank, and the solution whose free coordinates
         are zero has E b's entry i at pivot column i.
         """
-        n = self.cols
-        R, pivots = self.hstack(Mat.identity(self.rows)).rref()
+        n, m = self.cols, self.rows
+        R, pivots = Mat.blocks((m,), (n, m), {(0, 0): self, (0, 1): Mat.identity(m)}).rref()
         rank = sum(1 for p in pivots if p < n)
-        E = Mat(self.rows, self.rows)
+        E = Mat(m, m)
         E._rows = [{j - n: v for j, v in r.items() if j >= n} for r in R._rows]
 
         def solve(b: Vec) -> Vec | None:
@@ -564,28 +588,15 @@ class ChainMapQ:
 def cone(f: ChainMapQ) -> ChainComplexQ:
     """Mapping cone: cone(f)^n = X^{n+1} ⊕ Y^n, d(x, y) = (-dx, fx + dy)."""
     X, Y = f.source, f.target
-    degs = set()
-    for d in X.dims:
-        degs.add(d - 1)
-    degs |= set(Y.dims)
+    degs = {d - 1 for d in X.dims} | set(Y.dims)
     dims = {d: X.dim(d + 1) + Y.dim(d) for d in degs}
     diffs = {}
     for d in sorted(degs):
-        rows = X.dim(d + 2) + Y.dim(d + 1)
-        cols = X.dim(d + 1) + Y.dim(d)
-        m = Mat(rows, cols)
-        dx = X.diff(d + 1)
-        for i in range(dx.rows):
-            for j, v in dx._rows[i].items():
-                m.set_entry(i, j, -v)
-        fm = f.mat(d + 1)
-        for i in range(fm.rows):
-            for j, v in fm._rows[i].items():
-                m.set_entry(X.dim(d + 2) + i, j, v)
-        dy = Y.diff(d)
-        for i in range(dy.rows):
-            for j, v in dy._rows[i].items():
-                m.set_entry(X.dim(d + 2) + i, X.dim(d + 1) + j, v)
+        m = Mat.blocks(
+            (X.dim(d + 2), Y.dim(d + 1)),
+            (X.dim(d + 1), Y.dim(d)),
+            {(0, 0): X.diff(d + 1).neg(), (1, 0): f.mat(d + 1), (1, 1): Y.diff(d)},
+        )
         if not m.is_zero():
             diffs[d] = m
     return ChainComplexQ(dims, diffs)

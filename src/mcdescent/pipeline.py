@@ -22,11 +22,12 @@ whose totalisation controls deformations of the morphism (`build_H`, a
 `MorphismDiagram` that carries the parts its checks read), and a
 long-exact-sequence checker (`les_check`) that ties its cohomology to
 Ext groups computed from the hom complex of a resolution, themselves
-checked against the Euler form of the quiver. Direct-sum maps come from
-one place: the coordinate inclusions that `complex_direct_sum` builds,
-whose transposes are the projections. Any two choices of resolutions and
-lift give quasi-isomorphic diagrams, so the reported cohomology does not
-depend on them; the minimal ones are the smallest.
+checked against the Euler form of the quiver. Every direct sum places
+its blocks through one constructor, `Mat.blocks`: module and complex
+sums, their coordinate inclusions (whose transposes are the
+projections), the two-open Čech pair and its cone. Any two choices of
+resolutions and lift give quasi-isomorphic diagrams, so the reported
+cohomology does not depend on them; the minimal ones are the smallest.
 `test_reported_cohomology_does_not_depend_on_the_resolution` checks this
 against a non-minimal resolution of the target. One reported list does
 follow the choice: `les_junctions` has one entry per degree from one
@@ -234,17 +235,13 @@ def representation(alg: FinAlg, dims, arrow_mats) -> FinMod:
     are stacked in vertex order. e_v acts as the identity on its own
     block; the arrow s -> t acts by its dims[t] x dims[s] matrix, from
     block s into block t."""
-    offs = [sum(dims[:v]) for v in range(len(dims))]
     n = sum(dims)
     acts = [Mat(n, n) for _ in range(alg.dim)]
     for v, e in enumerate(alg.idempotents):
-        for r in range(dims[v]):
-            acts[e].set_entry(offs[v] + r, offs[v] + r, Q(1))
+        acts[e] = Mat.blocks(dims, dims, {(v, v): Mat.identity(dims[v])})
     for a, m in zip(alg.radical, arrow_mats):
         s, t = alg.ends[a]
-        for r, row in enumerate(m._rows):
-            for c, x in row.items():
-                acts[a].set_entry(offs[t] + r, offs[s] + c, x)
+        acts[a] = Mat.blocks(dims, dims, {(t, s): m})
     return FinMod(alg, n, acts, label=f"rep({','.join(map(str, dims))})")
 
 
@@ -266,18 +263,13 @@ def proj_module(alg: FinAlg, verts) -> FinMod:
 
 
 def module_direct_sum(m1: FinMod, m2: FinMod):
-    """Returns (sum, inj1, inj2, proj1, proj2)."""
-    n1, n = m1.dim, m1.dim + m2.dim
-
-    def block(m: Mat, off: int) -> dict:
-        return {
-            (off + r, off + c): v for r, row in enumerate(m._rows) for c, v in sorted(row.items())
-        }
-
-    acts = [Mat(n, n, {**block(a, 0), **block(b, n1)}) for a, b in zip(m1.acts, m2.acts)]
-    i1 = Mat(n, n1, {(r, r): 1 for r in range(n1)})
-    i2 = Mat(n, m2.dim, {(n1 + r, r): 1 for r in range(m2.dim)})
-    return FinMod(m1.alg, n, acts), i1, i2, i1.transpose(), i2.transpose()
+    """Returns (sum, inj1, inj2, proj1, proj2); the projections are the
+    transposes of the inclusions."""
+    dims = (m1.dim, m2.dim)
+    acts = [Mat.blocks(dims, dims, {(0, 0): a, (1, 1): b}) for a, b in zip(m1.acts, m2.acts)]
+    i1 = Mat.blocks(dims, (m1.dim,), {(0, 0): Mat.identity(m1.dim)})
+    i2 = Mat.blocks(dims, (m2.dim,), {(1, 0): Mat.identity(m2.dim)})
+    return FinMod(m1.alg, sum(dims), acts), i1, i2, i1.transpose(), i2.transpose()
 
 
 def is_module_map(m1: FinMod, m2: FinMod, t: Mat) -> bool:
@@ -363,21 +355,17 @@ def proj_cover(m: FinMod):
     lifted v gets one summand A·e_i, mapped by b -> b·v. Returns (cover,
     pi, vertex tuple)."""
     alg = m.alg
-    cols = Mat(m.dim, 0)
-    for i in alg.radical + alg.idempotents:
-        cols = cols.hstack(m.acts[i])
+    gens = alg.radical + alg.idempotents
+    cols = Mat.blocks(
+        (m.dim,), (m.dim,) * len(gens), {(0, k): m.acts[i] for k, i in enumerate(gens)}
+    )
     skip = len(alg.radical) * m.dim
     picks = [(p // m.dim - len(alg.radical), cols.col(p)) for p in cols.rref()[1] if p >= skip]
     verts = tuple(i for i, _ in picks)
     cover = proj_module(alg, verts)
-    pi = Mat(m.dim, cover.dim)
-    c = 0
-    for i, v in picks:
-        for b in alg.summands[i]:
-            for r, x in enumerate(m.acts[b].matvec(v)):
-                if x:
-                    pi.set_entry(r, c, x)
-            c += 1
+    pi = Mat.from_cols(
+        [m.acts[b].matvec(v) for i, v in picks for b in alg.summands[i]], rows=m.dim
+    )
     return cover, pi, verts
 
 
@@ -615,20 +603,21 @@ def lift_morphism(alpha: Mat, fmod: FinMod, gmod: FinMod, res_g: Resolution):
 
 
 def complex_direct_sum(k1: BddComplex, k2: BddComplex):
-    """Returns (sum, inj1, inj2) with chain-map blocks."""
+    """Returns (sum, inj1, inj2) with chain-map blocks; the differential
+    is block diagonal."""
     degs = sorted(set(k1.mods) | set(k2.mods))
-    mods = {}
-    diffs = {}
-    i1c, i2c, p1c, p2c = {}, {}, {}, {}
+    mods, i1c, i2c = {}, {}, {}
     for d in degs:
-        mods[d], i1c[d], i2c[d], p1c[d], p2c[d] = module_direct_sum(
-            k1.module(d), k2.module(d)
+        mods[d], i1c[d], i2c[d], _, _ = module_direct_sum(k1.module(d), k2.module(d))
+    diffs = {
+        d: Mat.blocks(
+            (k1.dim(d + 1), k2.dim(d + 1)),
+            (k1.dim(d), k2.dim(d)),
+            {(0, 0): k1.diff(d), (1, 1): k2.diff(d)},
         )
-    for d in degs:
-        if d + 1 in mods:
-            diffs[d] = (i1c[d + 1] @ k1.diff(d) @ p1c[d]).add(
-                i2c[d + 1] @ k2.diff(d) @ p2c[d]
-            )
+        for d in degs
+        if d + 1 in mods
+    }
     total = BddComplex(k1.alg, mods, diffs)
     return total, ChainMapM(k1, total, i1c), ChainMapM(k2, total, i2c)
 
@@ -704,11 +693,10 @@ def hom_complex(k: BddComplex, m: BddComplex):
     for p in sorted(dims):
         if book.dim(p + 1) == 0:
             continue
-        dmat = Mat(book.dim(p + 1), book.dim(p))
         sgn = Q(1) if p % 2 == 0 else Q(-1)
+        cols = []
         for i, solver in book.blocks[p]:
-            off = book.offsets[(p, i)]
-            for j, b in enumerate(solver.basis):
+            for b in solver.basis:
                 img = {}
                 post = m.diff(i + p) @ b
                 if not post.is_zero():
@@ -718,10 +706,8 @@ def hom_complex(k: BddComplex, m: BddComplex):
                     img[i - 1] = img.get(i - 1, Mat(pre.rows, pre.cols)).add(
                         pre.scale(-sgn)
                     )
-                coords = book.coords(p + 1, img)
-                for r, c in enumerate(coords):
-                    if c:
-                        dmat.set_entry(r, off + j, c)
+                cols.append(book.coords(p + 1, img))
+        dmat = Mat.from_cols(cols, rows=book.dim(p + 1))
         if not dmat.is_zero():
             diffs[p] = dmat
     return ChainComplexQ(dims, diffs), book
@@ -980,18 +966,6 @@ def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> MorphismDi
     )
 
 
-def _block_diagonal(m: Mat) -> Mat:
-    """The matrix acting as m on each of two stacked copies."""
-    out = Mat(2 * m.rows, 2 * m.cols)
-    for r in range(m.rows):
-        for c in range(m.cols):
-            v = m.entry(r, c)
-            if v:
-                out.set_entry(r, c, v)
-                out.set_entry(m.rows + r, m.cols + c, v)
-    return out
-
-
 def h_cohomology(sc: MorphismDiagram, n_opens: int = 1) -> dict:
     """Cohomology dimensions of the totalisation T of the diagram, taken
     over one or two synthetic opens. With two opens and identity gluings
@@ -1005,10 +979,14 @@ def h_cohomology(sc: MorphismDiagram, n_opens: int = 1) -> dict:
         return tot.betti()
     pair = ChainComplexQ(
         {n: 2 * k for n, k in tot.dims.items()},
-        {n: _block_diagonal(m) for n, m in tot.diffs.items()},
+        {
+            n: Mat.blocks((m.rows,) * 2, (m.cols,) * 2, {(0, 0): m, (1, 1): m})
+            for n, m in tot.diffs.items()
+        },
     )
     difference = {
-        n: Mat.identity(k).neg().hstack(Mat.identity(k)) for n, k in tot.dims.items()
+        n: Mat.blocks((k,), (k, k), {(0, 0): Mat.identity(k).neg(), (0, 1): Mat.identity(k)})
+        for n, k in tot.dims.items()
     }
     cech = cone(ChainMapQ(pair, tot, difference))
     return {n + 1: h for n, h in cech.betti().items()}

@@ -241,36 +241,39 @@ def total_complex(sc: ScDgla) -> tuple:
     """The total complex of the diagram: degree n is the direct sum of the
     internal degree n - p parts over levels p, and the differential on a
     level-p slice is the alternating coface sum plus (-1)^p times the
-    internal differential. Returns (complex, basis bookkeeping)."""
+    internal differential. So it is a block matrix over the levels: block
+    (p, p) is ±diff_p and block (p + 1, p) the alternating coface sum.
+    Returns (complex, basis bookkeeping)."""
     tb = TotBasis(sc)
     dims = {n: len(slots) for n, slots in tb.slots.items()}
     diffs = {}
-    for n, slots in tb.slots.items():
-        tgt = tb.dim(n + 1)
-        if not tgt:
+    for n in tb.slots:
+        if not tb.dim(n + 1):
             continue
-        m = Mat(tgt, len(slots))
-        for col, (p, idx) in enumerate(slots):
-            q = n - p
-            if p + 1 <= sc.top:
-                for k in range(p + 2):
-                    fm = sc.face(p + 1, k).mat(q)
-                    sgn = neg_one_pow(k)
-                    for r in range(fm.rows):
-                        v = fm.entry(r, idx)
-                        if v:
-                            rr = tb.index(n + 1, p + 1, r)
-                            m.set_entry(rr, col, m.entry(rr, col) + sgn * v)
-            dm = sc.levels[p].diff(q)
-            sgn = neg_one_pow(p)
-            for r in range(dm.rows):
-                v = dm.entry(r, idx)
-                if v:
-                    rr = tb.index(n + 1, p, r)
-                    m.set_entry(rr, col, m.entry(rr, col) + sgn * v)
+        cols = [g.dim(n - p) for p, g in enumerate(sc.levels)]
+        placed = {}
+        for p, g in enumerate(sc.levels):
+            if not cols[p]:
+                continue
+            dm = g.diff(n - p)
+            placed[(p, p)] = dm.neg() if p % 2 else dm
+            if p < sc.top:
+                placed[(p + 1, p)] = _alternating_sum(
+                    [sc.face(p + 1, k).mat(n - p) for k in range(p + 2)]
+                )
+        rows = [g.dim(n + 1 - p) for p, g in enumerate(sc.levels)]
+        m = Mat.blocks(rows, cols, placed)
         if not m.is_zero():
             diffs[n] = m
     return ChainComplexQ(dims, diffs), tb
+
+
+def _alternating_sum(mats: list) -> Mat:
+    """mats[0] - mats[1] + mats[2] - ..."""
+    out = mats[0]
+    for k in range(1, len(mats)):
+        out = out.sub(mats[k]) if k % 2 else out.add(mats[k])
+    return out
 
 
 # --- Cech diagrams of covers -------------------------------------------------
@@ -366,37 +369,28 @@ def cech_from_cover(cover: CoverModel, depth: int | None = None) -> ScDgla:
     top = cover.n_opens - 1
     if depth is not None:
         top = min(top, depth)
+    tuples = [cover.tuples(p) for p in range(top + 1)]
     levels = []
-    inj = {}
-    proj = {}
-    tuples = {}
-    for p in range(top + 1):
-        tp = cover.tuples(p)
-        tuples[p] = tp
-        parts = [cover.sections[T] for T in tp]
-        total, injs, projs = direct_sum(parts)
+    for p, tp in enumerate(tuples):
+        total = direct_sum([cover.sections[T] for T in tp])[0]
         total.label = f"cech level {p}"
         levels.append(total)
-        inj[p] = injs
-        proj[p] = projs
     cof = {}
     for p in range(1, top + 1):
         degs = set(levels[p - 1].dims) | set(levels[p].dims)
+        pos = {S: si for si, S in enumerate(tuples[p - 1])}
         for k in range(p + 1):
+            restr = []
+            for ti, T in enumerate(tuples[p]):
+                S = T[:k] + T[k + 1 :]
+                restr.append((ti, pos[S], cover.restriction(S, T)))
             mats = {}
             for d in degs:
-                rows = levels[p].dim(d)
-                cols = levels[p - 1].dim(d)
-                m = Mat(rows, cols)
-                for ti, T in enumerate(tuples[p]):
-                    S = T[:k] + T[k + 1 :]
-                    si = tuples[p - 1].index(S)
-                    block = (
-                        inj[p][ti].mat(d)
-                        @ cover.restriction(S, T).mat(d)
-                        @ proj[p - 1][si].mat(d)
-                    )
-                    m = m.add(block)
+                m = Mat.blocks(
+                    [cover.sections[T].dim(d) for T in tuples[p]],
+                    [cover.sections[S].dim(d) for S in tuples[p - 1]],
+                    {(ti, si): r.mat(d) for ti, si, r in restr},
+                )
                 if not m.is_zero():
                     mats[d] = m
             cof[(p, k)] = DglaMap(levels[p - 1], levels[p], mats)
@@ -483,21 +477,16 @@ class TWElem:
     def truncate(self, i: int) -> "TWElem":
         return TWElem(self.sc.truncate(i), self.artin, self.comps[: i + 1])
 
-    def face_violations(self) -> list:
-        """Pairs (n, k) where the k-th chart face of the level-n component
-        differs from the k-th coface image of the level-(n-1) component."""
-        out = []
+    def is_compatible(self) -> bool:
+        """Whether the k-th chart face of each level-n component equals the
+        k-th coface image of the level-(n-1) component."""
         for n in range(1, self.sc.top + 1):
             prev = level_vars(n - 1)
             for k in range(n + 1):
                 lhs = self.comps[n].form_subst(coface_images(n - k, n), prev)
-                rhs = self.comps[n - 1].map_lie(self.sc.face(n, k))
-                if not lhs.eq(rhs):
-                    out.append((n, k))
-        return out
-
-    def is_compatible(self) -> bool:
-        return not self.face_violations()
+                if not lhs.eq(self.comps[n - 1].map_lie(self.sc.face(n, k))):
+                    return False
+        return True
 
 
 def tw_gauge(lam: TWElem, x: TWElem) -> TWElem:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import mcdescent
-from mcdescent.io import dgla_to_json, load_builtin, sc_to_json
+from mcdescent.io import InputError, dgla_to_json, load_builtin, pipeline_from_json, sc_to_json
 from mcdescent.pipeline import (
     build_H,
     lift_morphism,
@@ -98,6 +98,27 @@ def test_every_computing_command_refuses_a_broken_file(tmp_path, command):
     path = zeroed_coface_file(tmp_path)
     code, _, err = run_cli(command, path, "--trials", "1")
     assert_input_error(code, err)
+
+
+def morphism_with_opens(opens) -> dict:
+    with open(os.path.join(DATA, "morphism-simple.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["opens"] = opens
+    return doc
+
+
+def test_opens_true_is_a_named_input_error(tmp_path):
+    # True == 1 in Python, so a membership test alone would take it for one open
+    code, out, err = run_cli("pipeline", write(tmp_path, "opens.json", morphism_with_opens(True)))
+    assert_input_error(code, err)
+    assert "$.opens" in err and out == ""
+
+
+@pytest.mark.parametrize("opens", [True, False, 1.0, 2.0, "1", None, 0, 3])
+def test_opens_must_be_the_integer_one_or_two(opens):
+    with pytest.raises(InputError) as info:
+        pipeline_from_json(morphism_with_opens(opens))
+    assert info.value.where == "$.opens"
 
 
 @pytest.mark.parametrize("name", ["sc-end", "sc-sl2"])

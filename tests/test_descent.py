@@ -16,6 +16,7 @@ from mcdescent.builders import (
 )
 from mcdescent.descent import (
     DescentError,
+    _glued_systems,
     GaugeHomotopy,
     McPair,
     check_hypothesis,
@@ -44,7 +45,16 @@ from mcdescent.mcgauge import (
     morphism_equal,
     stabilizer_log,
 )
-from mcdescent.pipeline import end_dgla_of_complex, vector_complex
+from mcdescent.linalg import Mat, Subspace
+from mcdescent.pipeline import (
+    build_H,
+    end_dgla_of_complex,
+    lift_morphism,
+    random_a2_module,
+    random_module_map,
+    resolve,
+    vector_complex,
+)
 from mcdescent.ratio import Q
 from mcdescent.sampling import (
     random_elem,
@@ -575,6 +585,69 @@ def test_pi0_zero_diagram_gives_two_singletons():
     assert rep["tot_side"]["pi0_dim"] == 0
     assert rep["groupoid_side"]["pi0_dim"] == 0
     assert rep["isomorphic"]
+
+
+def _stack(blocks) -> Mat:
+    """Assemble a block matrix from a list of rows of (Mat or None); each
+    block row is as tall, and each block column as wide, as its largest
+    block."""
+    row_dims = [max(b.rows for b in row if b is not None) for row in blocks]
+    ncols = max(len(row) for row in blocks)
+    col_dims = [
+        max((row[j].cols for row in blocks if j < len(row) and row[j] is not None), default=0)
+        for j in range(ncols)
+    ]
+    out = Mat(sum(row_dims), sum(col_dims))
+    r0 = 0
+    for i, row in enumerate(blocks):
+        c0 = 0
+        for j in range(ncols):
+            b = row[j] if j < len(row) else None
+            if b is not None:
+                for r in range(b.rows):
+                    for c in range(b.cols):
+                        v = b.entry(r, c)
+                        if v:
+                            out.set_entry(r0 + r, c0 + c, v)
+            c0 += col_dims[j]
+        r0 += row_dims[i]
+    return out
+
+
+def stacked_glued_systems(sc):
+    """The object equations and the action of the square-zero glued side,
+    stacked from rows of blocks by _stack."""
+    g0, g1 = sc.levels[0], sc.levels[1]
+    rows = [
+        [g0.diff(1), None],
+        [sc.face(1, 1).mat(1).sub(sc.face(1, 0).mat(1)), g1.diff(0).neg()],
+    ]
+    if sc.top >= 2:
+        g2 = sc.levels[2]
+        img = Subspace(g2.dim(0), [g2.diff(-1).col(j) for j in range(g2.dim(-1))])
+        faces = sc.face(2, 0).mat(0).sub(sc.face(2, 1).mat(0)).add(sc.face(2, 2).mat(0))
+        rows.append([None, img.annihilator_matrix() @ faces])
+    action = [
+        [g0.diff(0), None],
+        [sc.face(1, 1).mat(0).sub(sc.face(1, 0).mat(0)), g1.diff(-1)],
+    ]
+    return _stack(rows), _stack(action)
+
+
+def test_glued_systems_are_the_stacked_blocks():
+    """The square-zero systems against _stack on every builtin diagram,
+    seeded conjugated Čech diagrams with two to four opens and build_H
+    diagrams of seeded random A2 morphisms (top 2, with a witness row)."""
+    rng = random.Random(53)
+    diagrams = [sc for kind, sc in map(load_builtin, builtin_input_names()) if kind == "sc"]
+    diagrams += [sc_cech_conjugated(n_opens=2 + seed % 3, seed=seed) for seed in range(6)]
+    for _ in range(6):
+        fmod, gmod = random_a2_module(rng), random_a2_module(rng)
+        res_g = resolve(gmod)
+        res_f, lift = lift_morphism(random_module_map(fmod, gmod, rng), fmod, gmod, res_g)
+        diagrams.append(build_H(res_f, res_g, lift))
+    for n, sc in enumerate(diagrams):
+        assert _glued_systems(sc) == stacked_glued_systems(sc), n
 
 
 def test_pi0_rejects_fat_coefficients():

@@ -318,8 +318,7 @@ def test_lie_vector_roundtrip():
     ctx = TensorCtx(L, A, ("t",))
     v = (Q(1), Q(-2), Q(3))
     x = ctx.from_lie_vec(0, v, amono=(2,), pmono=(1,), dmask=())
-    assert x.lie_vector(0, (2,), (1,), ()) == v
-    assert x.lie_vector(0, (1,), (1,), ()) == (Q(0),) * 3
+    assert x.terms == {(0, i, (2,), (1,), ()): c for i, c in enumerate(v)}
 
 
 def test_direct_sum_structure():
@@ -347,14 +346,7 @@ def test_map_lie_on_elements():
     ctx = TensorCtx(L, truncated_poly(3), ("t",))
     x = ctx.term(0, 1, 2, (1,), (1,), ())
     pushed = x.map_lie(injs[1])
-    assert pushed.lie_vector(0, (1,), (1,), ()) == (
-        Q(0),
-        Q(0),
-        Q(0),
-        Q(0),
-        Q(2),
-        Q(0),
-    )
+    assert pushed.terms == {(0, 4, (1,), (1,), ()): Q(2)}
     # maps of dgLas commute with d and brackets on elements
     y = ctx.term(0, 0, 1, (1,))
     assert x.bracket(y).map_lie(injs[1]).eq(
@@ -615,3 +607,74 @@ def test_cover_conjugated_restrictions_are_the_index_loop_conjugations():
             assert got.mats == want.mats, (seed, S, T)
             moved += got.mats != DglaMap.identity(g).mats
     assert moved > 20
+
+
+# --- direct sums against the entry-by-entry placement --------------------------
+
+
+def _loop_direct_sum(parts):
+    """The differentials, injections and projections of the direct sum of
+    parts, each placed entry by entry at offsets summed by hand, as
+    {degree: Mat} dicts (one dict of injections and one of projections per
+    part)."""
+    degs = set()
+    for p in parts:
+        degs |= set(p.dims)
+    dims = {d: sum(p.dim(d) for p in parts) for d in degs | {d + 1 for d in degs}}
+
+    def off(d, pi):
+        return sum(q.dim(d) for q in parts[:pi])
+
+    diffs = {}
+    for d in degs:
+        m = Mat(dims[d + 1], dims[d])
+        for pi, p in enumerate(parts):
+            dm = p.diff(d)
+            for r in range(dm.rows):
+                for c in range(dm.cols):
+                    if dm.entry(r, c):
+                        m.set_entry(off(d + 1, pi) + r, off(d, pi) + c, dm.entry(r, c))
+        diffs[d] = m
+    injs, projs = [], []
+    for pi, p in enumerate(parts):
+        inj = {d: Mat(dims[d], p.dim(d)) for d in degs}
+        proj = {d: Mat(p.dim(d), dims[d]) for d in degs}
+        for d in degs:
+            for i in range(p.dim(d)):
+                inj[d].set_entry(off(d, pi) + i, i, 1)
+                proj[d].set_entry(i, off(d, pi) + i, 1)
+        injs.append(inj)
+        projs.append(proj)
+    return diffs, injs, projs
+
+
+def test_direct_sum_is_the_entry_by_entry_sum():
+    """direct_sum against _loop_direct_sum on every pair of builtin dgLas
+    and on 40 seeded random lists of one to four parts, drawn from sl2, a
+    two-term dgLa, abelian dgLas (one of them zero) and End of seeded
+    random complexes, so parts start and end at different degrees and some
+    blocks are empty. The injections are also checked to be dgLa maps,
+    which reads the bracket of the sum."""
+    rng = random.Random(41)
+    builtins = [g for kind, g in map(load_builtin, builtin_input_names()) if kind == "dgla"]
+    pool = builtins + [
+        two_term(),
+        abelian_dgla({-1: 2, 2: 1}),
+        abelian_dgla({}),
+        abelian_dgla({0: 1, 1: 2}, {0: Mat.from_rows([[1], [-2]])}),
+    ] + [end_dgla_of_complex(vector_complex(_random_complex(rng)))[0] for _ in range(6)]
+    lists = [[a, b] for a in builtins for b in builtins]
+    lists += [rng.choices(pool, k=rng.randint(1, 4)) for _ in range(40)]
+    validated = 0
+    for n, parts in enumerate(lists):
+        total, injs, projs = direct_sum(parts)
+        diffs, want_injs, want_projs = _loop_direct_sum(parts)
+        assert total.dims == {d: m.cols for d, m in diffs.items() if m.cols}, n
+        assert all(total.diff(d) == m for d, m in diffs.items()), n
+        for inj, proj, want_inj, want_proj in zip(injs, projs, want_injs, want_projs):
+            assert all(inj.mat(d) == m for d, m in want_inj.items()), n
+            assert all(proj.mat(d) == m for d, m in want_proj.items()), n
+            if total.total_dim <= 60:
+                inj.validate()
+                validated += 1
+    assert validated > 40

@@ -4,13 +4,15 @@ Every name a module of the package imports is used in that module: a
 name bound by an import statement must appear as a name somewhere in the
 module, or be listed in its __all__.
 
-Every top-level function of the package feeds a report: the walk from
+Every function and method of the package feeds a report: the walk from
 `cli.main`, from module-level code and from the names mcbench imports
 from the package reaches it, unless TEST_ORACLES names it together with
 the test that uses it to check code the command line does reach. The
 walk goes by bare name: a name or an attribute reaches every top-level
-function and class so called, and a reached class reaches every name its
-methods use. So it can only overcount what is reached; a function it
+function, class and method so called. A reached class reaches every
+name its class body and its dunder methods use, since those run without
+being named; any other method is reached only by its own name. So the
+walk can only overcount what is reached; a function or method it
 reports has no caller.
 
 Every module of the package imports first: in a fresh interpreter, with
@@ -40,6 +42,7 @@ TEST_ORACLES = {
     "forms.f_eval": "test_forms.py::test_stokes_with_alternating_faces",
     # the simplicial identities of coface_images
     "forms.coface_pullback": "test_forms.py::test_cosimplicial_identity_on_pullbacks",
+    "forms.coface_images": "test_forms.py::test_cosimplicial_identity_on_pullbacks",
     "forms.f_subst": "test_forms.py::test_cosimplicial_identity_on_pullbacks",
     "semicosimplicial.tw_mc_to_element": "test_descent.py::test_descend_inverts_the_lift",
     # the groupoid laws and the functoriality of phi1_full_lift
@@ -60,6 +63,8 @@ TEST_ORACLES = {
         "test_descent.py::test_base_change_commutes_with_the_descent_functor",
     # invariants of what the samplers and descent maps build unchecked
     "semicosimplicial.tw_is_mc":
+        "test_descent.py::test_what_the_descent_command_samples_passes_every_invariant",
+    "semicosimplicial.TWElem.is_compatible":
         "test_descent.py::test_what_the_descent_command_samples_passes_every_invariant",
     "semicosimplicial.totdel_mor_verify":
         "test_descent.py::test_what_the_descent_command_samples_passes_every_invariant",
@@ -101,17 +106,31 @@ def _names(node) -> set:
     }
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(sources: dict):
-    """The top-level functions and classes of the given {module: source},
-    as {name: [("module.name", is a function, names it uses)]}, and the
-    names that module-level code uses (an import binds a name but does not
-    use it)."""
+    """The top-level functions and classes of the given {module: source}
+    and the methods of those classes other than dunders, as {name:
+    [("module.name" or "module.Class.name", is a function or method,
+    names it uses)]}, and the names that module-level code uses (an import
+    binds a name but does not use it). A class uses the names of its
+    bases, decorators, class body and dunder methods."""
     defs, used = {}, set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                entry = (f"{module}.{stmt.name}", isinstance(stmt, ast.FunctionDef), _names(stmt))
-                defs.setdefault(stmt.name, []).append(entry)
+            if isinstance(stmt, ast.FunctionDef):
+                defs.setdefault(stmt.name, []).append((f"{module}.{stmt.name}", True, _names(stmt)))
+            elif isinstance(stmt, ast.ClassDef):
+                names = set().union(*map(_names, stmt.bases + stmt.decorator_list))
+                for node in stmt.body:
+                    if isinstance(node, ast.FunctionDef) and not _is_dunder(node.name):
+                        qual = f"{module}.{stmt.name}.{node.name}"
+                        defs.setdefault(node.name, []).append((qual, True, _names(node)))
+                    else:
+                        names |= _names(node)
+                defs.setdefault(stmt.name, []).append((f"{module}.{stmt.name}", False, names))
             elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 used |= _names(stmt)
     return defs, used
@@ -132,7 +151,7 @@ def reach(defs: dict, roots) -> set:
 
 
 def unreached(sources: dict, roots) -> list:
-    """The top-level functions that neither module-level code nor roots reach."""
+    """The functions and methods that neither module-level code nor roots reach."""
     defs, used = definitions(sources)
     reached = reach(defs, used | set(roots))
     return sorted(
@@ -175,14 +194,20 @@ def test_the_walk_sees_a_function_without_a_caller():
             "from .other import orphan\n"
             "def run():\n    return _helper()\n"
             "def _helper():\n    return 1\n"
-            "class Table:\n    def row(self):\n        return by_method()\n"
+            "class Table:\n    def __len__(self):\n        return by_dunder()\n"
+            "    def row(self):\n        return by_method()\n"
+            "    def spare_row(self):\n        return by_spare_method()\n"
+            "def by_dunder():\n    return 1\n"
             "def by_method():\n    return 2\n"
-            "TABLES = {'t': Table}\n"
+            "def by_spare_method():\n    return 3\n"
+            "TABLES = {'t': Table().row}\n"
         ),
         "other": "def orphan():\n    return _helper()\n\ndef spare():\n    pass\n",
     }
-    assert unreached(sources, {"main"}) == ["other.orphan", "other.spare"]
-    assert unreached(sources, {"main", "orphan"}) == ["other.spare"]
+    assert unreached(sources, {"main"}) == [
+        "lib.Table.spare_row", "lib.by_spare_method", "other.orphan", "other.spare",
+    ]
+    assert unreached(sources, {"main", "orphan", "spare_row"}) == ["other.spare"]
 
 
 def test_every_library_function_feeds_a_report_or_is_a_test_oracle():

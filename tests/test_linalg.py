@@ -7,6 +7,8 @@ Fraction, plus hand-worked small cases with frozen expected values.
 import random
 from fractions import Fraction
 
+import pytest
+
 from mcdescent.linalg import (
     ChainComplexQ,
     ChainMapQ,
@@ -233,7 +235,8 @@ def test_solve_many_reads_each_column_alone():
         bad = []
         while len(bad) < 1 + trial % 2:
             b = vec([Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rows)])
-            if Mat.from_cols(bad + [b], rows=rows).hstack(a).rank() == a.rank() + len(bad) + 1:
+            spread = bad + [b] + [a.col(j) for j in range(cols)]
+            if Mat.from_cols(spread, rows=rows).rank() == a.rank() + len(bad) + 1:
                 bad.append(b)
         for b in bad:
             rhs.insert(rng.randint(0, len(rhs)), b)
@@ -558,6 +561,96 @@ def test_cone_euler_and_quasi_iso():
         for d in range(min(cn.dims, default=0), max(cn.dims, default=0) + 1):
             assert cn.cohomology(d)[0] == 0
         assert cn.euler() == 0
+
+
+# --- block matrices -----------------------------------------------------------
+
+
+def dense_blocks(row_dims, col_dims, placed):
+    """The block matrix as dense rows, each block's corner summed by hand."""
+    out = [[Q(0)] * sum(col_dims) for _ in range(sum(row_dims))]
+    for (i, j), b in placed.items():
+        r0, c0 = sum(row_dims[:i]), sum(col_dims[:j])
+        for r in range(b.rows):
+            for c in range(b.cols):
+                out[r0 + r][c0 + c] = b.entry(r, c)
+    return [tuple(r) for r in out]
+
+
+def test_blocks_match_a_dense_reference():
+    rng = random.Random(23)
+    empty = 0
+    for _ in range(300):
+        row_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        col_dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        placed = {
+            (i, j): rand_rational_mat(rng, r, c)
+            for i, r in enumerate(row_dims)
+            for j, c in enumerate(col_dims)
+            if rng.random() < 0.6
+        }
+        empty += any(0 in (b.rows, b.cols) for b in placed.values())
+        got = Mat.blocks(row_dims, col_dims, placed)
+        assert (got.rows, got.cols) == (sum(row_dims), sum(col_dims))
+        assert got.to_rows() == dense_blocks(row_dims, col_dims, placed)
+        assert all(v for row in got._rows for v in row.values())
+    assert empty > 50
+    assert Mat.blocks((), (), {}) == Mat(0, 0)
+
+
+@pytest.mark.parametrize(
+    "placed",
+    [
+        {(0, 0): Mat(2, 2)},
+        {(1, 1): Mat(3, 2)},
+        {(0, 1): Mat(2, 3).transpose()},
+        {(0, 0): Mat(2, 1), (1, 0): Mat(2, 1)},
+    ],
+)
+def test_blocks_refuse_a_wrong_shaped_block(placed):
+    with pytest.raises(ValueError, match="block"):
+        Mat.blocks((2, 3), (1, 3), placed)
+
+
+def set_entry_cone(f: ChainMapQ) -> ChainComplexQ:
+    """The mapping cone placed entry by entry: cone(f)^n = X^{n+1} ⊕ Y^n
+    with d(x, y) = (-dx, fx + dy)."""
+    X, Y = f.source, f.target
+    degs = {d - 1 for d in X.dims} | set(Y.dims)
+    diffs = {}
+    for d in sorted(degs):
+        m = Mat(X.dim(d + 2) + Y.dim(d + 1), X.dim(d + 1) + Y.dim(d))
+        for i in range(X.dim(d + 2)):
+            for j in range(X.dim(d + 1)):
+                m.set_entry(i, j, -X.diff(d + 1).entry(i, j))
+        for i in range(Y.dim(d + 1)):
+            for j in range(X.dim(d + 1)):
+                m.set_entry(X.dim(d + 2) + i, j, f.mat(d + 1).entry(i, j))
+            for j in range(Y.dim(d)):
+                m.set_entry(X.dim(d + 2) + i, X.dim(d + 1) + j, Y.diff(d).entry(i, j))
+        diffs[d] = m
+    return ChainComplexQ({d: X.dim(d + 1) + Y.dim(d) for d in degs}, diffs)
+
+
+def test_cone_is_the_set_entry_cone():
+    """cone against the entry-by-entry placement on the identity of 20
+    seeded random complexes and on 40 seeded random maps between two of
+    them (the cone only places blocks, so the maps need not commute with
+    d, and the degrees of source and target need not line up)."""
+    rng = random.Random(37)
+    maps = []
+    for _ in range(20):
+        cx = rand_complex(rng)
+        maps.append(ChainMapQ(cx, cx, {d: Mat.identity(n) for d, n in cx.dims.items()}))
+    for _ in range(40):
+        X, Y = rand_complex(rng), rand_complex(rng)
+        mats = {d: rand_rational_mat(rng, Y.dim(d), X.dim(d)) for d in set(X.dims) & set(Y.dims)}
+        maps.append(ChainMapQ(X, Y, mats))
+    assert sum(bool(f.mats) and bool(f.source.diffs) for f in maps) > 30
+    for f in maps:
+        got, want = cone(f), set_entry_cone(f)
+        assert got.dims == want.dims
+        assert got.diffs == want.diffs
 
 
 def test_vec_helpers():

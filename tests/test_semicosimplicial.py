@@ -36,10 +36,19 @@ from mcdescent.dgla import (
     direct_sum,
     sl2,
 )
+from mcdescent.io import builtin_input_names, load_builtin
 from mcdescent.linalg import ChainComplexQ, Mat
 from mcdescent.mcgauge import bch, gauge, is_mc, stabilizer_log
-from mcdescent.pipeline import end_dgla_of_complex, vector_complex
-from mcdescent.ratio import Q
+from mcdescent.pipeline import (
+    build_H,
+    end_dgla_of_complex,
+    lift_morphism,
+    random_a2_module,
+    random_module_map,
+    resolve,
+    vector_complex,
+)
+from mcdescent.ratio import Q, neg_one_pow
 from mcdescent.sampling import (
     bump_elem,
     random_compatible_family,
@@ -56,6 +65,7 @@ from mcdescent.semicosimplicial import (
     TotDelMorphism,
     TotDelObject,
     TotElem,
+    TotBasis,
     TWElem,
     TwTruncMC,
     bch_many,
@@ -325,6 +335,160 @@ def test_total_complex_squares_to_zero_on_cech_diagrams():
     # the constructor verifies d*d = 0; building these is the assertion
     for sc in (sc_cech_identity(n_opens=3), sc_cech_conjugated(seed=3), sc_twist()):
         total_complex(sc)
+
+
+# --- the block layouts against the entry-by-entry ones ---------------------------
+
+
+def accumulated_total_complex(sc: ScDgla) -> dict:
+    """The differentials of the total complex, {n: Mat}, accumulated entry
+    by entry at the slots of TotBasis: column (p, idx) gets (-1)^k times
+    column idx of each coface into level p + 1 and (-1)^p times column
+    idx of the internal differential of level p."""
+    tb = TotBasis(sc)
+    diffs = {}
+    for n, slots in tb.slots.items():
+        m = Mat(tb.dim(n + 1), len(slots))
+        for col, (p, idx) in enumerate(slots):
+            q = n - p
+            terms = [(p, neg_one_pow(p), sc.levels[p].diff(q))]
+            if p < sc.top:
+                terms += [(p + 1, neg_one_pow(k), sc.face(p + 1, k).mat(q)) for k in range(p + 2)]
+            for level, sgn, fm in terms:
+                for r in range(fm.rows):
+                    v = fm.entry(r, idx)
+                    if v:
+                        rr = tb.index(n + 1, level, r)
+                        m.set_entry(rr, col, m.entry(rr, col) + sgn * v)
+        diffs[n] = m
+    return diffs
+
+
+def injected_cech_cofaces(cover: CoverModel, top: int) -> dict:
+    """The cofaces of the Čech diagram, {(p, k): {degree: Mat}}, each the
+    sum over (p+1)-tuples T of inj_T ∘ restriction(S, T) ∘ proj_S with S
+    = T minus its k-th entry; the coordinate inclusions are built here
+    from offsets summed by hand, and their transposes are the
+    projections."""
+    tuples = [cover.tuples(p) for p in range(top + 1)]
+
+    def inj(p, t, d):
+        sizes = [cover.sections[T].dim(d) for T in tuples[p]]
+        off, n = sum(sizes[:t]), sizes[t]
+        return Mat(sum(sizes), n, {(off + i, i): 1 for i in range(n)})
+
+    out = {}
+    for p in range(1, top + 1):
+        degs = set()
+        for T in tuples[p - 1] + tuples[p]:
+            degs |= set(cover.sections[T].dims)
+        for k in range(p + 1):
+            mats = {}
+            for d in degs:
+                m = Mat(inj(p, 0, d).rows, inj(p - 1, 0, d).rows)
+                for t, T in enumerate(tuples[p]):
+                    S = T[:k] + T[k + 1 :]
+                    s = tuples[p - 1].index(S)
+                    restricted = cover.restriction(S, T).mat(d)
+                    m = m.add(inj(p, t, d) @ restricted @ inj(p - 1, s, d).transpose())
+                mats[d] = m
+            out[(p, k)] = mats
+    return out
+
+
+def _random_rat_mat(rng, rows, cols):
+    return Mat(rows, cols, {
+        (r, c): Q(rng.randint(-3, 3), rng.randint(1, 2))
+        for r in range(rows) for c in range(cols) if rng.random() < 0.6
+    })
+
+
+def random_unchecked_diagram(rng) -> ScDgla:
+    """Abelian levels with random differentials and random cofaces, top 1
+    to 3: no axiom holds, but every block of the total complex is
+    nonzero and distinct, so a sign or a block out of place shows."""
+    top = rng.randint(1, 3)
+    levels = []
+    for _ in range(top + 1):
+        lo = rng.randint(-2, 0)
+        dims = {d: rng.randint(0, 3) for d in range(lo, lo + rng.randint(1, 4))}
+        diffs = {d: _random_rat_mat(rng, dims.get(d + 1, 0), n) for d, n in dims.items()}
+        levels.append(abelian_dgla(dims, diffs))
+    cof = {
+        (i, k): DglaMap(levels[i - 1], levels[i], {
+            d: _random_rat_mat(rng, levels[i].dim(d), levels[i - 1].dim(d))
+            for d in levels[i - 1].dims
+        })
+        for i in range(1, top + 1)
+        for k in range(i + 1)
+    }
+    return ScDgla(levels, cof, label="random")
+
+
+def random_conjugated_covers(rng, count: int) -> list:
+    """cover_conjugated on seeded random two-term complexes Q^a -> Q^b
+    (so d∘d = 0) in degrees (-1, 0) or (0, 1), with two to four opens."""
+    covers = []
+    for seed in range(count):
+        lo = rng.choice((-1, 0))
+        a, b = rng.randint(1, 2), rng.randint(0, 2)
+        cx = ChainComplexQ({lo: a, lo + 1: b}, {lo: _random_rat_mat(rng, b, a)})
+        covers.append(cover_conjugated(cx, n_opens=rng.randint(2, 4), seed=seed))
+    return covers
+
+
+def builtin_covers() -> list:
+    g, _ = end_dgla_of_complex(vector_complex(two_step_complex()))
+    return [
+        cover_identity(sl2(), 3),
+        cover_identity(g, 4),
+        cover_conjugated(seed=5),
+        cover_twist(),
+        cover_twist_redundant(),
+    ]
+
+
+def random_morphism_diagrams(rng, count: int) -> list:
+    """build_H on seeded random morphisms of random A2 modules."""
+    out = []
+    for _ in range(count):
+        fmod, gmod = random_a2_module(rng), random_a2_module(rng)
+        res_g = resolve(gmod)
+        res_f, lift = lift_morphism(random_module_map(fmod, gmod, rng), fmod, gmod, res_g)
+        out.append(build_H(res_f, res_g, lift))
+    return out
+
+
+def test_cech_cofaces_are_the_injected_restrictions():
+    """Each coface of cech_from_cover against the sum of injected
+    restrictions, on the covers behind the builtins and on 8 seeded
+    random conjugated covers, at full depth and one level short."""
+    rng = random.Random(43)
+    covers = builtin_covers() + random_conjugated_covers(rng, 8)
+    assert any(cover.n_opens == 4 for cover in covers)
+    for n, cover in enumerate(covers):
+        for top in {cover.n_opens - 1, max(cover.n_opens - 2, 1)}:
+            sc = cech_from_cover(cover, depth=top)
+            for (p, k), mats in injected_cech_cofaces(cover, top).items():
+                assert all(sc.face(p, k).mat(d) == m for d, m in mats.items()), (n, p, k)
+
+
+def test_total_complex_is_the_entry_by_entry_accumulation():
+    """total_complex against accumulated_total_complex on every builtin
+    diagram, the Čech diagrams of seeded random covers, build_H diagrams
+    of seeded random A2 morphisms and 60 seeded random diagrams whose
+    levels and cofaces satisfy no axiom."""
+    rng = random.Random(47)
+    diagrams = [sc for kind, sc in map(load_builtin, builtin_input_names()) if kind == "sc"]
+    diagrams += [cech_from_cover(cover) for cover in random_conjugated_covers(rng, 6)]
+    diagrams += random_morphism_diagrams(rng, 6)
+    diagrams += [random_unchecked_diagram(rng) for _ in range(60)]
+    assert max(sc.top for sc in diagrams) == 3
+    for n, sc in enumerate(diagrams):
+        tot, tb = total_complex(sc)
+        want = accumulated_total_complex(sc)
+        assert tot.dims == {d: len(slots) for d, slots in tb.slots.items()}, n
+        assert all(tot.diff(d) == m for d, m in want.items()), n
 
 
 def test_total_element_derivative_matches_matrix_differential():
