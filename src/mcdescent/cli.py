@@ -2,10 +2,16 @@
 
     mcdescent COMMAND INPUT... [options]
 
-One parser for all commands; every option applies to every command, and
-options may come before or after the command. Each INPUT is a JSON file
-in one of the input schemas or builtin:<name>. The commands and their
-one-line help are the table `_COMMANDS`; `mcdescent --help` prints it.
+One parser for all commands, `parse_args`; every option applies to every
+command. The options are the table `_OPTIONS`: --format, --artin, --seed,
+--trials and --max-degree, each taking one value. They may stand before,
+between or after the words COMMAND and INPUT. Each flag must be given in
+full (there are no abbreviations), as `--flag VALUE` or `--flag=VALUE`;
+VALUE is the next word even when it starts with "-", and a repeated flag
+keeps its last value. A word `--` ends the options: every word after it
+is an INPUT. `-h` or `--help` prints the help and exits 0. Each INPUT is
+a JSON file in one of the input schemas or builtin:<name>. The commands
+and their one-line help are the table `_COMMANDS`; the help lists them.
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 malformed input
 (including a file input that fails its axioms, and a command line that
@@ -17,7 +23,6 @@ Each verdict sits next to the verbatim identity that was checked.
 
 from __future__ import annotations
 
-import argparse
 import random
 import sys
 from dataclasses import dataclass
@@ -39,7 +44,7 @@ from .descent import (
     tw_lift,
 )
 from .dgla import DglaError, TensorCtx
-from .io import InputError, builtin_input_names, dumps, load_document
+from .io import InputError, builtin_input_names, dumps, load_document, read_json_file
 from .linalg import ChainComplexQ
 from .mcgauge import (
     bch,
@@ -75,7 +80,9 @@ class RunConfig:
     """One resolved invocation: the command, its inputs, and the knobs.
 
     trials may be zero (hypothesis-only runs); the degree cap must be
-    positive. A fixed config reproduces its report bytes exactly.
+    positive. The command line parser checks everything else: the
+    command, a nonempty list of inputs and the format. A fixed config
+    reproduces its report bytes exactly.
     """
 
     command: str
@@ -87,10 +94,6 @@ class RunConfig:
     max_degree: int = 4
 
     def __post_init__(self):
-        if not self.inputs:
-            raise InputError("at least one input is required", "inputs")
-        if self.fmt not in ("json", "markdown"):
-            raise InputError("format must be json or markdown", "--format")
         if self.trials < 0:
             raise InputError("trials must be >= 0", "--trials")
         if self.max_degree < 1:
@@ -641,18 +644,10 @@ def cmd_pipeline(cfg: RunConfig) -> dict:
 
 
 def cmd_report(cfg: RunConfig) -> dict:
-    import json
-
     spec = cfg.inputs[0]
     if len(cfg.inputs) != 1:
         raise InputError("report takes exactly one saved JSON report", "inputs")
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as e:
-        raise InputError(f"cannot read file: {e}", spec) from None
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid JSON: {e}", spec) from None
+    raw = read_json_file(spec)
     if not isinstance(raw, dict) or not isinstance(raw.get("schema"), str):
         raise InputError("a saved report is an object with a schema field", spec)
     return raw
@@ -715,62 +710,107 @@ def run(cfg: RunConfig) -> dict:
     return _COMMANDS[cfg.command][0](cfg)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One parser for every command: each option applies to all of them."""
-    names = builtin_input_names()
+# flag: (RunConfig field, value type, metavar, help); a tuple type lists the
+# choices. The defaults are RunConfig's.
+_OPTIONS = {
+    "--format": ("fmt", ("json", "markdown"), "{json,markdown}", "output format"),
+    "--artin": ("artin", str, "NAME", "coefficient ring, one of the rings below"),
+    "--seed": ("seed", int, "N", "random seed"),
+    "--trials": ("trials", int, "N", "randomized trials per check, 0 allowed where meaningful"),
+    "--max-degree": ("max_degree", int, "N", "cohomological degree cap for tables"),
+}
+
+_USAGE = "usage: mcdescent [-h] COMMAND INPUT [INPUT ...] [--flag VALUE ...]\n"
+
+
+class UsageError(Exception):
+    """A command line that does not parse."""
+
+
+def _option_value(flag: str, text: str):
+    _, kind, _, _ = _OPTIONS[flag]
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"argument {flag}: invalid int value: {text!r}") from None
+    if kind is not str and text not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise UsageError(f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def parse_args(argv) -> RunConfig | None:
+    """The RunConfig of a command line, or None when it asks for help.
+
+    The surface it accepts is the one the module docstring states; it
+    raises UsageError on any other command line.
+    """
+    words, values = [], {}
+    it = iter(argv)
+    for word in it:
+        if word == "--":
+            words.extend(it)
+        elif word in ("-h", "--help"):
+            return None
+        elif word.startswith("-"):
+            flag, eq, text = word.partition("=")
+            if flag not in _OPTIONS:
+                raise UsageError(f"unrecognized option: {flag}")
+            if not eq:
+                text = next(it, None)
+                if text is None:
+                    raise UsageError(f"argument {flag}: expected one argument")
+            values[_OPTIONS[flag][0]] = _option_value(flag, text)
+        else:
+            words.append(word)
+    if len(words) < 2:
+        missing = ["COMMAND", "INPUT"][len(words):]
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
+    command, *inputs = words
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise UsageError(f"argument COMMAND: invalid choice: {command!r} (choose from {choices})")
+    return RunConfig(command=command, inputs=tuple(inputs), **values)
+
+
+def help_text() -> str:
+    """What -h and --help print: the usage, the options, the commands and
+    every builtin input and ring name."""
+    lines = [
+        _USAGE,
+        "Exact deformation calculus: Maurer-Cartan elements, gauge actions,",
+        "totalisation, descent, and module-morphism pipelines. Each INPUT is a",
+        "JSON input file or builtin:<name>. Options may stand anywhere; give",
+        "each flag in full, as --flag VALUE or --flag=VALUE; -- ends the options.",
+        "",
+        "options:",
+        "  -h, --help",
+        "      show this help message and exit",
+    ]
+    for flag, (field, _, metavar, htext) in _OPTIONS.items():
+        lines.append(f"  {flag} {metavar}")
+        lines.append(f"      {htext} (default {getattr(RunConfig, field)})")
     width = max(map(len, _COMMANDS))
-    epilog = (
-        ["commands:"]
-        + [f"  {name:<{width}}  {htext}" for name, (_, htext) in _COMMANDS.items()]
-        + ["", "builtin inputs (INPUT = builtin:<name>):"]
-        + ["  " + ", ".join(names[i:i + 4]) for i in range(0, len(names), 4)]
-    )
-    p = argparse.ArgumentParser(
-        prog="mcdescent",
-        description="Exact deformation calculus: Maurer-Cartan elements, gauge actions,\n"
-        "totalisation, descent, and module-morphism pipelines.",
-        epilog="\n".join(epilog),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument(
-        "command", choices=_COMMANDS, metavar="COMMAND", help="one of the commands below",
-    )
-    p.add_argument(
-        "inputs", nargs="+", metavar="INPUT", help="a JSON input file or builtin:<name>",
-    )
-    p.add_argument(
-        "--format", choices=("json", "markdown"), default="json",
-        dest="fmt", help="output format (default json)",
-    )
-    p.add_argument(
-        "--artin", default="t3", metavar="NAME",
-        help="coefficient ring, one of: " + ", ".join(builtin_artin_names()),
-    )
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument(
-        "--trials", type=int, default=8,
-        help="randomized trials per check (0 allowed where meaningful)",
-    )
-    p.add_argument(
-        "--max-degree", type=int, default=4, dest="max_degree",
-        help="cohomological degree cap for tables",
-    )
-    return p
+    lines += ["", "commands:"]
+    lines += [f"  {name:<{width}}  {htext}" for name, (_, htext) in _COMMANDS.items()]
+    names = builtin_input_names()
+    lines += ["", "builtin inputs (INPUT = builtin:<name>):"]
+    lines += ["  " + ", ".join(names[i:i + 4]) for i in range(0, len(names), 4)]
+    lines += ["", "coefficient rings (--artin NAME):", "  " + ", ".join(builtin_artin_names())]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            inputs=tuple(args.inputs),
-            artin=args.artin,
-            seed=args.seed,
-            trials=args.trials,
-            fmt=args.fmt,
-            max_degree=args.max_degree,
-        )
+        cfg = parse_args(sys.argv[1:] if argv is None else argv)
+        if cfg is None:
+            sys.stdout.write(help_text())
+            return 0
         report = run(cfg)
+    except UsageError as e:
+        sys.stderr.write(f"{_USAGE}mcdescent: error: {e}\n")
+        return 2
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2

@@ -282,6 +282,24 @@ def pipeline_from_json(obj, where: str = "$") -> dict:
 # --- documents and builtins ---------------------------------------------------
 
 
+def read_json_file(path: str):
+    """Parse a UTF-8 JSON file. A file that cannot be read, is not UTF-8,
+    is not JSON, nests too deeply to parse or holds an integer literal too
+    long to convert is an InputError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise InputError(f"cannot read file: {e}", path) from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"not UTF-8 text: {e}", path) from None
+    except ValueError as e:
+        # a JSONDecodeError, or an integer literal longer than int() converts
+        raise InputError(f"invalid JSON: {e}", path) from None
+    except RecursionError:
+        raise InputError("JSON nested too deeply", path) from None
+
+
 def document_from_json(obj, where: str = "$") -> tuple:
     """Dispatch a parsed JSON document on its schema field.
 
@@ -380,13 +398,4 @@ def load_document(spec: str) -> tuple:
     """
     if spec.startswith("builtin:"):
         return load_builtin(spec[len("builtin:"):])
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise InputError(f"cannot read file: {e}", spec) from None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid JSON: {e}", spec) from None
-    return document_from_json(obj)
+    return document_from_json(read_json_file(spec))

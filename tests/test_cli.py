@@ -100,6 +100,33 @@ def test_every_computing_command_refuses_a_broken_file(tmp_path, command):
     assert_input_error(code, err)
 
 
+def not_utf8_file(tmp_path) -> str:
+    path = tmp_path / "not-utf8.json"
+    path.write_bytes(b"\xff\xfe{")
+    return str(path)
+
+
+def too_deep_file(tmp_path) -> str:
+    path = tmp_path / "too-deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    return str(path)
+
+
+def too_long_integer_file(tmp_path) -> str:
+    path = tmp_path / "too-long-integer.json"
+    path.write_text('{"schema": "dgla/1", "dims": {"0": ' + "9" * 5000 + "}}", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("make", [not_utf8_file, too_deep_file, too_long_integer_file])
+@pytest.mark.parametrize("command", ["validate", "pipeline", "report"])
+def test_a_file_that_does_not_parse_is_a_named_input_error(tmp_path, make, command):
+    path = make(tmp_path)
+    code, out, err = run_cli(command, path)
+    assert_input_error(code, err)
+    assert path in err and out == ""
+
+
 def morphism_with_opens(opens) -> dict:
     with open(os.path.join(DATA, "morphism-simple.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -243,8 +270,14 @@ def test_help_names_every_command_and_builtin():
         ["validate", "builtin:zero", "--verbose"],
         ["validate", "builtin:zero", "--format", "xml"],
         ["mc", "builtin:sl2", "--seed", "x"],
+        ["mc", "builtin:sl2", "--trials=x"],
+        ["cohomology", "builtin:zero", "--max-degree", "2.5"],
+        ["mc", "builtin:sl2", "--seed"],
+        ["mc", "builtin:sl2", "--tri", "1"],
+        [],
     ],
-    ids=["unknown-command", "missing-input", "unknown-option", "format-xml", "seed-not-int"],
+    ids=["unknown-command", "missing-input", "unknown-option", "format-xml", "seed-not-int",
+         "trials-not-int", "max-degree-not-int", "missing-value", "abbreviation", "no-arguments"],
 )
 def test_a_command_line_that_does_not_parse_exits_2_with_the_usage(argv):
     code, out, err = run_cli(*argv)
@@ -300,3 +333,51 @@ def test_options_parse_wherever_they_stand(monkeypatch, argv):
         command="mc", inputs=("a.json",), artin="sqz2", seed=17, trials=3,
         fmt="markdown", max_degree=2,
     )
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (["mc", "a.json", "--format=markdown", "--artin=sqz2", "--seed=17", "--trials=3",
+          "--max-degree=2"],
+         dict(fmt="markdown", artin="sqz2", seed=17, trials=3, max_degree=2)),
+        (["mc", "a.json", "--seed", "-3"], dict(seed=-3)),
+        (["mc", "--seed=-3", "a.json"], dict(seed=-3)),
+        (["mc", "--trials", "1", "--", "a.json"], dict(trials=1)),
+        (["mc", "--", "a.json", "--seed"], dict(inputs=("a.json", "--seed"))),
+        (["mc", "a.json", "--seed", "1", "--seed=2", "--artin", "t4", "--artin", "dual"],
+         dict(seed=2, artin="dual")),
+    ],
+    ids=["equals-form", "negative-value", "negative-equals", "double-dash",
+         "double-dash-flag-as-input", "last-value-wins"],
+)
+def test_the_fixed_surface(monkeypatch, argv, fields):
+    from mcdescent.cli import RunConfig
+
+    want = dict(command="mc", inputs=("a.json",))
+    want.update(fields)
+    assert _parsed_config(monkeypatch, argv) == RunConfig(**want)
+
+
+def test_short_and_long_help_print_the_same_text(capsys):
+    from mcdescent import cli
+
+    assert cli.main(["-h"]) == 0
+    short = capsys.readouterr()
+    assert cli.main(["mc", "--help", "--seed", "x"]) == 0
+    long = capsys.readouterr()
+    assert short.err == long.err == ""
+    assert short.out == long.out and short.out.startswith("usage: mcdescent")
+
+
+def test_the_cli_imports_no_argparse_or_gettext():
+    """argparse and the gettext lookups of its first call were most of
+    the fixed cost of an invocation; nothing on the import path of the
+    CLI brings them back."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = "import mcdescent.cli, sys; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
