@@ -13,12 +13,14 @@ use the full differential, so a path of gauges acting on a constant object
 automatically produces the expected dt-correction terms.
 
 The decomposition solvers write a Maurer-Cartan path (or square) that
-starts at x as e^g * x with g in a rigid polynomial shape, solving level by
-level in the coefficient filtration. Since d is linear over the coefficient
-ring, a level's system splits into one block per monomial of that level,
-all equal to the shape block at the unit monomial; each level is one exact
-elimination of that block, shared by its monomials, with one right-hand
-side per monomial. The final residual is asserted to vanish identically.
+starts at x as e^g * x with g in a rigid polynomial shape, solving
+-d(delta) = piece level by level in the coefficient filtration. Each shape
+unknown is the only one in its own row of that system: L^0 t^p s^q has the
+dt row L^0 t^(p-1) s^q dt, or for p = 0 the ds row L^0 s^(q-1) ds;
+L^-1 t^p s^q ds has the dt^ds row L^-1 t^(p-1) s^q dt^ds. The system thus
+has full column rank, its one solution is read off those rows term by
+term, and it is consistent exactly when -d of that delta is the piece.
+The final residual is asserted to vanish identically.
 """
 
 from __future__ import annotations
@@ -241,79 +243,45 @@ def embed(x: Elem, new_vars, positions=None) -> Elem:
 # --- the shape solvers -------------------------------------------------------
 
 
-def _tmax(rho: Elem, var: int) -> int:
-    return max((k[3][var] for k in rho.terms), default=0)
+def _level_solve(piece: Elem, monos: list):
+    """The delta in the shape with -d(delta) = piece, or None when there is
+    none; monos lists the monomials of the piece's coefficient level.
 
+    Each term c of piece in a dt, dt^ds or t^0-ds row names its own delta
+    term, since the shape unknown of that row occurs in no other:
 
-def _shape_1var(ctx: TensorCtx, tmax: int) -> list:
-    L = ctx.dgla
-    out = []
-    for e in range(1, tmax + 1):
-        for idx in range(L.dim(0)):
-            out.append(ctx.term(0, idx, 1, None, (e,), ()))
-    return out
+        L^0  t^p s^q dt      ->  L^0  t^(p+1) s^q     with -c/(p+1)
+        L^-1 t^p s^q dt^ds   ->  L^-1 t^(p+1) s^q ds  with +c/(p+1)
+        L^0  s^q ds          ->  L^0  s^(q+1)         with -c/(q+1)
 
-
-def _shape_2var(ctx: TensorCtx, tb: int, sb: int) -> list:
-    L = ctx.dgla
-    out = []
-    for et in range(tb + 1):
-        for es in range(sb + 1):
-            if et + es == 0:
-                continue
-            for idx in range(L.dim(0)):
-                out.append(ctx.term(0, idx, 1, None, (et, es), ()))
-    for et in range(1, tb + 1):
-        for es in range(sb + 1):
-            for idx in range(L.dim(-1)):
-                out.append(ctx.term(-1, idx, 1, None, (et, es), (1,)))
-    return out
-
-
-def _level_solve(piece: Elem, shape: list, monos: list):
-    """Solve -d(delta) = piece for delta in the shape at every monomial of
-    monos, or None when inconsistent.
-
-    -d keeps the coefficient monomial, so the system is one block per
-    monomial, each the images of the shape terms (at the unit monomial)
-    under -d. That block is eliminated once, with each monomial's part of
-    piece as its own right-hand side. delta is the particular solution of
-    the whole system, with its terms in (monomial, shape) order.
+    A path has no s, so only the first row occurs. The read-off is the
+    solution when there is one; one d of delta against piece decides.
+    delta's terms go by monomial (in monos order), L^0 before L^-1, form
+    monomial, index.
     """
-    images = [s.d().neg() for s in shape]
-    cols: dict = {}
+    rank = {am: i for i, am in enumerate(monos)}
+    found = []
     for (deg, idx, am, pm, S), c in piece.terms.items():
-        cols.setdefault(am, {})[deg, idx, pm, S] = c
-    keys = set()
-    for im in images:
-        keys.update((deg, idx, pm, S) for deg, idx, _, pm, S in im.terms)
-    for col in cols.values():
-        keys.update(col)
-    pos = {k: i for i, k in enumerate(sorted(keys))}
-    m = Mat(len(pos), len(shape), {
-        (pos[deg, idx, pm, S], j): c
-        for j, im in enumerate(images)
-        for (deg, idx, _, pm, S), c in im.terms.items()
-    })
-    ams = [am for am in monos if am in cols]
-    rhs = []
-    for am in ams:
-        b = [ZERO] * len(pos)
-        for k, c in cols[am].items():
-            b[pos[k]] = c
-        rhs.append(tuple(b))
-    out: dict = {}
-    for am, sol in zip(ams, m.solve_many(rhs), strict=True):
-        if sol is None:
-            return None
-        for c, s in zip(sol, shape, strict=True):
-            if c:
-                ((deg, idx, _, pm, S),) = s.terms
-                out[deg, idx, am, pm, S] = c
-    return Elem.wrap(piece.ctx, out)
+        if deg == 0 and S == (0,):
+            e = pm[0] + 1
+            pm, S, c = (e,) + pm[1:], (), c / -e
+        elif deg == -1 and S == (0, 1):
+            e = pm[0] + 1
+            pm, S, c = (e, pm[1]), (1,), c / e
+        elif deg == 0 and S == (1,) and pm[0] == 0:
+            e = pm[1] + 1
+            pm, S, c = (0, e), (), c / -e
+        else:
+            continue
+        found.append(((rank[am], -deg, pm, idx), (deg, idx, am, pm, S), c))
+    found.sort(key=lambda f: f[0])
+    delta = Elem.wrap(piece.ctx, {key: c for _, key, c in found})
+    if not delta.d().add(piece).is_zero():
+        return None
+    return delta
 
 
-def _decompose(x: Elem, xi: Elem, shape_fn) -> Elem:
+def _decompose(x: Elem, xi: Elem) -> Elem:
     A = xi.ctx.artin
     if A is None:
         raise GaugeError("decomposition needs Artin coefficients")
@@ -331,7 +299,7 @@ def _decompose(x: Elem, xi: Elem, shape_fn) -> Elem:
         if lvl > level:
             continue
         piece = rho.artin_level_component(level)
-        delta = _level_solve(piece, shape_fn(piece), A.monomials_of_level(level))
+        delta = _level_solve(piece, A.monomials_of_level(level))
         if delta is None:
             raise GaugeError(
                 f"no shape solution at coefficient level {level}; "
@@ -355,11 +323,7 @@ def decompose_path(x: Elem, xi: Elem) -> Elem:
     if not xi.subs_values({0: 0}).eq(x.form_subst([], ())):
         raise GaugeError("path does not start at the given object")
     xe = embed(x.form_subst([], ()), xi.ctx.form_vars, positions=[])
-
-    def shapes(piece):
-        return _shape_1var(xi.ctx, _tmax(piece, 0) + 1)
-
-    return _decompose(xe, xi, shapes)
+    return _decompose(xe, xi)
 
 
 def decompose_square(x: Elem, xi: Elem) -> Elem:
@@ -371,11 +335,7 @@ def decompose_square(x: Elem, xi: Elem) -> Elem:
     if not xi.subs_values({0: 0, 1: 0}).eq(x.form_subst([], ())):
         raise GaugeError("square does not start at the given object")
     xe = embed(x.form_subst([], ()), xi.ctx.form_vars, positions=[])
-
-    def shapes(piece):
-        return _shape_2var(xi.ctx, _tmax(piece, 0) + 1, _tmax(piece, 1) + 1)
-
-    return _decompose(xe, xi, shapes)
+    return _decompose(xe, xi)
 
 
 # --- paths (homotopies) -------------------------------------------------------

@@ -393,10 +393,10 @@ def rand_log(ctx, rng, monos, shape_terms):
     return out
 
 
-@pytest.mark.parametrize("ring", ["sqz2", "sqz3", "fat2"])
+@pytest.mark.parametrize("ring", ["sqz2", "sqz3", "fat2", "t3", "t4"])
 def test_decompose_matches_full_basis_solve(ring):
-    # one elimination per level, shared by its monomials, gives the log of
-    # one solve over the whole level, term for term and in the same order
+    # the log read off each level's rows is the log of one elimination over
+    # the whole level, term for term and in the same order
     A = builtin_artin(ring)
     ctx, _ = make_ctx(CXD, A)
     rng = random.Random(ring)
@@ -422,7 +422,8 @@ def test_decompose_matches_full_basis_solve(ring):
             want = full_basis_decompose(xe, xi, full_shape)
             assert list(got.terms.items()) == list(want.terms.items())
             assert gauge(got, xe).eq(xi)
-    assert partial >= 4
+    # a level with one monomial has no partly touched residual
+    assert partial >= 4 or len(level1) == 1
 
 
 def test_decompose_raises_when_one_monomial_block_is_inconsistent():
@@ -444,6 +445,31 @@ def test_decompose_raises_when_one_monomial_block_is_inconsistent():
         assert {k[2] for k in bad.sub(xi).terms} == {am}
         with pytest.raises(GaugeError, match="no shape solution at coefficient level 1"):
             decompose_path(x, bad)
+
+
+def test_decompose_square_raises_when_one_monomial_block_is_inconsistent():
+    A = builtin_artin("sqz2")
+    ctx, _ = make_ctx(CXD, A)
+    ctx2 = ctx.with_vars(("t", "s"))
+    rng = random.Random(44)
+    x = rand_mc(ctx, rng)
+    xe = embed(x, ("t", "s"), positions=[])
+    g = ctx2.zero()
+    for am in A.maximal_basis:
+        g = g.add(ctx2.term(0, 0, 1, am, (1, 1), ())).add(ctx2.term(-1, 0, 2, am, (1, 0), (1,)))
+    xi = gauge(g, xe)
+    assert decompose_square(x, xi).eq(g)
+    # an index of L^0 with d_L of it nonzero
+    idx = next(i for i in range(ctx.dgla.dim(0)) if ctx.term(0, i).d().terms)
+    for am in A.maximal_basis:
+        # a degree-1 Lie term times t*s lies in no row the read-off uses;
+        # L^0 dt is read off as -L^0 t, whose -d matches it in the dt part
+        # but adds d_L(L^0) t, which the input lacks
+        for bad_term in (ctx2.term(1, 0, 1, am, (1, 1), ()), ctx2.term(0, idx, 1, am, None, (0,))):
+            bad = xi.add(bad_term)
+            assert {k[2] for k in bad.sub(xi).terms} == {am}
+            with pytest.raises(GaugeError, match="no shape solution at coefficient level 1"):
+                decompose_square(x, bad)
 
 
 def test_elem_linear_solve_consistency():
