@@ -400,10 +400,7 @@ def _glued_systems(sc: ScDgla) -> tuple:
     eqn_blocks = {(0, 0): d0.diff(1), (1, 0): face_diff_1, (1, 1): d1.diff(0).neg()}
     if sc.top >= 2:
         g2 = sc.levels[2]
-        img = Subspace(
-            g2.dim(0), [g2.complex().diff(-1).col(j) for j in range(g2.dim(-1))]
-        )
-        ann = img.annihilator_matrix()
+        ann = Subspace(g2.dim(0), g2.complex().diff(-1).transpose()).annihilator_matrix()
         cocycle_faces = (
             sc.face(2, 0).mat(0).sub(sc.face(2, 1).mat(0)).add(sc.face(2, 2).mat(0))
         )
@@ -434,12 +431,12 @@ def pi0_compare_square_zero(sc: ScDgla, artin: ArtinAlgebra) -> dict:
     k = artin.mdim
     tot, _ = total_complex(sc)
     h1 = tot.cohomology(1)[0]
-    z1 = len(tot.cocycles(1))
-    b1 = len(tot.coboundaries(1))
+    z1 = tot.cocycles(1).rows
+    b1 = tot.coboundaries(1).rows
 
     eqn, action = _glued_systems(sc)
     sol_space = Subspace(eqn.cols, eqn.kernel_basis())
-    act_space = Subspace(eqn.cols, [action.col(j) for j in range(action.cols)])
+    act_space = Subspace(eqn.cols, action.transpose())
     if not sol_space.contains_space(act_space):
         raise DescentError("internal inconsistency: the action leaves the solutions")
     del_pi0 = (sol_space.dim - act_space.dim) * k

@@ -311,13 +311,6 @@ class TensorCtx:
         key = (int(deg), int(idx), tuple(amono), tuple(pmono), tuple(sorted(dmask)))
         return Elem(self, {key: rat(coeff)})
 
-    def from_lie_vec(self, deg, v, amono=None, pmono=None, dmask=()) -> "Elem":
-        out = self.zero()
-        for i, c in enumerate(v):
-            if rat(c) != 0:
-                out = out.add(self.term(deg, i, c, amono, pmono, dmask))
-        return out
-
 
 class Elem:
     """Sparse tensor L (x) A (x) Omega element.

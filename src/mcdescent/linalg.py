@@ -5,6 +5,14 @@ solving; rational subspaces with canonical bases; bounded cochain complexes
 with cohomology (dimensions plus deterministic representatives) and
 mapping cones.
 
+A Mat is the one format for a basis and for a solution. A basis of k
+vectors of Q^n is a k x n Mat, one sparse row per vector, read off an
+RREF as it stands: kernel_basis, image_basis, Subspace.basis, cocycles,
+coboundaries and cohomology representatives all take that form. Solving
+is one elimination of [A | B] (solve_many), whose solution is a Mat with
+one column per column of B; solve and inverse are its one-column and
+identity cases.
+
 Block matrices come from one constructor, Mat.blocks: every direct sum,
 total complex, cone and stacked linear system of the package places its
 blocks through it, so where a summand sits in a sum is decided there.
@@ -30,10 +38,6 @@ def vzero(n: int) -> Vec:
     return (ZERO,) * n
 
 
-def vis_zero(v: Vec) -> bool:
-    return all(a == 0 for a in v)
-
-
 class Mat:
     """Rational matrix stored as sparse rows: list of {col: nonzero Q}."""
 
@@ -50,6 +54,14 @@ class Mat:
                     self._rows[r][c] = v
 
     # --- constructors -------------------------------------------------
+
+    @classmethod
+    def wrap(cls, rows: list, cols: int) -> "Mat":
+        """The matrix of a list of zero-free row dicts that no one else
+        holds, taken as it is: neither checked nor copied."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._rows = len(rows), cols, rows
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -127,9 +139,6 @@ class Mat:
         d = self._rows[r]
         return tuple(d.get(j, ZERO) for j in range(self.cols))
 
-    def col(self, c: int) -> Vec:
-        return tuple(self._rows[i].get(c, ZERO) for i in range(self.rows))
-
     def columns(self) -> list:
         """Sparse columns: for each column, its (row, value) pairs with the
         value nonzero, in ascending row order. A fresh list on every call;
@@ -140,13 +149,8 @@ class Mat:
                 cols[j].append((i, v))
         return cols
 
-    def to_rows(self):
-        return [self.row(i) for i in range(self.rows)]
-
     def copy(self) -> "Mat":
-        m = Mat(self.rows, self.cols)
-        m._rows = [dict(r) for r in self._rows]
-        return m
+        return Mat.wrap([dict(r) for r in self._rows], self.cols)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -175,17 +179,6 @@ class Mat:
             for j, v in r.items():
                 m._rows[j][i] = v
         return m
-
-    def matvec(self, v: Vec) -> Vec:
-        if len(v) != self.cols:
-            raise ValueError(f"matvec shape mismatch: {self.cols} vs {len(v)}")
-        out = []
-        for r in self._rows:
-            s = ZERO
-            for j, a in r.items():
-                s += a * v[j]
-            out.append(s)
-        return tuple(out)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -221,11 +214,9 @@ class Mat:
 
     def scale(self, c) -> "Mat":
         c = rat(c)
-        out = Mat(self.rows, self.cols)
         if c == 0:
-            return out
-        out._rows = [{j: c * v for j, v in r.items()} for r in self._rows]
-        return out
+            return Mat(self.rows, self.cols)
+        return Mat.wrap([{j: c * v for j, v in r.items()} for r in self._rows], self.cols)
 
     # --- elimination ----------------------------------------------------
 
@@ -270,113 +261,61 @@ class Mat:
     def rank(self) -> int:
         return len(self.rref()[1])
 
-    def kernel_basis(self) -> list[Vec]:
-        """Basis of the right kernel, from the free-column parametrisation.
-
-        For each free column f the vector has 1 in slot f and -R[p][f] in
-        each pivot slot p; order follows ascending free columns. This is the
-        canonical deterministic choice used for cohomology representatives.
+    def kernel_basis(self) -> "Mat":
+        """Basis of the right kernel, from the free-column parametrisation:
+        a k x cols Mat with one row per free column f of the RREF, in
+        ascending f. Row f is 1 at f and -R[i][f] at the pivot p of each
+        RREF row i. This is the canonical deterministic choice used for
+        cohomology representatives.
         """
         R, pivots = self.rref()
         pivset = set(pivots)
-        basis = []
-        for f in range(self.cols):
-            if f in pivset:
-                continue
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            for i, p in enumerate(pivots):
-                a = R._rows[i].get(f)
-                if a:
-                    v[p] = -a
-            basis.append(tuple(v))
-        return basis
+        free = {f: {f: ONE} for f in range(self.cols) if f not in pivset}
+        for p, r in zip(pivots, R._rows):
+            for f, a in r.items():
+                if f != p:
+                    free[f][p] = -a
+        return Mat.wrap(list(free.values()), self.cols)
 
-    def image_basis(self) -> list[Vec]:
-        """Basis of the column space: nonzero rows of rref(transpose)."""
+    def image_basis(self) -> "Mat":
+        """Basis of the column space: the nonzero rows of rref(transpose),
+        as a rank x rows Mat."""
         R, pivots = self.transpose().rref()
-        return [R.row(i) for i in range(len(pivots))]
+        return Mat.wrap(R._rows[: len(pivots)], self.rows)
 
-    def solve(self, b: Vec) -> Vec | None:
-        """Solve A x = b. Returns the particular solution whose free
-        coordinates (the non-pivot columns of A's RREF) are zero, or None
-        when the system is inconsistent.
+    def solve(self, b: "Mat") -> "Mat | None":
+        """A x = b for one column b: solve_many's one-column case."""
+        if b.cols != 1:
+            raise ValueError("solve takes one column")
+        return self.solve_many(b)
 
-        One elimination of [A | b], as in solve_many; solver() pays more
-        once to answer many right-hand sides on the same A."""
-        return self.solve_many([b])[0]
-
-    def solve_many(self, rhs: list) -> list:
-        """solve(b) for every b in rhs, from one elimination of [A | B].
+    def solve_many(self, B: "Mat") -> "Mat | None":
+        """The X with A X = B whose free rows (the non-pivot columns of A's
+        RREF) are zero, from one elimination of [A | B]; None when some
+        column of B is outside the column space of A.
 
         The RREF of [A | B] is E [A | B] with E invertible and E A the RREF
-        of A over zero rows. So b_k is consistent exactly when its column
-        of the RREF vanishes below the rank of A, and then that column
-        holds the solution's pivot coordinates. A column that is not
-        consistent becomes a pivot itself, below the rank of A, and leaves
-        the read-off of the others unchanged.
+        of A over zero rows. So B is consistent exactly when no pivot lies
+        in B's columns, and then the RREF row with pivot column p holds
+        row p of X in its B part.
         """
         n = self.cols
-        if any(len(b) != self.rows for b in rhs):
+        if B.rows != self.rows:
             raise ValueError("solve shape mismatch")
-        R, pivots = Mat.blocks(
-            (self.rows,),
-            (n, len(rhs)),
-            {(0, 0): self, (0, 1): Mat.from_cols(rhs, rows=self.rows)},
-        ).rref()
-        rank = sum(1 for p in pivots if p < n)
-        head, below = R._rows[:rank], R._rows[rank : len(pivots)]
-        out = []
-        for c in range(n, n + len(rhs)):
-            if any(c in r for r in below):
-                out.append(None)
-                continue
-            x = [ZERO] * n
-            for p, r in zip(pivots, head):
-                x[p] = r.get(c, ZERO)
-            out.append(tuple(x))
-        return out
-
-    def solver(self):
-        """Factor A once for many right-hand sides: the returned function
-        maps b to exactly what solve(b) returns, by one matvec.
-
-        The rref of [A | I] is [R | E] with E invertible and E A = R, the
-        rref of A over zero rows. So A x = b is consistent exactly when E b
-        vanishes below the rank, and the solution whose free coordinates
-        are zero has E b's entry i at pivot column i.
-        """
-        n, m = self.cols, self.rows
-        R, pivots = Mat.blocks((m,), (n, m), {(0, 0): self, (0, 1): Mat.identity(m)}).rref()
-        rank = sum(1 for p in pivots if p < n)
-        E = Mat(m, m)
-        E._rows = [{j - n: v for j, v in r.items() if j >= n} for r in R._rows]
-
-        def solve(b: Vec) -> Vec | None:
-            if len(b) != E.cols:
-                raise ValueError("solve shape mismatch")
-            y = E.matvec(b)
-            if any(y[rank:]):
-                return None
-            x = [ZERO] * n
-            for i, p in enumerate(pivots[:rank]):
-                x[p] = y[i]
-            return tuple(x)
-
-        return solve
+        R, pivots = Mat.blocks((self.rows,), (n, B.cols), {(0, 0): self, (0, 1): B}).rref()
+        if pivots and pivots[-1] >= n:
+            return None
+        X = Mat(n, B.cols)
+        for p, r in zip(pivots, R._rows):
+            X._rows[p] = {j - n: v for j, v in r.items() if j >= n}
+        return X
 
     def inverse(self):
-        """Exact inverse, or None when the matrix is not invertible.
-
-        A square A is invertible exactly when every A x = e_i is solvable,
-        and then the solutions are the columns of the inverse; all of them
-        come from one solve_many on the columns of the identity."""
+        """Exact inverse, or None when the matrix is not invertible: a
+        square A is invertible exactly when A X = I is solvable."""
         if self.rows != self.cols:
             return None
-        cols = self.solve_many(Mat.identity(self.rows).to_rows())
-        if any(c is None for c in cols):
-            return None
-        return Mat.from_cols(cols, rows=self.rows)
+        return self.solve_many(Mat.identity(self.rows))
 
 
 def _clear(row: dict, col: int, prow: dict):
@@ -398,39 +337,41 @@ def _clear(row: dict, col: int, prow: dict):
 
 
 class Subspace:
-    """Subspace of Q^n, held by its canonical basis: the nonzero rows of
-    the RREF of any spanning set. The RREF is unique, so two subspaces are
-    equal exactly when their canonical bases are; vectors lie in the
-    subspace exactly when adding them to the basis leaves the rank at
-    dim."""
+    """Subspace of Q^n spanned by the rows of a Mat, held by its canonical
+    basis: the nonzero rows of their RREF, as a dim x n Mat. The RREF is
+    unique, so two subspaces are equal exactly when their canonical bases
+    are; vectors lie in the subspace exactly when adding them to the basis
+    leaves the rank at dim. The column space of a matrix m is
+    Subspace(m.rows, m.transpose())."""
 
     __slots__ = ("ambient", "basis")
 
-    def __init__(self, ambient: int, basis_rows=()):
+    def __init__(self, ambient: int, span: Mat):
+        if span.cols != ambient:
+            raise ValueError(f"spanning rows of length {span.cols} in Q^{ambient}")
         self.ambient = ambient
-        R, pivots = Mat.from_rows(basis_rows, cols=ambient).rref()
-        self.basis = [R.row(i) for i in range(len(pivots))]
+        R, pivots = span.rref()
+        self.basis = Mat.wrap(R._rows[: len(pivots)], ambient)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.basis.rows
 
-    def contains(self, v: Vec) -> bool:
-        return Mat.from_rows(self.basis + [v], cols=self.ambient).rank() == self.dim
+    def contains(self, vs: Mat) -> bool:
+        """Whether every row of vs lies in the subspace."""
+        both = Mat.blocks((self.dim, vs.rows), (self.ambient,), {(0, 0): self.basis, (1, 0): vs})
+        return both.rank() == self.dim
 
     def contains_space(self, other: "Subspace") -> bool:
-        return Mat.from_rows(self.basis + other.basis, cols=self.ambient).rank() == self.dim
+        return self.contains(other.basis)
 
     def eq(self, other: "Subspace") -> bool:
         return self.ambient == other.ambient and self.basis == other.basis
 
     def annihilator_matrix(self) -> Mat:
-        """Matrix whose kernel is exactly this subspace."""
-        if not self.basis:
-            return Mat.identity(self.ambient)
-        # rows spanning the orthogonal complement under the standard pairing
-        comp = Mat.from_rows(self.basis, cols=self.ambient).kernel_basis()
-        return Mat.from_rows(comp, cols=self.ambient) if comp else Mat(0, self.ambient)
+        """Matrix whose kernel is exactly this subspace: its rows span the
+        orthogonal complement under the standard pairing."""
+        return self.basis.kernel_basis()
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} in Q^{self.ambient})"
@@ -443,14 +384,13 @@ class ChainComplexQ:
     Degrees with zero dimension may be omitted. The constructor checks
     shapes only; check() verifies d∘d = 0.
     A complex is not changed after construction: each degree's cohomology
-    and the factorisation that class_of solves against are computed once.
+    is computed once.
     """
 
     def __init__(self, dims: dict, diffs: dict):
         self.dims = {d: n for d, n in dims.items() if n}
         self.diffs = {}
         self._coh: dict = {}
-        self._classes: dict = {}
         for d, m in diffs.items():
             if not isinstance(m, Mat):
                 m = Mat.from_rows(m)
@@ -486,40 +426,48 @@ class ChainComplexQ:
     def euler(self) -> int:
         return sum(neg_one_pow(d) * n for d, n in self.dims.items())
 
-    def cocycles(self, deg: int) -> list[Vec]:
+    def cocycles(self, deg: int) -> Mat:
+        """The canonical kernel basis of d at this degree, one row each."""
         if self.dim(deg) == 0:
-            return []
+            return Mat(0, 0)
         return self.diff(deg).kernel_basis()
 
-    def coboundaries(self, deg: int) -> list[Vec]:
+    def coboundaries(self, deg: int) -> Mat:
+        """The canonical image basis of d into this degree, one row each."""
         if self.dim(deg) == 0 or self.dim(deg - 1) == 0:
-            return []
+            return Mat(0, self.dim(deg))
         return self.diff(deg - 1).image_basis()
 
-    def cohomology(self, deg: int) -> tuple[int, list[Vec]]:
+    def cohomology(self, deg: int) -> tuple[int, Mat]:
         """(dimension, representative cocycles) at this degree, computed
-        on the first call; later calls return a fresh list of the same
-        representatives.
+        on the first call; the representatives are an hdim x dim Mat, one
+        cocycle per row, and later calls return the same Mat.
 
         Representatives are deterministic: they are the canonical kernel
         basis vectors that are pivot columns of the RREF of [coboundary
-        basis | kernel basis]. A column is a pivot exactly when it lies
-        outside the span of the columns before it, so these are the
-        cocycles that, taken in order, extend the coboundaries (first-come).
+        basis | kernel basis], each basis taken as columns. A column is a
+        pivot exactly when it lies outside the span of the columns before
+        it, so these are the cocycles that, taken in order, extend the
+        coboundaries (first-come).
         """
         got = self._coh.get(deg)
         if got is None:
             got = self._coh[deg] = self._cohomology(deg)
-        return got[0], list(got[1])
+        return got
 
-    def _cohomology(self, deg: int) -> tuple[int, list[Vec]]:
+    def _cohomology(self, deg: int) -> tuple[int, Mat]:
         cyc = self.cocycles(deg)
         bnd = self.coboundaries(deg)
-        hdim = len(cyc) - len(bnd)
+        hdim = cyc.rows - bnd.rows
         if hdim == 0:
-            return 0, []
-        pivots = Mat.from_cols(bnd + cyc, rows=self.dim(deg)).rref()[1]
-        return hdim, [cyc[p - len(bnd)] for p in pivots if p >= len(bnd)]
+            return 0, Mat(0, self.dim(deg))
+        pivots = Mat.blocks(
+            (self.dim(deg),),
+            (bnd.rows, cyc.rows),
+            {(0, 0): bnd.transpose(), (0, 1): cyc.transpose()},
+        ).rref()[1]
+        reps = [cyc._rows[p - bnd.rows] for p in pivots if p >= bnd.rows]
+        return hdim, Mat.wrap(reps, self.dim(deg))
 
     def betti(self) -> dict:
         out = {}
@@ -531,29 +479,28 @@ class ChainComplexQ:
                 out[d] = h
         return out
 
-    def class_of(self, deg: int, v: Vec):
-        """Coordinates of [v] against this degree's representatives.
-
-        Returns None when v is not a cocycle; otherwise the coefficient
-        tuple in the representative basis (empty tuple for the zero class).
-        The matrix [representatives | coboundary basis] of a degree is
-        factored once, on the first call at that degree (Mat.solver).
+    def classes(self, deg: int, V: Mat) -> Mat | None:
+        """The classes of the columns of V against this degree's
+        representatives: an hdim x V.cols Mat whose column k holds the
+        coordinates of [column k], or None when some column is not a
+        cocycle. One product tests every column; one solve_many against
+        [representatives | coboundary basis] decomposes them all, unless
+        H^deg is 0 or V has no column, where the answer has no entry.
         """
-        if not vis_zero(self.diff(deg).matvec(v)):
+        if not (self.diff(deg) @ V).is_zero():
             return None
-        got = self._classes.get(deg)
-        if got is None:
-            hdim, reps = self.cohomology(deg)
-            cols = reps + self.coboundaries(deg)
-            solve = Mat.from_cols(cols, rows=self.dim(deg)).solver() if cols else None
-            got = self._classes[deg] = (hdim, solve)
-        hdim, solve = got
-        if solve is None:
-            return ()
-        sol = solve(vec(v))
-        if sol is None:  # pragma: no cover - cocycle always decomposes
+        hdim, reps = self.cohomology(deg)
+        if not (hdim and V.cols):
+            return Mat(hdim, V.cols)
+        bnd = self.coboundaries(deg)
+        A = Mat.blocks(
+            (self.dim(deg),), (hdim, bnd.rows), {(0, 0): reps.transpose(), (0, 1): bnd.transpose()}
+        )
+        X = A.solve_many(V)
+        if X is None:  # pragma: no cover - cocycle always decomposes
             raise AssertionError("cocycle failed to decompose")
-        return sol[:hdim]
+        return Mat.wrap(X._rows[:hdim], V.cols)
+
 
 @dataclass
 class ChainMapQ:
@@ -580,9 +527,6 @@ class ChainMapQ:
         if m is None:
             return Mat(self.target.dim(deg), self.source.dim(deg))
         return m
-
-    def apply(self, deg: int, v: Vec) -> Vec:
-        return self.mat(deg).matvec(v)
 
 
 def cone(f: ChainMapQ) -> ChainComplexQ:

@@ -60,13 +60,16 @@ def elem_linear_solve(map_fn, target: Elem, basis: list):
     for j, im in enumerate(images):
         for k, c in im.terms.items():
             m.set_entry(pos[k], j, c)
-    rhs = tuple(target.terms.get(k, ZERO) for k in keys)
+    rhs = Mat(len(keys), 1)
+    for k, c in target.terms.items():
+        rhs._rows[pos[k]][0] = c
     sol = m.solve(rhs)
     if sol is None:
         return None
     out: dict = {}
-    for c, b in zip(sol, basis, strict=True):
-        if c:
+    for row, b in zip(sol._rows, basis, strict=True):
+        if row:
+            c = row[0]
             for k, v in b.terms.items():
                 w = out.get(k, ZERO) + c * v
                 if w:

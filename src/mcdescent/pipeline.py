@@ -56,20 +56,6 @@ class PipelineError(ValueError):
 MAX_LENGTH = 8
 
 
-def _flatten(m: Mat):
-    return tuple(m.entry(r, c) for r in range(m.rows) for c in range(m.cols))
-
-
-def _unflatten(v, rows, cols):
-    m = Mat(rows, cols)
-    for r in range(rows):
-        for c in range(cols):
-            x = rat(v[r * cols + c])
-            if x:
-                m.set_entry(r, c, x)
-    return m
-
-
 # --- finite-dimensional algebras ---------------------------------------------
 
 
@@ -279,12 +265,13 @@ def is_module_map(m1: FinMod, m2: FinMod, t: Mat) -> bool:
 
 
 def hom_basis(m1: FinMod, m2: FinMod):
-    """Basis of the space of module maps, as matrices: the kernel basis
-    (Mat.kernel_basis) of the linear conditions T a = b T on the row-major
-    entries, one sparse row per (action, row, column) whose condition is
-    not empty. So each basis map has a free entry, its last nonzero entry
-    in row-major order, where it is 1 and every other basis map is 0;
-    HomSolver reads coordinates off these entries."""
+    """Basis of the space of module maps, as n2 x n1 matrices: the rows
+    of the kernel basis (Mat.kernel_basis) of the linear conditions
+    T a = b T on the row-major entries, one sparse row per (action, row,
+    column) whose condition is not empty. Kernel entry j is the matrix
+    entry divmod(j, n1). So each basis map has a free entry, its last
+    nonzero entry in row-major order, where it is 1 and every other basis
+    map is 0; HomSolver reads coordinates off these entries."""
     if m1.dim == 0 or m2.dim == 0:
         return []
     n1, n2 = m1.dim, m2.dim
@@ -304,17 +291,23 @@ def hom_basis(m1: FinMod, m2: FinMod):
                         del row[j]
                 if row:
                     rows.append(row)
-    m = Mat(len(rows), n2 * n1)
-    m._rows = rows
-    return [_unflatten(v, n2, n1) for v in m.kernel_basis()]
+    out = []
+    for v in Mat.wrap(rows, n2 * n1).kernel_basis()._rows:
+        t = Mat(n2, n1)
+        for j, x in v.items():
+            r, c = divmod(j, n1)
+            t._rows[r][c] = x
+        out.append(t)
+    return out
 
 
 class HomSolver:
     """Expresses module maps in the coordinates of a hom basis from
-    hom_basis. That basis is a kernel basis: basis map j is 1 at its free
-    entry, its last nonzero entry in row-major order, and every other
+    hom_basis. That basis is read off kernel rows: basis map j is 1 at its
+    free entry, its last nonzero entry in row-major order, and every other
     basis map is 0 there. So the coordinates of a module map are its
-    entries at the free positions, found once here, with no elimination."""
+    entries at the free positions, found once here, with no elimination.
+    Coordinates are dense tuples, one entry per basis map."""
 
     def __init__(self, basis, rows, cols):
         self.basis = basis
@@ -344,9 +337,7 @@ class HomSolver:
                 for tr, row in zip(acc, b._rows):
                     for j, x in row.items():
                         tr[j] = tr.get(j, ZERO) + c * x
-        out = Mat(self.rows, self.cols)
-        out._rows = [{j: x for j, x in tr.items() if x} for tr in acc]
-        return out
+        return Mat.wrap([{j: x for j, x in tr.items() if x} for tr in acc], self.cols)
 
 
 def proj_cover(m: FinMod):
@@ -360,13 +351,14 @@ def proj_cover(m: FinMod):
         (m.dim,), (m.dim,) * len(gens), {(0, k): m.acts[i] for k, i in enumerate(gens)}
     )
     skip = len(alg.radical) * m.dim
-    picks = [(p // m.dim - len(alg.radical), cols.col(p)) for p in cols.rref()[1] if p >= skip]
+    picks = [divmod(p - skip, m.dim) for p in cols.rref()[1] if p >= skip]
     verts = tuple(i for i, _ in picks)
     cover = proj_module(alg, verts)
-    pi = Mat.from_cols(
-        [m.acts[b].matvec(v) for i, v in picks for b in alg.summands[i]], rows=m.dim
-    )
-    return cover, pi, verts
+    # the lift v = e_i·x_c maps a path b starting at i to b·v = (b·e_i)·x_c
+    # = b·x_c: column c of b's block of cols
+    cols_t, block = cols.transpose()._rows, {b: k for k, b in enumerate(gens)}
+    images = [cols_t[block[b] * m.dim + c] for i, c in picks for b in alg.summands[i]]
+    return cover, Mat.wrap(images, m.dim).transpose(), verts
 
 
 def factor_through(p: Mat, f: Mat, src: FinMod, mid: FinMod):
@@ -376,32 +368,39 @@ def factor_through(p: Mat, f: Mat, src: FinMod, mid: FinMod):
     basis = hom_basis(src, mid)
     if not basis:
         return Mat(mid.dim, src.dim) if f.is_zero() else None
-    m = Mat.from_cols([_flatten(p @ b) for b in basis], rows=f.rows * f.cols)
-    sol = m.solve(_flatten(f))
+
+    def entries(mats):
+        # one column per matrix, one row per row-major entry of f's shape
+        out = Mat(f.rows * f.cols, len(mats))
+        for k, t in enumerate(mats):
+            for r, row in enumerate(t._rows):
+                for c, v in row.items():
+                    out._rows[r * f.cols + c][k] = v
+        return out
+
+    sol = entries([p @ b for b in basis]).solve(entries([f]))
     if sol is None:
         return None
     out = Mat(mid.dim, src.dim)
-    for c, b in zip(sol, basis):
-        if c:
-            out = out.add(b.scale(c))
+    for row, b in zip(sol._rows, basis):
+        if row:
+            out = out.add(b.scale(row[0]))
     return out
 
 
 def kernel_module(m: FinMod, t: Mat):
     """The kernel of a module map out of m, as a module with its
     inclusion. Returns (ker, incl)."""
-    basis = t.kernel_basis()
-    k = len(basis)
+    incl = t.kernel_basis().transpose()
+    k = incl.cols
     if k == 0:
         return zero_module(m.alg), Mat(m.dim, 0)
-    incl = Mat.from_cols(basis, rows=m.dim)
     acts = []
-    for i in range(m.alg.dim):
-        img = m.acts[i] @ incl
-        sols = incl.solve_many([img.col(c) for c in range(k)])
-        if None in sols:
+    for a in m.acts:
+        act = incl.solve_many(a @ incl)
+        if act is None:
             raise PipelineError("kernel is not closed under the action")
-        acts.append(Mat.from_cols(sols, rows=k))
+        acts.append(act)
     return FinMod(m.alg, k, acts), incl
 
 
@@ -542,9 +541,7 @@ class Resolution:
         h0 = betti.get(0, 0)
         # kernel of augmentation = image of the last differential
         ker = Subspace(self.cx.dim(0), self.aug.kernel_basis())
-        img = Subspace(self.cx.dim(0), [
-            self.cx.diff(-1).col(j) for j in range(self.cx.dim(-1))
-        ])
+        img = Subspace(self.cx.dim(0), self.cx.diff(-1).transpose())
         if not (ker.eq(img) and h0 == self.module.dim):
             raise PipelineError("augmentation is not a quasi-isomorphism")
         for d, term in self.cx.mods.items():
@@ -849,10 +846,12 @@ def euler_form(m: FinMod, n: FinMod) -> int:
     alg = m.alg
     x = [m.acts[e].rank() for e in alg.idempotents]
     y = [n.acts[e].rank() for e in alg.idempotents]
-    j2 = Subspace(alg.dim, [alg.mul[r][q] for r in alg.radical for q in alg.radical])
+    j2 = Subspace(
+        alg.dim, Mat.from_rows([alg.mul[r][q] for r in alg.radical for q in alg.radical], alg.dim)
+    )
     out = sum(a * b for a, b in zip(x, y))
     for a in alg.radical:
-        if not j2.contains(_unit_vec(alg.dim, a)):
+        if not j2.contains(Mat(1, alg.dim, {(0, a): 1})):
             s, t = alg.ends[a]
             out -= x[s] * y[t]
     return out
@@ -995,14 +994,11 @@ def h_cohomology(sc: MorphismDiagram, n_opens: int = 1) -> dict:
 # --- the long exact sequence -----------------------------------------------------------
 
 
-def _classes(cx: ChainComplexQ, deg: int, cocycles, what: str) -> list:
-    """The classes in H^deg(cx) of the given cocycles, by class_of."""
-    out = []
-    for v in cocycles:
-        c = cx.class_of(deg, v)
-        if c is None:
-            raise PipelineError(f"{what} of a cocycle failed to be closed")
-        out.append(c)
+def _classes(cx: ChainComplexQ, deg: int, V: Mat, what: str) -> Mat:
+    """The classes in H^deg(cx) of the columns of V, by classes."""
+    out = cx.classes(deg, V)
+    if out is None:
+        raise PipelineError(f"{what} of a cocycle failed to be closed")
     return out
 
 
@@ -1012,8 +1008,7 @@ def _exact(incoming: Mat, outgoing: Mat) -> bool:
     n = incoming.rows
     if not n:
         return True
-    im = Subspace(n, [incoming.col(j) for j in range(incoming.cols)])
-    return im.eq(Subspace(n, outgoing.kernel_basis()))
+    return Subspace(n, incoming.transpose()).eq(Subspace(n, outgoing.kernel_basis()))
 
 
 def les_check(sc: MorphismDiagram) -> dict:
@@ -1026,47 +1021,47 @@ def les_check(sc: MorphismDiagram) -> dict:
     u restricts a cocycle to level 0 and projects it onto the End pair;
     v sends (a, b) to b∘lift - lift∘a; θ includes a map P_F -> P_G as
     the corner block of End(P_F ⊕ P_G), one level up. Each map sends
-    cocycles to cocycles and their classes are read off by class_of;
-    images and kernels are compared as subspaces, not merely by
-    dimension."""
+    cocycles to cocycles, and the classes of all the images of one
+    degree are read off together by classes, so each (complex, degree)
+    pair is solved against once; images and kernels are compared as
+    subspaces, not merely by dimension."""
     tot, tb = sc.total()
     lift = sc.lift
     cx = [g.complex() for g in sc.ends]
     cx_fg, book_fg = hom_complex(lift.source, lift.target)
 
     def u_map(i):
-        level0 = [
-            vec(rep[tb.index(i, 0, idx)] for idx in range(sc.levels[0].dim(i)))
-            for rep in tot.cohomology(i)[1]
-        ]
+        slots = tb.slots.get(i, ())
+        level0 = Mat.wrap(
+            [{slots[j][1]: c for j, c in rep.items() if slots[j][0] == 0}
+             for rep in tot.cohomology(i)[1]._rows],
+            sc.levels[0].dim(i),
+        ).transpose()
         cf, cg = (
-            _classes(cx[s], i, [sc.projs[s].mat(i).matvec(x) for x in level0], "projection")
-            for s in (0, 1)
+            _classes(cx[s], i, sc.projs[s].mat(i) @ level0, "projection") for s in (0, 1)
         )
-        rows = cx[0].cohomology(i)[0] + cx[1].cohomology(i)[0]
-        return Mat.from_cols([a + b for a, b in zip(cf, cg)], rows=rows)
+        return Mat.blocks((cf.rows, cg.rows), (level0.cols,), {(0, 0): cf, (1, 0): cg})
 
     def v_map(i):
+        rf, rg = (cx[s].cohomology(i)[1] for s in (0, 1))
         images = [
-            {j: (lift.comp(j + i) @ t).neg() for j, t in sc.books[0].to_mats(i, rep).items()}
-            for rep in cx[0].cohomology(i)[1]
+            {j: (lift.comp(j + i) @ t).neg() for j, t in sc.books[0].to_mats(i, rf.row(k)).items()}
+            for k in range(rf.rows)
         ] + [
-            {j: t @ lift.comp(j) for j, t in sc.books[1].to_mats(i, rep).items()}
-            for rep in cx[1].cohomology(i)[1]
+            {j: t @ lift.comp(j) for j, t in sc.books[1].to_mats(i, rg.row(k)).items()}
+            for k in range(rg.rows)
         ]
-        cls = _classes(cx_fg, i, [book_fg.coords(i, m) for m in images], "face difference")
-        return Mat.from_cols(cls, rows=cx_fg.cohomology(i)[0])
+        V = Mat.from_cols([book_fg.coords(i, m) for m in images], rows=cx_fg.dim(i))
+        return _classes(cx_fg, i, V, "face difference")
 
     def theta_map(i):
+        reps = cx_fg.cohomology(i)[1]
         images = []
-        for rep in cx_fg.cohomology(i)[1]:
-            y = _corner(sc.book_s, i, book_fg.to_mats(i, rep), sc.injs[1], sc.injs[0])
-            w = [ZERO] * tot.dim(i + 1)
-            for idx, c in enumerate(y):
-                w[tb.index(i + 1, 1, idx)] = c
-            images.append(tuple(w))
-        cls = _classes(tot, i + 1, images, "corner inclusion")
-        return Mat.from_cols(cls, rows=tot.cohomology(i + 1)[0])
+        for k in range(reps.rows):
+            y = _corner(sc.book_s, i, book_fg.to_mats(i, reps.row(k)), sc.injs[1], sc.injs[0])
+            images.append({tb.index(i + 1, 1, idx): c for idx, c in enumerate(y) if c})
+        V = Mat.wrap(images, tot.dim(i + 1)).transpose()
+        return _classes(tot, i + 1, V, "corner inclusion")
 
     lo = min(list(tot.dims) + [0]) - 1
     hi = max(list(tot.dims) + [0]) + 1

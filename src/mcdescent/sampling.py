@@ -125,12 +125,13 @@ def random_totdel_object(sc: ScDgla, artin: ArtinAlgebra, rng: random.Random) ->
     f10, f11 = sc.face(1, 0), sc.face(1, 1)
     ctx = TensorCtx(sc.levels[0], artin, ())
     x = ctx.zero()
-    for v in f10.mat(0).sub(f11.mat(0)).kernel_basis():
+    for v in f10.mat(0).sub(f11.mat(0)).kernel_basis()._rows:
         for am in artin.maximal_basis:
             if rng.random() < 0.5:
                 c = rng.randint(-2, 2)
                 if c:
-                    x = x.add(ctx.from_lie_vec(0, [c * a for a in v], am))
+                    for i, a in sorted(v.items()):
+                        x = x.add(ctx.term(0, i, c * a, am))
     l = gauge(x, ctx.zero())
     u = random_elem(TensorCtx(sc.levels[1], artin, ()), -1, rng)
     return totdel_assemble(sc, l, stabilizer_log(l.map_lie(f11), u))

@@ -300,8 +300,10 @@ def test_full_lift_of_inessential_self_morphism_has_equal_endpoints():
     g1 = sc.levels[1]
     # a closed element scaled by the deepest ideal power: everything the
     # stabiliser map produces from it dies in the coefficients
-    w_vec = g1.complex().cocycles(-1)[0]
-    b = TensorCtx(g1, A, ()).from_lie_vec(-1, w_vec, amono=(2,))
+    ctx1 = TensorCtx(g1, A, ())
+    b = ctx1.zero()
+    for i, c in sorted(g1.complex().cocycles(-1)._rows[0].items()):
+        b = b.add(ctx1.term(-1, i, c, amono=(2,)))
     assert not b.is_zero()
     assert stabilizer_log(o.l.map_lie(sc.face(1, 0)), b).is_zero()
     f = TotDelMorphism(o, o, TensorCtx(sc.levels[0], A, ()).zero(), b)
@@ -624,7 +626,7 @@ def stacked_glued_systems(sc):
     ]
     if sc.top >= 2:
         g2 = sc.levels[2]
-        img = Subspace(g2.dim(0), [g2.diff(-1).col(j) for j in range(g2.dim(-1))])
+        img = Subspace(g2.dim(0), g2.diff(-1).transpose())
         faces = sc.face(2, 0).mat(0).sub(sc.face(2, 1).mat(0)).add(sc.face(2, 2).mat(0))
         rows.append([None, img.annihilator_matrix() @ faces])
     action = [

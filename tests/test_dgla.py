@@ -317,7 +317,9 @@ def test_lie_vector_roundtrip():
     A = truncated_poly(3)
     ctx = TensorCtx(L, A, ("t",))
     v = (Q(1), Q(-2), Q(3))
-    x = ctx.from_lie_vec(0, v, amono=(2,), pmono=(1,), dmask=())
+    x = ctx.zero()
+    for i, c in enumerate(v):
+        x = x.add(ctx.term(0, i, c, amono=(2,), pmono=(1,), dmask=()))
     assert x.terms == {(0, i, (2,), (1,), ()): c for i, c in enumerate(v)}
 
 
@@ -402,6 +404,10 @@ def pair_sweep_violation(f: DglaMap):
     return None
 
 
+def _dense_rows(m: Mat) -> list:
+    return [[r.get(j, Q(0)) for j in range(m.cols)] for r in m._rows]
+
+
 def _random_vec(rng, basis, n):
     v = [Q(0)] * n
     for b in basis:
@@ -425,8 +431,8 @@ def _perturbed_cofaces(rng, face: DglaMap, count: int):
             r, c = rng.randrange(m.rows), rng.randrange(m.cols)
             m.set_entry(r, c, m.entry(r, c) + Q(rng.choice((-1, 1)), rng.randint(1, 3)))
         else:
-            us = tgt.diff(d).kernel_basis()
-            vs = src.diff(d - 1).transpose().kernel_basis()
+            us = _dense_rows(tgt.diff(d).kernel_basis())
+            vs = _dense_rows(src.diff(d - 1).transpose().kernel_basis())
             if not us or not vs:
                 continue
             u = _random_vec(rng, us, m.rows)

@@ -198,4 +198,4 @@ def test_whitney_d_stays_in_span():
                 assert set(dw) <= set(span_keys)
                 target = vec([dw.get(k, 0) for k in span_keys])
                 m = Mat.from_cols(cols, rows=len(span_keys))
-                assert m.solve(target) is not None
+                assert m.solve(Mat.from_cols([target], rows=len(span_keys))) is not None

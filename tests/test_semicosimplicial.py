@@ -507,14 +507,14 @@ def test_total_element_derivative_matches_matrix_differential():
                 kd, idx, am, pm, dm = key
                 if am == eps:
                     flat[basis.index(n, p, idx)] = coeff
-        out = tot.diff(n).matvec(flat)
+        out = tot.diff(n) @ Mat.from_cols([flat], rows=tot.dim(n))
         flat_d = [Q(0)] * tot.dim(n + 1)
         for p in range(sc.top + 1):
             for (key, coeff) in dc.comps[p].terms.items():
                 kd, idx, am, pm, dm = key
                 if am == eps:
                     flat_d[basis.index(n + 1, p, idx)] = coeff
-        assert list(out) == flat_d
+        assert out == Mat.from_cols([flat_d], rows=tot.dim(n + 1))
 
 
 # --- comparison maps -------------------------------------------------------
