@@ -441,7 +441,8 @@ class ChainComplexQ:
     def cohomology(self, deg: int) -> tuple[int, Mat]:
         """(dimension, representative cocycles) at this degree, computed
         on the first call; the representatives are an hdim x dim Mat, one
-        cocycle per row, and later calls return the same Mat.
+        cocycle per row, and each call returns a fresh copy of them, so a
+        caller that changes it changes no later answer.
 
         Representatives are deterministic: they are the canonical kernel
         basis vectors that are pivot columns of the RREF of [coboundary
@@ -450,6 +451,10 @@ class ChainComplexQ:
         it, so these are the cocycles that, taken in order, extend the
         coboundaries (first-come).
         """
+        hdim, reps = self._kept_cohomology(deg)
+        return hdim, reps.copy()
+
+    def _kept_cohomology(self, deg: int) -> tuple[int, Mat]:
         got = self._coh.get(deg)
         if got is None:
             got = self._coh[deg] = self._cohomology(deg)
@@ -489,7 +494,7 @@ class ChainComplexQ:
         """
         if not (self.diff(deg) @ V).is_zero():
             return None
-        hdim, reps = self.cohomology(deg)
+        hdim, reps = self._kept_cohomology(deg)
         if not (hdim and V.cols):
             return Mat(hdim, V.cols)
         bnd = self.coboundaries(deg)

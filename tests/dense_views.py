@@ -1,0 +1,8 @@
+"""Dense views of the package's sparse matrices, shared by the tests."""
+
+from mcdescent.ratio import Q
+
+
+def dense_rows(m) -> list:
+    """The rows of the Mat m as dense tuples."""
+    return [tuple(r.get(j, Q(0)) for j in range(m.cols)) for r in m._rows]

@@ -22,6 +22,8 @@ from mcdescent.linalg import ChainComplexQ, Mat
 from mcdescent.pipeline import end_dgla_of_complex, vector_complex
 from mcdescent.ratio import Q, rat
 
+from dense_views import dense_rows
+
 
 def two_term() -> Dgla:
     # x in degree 0 acting on y in degree 1 by [x, y] = y, d = 0
@@ -404,10 +406,6 @@ def pair_sweep_violation(f: DglaMap):
     return None
 
 
-def _dense_rows(m: Mat) -> list:
-    return [[r.get(j, Q(0)) for j in range(m.cols)] for r in m._rows]
-
-
 def _random_vec(rng, basis, n):
     v = [Q(0)] * n
     for b in basis:
@@ -431,8 +429,8 @@ def _perturbed_cofaces(rng, face: DglaMap, count: int):
             r, c = rng.randrange(m.rows), rng.randrange(m.cols)
             m.set_entry(r, c, m.entry(r, c) + Q(rng.choice((-1, 1)), rng.randint(1, 3)))
         else:
-            us = _dense_rows(tgt.diff(d).kernel_basis())
-            vs = _dense_rows(src.diff(d - 1).transpose().kernel_basis())
+            us = dense_rows(tgt.diff(d).kernel_basis())
+            vs = dense_rows(src.diff(d - 1).transpose().kernel_basis())
             if not us or not vs:
                 continue
             u = _random_vec(rng, us, m.rows)

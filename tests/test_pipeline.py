@@ -50,6 +50,8 @@ from mcdescent.pipeline import (
 from mcdescent.ratio import Q
 from mcdescent.semicosimplicial import validate_sc
 
+from dense_views import dense_rows
+
 
 def test_a2_algebra_is_associative_and_unital():
     alg = a2_algebra()
@@ -166,11 +168,6 @@ def test_hom_spaces_of_the_four_indecomposables():
         assert is_module_map(p2, p1, t)
 
 
-def _dense(m: Mat) -> list:
-    """The rows of m as dense tuples."""
-    return [tuple(r.get(j, Q(0)) for j in range(m.cols)) for r in m._rows]
-
-
 def _dense_hom_basis(m1, m2):
     """The hom basis as first written: one dense condition row per
     (action, row, column), zero rows dropped, and the kernel basis of the
@@ -181,7 +178,7 @@ def _dense_hom_basis(m1, m2):
     nunk = m2.dim * m1.dim
     rows = []
     for i in range(m1.alg.dim):
-        a, b = _dense(m1.acts[i]), _dense(m2.acts[i])
+        a, b = dense_rows(m1.acts[i]), dense_rows(m2.acts[i])
         for r in range(m2.dim):
             for c in range(m1.dim):
                 row = [Q(0)] * nunk
@@ -193,7 +190,7 @@ def _dense_hom_basis(m1, m2):
                     rows.append(row)
     return [
         Mat.from_rows([v[r * m1.dim:(r + 1) * m1.dim] for r in range(m2.dim)])
-        for v in _dense(Mat.from_rows(rows, cols=nunk).kernel_basis())
+        for v in dense_rows(Mat.from_rows(rows, cols=nunk).kernel_basis())
     ]
 
 
@@ -977,7 +974,7 @@ def _flat(t):
 def _flat_solve(ref, t):
     """ref's solution for the row-major entries of t, as a tuple, or None."""
     sol = ref.solve(Mat.from_cols([_flat(t)], rows=ref.rows))
-    return None if sol is None else _dense(sol.transpose())[0]
+    return None if sol is None else dense_rows(sol.transpose())[0]
 
 
 def _rebased(m, rng):
@@ -1039,7 +1036,7 @@ def test_l_is_exactly_the_endomorphisms_preserving_the_graph():
                 for k in range(n)
             ]
             oracle = Mat.from_cols(defects, rows=len(defects[0]))
-            for v in _dense(incl.mat(p).transpose()):
+            for v in dense_rows(incl.mat(p).transpose()):
                 assert not any(_graph_defect(lift, inj_f, inj_g, book_s, p, v))
             assert incl.mat(p).rank() == l_g.dim(p) == n - oracle.rank()
 
@@ -1057,7 +1054,7 @@ def test_dropping_u_breaks_the_graph_check():
         assert t_g.dims == l_g.dims
         leaves = any(
             any(_graph_defect(lift, inj_f, inj_g, book_s, p, v))
-            for p in t_g.dims for v in _dense(t_incl.mat(p).transpose())
+            for p in t_g.dims for v in dense_rows(t_incl.mat(p).transpose())
         )
         assert leaves == bool(lift.comps)
         nonzero += leaves
