@@ -216,12 +216,8 @@ def cover_conjugated(
         # t -> φ∘t∘φ⁻¹, one column per basis map t of the HomBook
         inv = {d: m.inverse() for d, m in phi.items()}
         return DglaMap(g, g, {
-            p: Mat.from_cols([
-                book.coords(p, {i: phi[i + p] @ b @ inv[i]})
-                for i, solver in blocks
-                for b in solver.basis
-            ], rows=g.dim(p))
-            for p, blocks in book.blocks.items()
+            p: book.matrix(p, [{i: phi[i + p] @ b @ inv[i]} for i, b in basis])
+            for p, basis in book.basis.items()
         })
 
     rng = random.Random(seed)

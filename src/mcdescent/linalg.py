@@ -11,7 +11,9 @@ RREF as it stands: kernel_basis, image_basis, Subspace.basis, cocycles,
 coboundaries and cohomology representatives all take that form. Solving
 is one elimination of [A | B] (solve_many), whose solution is a Mat with
 one column per column of B; solve and inverse are its one-column and
-identity cases.
+identity cases. Dense vectors enter only through Mat.from_rows, at an
+input boundary; a matrix of columns is the transpose of one of rows,
+and no method hands a row or a column back dense.
 
 Block matrices come from one constructor, Mat.blocks: every direct sum,
 total complex, cone and stacked linear system of the package places its
@@ -85,20 +87,6 @@ class Mat:
         return m
 
     @classmethod
-    def from_cols(cls, cols_list, rows: int | None = None) -> "Mat":
-        cols_list = [vec(c) for c in cols_list]
-        if rows is None:
-            rows = len(cols_list[0]) if cols_list else 0
-        m = cls(rows, len(cols_list))
-        for j, c in enumerate(cols_list):
-            if len(c) != rows:
-                raise ValueError("ragged columns")
-            for i, v in enumerate(c):
-                if v:
-                    m._rows[i][j] = v
-        return m
-
-    @classmethod
     def blocks(cls, row_dims, col_dims, placed: dict) -> "Mat":
         """The block matrix with row blocks of the sizes row_dims and
         column blocks of the sizes col_dims: block (i, j) is
@@ -134,10 +122,6 @@ class Mat:
             self._rows[r].pop(c, None)
         else:
             self._rows[r][c] = v
-
-    def row(self, r: int) -> Vec:
-        d = self._rows[r]
-        return tuple(d.get(j, ZERO) for j in range(self.cols))
 
     def columns(self) -> list:
         """Sparse columns: for each column, its (row, value) pairs with the

@@ -184,7 +184,7 @@ class FinMod:
     def __init__(self, alg: FinAlg, dim: int, acts, label=""):
         self.alg = alg
         self.dim = dim
-        self.acts = [m if isinstance(m, Mat) else Mat.from_rows(m, cols=dim) for m in acts]
+        self.acts = list(acts)
         self.label = label
         if len(self.acts) != alg.dim:
             raise PipelineError("one action matrix per algebra basis element")
@@ -271,7 +271,7 @@ def hom_basis(m1: FinMod, m2: FinMod):
     column) whose condition is not empty. Kernel entry j is the matrix
     entry divmod(j, n1). So each basis map has a free entry, its last
     nonzero entry in row-major order, where it is 1 and every other basis
-    map is 0; HomSolver reads coordinates off these entries."""
+    map is 0; HomBook reads sparse coordinates off these entries."""
     if m1.dim == 0 or m2.dim == 0:
         return []
     n1, n2 = m1.dim, m2.dim
@@ -299,45 +299,6 @@ def hom_basis(m1: FinMod, m2: FinMod):
             t._rows[r][c] = x
         out.append(t)
     return out
-
-
-class HomSolver:
-    """Expresses module maps in the coordinates of a hom basis from
-    hom_basis. That basis is read off kernel rows: basis map j is 1 at its
-    free entry, its last nonzero entry in row-major order, and every other
-    basis map is 0 there. So the coordinates of a module map are its
-    entries at the free positions, found once here, with no elimination.
-    Coordinates are dense tuples, one entry per basis map."""
-
-    def __init__(self, basis, rows, cols):
-        self.basis = basis
-        self.rows = rows
-        self.cols = cols
-        self.free = []
-        for b in basis:
-            r = max(i for i, row in enumerate(b._rows) if row)
-            self.free.append((r, max(b._rows[r])))
-
-    def coords(self, t: Mat):
-        """Coordinates of t; t is rebuilt from them and compared, so a map
-        outside the hom space raises PipelineError."""
-        if (t.rows, t.cols) != (self.rows, self.cols):
-            raise PipelineError("map does not lie in the hom space")
-        rows = t._rows
-        out = tuple(rows[r].get(c, ZERO) for r, c in self.free)
-        if self.from_coords(out) != t:
-            raise PipelineError("map does not lie in the hom space")
-        return out
-
-    def from_coords(self, v) -> Mat:
-        acc = [{} for _ in range(self.rows)]
-        for c, b in zip(v, self.basis):
-            if c:
-                c = rat(c)
-                for tr, row in zip(acc, b._rows):
-                    for j, x in row.items():
-                        tr[j] = tr.get(j, ZERO) + c * x
-        return Mat.wrap([{j: x for j, x in tr.items() if x} for tr in acc], self.cols)
 
 
 def proj_cover(m: FinMod):
@@ -419,12 +380,7 @@ class BddComplex:
     def __init__(self, alg: FinAlg, mods: dict, diffs: dict, verts=None):
         self.alg = alg
         self.mods = {int(d): m for d, m in mods.items() if m.dim}
-        self.diffs = {}
-        for d, m in diffs.items():
-            if not isinstance(m, Mat):
-                m = Mat.from_rows(m)
-            if not m.is_zero():
-                self.diffs[int(d)] = m
+        self.diffs = {int(d): m for d, m in diffs.items() if not m.is_zero()}
         self.verts = dict(verts) if verts else {}
 
     def deg_range(self):
@@ -480,12 +436,7 @@ class ChainMapM:
     def __init__(self, source: BddComplex, target: BddComplex, comps: dict):
         self.source = source
         self.target = target
-        self.comps = {}
-        for d, m in comps.items():
-            if not isinstance(m, Mat):
-                m = Mat.from_rows(m)
-            if not m.is_zero():
-                self.comps[int(d)] = m
+        self.comps = {int(d): m for d, m in comps.items() if not m.is_zero()}
 
     def comp(self, d: int) -> Mat:
         m = self.comps.get(d)
@@ -623,91 +574,112 @@ def complex_direct_sum(k1: BddComplex, k2: BddComplex):
 
 
 class HomBook:
-    """Bookkeeping for the hom complex of two bounded complexes: per
-    total degree, the blocks source-degree -> source-degree + p with a
-    basis of module maps each."""
+    """The hom complex of two bounded complexes k -> m in coordinates. In
+    each total degree p the basis is one flat list of (i, b) in
+    coordinate order: b is a basis map of the block from source degree i
+    to i + p, from hom_basis, blocks in ascending i. Every basis map of
+    hom_basis is 1 at its free entry, its last nonzero entry in row-major
+    order, where every other basis map of its block is 0; free[p] takes
+    that position (i, r, c) to the map's coordinate. Coordinates are
+    sparse {index: nonzero Q} dicts, and a map's are its nonzero entries
+    at the free positions, read with no elimination."""
 
     def __init__(self, k: BddComplex, m: BddComplex):
         self.k = k
         self.m = m
-        self.blocks = {}
-        self.offsets = {}
-        self.dims = {}
+        self.basis = {}
+        self.free = {}
         pmin = min(m.mods, default=0) - max(k.mods, default=0)
         pmax = max(m.mods, default=0) - min(k.mods, default=0)
         for p in range(pmin, pmax + 1):
-            off = 0
-            blocks = []
+            basis, free = [], {}
             for i in sorted(k.mods):
                 if i + p not in m.mods:
                     continue
-                basis = hom_basis(k.module(i), m.module(i + p))
-                if not basis:
-                    continue
-                solver = HomSolver(basis, m.dim(i + p), k.dim(i))
-                blocks.append((i, solver))
-                self.offsets[(p, i)] = off
-                off += len(basis)
-            if blocks:
-                self.blocks[p] = blocks
-                self.dims[p] = off
+                for b in hom_basis(k.module(i), m.module(i + p)):
+                    r = max(j for j, row in enumerate(b._rows) if row)
+                    free[(i, r, max(b._rows[r]))] = len(basis)
+                    basis.append((i, b))
+            if basis:
+                self.basis[p] = basis
+                self.free[p] = free
 
     def dim(self, p: int) -> int:
-        return self.dims.get(p, 0)
+        return len(self.basis.get(p, ()))
 
-    def to_mats(self, p: int, v) -> dict:
-        out = {}
-        for i, solver in self.blocks.get(p, ()):
-            off = self.offsets[(p, i)]
-            coords = v[off : off + len(solver.basis)]
-            if any(coords):
-                out[i] = solver.from_coords(coords)
+    def to_mats(self, p: int, coords: dict) -> dict:
+        """The degree-p map with these coordinates, as {source degree:
+        matrix}, one entry per block it touches, in ascending degree."""
+        basis, acc = self.basis.get(p, ()), {}
+        for j, x in coords.items():
+            i, b = basis[j]
+            rows = acc.get(i)
+            if rows is None:
+                rows = acc[i] = [{} for _ in range(b.rows)]
+            for tr, row in zip(rows, b._rows):
+                for c, y in row.items():
+                    tr[c] = tr.get(c, ZERO) + x * y
+        return {
+            i: Mat.wrap([{c: v for c, v in tr.items() if v} for tr in acc[i]], self.k.dim(i))
+            for i in sorted(acc)
+        }
+
+    def coords(self, p: int, mats: dict) -> dict:
+        """Coordinates of the degree-p map given as {source degree:
+        matrix}: its nonzero entries at the free positions. The map is
+        rebuilt from them and compared, so a map outside the hom space,
+        a block of the wrong shape or a component outside the book's
+        blocks raises PipelineError."""
+        free, out, given = self.free.get(p, {}), {}, {}
+        for i, t in mats.items():
+            if (t.rows, t.cols) != (self.m.dim(i + p), self.k.dim(i)):
+                raise PipelineError("map does not lie in the hom space")
+            if t.is_zero():
+                continue
+            given[i] = t
+            for r, row in enumerate(t._rows):
+                for c, x in row.items():
+                    j = free.get((i, r, c))
+                    if j is not None:
+                        out[j] = x
+        if self.to_mats(p, out) != given:
+            raise PipelineError("map does not lie in the hom space")
         return out
 
-    def coords(self, p: int, mats: dict):
-        out = [Q(0)] * self.dim(p)
-        for i, solver in self.blocks.get(p, ()):
-            t = mats.get(i)
-            if t is None or t.is_zero():
-                continue
-            off = self.offsets[(p, i)]
-            for j, c in enumerate(solver.coords(t)):
-                out[off + j] = c
-        # make sure no block fell outside the recorded ones
-        known = {i for i, _ in self.blocks.get(p, ())}
-        for i, t in mats.items():
-            if i not in known and t is not None and not t.is_zero():
-                raise PipelineError("map has a component outside the hom space")
-        return tuple(out)
+    def matrix(self, p: int, images) -> Mat:
+        """The dim(p) x len(images) Mat whose column k is coords(p,
+        images[k]): the one place a list of maps becomes a coordinate
+        matrix."""
+        rows = [{} for _ in range(self.dim(p))]
+        for k, mats in enumerate(images):
+            for j, x in self.coords(p, mats).items():
+                rows[j][k] = x
+        return Mat.wrap(rows, len(images))
 
 
 def hom_complex(k: BddComplex, m: BddComplex):
     """The complex of module maps with differential
     h -> d∘h - (-1)^{|h|} h∘d. Returns (ChainComplexQ, HomBook)."""
     book = HomBook(k, m)
-    dims = dict(book.dims)
     diffs = {}
-    for p in sorted(dims):
+    for p, basis in book.basis.items():
         if book.dim(p + 1) == 0:
             continue
         sgn = Q(1) if p % 2 == 0 else Q(-1)
-        cols = []
-        for i, solver in book.blocks[p]:
-            for b in solver.basis:
-                img = {}
-                post = m.diff(i + p) @ b
-                if not post.is_zero():
-                    img[i] = post
-                pre = b @ k.diff(i - 1)
-                if not pre.is_zero():
-                    img[i - 1] = img.get(i - 1, Mat(pre.rows, pre.cols)).add(
-                        pre.scale(-sgn)
-                    )
-                cols.append(book.coords(p + 1, img))
-        dmat = Mat.from_cols(cols, rows=book.dim(p + 1))
+        images = []
+        for i, b in basis:
+            img = {}
+            post = m.diff(i + p) @ b
+            if not post.is_zero():
+                img[i] = post
+            pre = b @ k.diff(i - 1)
+            if not pre.is_zero():
+                img[i - 1] = img.get(i - 1, Mat(pre.rows, pre.cols)).add(pre.scale(-sgn))
+            images.append(img)
+        dmat = book.matrix(p + 1, images)
         if not dmat.is_zero():
             diffs[p] = dmat
-    return ChainComplexQ(dims, diffs), book
+    return ChainComplexQ({p: len(basis) for p, basis in book.basis.items()}, diffs), book
 
 
 def end_dgla_of_complex(k: BddComplex, label: str = ""):
@@ -715,23 +687,16 @@ def end_dgla_of_complex(k: BddComplex, label: str = ""):
     the module maps lowering the degree by -p blockwise, graded
     commutator bracket. Returns (Dgla, HomBook).
 
-    Basis element t of degree p is one basis map of one block i -> i + p.
-    So a∘b of two basis elements is one product, nonzero only when b's
-    target block is a's source block, and maps b's source block i to
-    i + p1 + p2. Each composite is computed once and serves both [a, b]
-    and [b, a]. The differential is built here; the bracket table only
-    when something first brackets (see Dgla), which a pipeline report
-    never does. The graded commutator of composition is a dgLa by
+    Basis element a of degree p is book.basis[p][a], one basis map of one
+    block i -> i + p. So a∘b of two basis elements is one product,
+    nonzero only when b's target block is a's source block, and its
+    coordinates are book.coords of that product on b's source block.
+    Each composite is computed once and serves both [a, b] and [b, a].
+    The differential is built here; the bracket table only when
+    something first brackets (see Dgla), which a pipeline report never
+    does. The graded commutator of composition is a dgLa by
     construction; the tests run its axiom check."""
     cplx, book = hom_complex(k, k)
-    elems = {}
-    solvers = {}
-    for p, blocks in book.blocks.items():
-        for i, solver in blocks:
-            solvers[(p, i)] = solver
-            off = book.offsets[(p, i)]
-            for j, b in enumerate(solver.basis):
-                elems[(p, off + j)] = (i, b)
     comps = {}
 
     def comp(p1, a, p2, b):
@@ -739,16 +704,9 @@ def end_dgla_of_complex(k: BddComplex, label: str = ""):
         key = (p1, a, p2, b)
         out = comps.get(key)
         if out is None:
-            i1, ma = elems[(p1, a)]
-            i2, mb = elems[(p2, b)]
-            out = comps[key] = {}
-            if i1 == i2 + p2:
-                prod = ma @ mb
-                if not prod.is_zero():
-                    off = book.offsets[(p1 + p2, i2)]
-                    for j, c in enumerate(solvers[(p1 + p2, i2)].coords(prod)):
-                        if c:
-                            out[off + j] = c
+            i1, ma = book.basis[p1][a]
+            i2, mb = book.basis[p2][b]
+            out = comps[key] = book.coords(p1 + p2, {i2: ma @ mb}) if i1 == i2 + p2 else {}
         return out
 
     def brk(p1, a, p2, b):
@@ -758,13 +716,7 @@ def end_dgla_of_complex(k: BddComplex, label: str = ""):
             out[t] = out.get(t, ZERO) + (c if odd else -c)
         return [(t, c) for t, c in out.items() if c]
 
-    g = Dgla(
-        dict(book.dims),
-        {p: cplx.diff(p) for p in book.dims if not cplx.diff(p).is_zero()},
-        brk,
-        label=label or "End",
-    )
-    return g, book
+    return Dgla(dict(cplx.dims), dict(cplx.diffs), brk, label=label or "End"), book
 
 
 def graph_preserving_dgla(lift: ChainMapM, end_s: Dgla, book_s: HomBook,
@@ -782,25 +734,23 @@ def graph_preserving_dgla(lift: ChainMapM, end_s: Dgla, book_s: HomBook,
     corner. T is thus spanned by the basis maps outside the P_F -> P_G
     corner, its differential and bracket are End(S)'s restricted to them,
     and L is T carried across by u: its dimensions, differential and
-    bracket are T's, and its inclusion sends t to u∘t∘u⁻¹."""
-    u, u_inv = {}, {}
+    bracket are T's, and its inclusion sends t to u∘t∘u⁻¹: one column of
+    book_s.matrix per kept basis map of book_s.basis."""
+    u, u_inv, to_g = {}, {}, {}
     for d in book_s.k.mods:
         n = inj_g.comp(d) @ lift.comp(d) @ inj_f.comp(d).transpose()
         one = Mat.identity(book_s.k.dim(d))
-        u[d], u_inv[d] = one.add(n), one.sub(n)
+        u[d], u_inv[d], to_g[d] = one.add(n), one.sub(n), inj_g.comp(d).transpose()
     keep, mats = {}, {}
-    for p, blocks in book_s.blocks.items():
-        idx, cols = [], []
-        for i, solver in blocks:
-            off = book_s.offsets[(p, i)]
-            to_g, from_f = inj_g.comp(i + p).transpose(), inj_f.comp(i)
-            for j, b in enumerate(solver.basis):
-                if (to_g @ b @ from_f).is_zero():
-                    idx.append(off + j)
-                    cols.append(book_s.coords(p, {i: u[i + p] @ b @ u_inv[i]}))
+    for p, basis in book_s.basis.items():
+        idx, images = [], []
+        for j, (i, b) in enumerate(basis):
+            if (to_g[i + p] @ b @ inj_f.comp(i)).is_zero():
+                idx.append(j)
+                images.append({i: u[i + p] @ b @ u_inv[i]})
         if idx:
             keep[p] = idx
-            mats[p] = Mat.from_cols(cols, rows=book_s.dim(p))
+            mats[p] = book_s.matrix(p, images)
     pos = {p: {k: t for t, k in enumerate(idx)} for p, idx in keep.items()}
     diffs = {}
     for p, idx in keep.items():
@@ -905,10 +855,11 @@ class MorphismDiagram(ScDgla):
 
 
 def _corner(book_s: HomBook, p: int, mats: dict, inj_out: ChainMapM, inj_in: ChainMapM):
-    """Coordinates in book_s of the degree-p endomorphism of a direct sum
-    that maps the summand of inj_in to the summand of inj_out by the
-    blocks mats ({source degree: matrix}) and is zero elsewhere. The
-    transpose of a coordinate inclusion is its projection."""
+    """The coordinates in book_s, a sparse {index: nonzero Q} dict, of the
+    degree-p endomorphism of a direct sum that maps the summand of inj_in
+    to the summand of inj_out by the blocks mats ({source degree:
+    matrix}) and is zero elsewhere. The transpose of a coordinate
+    inclusion is its projection."""
     return book_s.coords(p, {
         i: inj_out.comp(i + p) @ t @ inj_in.comp(i).transpose() for i, t in mats.items()
     })
@@ -940,12 +891,11 @@ def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> MorphismDi
 
     def diagonal(side, p):
         inj = injs[side]
-        cols = [
-            _corner(book_s, p, {i: b}, inj, inj)
-            for i, solver in books[side].blocks.get(p, ())
-            for b in solver.basis
+        images = [
+            {i: inj.comp(i + p) @ b @ inj.comp(i).transpose()}
+            for i, b in books[side].basis.get(p, ())
         ]
-        return Mat.from_cols(cols, rows=end_s.dim(p)) @ projs[side].mat(p)
+        return book_s.matrix(p, images) @ projs[side].mat(p)
 
     face0 = DglaMap(level0, end_s, {p: diagonal(0, p).add(diagonal(1, p)) for p in level0.dims})
     face1 = l_incl.compose(projs[2])
@@ -1045,21 +995,20 @@ def les_check(sc: MorphismDiagram) -> dict:
     def v_map(i):
         rf, rg = (cx[s].cohomology(i)[1] for s in (0, 1))
         images = [
-            {j: (lift.comp(j + i) @ t).neg() for j, t in sc.books[0].to_mats(i, rf.row(k)).items()}
-            for k in range(rf.rows)
+            {j: (lift.comp(j + i) @ t).neg() for j, t in sc.books[0].to_mats(i, rep).items()}
+            for rep in rf._rows
         ] + [
-            {j: t @ lift.comp(j) for j, t in sc.books[1].to_mats(i, rg.row(k)).items()}
-            for k in range(rg.rows)
+            {j: t @ lift.comp(j) for j, t in sc.books[1].to_mats(i, rep).items()}
+            for rep in rg._rows
         ]
-        V = Mat.from_cols([book_fg.coords(i, m) for m in images], rows=cx_fg.dim(i))
-        return _classes(cx_fg, i, V, "face difference")
+        return _classes(cx_fg, i, book_fg.matrix(i, images), "face difference")
 
     def theta_map(i):
         reps = cx_fg.cohomology(i)[1]
         images = []
-        for k in range(reps.rows):
-            y = _corner(sc.book_s, i, book_fg.to_mats(i, reps.row(k)), sc.injs[1], sc.injs[0])
-            images.append({tb.index(i + 1, 1, idx): c for idx, c in enumerate(y) if c})
+        for rep in reps._rows:
+            y = _corner(sc.book_s, i, book_fg.to_mats(i, rep), sc.injs[1], sc.injs[0])
+            images.append({tb.index(i + 1, 1, idx): c for idx, c in y.items()})
         V = Mat.wrap(images, tot.dim(i + 1)).transpose()
         return _classes(tot, i + 1, V, "corner inclusion")
 

@@ -228,6 +228,29 @@ def test_sampled_object_depends_on_the_diagram_alone():
                 assert a.terms == b.terms, (sc, seed)
 
 
+def test_the_sampled_object_is_pinned_for_one_seed():
+    """No report prints what random_totdel_object draws, so this pins it:
+    on builtin:sc-conjugated over sqz2 with random.Random(0), the sorted
+    (key, coefficient) terms of l and m are fixed. They depend on the
+    sampler's draws and on the level-0 equaliser it draws from, which
+    comes from the face matrices of the conjugated cover."""
+    sc = load_builtin("sc-conjugated")[1]
+    o = random_totdel_object(sc, builtin_artin("sqz2"), random.Random(0))
+    x, y = (1, 0), (0, 1)  # the two generators of sqz2's maximal ideal
+    assert sorted(o.l.terms.items()) == [
+        ((1, 0, y, (), ()), Q(-2)),
+        ((1, 2, y, (), ()), Q(-2)),
+        ((1, 4, y, (), ()), Q(-2)),
+    ]
+    assert sorted(o.m.terms.items()) == [
+        ((0, 0, y, (), ()), Q(2)),
+        ((0, 4, y, (), ()), Q(2)),
+        ((0, 5, y, (), ()), Q(-2)),
+        ((0, 7, x, (), ()), Q(-2)),
+        ((0, 9, y, (), ()), Q(-2)),
+    ]
+
+
 def test_what_the_descent_command_samples_passes_every_invariant():
     """The samplers and descent maps build their data without checking
     it. Drawn in the order of the descent command's trials, on every

@@ -17,8 +17,10 @@ from mcdescent.forms import (
     simplex_coord,
     whitney_form,
 )
-from mcdescent.linalg import Mat, vec
+from mcdescent.linalg import vec
 from mcdescent.ratio import Q
+
+from dense_views import from_dense_cols
 
 
 def rand_form(rng, nvars, form_deg, max_exp=2, nterms=3):
@@ -197,5 +199,5 @@ def test_whitney_d_stays_in_span():
                 dw = f_d(whitney_form(S, n))
                 assert set(dw) <= set(span_keys)
                 target = vec([dw.get(k, 0) for k in span_keys])
-                m = Mat.from_cols(cols, rows=len(span_keys))
-                assert m.solve(Mat.from_cols([target], rows=len(span_keys))) is not None
+                m = from_dense_cols(cols, len(span_keys))
+                assert m.solve(from_dense_cols([target], len(span_keys))) is not None

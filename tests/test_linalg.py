@@ -20,7 +20,7 @@ from mcdescent.linalg import (
 )
 from mcdescent.ratio import Q, rat
 
-from dense_views import dense_rows
+from dense_views import dense_rows, from_dense_cols
 
 
 def col(m, j):
@@ -30,7 +30,7 @@ def col(m, j):
 
 def column(v):
     """The one-column Mat of a dense vector."""
-    return Mat.from_cols([v], rows=len(v))
+    return from_dense_cols([v], len(v))
 
 
 # independent dense RREF used as the oracle
@@ -251,18 +251,18 @@ def test_solve_many_reads_each_column_alone():
         while len(bad) < 1 + trial % 2:
             b = vec([Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rows)])
             spread = bad + [b] + [col(a, j) for j in range(cols)]
-            if Mat.from_cols(spread, rows=rows).rank() == a.rank() + len(bad) + 1:
+            if from_dense_cols(spread, rows).rank() == a.rank() + len(bad) + 1:
                 bad.append(b)
-        got = a.solve_many(Mat.from_cols(rhs, rows=rows))
+        got = a.solve_many(from_dense_cols(rhs, rows))
         assert (got.rows, got.cols) == (cols, len(rhs))
         for k, b in enumerate(rhs):
             want = dense_solve(dense_rows(a), b)
             assert col(got, k) == want and a.solve(column(b)) == column(want)
-        assert a @ got == Mat.from_cols(rhs, rows=rows)
+        assert a @ got == from_dense_cols(rhs, rows)
         for b in bad:
             assert dense_solve(dense_rows(a), b) is None
             rhs.insert(rng.randint(0, len(rhs)), b)
-        assert a.solve_many(Mat.from_cols(rhs, rows=rows)) is None
+        assert a.solve_many(from_dense_cols(rhs, rows)) is None
     assert Mat(2, 3).solve_many(Mat(2, 0)) == Mat(3, 0)
     with pytest.raises(ValueError, match="shape"):
         Mat(2, 3).solve_many(Mat(3, 1))
@@ -605,7 +605,7 @@ def test_classes_equal_the_per_vector_class_of():
             vs = probes(rng, cx, d)
             want = [class_of(cx, d, v) for v in vs]
             closed = [v for v, w in zip(vs, want) if w is not None]
-            got = cx.classes(d, Mat.from_cols(closed, rows=n))
+            got = cx.classes(d, from_dense_cols(closed, n))
             assert (got.rows, got.cols) == (cx.cohomology(d)[0], len(closed))
             assert [col(got, k) for k in range(len(closed))] == [w for w in want if w is not None]
             cocycle_sets += 1
@@ -614,7 +614,7 @@ def test_classes_equal_the_per_vector_class_of():
                 if w is None:
                     mixed = closed + [v]
                     rng.shuffle(mixed)
-                    assert cx.classes(d, Mat.from_cols(mixed, rows=n)) is None
+                    assert cx.classes(d, from_dense_cols(mixed, n)) is None
                     rejected += 1
     assert cocycle_sets > 400 and nonzero > 100 and rejected > 300
 
@@ -627,11 +627,11 @@ def test_class_of_and_same_class():
     assert h1 == 1
     z = vec([1, 0])
     w = vec([0, 1])  # differs from z by d(1,0) = (1,-1)
-    got = cx.classes(1, Mat.from_cols([z, w, vec([1, -1])], rows=2))
+    got = cx.classes(1, from_dense_cols([z, w, vec([1, -1])], 2))
     assert col(got, 0) == col(got, 1) == class_of(cx, 1, z) != (Q(0),)
     assert col(got, 2) == class_of(cx, 1, vec([1, -1])) == (Q(0),)
-    assert cx.classes(0, Mat.from_cols([vec([1, 0])], rows=2)) is None
-    assert cx.classes(0, Mat.from_cols([vec([2, 2])], rows=2)) == Mat.from_rows([[2]])
+    assert cx.classes(0, from_dense_cols([vec([1, 0])], 2)) is None
+    assert cx.classes(0, from_dense_cols([vec([2, 2])], 2)) == Mat.from_rows([[2]])
 
 
 def test_cone_euler_and_quasi_iso():

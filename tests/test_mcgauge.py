@@ -72,12 +72,7 @@ class Operator:
         self.A = A
         # over Q each basis map is the matrix unit at its free entry:
         # (degree, index) -> (source degree, row, column)
-        self.units = {
-            (p, book.offsets[(p, i)] + j): (i, r, c)
-            for p, blocks in book.blocks.items()
-            for i, solver in blocks
-            for j, (r, c) in enumerate(solver.free)
-        }
+        self.units = {(p, j): pos for p, free in book.free.items() for pos, j in free.items()}
         self.slots = [
             (i, c, am)
             for i in sorted(cx.dims)

@@ -50,7 +50,7 @@ from mcdescent.pipeline import (
 from mcdescent.ratio import Q
 from mcdescent.semicosimplicial import validate_sc
 
-from dense_views import dense_rows
+from dense_views import dense_rows, from_dense_cols
 
 
 def test_a2_algebra_is_associative_and_unital():
@@ -973,7 +973,7 @@ def _flat(t):
 
 def _flat_solve(ref, t):
     """ref's solution for the row-major entries of t, as a tuple, or None."""
-    sol = ref.solve(Mat.from_cols([_flat(t)], rows=ref.rows))
+    sol = ref.solve(from_dense_cols([_flat(t)], ref.rows))
     return None if sol is None else dense_rows(sol.transpose())[0]
 
 
@@ -988,14 +988,14 @@ def _rebased(m, rng):
 
 
 def _graph_defect(lift, inj_f, inj_g, book_s, p, v):
-    """How far the degree-p endomorphism v (coordinates in book_s) of
-    S = P_F ⊕ P_G is from preserving the graph Γ of the lift: on each
+    """How far the degree-p endomorphism v (sparse coordinates in book_s)
+    of S = P_F ⊕ P_G is from preserving the graph Γ of the lift: on each
     block i, φ_i sends (x, lift·x) to some (y, z), which lies in Γ exactly
     when z = lift·y. Returns the entries of every z - lift·y, all zero
     exactly when v preserves Γ."""
     mats = book_s.to_mats(p, v)
     out = []
-    for i, _ in book_s.blocks.get(p, ()):
+    for i in sorted({i for i, _ in book_s.basis.get(p, ())}):
         phi = mats.get(i, Mat(book_s.m.dim(i + p), book_s.k.dim(i)))
         w = phi @ inj_f.comp(i).add(inj_g.comp(i) @ lift.comp(i))
         y, z = inj_f.comp(i + p).transpose() @ w, inj_g.comp(i + p).transpose() @ w
@@ -1010,15 +1010,14 @@ def test_every_basis_map_of_end_s_lies_in_one_corner():
     morphisms and the random_a2_module seeds 0-24."""
     counts = [0, 0, 0, 0]
     for _, (_, _, _, book_s, inj_f, inj_g) in _instance_graphs():
-        for p, blocks in book_s.blocks.items():
-            for i, solver in blocks:
-                for b in solver.basis:
-                    nonzero = [
-                        not (out.comp(i + p).transpose() @ b @ into.comp(i)).is_zero()
-                        for out in (inj_f, inj_g) for into in (inj_f, inj_g)
-                    ]
-                    assert sum(nonzero) == 1
-                    counts[nonzero.index(True)] += 1
+        for p, basis in book_s.basis.items():
+            for i, b in basis:
+                nonzero = [
+                    not (out.comp(i + p).transpose() @ b @ into.comp(i)).is_zero()
+                    for out in (inj_f, inj_g) for into in (inj_f, inj_g)
+                ]
+                assert sum(nonzero) == 1
+                counts[nonzero.index(True)] += 1
     # every corner, the P_F -> P_G one (third) included, occurs
     assert all(counts), counts
 
@@ -1031,12 +1030,9 @@ def test_l_is_exactly_the_endomorphisms_preserving_the_graph():
     for lift, (l_g, incl, end_s, book_s, inj_f, inj_g) in _instance_graphs():
         for p in end_s.dims:
             n = end_s.dim(p)
-            defects = [
-                _graph_defect(lift, inj_f, inj_g, book_s, p, [Q(int(t == k)) for t in range(n)])
-                for k in range(n)
-            ]
-            oracle = Mat.from_cols(defects, rows=len(defects[0]))
-            for v in dense_rows(incl.mat(p).transpose()):
+            defects = [_graph_defect(lift, inj_f, inj_g, book_s, p, {k: Q(1)}) for k in range(n)]
+            oracle = from_dense_cols(defects, len(defects[0]))
+            for v in incl.mat(p).transpose()._rows:
                 assert not any(_graph_defect(lift, inj_f, inj_g, book_s, p, v))
             assert incl.mat(p).rank() == l_g.dim(p) == n - oracle.rank()
 
@@ -1054,7 +1050,7 @@ def test_dropping_u_breaks_the_graph_check():
         assert t_g.dims == l_g.dims
         leaves = any(
             any(_graph_defect(lift, inj_f, inj_g, book_s, p, v))
-            for p in t_g.dims for v in dense_rows(t_incl.mat(p).transpose())
+            for p in t_g.dims for v in t_incl.mat(p).transpose()._rows
         )
         assert leaves == bool(lift.comps)
         nonzero += leaves
@@ -1062,11 +1058,14 @@ def test_dropping_u_breaks_the_graph_check():
 
 
 def test_hom_coords_match_an_elimination_on_every_block():
-    """HomSolver.coords reads coordinates off the kernel basis's free
-    entries; on every block of every hom book of the pipeline instances,
-    and of their modules in a random basis, it agrees with Mat.solve
-    against the basis, and maps that are no module maps, or have another
-    shape, still raise."""
+    """HomBook.coords reads sparse coordinates off the free entries of the
+    kernel basis. On every degree and block of every hom book of the
+    pipeline instances, and of their modules in a random basis, they are
+    the nonzero entries of Mat.solve against the block's basis, none is
+    zero, to_mats rebuilds the map from them, also across blocks, and
+    matrix takes them as its columns. Maps that are no module maps, in a
+    block with a basis or without one, and blocks of another shape still
+    raise."""
     rng = random.Random(3)
     off_hom = 0
     for (kf, kg, ks), (f, g, _) in zip(_instance_complexes(), _instances()):
@@ -1074,17 +1073,25 @@ def test_hom_coords_match_an_elimination_on_every_block():
         f2, g2 = module_as_complex(_rebased(f, rng)), module_as_complex(_rebased(g, rng))
         books += [HomBook(f2, g2), HomBook(f2, f2), HomBook(g2, g2)]
         for book in books:
-            for p, blocks in book.blocks.items():
-                for i, solver in blocks:
-                    src, tgt = book.k.module(i), book.m.module(i + p)
-                    basis = solver.basis
-                    ref = Mat.from_cols([_flat(b) for b in basis], rows=tgt.dim * src.dim)
+            k, m = book.k, book.m
+            for p in range(min(m.mods) - max(k.mods), max(m.mods) - min(k.mods) + 1):
+                images, whole = [], {}
+                for i in sorted(d for d in k.mods if d + p in m.mods):
+                    block = [(j, b) for j, (d, b) in enumerate(book.basis.get(p, ())) if d == i]
+                    src, tgt = k.module(i), m.module(i + p)
+                    ref = from_dense_cols([_flat(b) for _, b in block], tgt.dim * src.dim)
                     mix = Mat(tgt.dim, src.dim)
-                    for b in basis:
+                    for _, b in block:
                         mix = mix.add(b.scale(Q(rng.randrange(-3, 4), rng.randrange(1, 4))))
-                    for t in list(basis) + [mix, Mat(tgt.dim, src.dim)]:
-                        assert solver.coords(t) == _flat_solve(ref, t)
-                        assert solver.from_coords(solver.coords(t)) == t
+                    for t in [b for _, b in block] + [mix, Mat(tgt.dim, src.dim)]:
+                        got = book.coords(p, {i: t})
+                        want = _flat_solve(ref, t)
+                        assert got == {block[n][0]: x for n, x in enumerate(want) if x}
+                        assert all(got.values())
+                        assert book.to_mats(p, got) == ({} if t.is_zero() else {i: t})
+                        images.append({i: t})
+                    if not mix.is_zero():
+                        whole[i] = mix
                     for r in range(tgt.dim):
                         for c in range(src.dim):
                             unit = Mat(tgt.dim, src.dim, {(r, c): 1})
@@ -1092,10 +1099,13 @@ def test_hom_coords_match_an_elimination_on_every_block():
                                 off_hom += 1
                                 assert _flat_solve(ref, unit) is None
                                 with pytest.raises(PipelineError, match="hom space"):
-                                    solver.coords(unit)
+                                    book.coords(p, {**whole, i: unit})
                     for dr, dc in ((1, 0), (0, 1), (-1, 0), (0, -1)):
                         with pytest.raises(PipelineError, match="hom space"):
-                            solver.coords(Mat(tgt.dim + dr, src.dim + dc))
+                            book.coords(p, {i: Mat(tgt.dim + dr, src.dim + dc)})
+                assert book.to_mats(p, book.coords(p, whole)) == whole
+                cols = book.matrix(p, images).transpose()._rows
+                assert cols == [book.coords(p, x) for x in images]
     assert off_hom > 1000
 
 
@@ -1105,7 +1115,7 @@ def _bracket_by_conversion(book, p1, a, p2, b):
     coordinates back through the book."""
 
     def unit(p, j):
-        return tuple(Q(int(t == j)) for t in range(book.dim(p)))
+        return {j: Q(1)}
 
     def compose(am, bm, pb):
         out = {}
@@ -1120,8 +1130,7 @@ def _bracket_by_conversion(book, p1, a, p2, b):
     sign = Q(-1) ** (p1 * p2)
     for i, m in compose(mb, ma, p1).items():
         mats[i] = mats.get(i, Mat(m.rows, m.cols)).add(m.scale(-sign))
-    coords = book.coords(p1 + p2, mats)
-    return tuple((t, c) for t, c in enumerate(coords) if c)
+    return tuple(sorted(book.coords(p1 + p2, mats).items()))
 
 
 def test_end_bracket_table_matches_the_conversion_reference():

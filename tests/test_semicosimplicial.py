@@ -96,6 +96,8 @@ from mcdescent.semicosimplicial import (
     whitney_map,
 )
 
+from dense_views import from_dense_cols
+
 
 def h_dims(cx, lo=-3, hi=5):
     return {d: cx.cohomology(d)[0] for d in range(lo, hi + 1) if cx.cohomology(d)[0]}
@@ -507,14 +509,14 @@ def test_total_element_derivative_matches_matrix_differential():
                 kd, idx, am, pm, dm = key
                 if am == eps:
                     flat[basis.index(n, p, idx)] = coeff
-        out = tot.diff(n) @ Mat.from_cols([flat], rows=tot.dim(n))
+        out = tot.diff(n) @ from_dense_cols([flat], tot.dim(n))
         flat_d = [Q(0)] * tot.dim(n + 1)
         for p in range(sc.top + 1):
             for (key, coeff) in dc.comps[p].terms.items():
                 kd, idx, am, pm, dm = key
                 if am == eps:
                     flat_d[basis.index(n + 1, p, idx)] = coeff
-        assert out == Mat.from_cols([flat_d], rows=tot.dim(n + 1))
+        assert out == from_dense_cols([flat_d], tot.dim(n + 1))
 
 
 # --- comparison maps -------------------------------------------------------
@@ -805,10 +807,9 @@ def test_totdel_witness_condition_is_binding():
     sec_ctx = TensorCtx(g, A, ())
     z = sec_ctx.zero()
     # over Q each basis map is the matrix unit at its free entry
-    for i, solver in book.blocks[0]:
-        for j, (r, c) in enumerate(solver.free):
-            if r == c:
-                z = z.add(sec_ctx.term(0, book.offsets[(0, i)] + j, 1, A.maximal_basis[-1]))
+    for (_, r, c), j in book.free[0].items():
+        if r == c:
+            z = z.add(sec_ctx.term(0, j, 1, A.maximal_basis[-1]))
     inj = direct_sum([g] * 3)[1][0]
     z0 = z.map_lie(DglaMap(g, sc.levels[0], inj.mats))
     assert gauge(bch(a, z0), o.l).eq(tgt.l)
