@@ -13,19 +13,21 @@ resolutions (`resolve`, the one resolution routine: each term is the
 projective cover ⊕ A·e_i of the top of the previous kernel, recorded by
 its vertex tuple), a lift of the morphism between the resolutions of
 source and target by the comparison theorem (one linear solve per
-degree, `factor_through`), the dgLa L of the endomorphisms of S = P_F ⊕
-P_G preserving the graph of that lift (`graph_preserving_dgla`: L = u T
-u⁻¹, the block upper-triangular part T of End(S) conjugated by the chain
-automorphism u = 1 + inj_G∘lift∘inj_Fᵀ that takes P_F ⊕ 0 onto the
-graph, so no linear system is solved for it), the two-level diagram
-whose totalisation controls deformations of the morphism (`build_H`, a
-`MorphismDiagram` that carries the parts its checks read), and a
-long-exact-sequence checker (`les_check`) that ties its cohomology to
-Ext groups computed from the hom complex of a resolution, themselves
-checked against the Euler form of the quiver. Every direct sum places
-its blocks through one constructor, `Mat.blocks`: module and complex
-sums, their coordinate inclusions (whose transposes are the
-projections), the two-open Čech pair and its cone. Any two choices of
+degree, `factor_through`), End(S) of S = P_F ⊕ P_G assembled from its
+four corner hom complexes Hom(P_a, P_b), each built once (`CORNERS`;
+End(P_F), End(P_G) and Hom(P_F, P_G) are three of them), the dgLa L of
+the endomorphisms of S preserving the graph of that lift
+(`graph_preserving_dgla`: L = u T u⁻¹, the block upper-triangular part T
+of End(S) conjugated by the chain automorphism u that takes P_F ⊕ 0
+onto the graph), the two-level diagram whose totalisation controls
+deformations of the morphism (`build_H`, a `MorphismDiagram` that
+carries the parts its checks read), and a long-exact-sequence checker
+(`les_check`) that ties its cohomology to Ext groups computed from the
+hom complex of a resolution, themselves checked against the Euler form
+of the quiver. Every direct sum places its blocks through one
+constructor, `Mat.blocks`: module and complex sums, their coordinate
+inclusions (whose transposes are the projections), End(S), the
+two-open Čech pair and its cone. Any two choices of
 resolutions and lift give quasi-isomorphic diagrams, so the reported
 cohomology does not depend on them; the minimal ones are the smallest.
 `test_reported_cohomology_does_not_depend_on_the_resolution` checks this
@@ -577,32 +579,24 @@ class HomBook:
     """The hom complex of two bounded complexes k -> m in coordinates. In
     each total degree p the basis is one flat list of (i, b) in
     coordinate order: b is a basis map of the block from source degree i
-    to i + p, from hom_basis, blocks in ascending i. Every basis map of
-    hom_basis is 1 at its free entry, its last nonzero entry in row-major
-    order, where every other basis map of its block is 0; free[p] takes
-    that position (i, r, c) to the map's coordinate. Coordinates are
-    sparse {index: nonzero Q} dicts, and a map's are its nonzero entries
-    at the free positions, read with no elimination."""
+    to i + p, in the caller's order (hom_complex: hom_basis, blocks in
+    ascending i; build_H: End(S) corner by corner). Every basis map is 1
+    at its free entry, its last nonzero entry in row-major order, where
+    every other basis map of its block is 0; free[p] takes that position
+    (i, r, c) to the map's coordinate. Coordinates are sparse {index:
+    nonzero Q} dicts, and a map's are its nonzero entries at the free
+    positions, read with no elimination."""
 
-    def __init__(self, k: BddComplex, m: BddComplex):
+    def __init__(self, k: BddComplex, m: BddComplex, basis: dict):
         self.k = k
         self.m = m
-        self.basis = {}
+        self.basis = {p: maps for p, maps in basis.items() if maps}
         self.free = {}
-        pmin = min(m.mods, default=0) - max(k.mods, default=0)
-        pmax = max(m.mods, default=0) - min(k.mods, default=0)
-        for p in range(pmin, pmax + 1):
-            basis, free = [], {}
-            for i in sorted(k.mods):
-                if i + p not in m.mods:
-                    continue
-                for b in hom_basis(k.module(i), m.module(i + p)):
-                    r = max(j for j, row in enumerate(b._rows) if row)
-                    free[(i, r, max(b._rows[r]))] = len(basis)
-                    basis.append((i, b))
-            if basis:
-                self.basis[p] = basis
-                self.free[p] = free
+        for p, maps in self.basis.items():
+            free = self.free[p] = {}
+            for j, (i, b) in enumerate(maps):
+                r = max(r for r, row in enumerate(b._rows) if row)
+                free[(i, r, max(b._rows[r]))] = j
 
     def dim(self, p: int) -> int:
         return len(self.basis.get(p, ()))
@@ -659,8 +653,15 @@ class HomBook:
 
 def hom_complex(k: BddComplex, m: BddComplex):
     """The complex of module maps with differential
-    h -> d∘h - (-1)^{|h|} h∘d. Returns (ChainComplexQ, HomBook)."""
-    book = HomBook(k, m)
+    h -> d∘h - (-1)^{|h|} h∘d. Returns (ChainComplexQ, HomBook). The one
+    place where hom_basis builds the basis of a book."""
+    pmin = min(m.mods, default=0) - max(k.mods, default=0)
+    pmax = max(m.mods, default=0) - min(k.mods, default=0)
+    book = HomBook(k, m, {
+        p: [(i, b) for i in sorted(k.mods) if i + p in m.mods
+            for b in hom_basis(k.module(i), m.module(i + p))]
+        for p in range(pmin, pmax + 1)
+    })
     diffs = {}
     for p, basis in book.basis.items():
         if book.dim(p + 1) == 0:
@@ -682,21 +683,19 @@ def hom_complex(k: BddComplex, m: BddComplex):
     return ChainComplexQ({p: len(basis) for p, basis in book.basis.items()}, diffs), book
 
 
-def end_dgla_of_complex(k: BddComplex, label: str = ""):
-    """Endomorphism dgLa of a bounded complex of modules: degree-p part
-    the module maps lowering the degree by -p blockwise, graded
-    commutator bracket. Returns (Dgla, HomBook).
+def end_dgla(cplx: ChainComplexQ, book: HomBook, label: str) -> Dgla:
+    """The endomorphism dgLa on the complex cplx of a hom complex k -> k
+    in the coordinates of its book, with the graded commutator bracket.
 
     Basis element a of degree p is book.basis[p][a], one basis map of one
     block i -> i + p. So a∘b of two basis elements is one product,
     nonzero only when b's target block is a's source block, and its
     coordinates are book.coords of that product on b's source block.
     Each composite is computed once and serves both [a, b] and [b, a].
-    The differential is built here; the bracket table only when
-    something first brackets (see Dgla), which a pipeline report never
-    does. The graded commutator of composition is a dgLa by
-    construction; the tests run its axiom check."""
-    cplx, book = hom_complex(k, k)
+    The bracket table is built only when something first brackets (see
+    Dgla), which a pipeline report never does. The graded commutator of
+    composition is a dgLa by construction; the tests run its axiom
+    check."""
     comps = {}
 
     def comp(p1, a, p2, b):
@@ -716,54 +715,49 @@ def end_dgla_of_complex(k: BddComplex, label: str = ""):
             out[t] = out.get(t, ZERO) + (c if odd else -c)
         return [(t, c) for t, c in out.items() if c]
 
-    return Dgla(dict(cplx.dims), dict(cplx.diffs), brk, label=label or "End"), book
+    return Dgla(dict(cplx.dims), dict(cplx.diffs), brk, label=label)
 
 
-def graph_preserving_dgla(lift: ChainMapM, end_s: Dgla, book_s: HomBook,
-                          inj_f: ChainMapM, inj_g: ChainMapM):
+def end_dgla_of_complex(k: BddComplex, label: str = ""):
+    """Endomorphism dgLa of a bounded complex of modules: degree-p part
+    the module maps lowering the degree by -p blockwise, graded
+    commutator bracket (end_dgla on hom_complex(k, k)). Returns (Dgla,
+    HomBook)."""
+    cplx, book = hom_complex(k, k)
+    return end_dgla(cplx, book, label or "End"), book
+
+
+def graph_preserving_dgla(lift: ChainMapM, end_s: Dgla, book_s: HomBook, t_dims: dict):
     """The dgLa L of the endomorphisms of S = P_F ⊕ P_G that preserve the
     graph Γ of the lift, with its inclusion into End(S) = end_s, whose
     HomBook is book_s. Returns (L, inclusion).
 
-    With N = inj_G∘lift∘inj_Fᵀ, u = 1 + N is a chain automorphism of S,
-    because the lift is a chain map, with inverse 1 - N (N∘N = 0); it is
-    the identity on 0 ⊕ P_G and takes P_F ⊕ 0 onto Γ. So L = u T u⁻¹, with
-    T the endomorphisms preserving P_F ⊕ 0: those whose P_F -> P_G corner
-    vanishes. S's action is block diagonal, so the conditions on a module
-    map split corner by corner and every basis map of book_s lies in one
-    corner. T is thus spanned by the basis maps outside the P_F -> P_G
-    corner, its differential and bracket are End(S)'s restricted to them,
-    and L is T carried across by u: its dimensions, differential and
-    bracket are T's, and its inclusion sends t to u∘t∘u⁻¹: one column of
-    book_s.matrix per kept basis map of book_s.basis."""
-    u, u_inv, to_g = {}, {}, {}
+    With N the lift placed in the P_F -> P_G corner, u = 1 + N is a chain
+    automorphism of S, because the lift is a chain map, with inverse 1 -
+    N (N∘N = 0); it is the identity on 0 ⊕ P_G and takes P_F ⊕ 0 onto Γ.
+    So L = u T u⁻¹, with T the endomorphisms preserving P_F ⊕ 0: those
+    whose P_F -> P_G corner vanishes. build_H assembles End(S) corner by
+    corner with that corner last, so T is spanned by the first t_dims[p]
+    basis maps of each degree p. End(S)'s differential keeps every
+    corner, so T's is its leading block, and T is closed under the
+    bracket, so T's bracket is end_s.bracket_basis itself. L is T carried
+    across by u: its dimensions, differential and bracket are T's, and
+    its inclusion sends t to u∘t∘u⁻¹: one column of book_s.matrix per
+    basis map of T."""
+    u, u_inv = {}, {}
     for d in book_s.k.mods:
-        n = inj_g.comp(d) @ lift.comp(d) @ inj_f.comp(d).transpose()
-        one = Mat.identity(book_s.k.dim(d))
-        u[d], u_inv[d], to_g[d] = one.add(n), one.sub(n), inj_g.comp(d).transpose()
-    keep, mats = {}, {}
-    for p, basis in book_s.basis.items():
-        idx, images = [], []
-        for j, (i, b) in enumerate(basis):
-            if (to_g[i + p] @ b @ inj_f.comp(i)).is_zero():
-                idx.append(j)
-                images.append({i: u[i + p] @ b @ u_inv[i]})
-        if idx:
-            keep[p] = idx
-            mats[p] = book_s.matrix(p, images)
-    pos = {p: {k: t for t, k in enumerate(idx)} for p, idx in keep.items()}
-    diffs = {}
-    for p, idx in keep.items():
-        rows, dm = keep.get(p + 1, ()), end_s.diff(p)._rows
-        diffs[p] = Mat(len(rows), len(idx), {
-            (r, pos[p][j]): x for r, k in enumerate(rows) for j, x in dm[k].items() if j in pos[p]
-        })
-
-    def brk(p1, a, p2, b):
-        val = end_s.bracket_basis(p1, keep[p1][a], p2, keep[p2][b])
-        return [(pos[p1 + p2][k], c) for k, c in val]
-
-    l_g = Dgla({p: len(idx) for p, idx in keep.items()}, diffs, brk, label="preserving")
+        dims = (lift.source.dim(d), lift.target.dim(d))
+        one = {(0, 0): Mat.identity(dims[0]), (1, 1): Mat.identity(dims[1])}
+        u[d] = Mat.blocks(dims, dims, {**one, (1, 0): lift.comp(d)})
+        u_inv[d] = Mat.blocks(dims, dims, {**one, (1, 0): lift.comp(d).neg()})
+    mats, diffs = {}, {}
+    for p, n in t_dims.items():
+        if n:
+            basis = book_s.basis[p][:n]
+            mats[p] = book_s.matrix(p, [{i: u[i + p] @ b @ u_inv[i]} for i, b in basis])
+            lead = end_s.diff(p)._rows[:t_dims.get(p + 1, 0)]
+            diffs[p] = Mat.wrap([dict(row) for row in lead], n)
+    l_g = Dgla(t_dims, diffs, end_s.bracket_basis, label="preserving")
     return l_g, DglaMap(l_g, end_s, mats)
 
 
@@ -827,10 +821,12 @@ class MorphismDiagram(ScDgla):
     for the source F and 1 for the target G:
 
     - lift: the chain map P_F -> P_G between the two resolutions;
-    - ends, books: End(P_F) and End(P_G), with their HomBooks;
+    - ends, books: End(P_F) and End(P_G), the FF and GG corners of End(S)
+      for S = P_F ⊕ P_G, with their HomBooks;
     - projs: the projections of level 0 onto ends;
-    - injs: the inclusions of P_F and P_G into their direct sum S;
-    - book_s: the HomBook of End(S), which is level 1.
+    - fg: (complex, HomBook) of Hom(P_F, P_G), the last corner of End(S);
+    - book_s: the HomBook of End(S), which is level 1: the basis maps of
+      the four corners placed in S, in CORNERS order.
 
     The third summand of level 0, L = u T u⁻¹ (graph_preserving_dgla),
     is reached through face 1, which includes it into End(S) by
@@ -839,12 +835,12 @@ class MorphismDiagram(ScDgla):
     total() builds the total complex on first use, so the checks of one
     diagram share one complex and its cohomology."""
 
-    __slots__ = ("lift", "ends", "books", "projs", "injs", "book_s", "_total")
+    __slots__ = ("lift", "ends", "books", "projs", "fg", "book_s", "_total")
 
-    def __init__(self, levels, cofaces, lift, ends, books, projs, injs, book_s):
+    def __init__(self, levels, cofaces, lift, ends, books, projs, fg, book_s):
         super().__init__(levels, cofaces, label="morphism diagram")
         self.lift, self.ends, self.books = lift, ends, books
-        self.projs, self.injs, self.book_s = projs, injs, book_s
+        self.projs, self.fg, self.book_s = projs, fg, book_s
         self._total = None
 
     def total(self) -> tuple:
@@ -854,15 +850,10 @@ class MorphismDiagram(ScDgla):
         return self._total
 
 
-def _corner(book_s: HomBook, p: int, mats: dict, inj_out: ChainMapM, inj_in: ChainMapM):
-    """The coordinates in book_s, a sparse {index: nonzero Q} dict, of the
-    degree-p endomorphism of a direct sum that maps the summand of inj_in
-    to the summand of inj_out by the blocks mats ({source degree:
-    matrix}) and is zero elsewhere. The transpose of a coordinate
-    inclusion is its projection."""
-    return book_s.coords(p, {
-        i: inj_out.comp(i + p) @ t @ inj_in.comp(i).transpose() for i, t in mats.items()
-    })
+# The corners Hom(P_a, P_b) of End(P_F ⊕ P_G) as (a, b), 0 for the source
+# side F and 1 for the target side G: FF, GG, GF and FG. The P_F -> P_G
+# corner comes last, so T is a prefix of each degree of End(S).
+CORNERS = ((0, 0), (1, 1), (1, 0), (0, 1))
 
 
 def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> MorphismDiagram:
@@ -870,49 +861,60 @@ def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> MorphismDi
     level 1, 0]. Level 1 is End(S) of the direct sum S = P_F ⊕ P_G. Level
     0 is End(P_F) ⊕ End(P_G) ⊕ L, with L the endomorphisms of S preserving
     the graph Γ of the lift: L = u T u⁻¹, with T the block upper-triangular
-    part of End(S) (no P_F -> P_G corner) and u = 1 + inj_G∘lift∘inj_Fᵀ
-    the chain automorphism of S taking P_F ⊕ 0 onto Γ
-    (graph_preserving_dgla). Face 0 projects onto End(P_F) and End(P_G)
-    and includes each as a diagonal block of End(S); face 1 projects onto
-    L and includes it by t -> u∘t∘u⁻¹; a zero level 2 closes the diagram.
-    Every dgLa here keeps its bracket as a callable and tabulates it on
-    first use: the reports read only dimensions, differentials and face
-    maps, so none of them computes a bracket.
-    Nothing here is validated: the dgLa axioms, the faces and the coface
-    identities hold by construction, and validate_sc checks them in the
-    tests. Cover data (one open or two) enters only in h_cohomology."""
-    s, inj_f, inj_g = complex_direct_sum(res_f.cx, res_g.cx)
-    end_s, book_s = end_dgla_of_complex(s, label="End(ambient)")
-    l_g, l_incl = graph_preserving_dgla(lift, end_s, book_s, inj_f, inj_g)
-    end_f, book_f = end_dgla_of_complex(res_f.cx, label="End(source res)")
-    end_g, book_g = end_dgla_of_complex(res_g.cx, label="End(target res)")
-    level0, _, projs = direct_sum([end_f, end_g, l_g])
-    books, injs = (book_f, book_g), (inj_f, inj_g)
-
-    def diagonal(side, p):
-        inj = injs[side]
-        images = [
-            {i: inj.comp(i + p) @ b @ inj.comp(i).transpose()}
-            for i, b in books[side].basis.get(p, ())
+    part of End(S) and u the chain automorphism of S taking P_F ⊕ 0 onto Γ
+    (graph_preserving_dgla). S's differential is block diagonal, so in
+    each degree End(S)'s basis is the basis maps of hom_complex(P_a, P_b)
+    for (a, b) in CORNERS placed in S, and its differential is the
+    block-diagonal sum of theirs. Face 0 projects onto End(P_F) and
+    End(P_G), the first two corners, and includes each as a diagonal
+    block: two identity blocks. Face 1 projects onto L and includes it by
+    t -> u∘t∘u⁻¹; a zero level 2 closes the diagram. Every dgLa here
+    keeps its bracket as a callable and tabulates it on first use: the
+    reports read only dimensions, differentials and face maps, so none of
+    them computes a bracket. Nothing here is validated: the dgLa axioms,
+    the faces and the coface identities hold by construction, and
+    validate_sc checks them in the tests. Cover data (one open or two)
+    enters only in h_cohomology."""
+    cxs = (res_f.cx, res_g.cx)
+    homs = [hom_complex(cxs[a], cxs[b]) for a, b in CORNERS]
+    s, _, _ = complex_direct_sum(*cxs)
+    sides = {d: (cxs[0].dim(d), cxs[1].dim(d)) for d in s.mods}
+    basis, diffs = {}, {}
+    for p in sorted(set().union(*(cx.dims for cx, _ in homs))):
+        basis[p] = [
+            (i, Mat.blocks(sides[i + p], sides[i], {(b, a): t}))
+            for (a, b), (_, book) in zip(CORNERS, homs) for i, t in book.basis.get(p, ())
         ]
-        return book_s.matrix(p, images) @ projs[side].mat(p)
+        diffs[p] = Mat.blocks(
+            [cx.dim(p + 1) for cx, _ in homs], [cx.dim(p) for cx, _ in homs],
+            {(c, c): cx.diff(p) for c, (cx, _) in enumerate(homs)},
+        )
+    book_s = HomBook(s, s, basis)
+    cplx_s = ChainComplexQ({p: len(maps) for p, maps in basis.items()}, diffs)
+    end_s = end_dgla(cplx_s, book_s, "End(ambient)")
+    t_dims = {p: n - homs[-1][0].dim(p) for p, n in end_s.dims.items()}
+    l_g, l_incl = graph_preserving_dgla(lift, end_s, book_s, t_dims)
+    end_f = end_dgla(*homs[0], "End(source res)")
+    end_g = end_dgla(*homs[1], "End(target res)")
+    level0, _, projs = direct_sum([end_f, end_g, l_g])
 
-    face0 = DglaMap(level0, end_s, {p: diagonal(0, p).add(diagonal(1, p)) for p in level0.dims})
-    face1 = l_incl.compose(projs[2])
+    def face0(p):
+        ff, gg = end_f.dim(p), end_g.dim(p)
+        return Mat.blocks((ff, gg, end_s.dim(p) - ff - gg), (ff, gg, l_g.dim(p)),
+                          {(0, 0): Mat.identity(ff), (1, 1): Mat.identity(gg)})
 
     from .builders import zero_dgla
 
     z = zero_dgla()
     cof = {
-        (1, 0): face0,
-        (1, 1): face1,
+        (1, 0): DglaMap(level0, end_s, {p: face0(p) for p in level0.dims}),
+        (1, 1): l_incl.compose(projs[2]),
         (2, 0): DglaMap(end_s, z, {}),
         (2, 1): DglaMap(end_s, z, {}),
         (2, 2): DglaMap(end_s, z, {}),
     }
-    return MorphismDiagram(
-        [level0, end_s, z], cof, lift, (end_f, end_g), books, tuple(projs[:2]), injs, book_s
-    )
+    return MorphismDiagram([level0, end_s, z], cof, lift, (end_f, end_g),
+                           (homs[0][1], homs[1][1]), tuple(projs[:2]), homs[-1], book_s)
 
 
 def h_cohomology(sc: MorphismDiagram, n_opens: int = 1) -> dict:
@@ -970,7 +972,8 @@ def les_check(sc: MorphismDiagram) -> dict:
     modules, each Ext computed from the hom complex of the resolutions.
     u restricts a cocycle to level 0 and projects it onto the End pair;
     v sends (a, b) to b∘lift - lift∘a; θ includes a map P_F -> P_G as
-    the corner block of End(P_F ⊕ P_G), one level up. Each map sends
+    the corner block of End(P_F ⊕ P_G), one level up, End(S)'s last
+    corner, so θ only shifts coordinates (sc.fg). Each map sends
     cocycles to cocycles, and the classes of all the images of one
     degree are read off together by classes, so each (complex, degree)
     pair is solved against once; images and kernels are compared as
@@ -978,7 +981,7 @@ def les_check(sc: MorphismDiagram) -> dict:
     tot, tb = sc.total()
     lift = sc.lift
     cx = [g.complex() for g in sc.ends]
-    cx_fg, book_fg = hom_complex(lift.source, lift.target)
+    cx_fg, book_fg = sc.fg
 
     def u_map(i):
         slots = tb.slots.get(i, ())
@@ -1004,11 +1007,13 @@ def les_check(sc: MorphismDiagram) -> dict:
         return _classes(cx_fg, i, book_fg.matrix(i, images), "face difference")
 
     def theta_map(i):
-        reps = cx_fg.cohomology(i)[1]
-        images = []
-        for rep in reps._rows:
-            y = _corner(sc.book_s, i, book_fg.to_mats(i, rep), sc.injs[1], sc.injs[0])
-            images.append({tb.index(i + 1, 1, idx): c for idx, c in y.items()})
+        # the P_F -> P_G corner is End(S)'s last, so a map keeps its
+        # coordinates there, shifted past the other three corners
+        off = sc.levels[1].dim(i) - cx_fg.dim(i)
+        images = [
+            {tb.index(i + 1, 1, off + j): c for j, c in rep.items()}
+            for rep in cx_fg.cohomology(i)[1]._rows
+        ]
         V = Mat.wrap(images, tot.dim(i + 1)).transpose()
         return _classes(tot, i + 1, V, "corner inclusion")
 

@@ -15,7 +15,6 @@ from mcdescent.pipeline import (
     ChainMapM,
     FinAlg,
     FinMod,
-    HomBook,
     PipelineError,
     Resolution,
     a2_algebra,
@@ -551,14 +550,18 @@ def test_hom_complex_into_a_module():
 
 
 def _graph_parts(lift):
-    """What build_H builds around the lift: the direct sum S of source
-    and target with its inclusions, End(S) with its HomBook, and the part
-    L preserving the graph with its inclusion. Returns (L, inclusion,
-    End(S), HomBook, inj_f, inj_g)."""
-    s, inj_f, inj_g = complex_direct_sum(lift.source, lift.target)
-    end_s, book_s = end_dgla_of_complex(s)
-    l_g, incl = graph_preserving_dgla(lift, end_s, book_s, inj_f, inj_g)
-    return l_g, incl, end_s, book_s, inj_f, inj_g
+    """What build_H builds around the lift: End(S) of the direct sum S of
+    source and target with its HomBook and the dimensions of its block
+    upper-triangular part T, and the part L preserving the graph with its
+    inclusion; also the inclusions of source and target into S. Returns
+    (L, inclusion, End(S), HomBook, t_dims, inj_f, inj_g)."""
+    # build_H reads only the complexes of the two resolutions
+    sc = build_H(Resolution(lift.source, None, None), Resolution(lift.target, None, None), lift)
+    end_s, book_s = sc.levels[1], sc.book_s
+    t_dims = {p: n - sc.fg[0].dim(p) for p, n in end_s.dims.items()}
+    l_g, incl = graph_preserving_dgla(lift, end_s, book_s, t_dims)
+    _, inj_f, inj_g = complex_direct_sum(lift.source, lift.target)
+    return l_g, incl, end_s, book_s, t_dims, inj_f, inj_g
 
 
 def test_sub_preserving_everything_or_nothing_gives_full_end():
@@ -962,9 +965,9 @@ def _instance_graphs():
 
 def _instance_complexes():
     """For each of _instances(): the resolutions of source and target and
-    their direct sum, the complexes whose endomorphism dgLas build_H
-    builds."""
-    return [(lift.source, lift.target, inj_f.target) for lift, (*_, inj_f, _) in _instance_graphs()]
+    their direct sum S, whose End hom_complex(S, S) eliminates and build_H
+    assembles from the corners."""
+    return [(lift.source, lift.target, parts[3].k) for lift, parts in _instance_graphs()]
 
 
 def _flat(t):
@@ -1003,23 +1006,99 @@ def _graph_defect(lift, inj_f, inj_g, book_s, p, v):
     return out
 
 
-def test_every_basis_map_of_end_s_lies_in_one_corner():
-    """graph_preserving_dgla reads T off the basis of End(S), as the basis
-    maps without a P_F -> P_G corner. That is all of T because each basis
-    map lies in exactly one of the four corners: checked on the canonical
-    morphisms and the random_a2_module seeds 0-24."""
-    counts = [0, 0, 0, 0]
-    for _, (_, _, _, book_s, inj_f, inj_g) in _instance_graphs():
+def _map_key(i, b):
+    """A hashable form of the basis map b of source degree i."""
+    return i, tuple((r, c, x) for r, row in enumerate(b._rows) for c, x in sorted(row.items()))
+
+
+def test_end_of_the_sum_matches_the_hom_complex_of_the_sum():
+    """build_H assembles End(S) of S = P_F ⊕ P_G from its four corner hom
+    complexes. On the canonical morphisms and the random_a2_module seeds
+    0-24 it matches hom_complex(S, S), the elimination on the direct-sum
+    modules, kept here as the reference: in each degree the basis maps
+    are the same set, the two differentials agree under that matching,
+    and the first t_dims[p] basis maps are exactly those whose P_F -> P_G
+    corner is zero."""
+    corner_maps = 0
+    for _, (_, _, end_s, book_s, t_dims, inj_f, inj_g) in _instance_graphs():
+        ref_cx, ref_book = hom_complex(book_s.k, book_s.k)
+        assert end_s.dims == ref_cx.dims
+        perm = {}
         for p, basis in book_s.basis.items():
-            for i, b in basis:
-                nonzero = [
-                    not (out.comp(i + p).transpose() @ b @ into.comp(i)).is_zero()
-                    for out in (inj_f, inj_g) for into in (inj_f, inj_g)
-                ]
-                assert sum(nonzero) == 1
-                counts[nonzero.index(True)] += 1
-    # every corner, the P_F -> P_G one (third) included, occurs
-    assert all(counts), counts
+            ref = {_map_key(i, b): j for j, (i, b) in enumerate(ref_book.basis[p])}
+            perm[p] = [ref[_map_key(i, b)] for i, b in basis]
+            assert sorted(perm[p]) == list(range(len(ref_book.basis[p])))
+            for j, (i, b) in enumerate(basis):
+                fg = inj_g.comp(i + p).transpose() @ b @ inj_f.comp(i)
+                assert fg.is_zero() == (j < t_dims.get(p, 0)), (p, j)
+                corner_maps += not fg.is_zero()
+
+        def matching(p):
+            n = end_s.dim(p)
+            return Mat(n, n, {(perm[p][j], j): 1 for j in range(n)})
+
+        for p in end_s.dims:
+            assert ref_cx.diff(p) @ matching(p) == matching(p + 1) @ end_s.diff(p), p
+    assert corner_maps
+
+
+def test_build_h_builds_each_corner_once_and_les_check_none(monkeypatch):
+    """During one pipeline report, build_H calls hom_complex once for each
+    ordered pair of the two resolutions, les_check calls neither
+    hom_complex nor hom_basis, and no hom_basis call takes a module of the
+    direct sum S = P_F ⊕ P_G."""
+    stage, calls, built, sums = [], [], {}, []
+
+    def staged(name):
+        real = getattr(pipeline, name)
+
+        def wrapped(*args):
+            built[name] = args
+            stage.append(name)
+            try:
+                return real(*args)
+            finally:
+                stage.pop()
+        monkeypatch.setattr(pipeline, name, wrapped)
+
+    def counted(name):
+        real = getattr(pipeline, name)
+
+        def wrapped(*args):
+            calls.append((tuple(stage), name, args))
+            return real(*args)
+        monkeypatch.setattr(pipeline, name, wrapped)
+
+    real_sum = pipeline.complex_direct_sum
+    monkeypatch.setattr(pipeline, "complex_direct_sum",
+                        lambda *a: sums.append(real_sum(*a)) or sums[-1])
+    staged("build_H")
+    staged("les_check")
+    counted("hom_complex")
+    counted("hom_basis")
+    instances = [(f, g, alpha) for _, f, g, alpha in canonical_morphisms()]
+    for seed in (2, 9):
+        rng = random.Random(seed)
+        f = random_a2_module(rng)
+        g = random_a2_module(rng)
+        instances.append((f, g, random_module_map(f, g, rng)))
+    for f, g, alpha in instances:
+        calls.clear()
+        sums.clear()
+        pipeline_report(f, g, alpha)
+        res_f, res_g, _ = built["build_H"]
+        side = {id(res_f.cx): "F", id(res_g.cx): "G"}
+        pairs = sorted(
+            side.get(id(k), "?") + side.get(id(m), "?")
+            for st, name, (k, m) in calls if name == "hom_complex" and "build_H" in st
+        )
+        assert pairs == ["FF", "FG", "GF", "GG"]
+        assert not [name for st, name, _ in calls if "les_check" in st]
+        s_mods = {id(m) for s, _, _ in sums for m in s.mods.values()}
+        assert not [
+            args for _, name, args in calls
+            if name == "hom_basis" and any(id(m) in s_mods for m in args)
+        ]
 
 
 def test_l_is_exactly_the_endomorphisms_preserving_the_graph():
@@ -1027,7 +1106,7 @@ def test_l_is_exactly_the_endomorphisms_preserving_the_graph():
     itself, and the inclusion has full rank, equal to the dimension of
     all such endomorphisms: the kernel of the graph defect over the whole
     basis of End(S)."""
-    for lift, (l_g, incl, end_s, book_s, inj_f, inj_g) in _instance_graphs():
+    for lift, (l_g, incl, end_s, book_s, _, inj_f, inj_g) in _instance_graphs():
         for p in end_s.dims:
             n = end_s.dim(p)
             defects = [_graph_defect(lift, inj_f, inj_g, book_s, p, {k: Q(1)}) for k in range(n)]
@@ -1044,9 +1123,9 @@ def test_dropping_u_breaks_the_graph_check():
     (x, lift·x) to (x, 0)), so the graph check can fail; for a zero lift
     T is L."""
     nonzero = 0
-    for lift, (l_g, _, end_s, book_s, inj_f, inj_g) in _instance_graphs():
+    for lift, (l_g, _, end_s, book_s, t_dims, inj_f, inj_g) in _instance_graphs():
         zero = ChainMapM(lift.source, lift.target, {})
-        t_g, t_incl = graph_preserving_dgla(zero, end_s, book_s, inj_f, inj_g)
+        t_g, t_incl = graph_preserving_dgla(zero, end_s, book_s, t_dims)
         assert t_g.dims == l_g.dims
         leaves = any(
             any(_graph_defect(lift, inj_f, inj_g, book_s, p, v))
@@ -1065,13 +1144,16 @@ def test_hom_coords_match_an_elimination_on_every_block():
     zero, to_mats rebuilds the map from them, also across blocks, and
     matrix takes them as its columns. Maps that are no module maps, in a
     block with a basis or without one, and blocks of another shape still
-    raise."""
+    raise. The books are those of hom_complex and the End(S) that
+    build_H assembles from its corners."""
     rng = random.Random(3)
     off_hom = 0
-    for (kf, kg, ks), (f, g, _) in zip(_instance_complexes(), _instances()):
-        books = [HomBook(k, k) for k in (kf, kg, ks)] + [HomBook(kf, kg)]
+    for (kf, kg, ks), (f, g, _), (_, parts) in zip(
+        _instance_complexes(), _instances(), _instance_graphs()
+    ):
+        books = [hom_complex(k, k)[1] for k in (kf, kg, ks)] + [hom_complex(kf, kg)[1], parts[3]]
         f2, g2 = module_as_complex(_rebased(f, rng)), module_as_complex(_rebased(g, rng))
-        books += [HomBook(f2, g2), HomBook(f2, f2), HomBook(g2, g2)]
+        books += [hom_complex(a, b)[1] for a, b in ((f2, g2), (f2, f2), (g2, g2))]
         for book in books:
             k, m = book.k, book.m
             for p in range(min(m.mods) - max(k.mods), max(m.mods) - min(k.mods) + 1):
@@ -1134,10 +1216,11 @@ def _bracket_by_conversion(book, p1, a, p2, b):
 
 
 def test_end_bracket_table_matches_the_conversion_reference():
+    """On End of each instance complex and on the End(S) that build_H
+    assembles from its corners."""
     nonzero = 0
-    for complexes in _instance_complexes():
-        for k in complexes:
-            g, book = end_dgla_of_complex(k)
+    for complexes, (_, parts) in zip(_instance_complexes(), _instance_graphs()):
+        for g, book in [end_dgla_of_complex(k) for k in complexes] + [parts[2:4]]:
             for p1 in g.dims:
                 for p2 in g.dims:
                     if not g.dim(p1 + p2):
