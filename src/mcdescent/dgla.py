@@ -18,7 +18,7 @@ variables (or nothing). Total degree = Lie degree + number of differentials
 in the mask; the coefficient ring is inert degree 0.
 
 The examples here are abelian dgLas and sl2. Endomorphism dgLas come from
-one place, pipeline.end_dgla_of_complex, for complexes of modules; End of a
+one place, pipeline.end_dgla_of_complex, for complexes of projectives; End of a
 complex of rational vector spaces is End over the ground field,
 end_dgla_of_complex(vector_complex(cx)).
 

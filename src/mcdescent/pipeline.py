@@ -5,7 +5,7 @@ ground field, field_algebra, are its instances), and modules given as
 quiver representations from one builder, representation. End of a
 complex of rational vector spaces is End over the ground field:
 end_dgla_of_complex(vector_complex(cx)), the builder the pipeline uses
-for complexes of modules.
+for complexes of projectives.
 
 The chain: finite-dimensional basic algebras that know their vertex
 idempotents and radical, modules over them, minimal projective
@@ -15,21 +15,23 @@ its vertex tuple), a lift of the morphism between the resolutions of
 source and target by the comparison theorem (one linear solve per
 degree, `factor_through`), End(S) of S = P_F ⊕ P_G assembled from its
 four corner hom complexes Hom(P_a, P_b), each built once (`CORNERS`;
-End(P_F), End(P_G) and Hom(P_F, P_G) are three of them), the dgLa L of
-the endomorphisms of S preserving the graph of that lift
-(`graph_preserving_dgla`: L = u T u⁻¹, the block upper-triangular part T
-of End(S) conjugated by the chain automorphism u that takes P_F ⊕ 0
-onto the graph), the two-level diagram whose totalisation controls
-deformations of the morphism (`build_H`, a `MorphismDiagram` that
-carries the parts its checks read), and a long-exact-sequence checker
-(`les_check`) that ties its cohomology to Ext groups computed from the
-hom complex of a resolution, themselves checked against the Euler form
-of the quiver. Every direct sum places its blocks through one
-constructor, `Mat.blocks`: module and complex sums, their coordinate
-inclusions (whose transposes are the projections), End(S), the
-two-open Čech pair and its cone. Any two choices of
-resolutions and lift give quasi-isomorphic diagrams, so the reported
-cohomology does not depend on them; the minimal ones are the smallest.
+End(P_F), End(P_G) and Hom(P_F, P_G) are three of them; S itself is
+never built), the dgLa L of the endomorphisms of S preserving the graph
+of that lift (`graph_preserving_dgla`: L = u T u⁻¹, the block
+upper-triangular part T of End(S) conjugated by the chain automorphism u
+that takes P_F ⊕ 0 onto the graph), the two-level diagram whose
+totalisation controls deformations of the morphism (`build_H`, a
+`MorphismDiagram` that carries the parts its checks read), and a
+long-exact-sequence checker (`les_check`) that ties its cohomology to
+Ext groups computed from the hom complex of a resolution, themselves
+checked against the Euler form of the quiver. Every map out of a
+projective is read off the images of its generators (Yoneda,
+`from_generators`): the cover, the lift and every hom basis
+(`yoneda_basis`). Every direct sum places its blocks through one
+constructor, `Mat.blocks`: representations, End(S) and its faces, the
+two-open Čech pair and its cone. Any two choices of resolutions and lift
+give quasi-isomorphic diagrams, so the reported cohomology does not
+depend on them; the minimal ones are the smallest.
 `test_reported_cohomology_does_not_depend_on_the_resolution` checks this
 against a non-minimal resolution of the target. One reported list does
 follow the choice: `les_junctions` has one entry per degree from one
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import random
+from itertools import accumulate
 
 from .dgla import Dgla, DglaMap, direct_sum
 from .linalg import ChainComplexQ, ChainMapQ, Mat, Subspace, cone, vec, vzero
@@ -75,8 +78,9 @@ class FinAlg:
     spanning the radical J. Every basis element b is a path e_t·b·e_s
     between two vertices; ends[b] = (s, t), so A·e_s is spanned by the
     basis elements starting at s (Assem–Simson–Skowroński, Elements of
-    the Representation Theory of Associative Algebras I, §I.5, §III.2).
-    The constructor only builds; check() verifies these axioms.
+    the Representation Theory of Associative Algebras I, §I.5, §III.2);
+    summands[s] lists them, e_s first, so e_s is the first column of A·e_s
+    in proj_module. The constructor only builds; check() verifies this.
     """
 
     def __init__(self, mul, unit, idempotents, radical, label=""):
@@ -88,8 +92,8 @@ class FinAlg:
         self.label = label
         self.ends = [self._ends(b) for b in range(self.dim)]
         self.summands = [
-            tuple(b for b in range(self.dim) if self.ends[b] and self.ends[b][0] == s)
-            for s in range(len(self.idempotents))
+            (e,) + tuple(b for b, ends in enumerate(self.ends) if b != e and ends and ends[0] == s)
+            for s, e in enumerate(self.idempotents)
         ]
 
     def _ends(self, b):
@@ -250,16 +254,6 @@ def proj_module(alg: FinAlg, verts) -> FinMod:
     return FinMod(alg, n, acts)
 
 
-def module_direct_sum(m1: FinMod, m2: FinMod):
-    """Returns (sum, inj1, inj2, proj1, proj2); the projections are the
-    transposes of the inclusions."""
-    dims = (m1.dim, m2.dim)
-    acts = [Mat.blocks(dims, dims, {(0, 0): a, (1, 1): b}) for a, b in zip(m1.acts, m2.acts)]
-    i1 = Mat.blocks(dims, (m1.dim,), {(0, 0): Mat.identity(m1.dim)})
-    i2 = Mat.blocks(dims, (m2.dim,), {(1, 0): Mat.identity(m2.dim)})
-    return FinMod(m1.alg, sum(dims), acts), i1, i2, i1.transpose(), i2.transpose()
-
-
 def is_module_map(m1: FinMod, m2: FinMod, t: Mat) -> bool:
     return all(
         t @ m1.acts[i] == m2.acts[i] @ t for i in range(m1.alg.dim)
@@ -267,13 +261,14 @@ def is_module_map(m1: FinMod, m2: FinMod, t: Mat) -> bool:
 
 
 def hom_basis(m1: FinMod, m2: FinMod):
-    """Basis of the space of module maps, as n2 x n1 matrices: the rows
-    of the kernel basis (Mat.kernel_basis) of the linear conditions
-    T a = b T on the row-major entries, one sparse row per (action, row,
-    column) whose condition is not empty. Kernel entry j is the matrix
-    entry divmod(j, n1). So each basis map has a free entry, its last
-    nonzero entry in row-major order, where it is 1 and every other basis
-    map is 0; HomBook reads sparse coordinates off these entries."""
+    """Basis of the space of module maps between any two modules, as n2 x
+    n1 matrices: the rows of the kernel basis (Mat.kernel_basis) of the
+    linear conditions T a = b T on the row-major entries, one sparse row
+    per (action, row, column) whose condition is not empty. Kernel entry
+    j is the matrix entry divmod(j, n1). The report reads every map out
+    of a projective off its generators (yoneda_basis, factor_through);
+    this elimination is the reference the tests compare those against,
+    and random_module_map's basis."""
     if m1.dim == 0 or m2.dim == 0:
         return []
     n1, n2 = m1.dim, m2.dim
@@ -303,52 +298,79 @@ def hom_basis(m1: FinMod, m2: FinMod):
     return out
 
 
+def from_generators(m: FinMod, verts, gens: Mat) -> Mat:
+    """The module map proj_module(m.alg, verts) -> m that sends generator
+    k, the e_i of the k-th summand A·e_i, to column k of gens: by Yoneda a
+    map out of ⊕ A·e_i is fixed by these images (Assem–Simson–Skowroński
+    I, §III.2). The path b of summand k goes to b·gens[:, k] = m.acts[b] @
+    gens[:, k], so a column outside e_i·m is taken by its e_i part."""
+    paths = m.alg.summands
+    imgs = {b: (m.acts[b] @ gens).columns() for i in set(verts) for b in paths[i]}
+    cols = [imgs[b][k] for k, i in enumerate(verts) for b in paths[i]]
+    rows = [{} for _ in range(m.dim)]
+    for c, col in enumerate(cols):
+        for r, x in col:
+            rows[r][c] = x
+    return Mat.wrap(rows, len(cols))
+
+
+def yoneda_basis(verts, m: FinMod) -> list:
+    """Basis of the module maps proj_module(m.alg, verts) -> m: one map per
+    summand k, at vertex i, and per row v of the RREF basis
+    m.acts[e_i].image_basis() of e_i·m, sending generator k to v and the
+    others to 0 (from_generators, once per vertex for all its v). The
+    generator is its summand's first column, so the map's first nonzero
+    entry in column-major order is a 1 at (pivot of v, that column), where
+    every other map is 0. Sorted by that entry in row-major order: over
+    field_algebra, hom_basis's matrix units in its order."""
+    paths, blocks, keyed, off = m.alg.summands, {}, [], 0
+    for i in set(verts):
+        vs, w = m.acts[m.alg.idempotents[i]].image_basis(), len(paths[i])
+        entries = [[] for _ in range(vs.rows)]
+        for r, row in enumerate(from_generators(m, (i,) * vs.rows, vs.transpose())._rows):
+            for c, x in row.items():
+                j, t = divmod(c, w)
+                entries[j].append((r, t, x))
+        blocks[i] = list(zip(map(min, vs._rows), entries))
+    for i in verts:
+        for piv, block in blocks[i]:
+            rows = [{} for _ in range(m.dim)]
+            for r, t, x in block:
+                rows[r][off + t] = x
+            keyed.append(((piv, off), rows))
+        off += len(paths[i])
+    keyed.sort()  # the keys differ, so the rows are never compared
+    return [Mat.wrap(rows, off) for _, rows in keyed]
+
+
 def proj_cover(m: FinMod):
     """Minimal projective cover of m. The columns of the e_i action that
-    are independent modulo JM lift a basis of each e_i(M/JM), and each
-    lifted v gets one summand A·e_i, mapped by b -> b·v. Returns (cover,
-    pi, vertex tuple)."""
+    are independent modulo JM lift a basis of each e_i(M/JM); each lifted
+    v gets one summand A·e_i, and pi sends its generator to v
+    (from_generators). Returns (cover, pi, vertex tuple)."""
     alg = m.alg
     gens = alg.radical + alg.idempotents
     cols = Mat.blocks(
         (m.dim,), (m.dim,) * len(gens), {(0, k): m.acts[i] for k, i in enumerate(gens)}
     )
     skip = len(alg.radical) * m.dim
-    picks = [divmod(p - skip, m.dim) for p in cols.rref()[1] if p >= skip]
-    verts = tuple(i for i, _ in picks)
-    cover = proj_module(alg, verts)
-    # the lift v = e_i·x_c maps a path b starting at i to b·v = (b·e_i)·x_c
-    # = b·x_c: column c of b's block of cols
-    cols_t, block = cols.transpose()._rows, {b: k for k, b in enumerate(gens)}
-    images = [cols_t[block[b] * m.dim + c] for i, c in picks for b in alg.summands[i]]
-    return cover, Mat.wrap(images, m.dim).transpose(), verts
+    tops = [p for p in cols.rref()[1] if p >= skip]
+    verts = tuple((p - skip) // m.dim for p in tops)
+    cols_t = cols.transpose()._rows
+    pi = from_generators(m, verts, Mat.wrap([cols_t[p] for p in tops], m.dim).transpose())
+    return proj_module(alg, verts), pi, verts
 
 
-def factor_through(p: Mat, f: Mat, src: FinMod, mid: FinMod):
-    """A module map x: src -> mid with p∘x = f, or None when f does not
-    factor through p. Solved in the coordinates of hom_basis(src, mid);
-    the solution whose free coordinates are zero is returned."""
-    basis = hom_basis(src, mid)
-    if not basis:
-        return Mat(mid.dim, src.dim) if f.is_zero() else None
-
-    def entries(mats):
-        # one column per matrix, one row per row-major entry of f's shape
-        out = Mat(f.rows * f.cols, len(mats))
-        for k, t in enumerate(mats):
-            for r, row in enumerate(t._rows):
-                for c, v in row.items():
-                    out._rows[r * f.cols + c][k] = v
-        return out
-
-    sol = entries([p @ b for b in basis]).solve(entries([f]))
-    if sol is None:
-        return None
-    out = Mat(mid.dim, src.dim)
-    for row, b in zip(sol._rows, basis):
-        if row:
-            out = out.add(b.scale(row[0]))
-    return out
+def factor_through(p: Mat, f: Mat, verts, mid: FinMod):
+    """A module map x: proj_module(mid.alg, verts) -> mid with p∘x = f, or
+    None when f does not factor through p. By Yoneda, x is fixed by the
+    images of the generators: one solve of p X = the generator columns of
+    f (Mat.solve_many, free rows zero), then x = from_generators(mid,
+    verts, X). p∘x and f are module maps that agree on the generators."""
+    gens = list(accumulate((len(mid.alg.summands[i]) for i in verts), initial=0))[:-1]
+    x = p.solve_many(Mat.wrap(
+        [{k: row[c] for k, c in enumerate(gens) if c in row} for row in f._rows], len(verts)))
+    return None if x is None else from_generators(mid, verts, x)
 
 
 def kernel_module(m: FinMod, t: Mat):
@@ -420,15 +442,15 @@ def module_as_complex(m: FinMod) -> BddComplex:
 
 
 def vector_complex(cx: ChainComplexQ) -> BddComplex:
-    """A complex of rational vector spaces as a complex of modules over
-    field_algebra(): the free module Q^n in each degree, with cx's
-    differentials. Over Q, hom_basis returns the matrix units in
-    row-major order, so end_dgla_of_complex(vector_complex(cx)) is End of
-    cx on the basis of its matrix units, block by block in the order of
-    the source degree."""
+    """A complex of rational vector spaces as a complex of projectives over
+    field_algebra(): Q^n = proj_module(field_algebra(), (0,) * n) in each
+    degree, vertex tuple recorded, with cx's differentials. Over Q,
+    yoneda_basis gives the matrix units in row-major order, so
+    end_dgla_of_complex(vector_complex(cx)) is End of cx on the basis of
+    its matrix units, block by block in the order of the source degree."""
     alg = field_algebra()
-    mods = {d: FinMod(alg, n, [Mat.identity(n)]) for d, n in cx.dims.items()}
-    return BddComplex(alg, mods, cx.diffs)
+    verts = {d: (0,) * n for d, n in cx.dims.items()}
+    return BddComplex(alg, {d: proj_module(alg, v) for d, v in verts.items()}, cx.diffs, verts)
 
 
 class ChainMapM:
@@ -542,61 +564,38 @@ def lift_morphism(alpha: Mat, fmod: FinMod, gmod: FinMod, res_g: Resolution):
     for d in range(0, lo - 1, -1):
         if d < 0:
             p, f = pg.diff(d), comps[d + 1] @ pf.diff(d)
-        x = factor_through(p, f, pf.module(d), pg.module(d))
+        x = factor_through(p, f, pf.verts.get(d, ()), pg.module(d))
         if x is None:
             raise PipelineError(f"the morphism does not lift in degree {d}")
         comps[d] = x
     return res_f, ChainMapM(pf, pg, comps)
 
 
-# --- direct sums ---------------------------------------------------------------
-
-
-def complex_direct_sum(k1: BddComplex, k2: BddComplex):
-    """Returns (sum, inj1, inj2) with chain-map blocks; the differential
-    is block diagonal."""
-    degs = sorted(set(k1.mods) | set(k2.mods))
-    mods, i1c, i2c = {}, {}, {}
-    for d in degs:
-        mods[d], i1c[d], i2c[d], _, _ = module_direct_sum(k1.module(d), k2.module(d))
-    diffs = {
-        d: Mat.blocks(
-            (k1.dim(d + 1), k2.dim(d + 1)),
-            (k1.dim(d), k2.dim(d)),
-            {(0, 0): k1.diff(d), (1, 1): k2.diff(d)},
-        )
-        for d in degs
-        if d + 1 in mods
-    }
-    total = BddComplex(k1.alg, mods, diffs)
-    return total, ChainMapM(k1, total, i1c), ChainMapM(k2, total, i2c)
-
-
 # --- hom complexes and module-level endomorphism dgLas ----------------------------
 
 
 class HomBook:
-    """The hom complex of two bounded complexes k -> m in coordinates. In
-    each total degree p the basis is one flat list of (i, b) in
-    coordinate order: b is a basis map of the block from source degree i
-    to i + p, in the caller's order (hom_complex: hom_basis, blocks in
-    ascending i; build_H: End(S) corner by corner). Every basis map is 1
-    at its free entry, its last nonzero entry in row-major order, where
+    """The hom complex of two bounded complexes k -> m in coordinates,
+    given by the dimensions {degree: dim} of k's and m's terms. In each
+    total degree p the basis is one flat list of (i, b) in coordinate
+    order: b is a basis map of the block from source degree i to i + p,
+    in the caller's order (hom_complex: yoneda_basis, blocks in ascending
+    i; build_H: End(S) corner by corner). Every basis map is 1 at its
+    free entry, its first nonzero entry in column-major order, where
     every other basis map of its block is 0; free[p] takes that position
     (i, r, c) to the map's coordinate. Coordinates are sparse {index:
     nonzero Q} dicts, and a map's are its nonzero entries at the free
     positions, read with no elimination."""
 
-    def __init__(self, k: BddComplex, m: BddComplex, basis: dict):
-        self.k = k
-        self.m = m
+    def __init__(self, src_dims: dict, tgt_dims: dict, basis: dict):
+        self.src_dims, self.tgt_dims = src_dims, tgt_dims
         self.basis = {p: maps for p, maps in basis.items() if maps}
         self.free = {}
         for p, maps in self.basis.items():
             free = self.free[p] = {}
             for j, (i, b) in enumerate(maps):
-                r = max(r for r, row in enumerate(b._rows) if row)
-                free[(i, r, max(b._rows[r]))] = j
+                c, r = min((c, r) for r, row in enumerate(b._rows) for c in row)
+                free[(i, r, c)] = j
 
     def dim(self, p: int) -> int:
         return len(self.basis.get(p, ()))
@@ -614,7 +613,7 @@ class HomBook:
                 for c, y in row.items():
                     tr[c] = tr.get(c, ZERO) + x * y
         return {
-            i: Mat.wrap([{c: v for c, v in tr.items() if v} for tr in acc[i]], self.k.dim(i))
+            i: Mat.wrap([{c: v for c, v in tr.items() if v} for tr in acc[i]], self.src_dims[i])
             for i in sorted(acc)
         }
 
@@ -626,7 +625,7 @@ class HomBook:
         blocks raises PipelineError."""
         free, out, given = self.free.get(p, {}), {}, {}
         for i, t in mats.items():
-            if (t.rows, t.cols) != (self.m.dim(i + p), self.k.dim(i)):
+            if (t.rows, t.cols) != (self.tgt_dims.get(i + p, 0), self.src_dims.get(i, 0)):
                 raise PipelineError("map does not lie in the hom space")
             if t.is_zero():
                 continue
@@ -652,16 +651,18 @@ class HomBook:
 
 
 def hom_complex(k: BddComplex, m: BddComplex):
-    """The complex of module maps with differential
+    """The complex of module maps out of a complex of projectives k, each
+    term proj_module(alg, k.verts[i]), with differential
     h -> d∘h - (-1)^{|h|} h∘d. Returns (ChainComplexQ, HomBook). The one
-    place where hom_basis builds the basis of a book."""
+    place where yoneda_basis builds the basis of a book."""
     pmin = min(m.mods, default=0) - max(k.mods, default=0)
     pmax = max(m.mods, default=0) - min(k.mods, default=0)
-    book = HomBook(k, m, {
-        p: [(i, b) for i in sorted(k.mods) if i + p in m.mods
-            for b in hom_basis(k.module(i), m.module(i + p))]
-        for p in range(pmin, pmax + 1)
-    })
+    book = HomBook(
+        {d: t.dim for d, t in k.mods.items()}, {d: t.dim for d, t in m.mods.items()}, {
+            p: [(i, b) for i in sorted(k.mods) if i + p in m.mods
+                for b in yoneda_basis(k.verts[i], m.module(i + p))]
+            for p in range(pmin, pmax + 1)
+        })
     diffs = {}
     for p, basis in book.basis.items():
         if book.dim(p + 1) == 0:
@@ -719,7 +720,7 @@ def end_dgla(cplx: ChainComplexQ, book: HomBook, label: str) -> Dgla:
 
 
 def end_dgla_of_complex(k: BddComplex, label: str = ""):
-    """Endomorphism dgLa of a bounded complex of modules: degree-p part
+    """Endomorphism dgLa of a bounded complex of projectives: degree-p part
     the module maps lowering the degree by -p blockwise, graded
     commutator bracket (end_dgla on hom_complex(k, k)). Returns (Dgla,
     HomBook)."""
@@ -745,7 +746,7 @@ def graph_preserving_dgla(lift: ChainMapM, end_s: Dgla, book_s: HomBook, t_dims:
     its inclusion sends t to u∘t∘u⁻¹: one column of book_s.matrix per
     basis map of T."""
     u, u_inv = {}, {}
-    for d in book_s.k.mods:
+    for d in set(lift.source.mods) | set(lift.target.mods):
         dims = (lift.source.dim(d), lift.target.dim(d))
         one = {(0, 0): Mat.identity(dims[0]), (1, 1): Mat.identity(dims[1])}
         u[d] = Mat.blocks(dims, dims, {**one, (1, 0): lift.comp(d)})
@@ -877,8 +878,7 @@ def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> MorphismDi
     enters only in h_cohomology."""
     cxs = (res_f.cx, res_g.cx)
     homs = [hom_complex(cxs[a], cxs[b]) for a, b in CORNERS]
-    s, _, _ = complex_direct_sum(*cxs)
-    sides = {d: (cxs[0].dim(d), cxs[1].dim(d)) for d in s.mods}
+    sides = {d: (cxs[0].dim(d), cxs[1].dim(d)) for d in set(cxs[0].mods) | set(cxs[1].mods)}
     basis, diffs = {}, {}
     for p in sorted(set().union(*(cx.dims for cx, _ in homs))):
         basis[p] = [
@@ -889,7 +889,8 @@ def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> MorphismDi
             [cx.dim(p + 1) for cx, _ in homs], [cx.dim(p) for cx, _ in homs],
             {(c, c): cx.diff(p) for c, (cx, _) in enumerate(homs)},
         )
-    book_s = HomBook(s, s, basis)
+    s_dims = {d: sum(n) for d, n in sides.items()}
+    book_s = HomBook(s_dims, s_dims, basis)
     cplx_s = ChainComplexQ({p: len(maps) for p, maps in basis.items()}, diffs)
     end_s = end_dgla(cplx_s, book_s, "End(ambient)")
     t_dims = {p: n - homs[-1][0].dim(p) for p, n in end_s.dims.items()}
@@ -1050,14 +1051,11 @@ def pipeline_report(fmod: FinMod, gmod: FinMod, alpha: Mat, n_opens: int = 1) ->
         "GG": ext_bruteforce(gmod, gmod),
         "FG": ext_bruteforce(fmod, gmod),
     }
-    end_f, end_g = sc.ends
-    match = True
-    for i, dim_expected in enumerate(ext["FF"]):
-        if end_f.cohomology(i)[0] != dim_expected:
-            match = False
-    for i, dim_expected in enumerate(ext["GG"]):
-        if end_g.cohomology(i)[0] != dim_expected:
-            match = False
+    # H of End(P_F), End(P_G) and Hom(P_F, P_G) against the Ext lists
+    corners = {"FF": sc.ends[0], "GG": sc.ends[1], "FG": sc.fg[0]}
+    match = all(
+        cx.cohomology(i)[0] == dim for key, cx in corners.items() for i, dim in enumerate(ext[key])
+    )
     out = {
         "schema": "pipeline-report/1",
         "algebra": fmod.alg.label,
@@ -1120,7 +1118,8 @@ def canonical_morphisms() -> list:
     and the inclusion of a simple into a projective."""
     mods = a2_modules()
     p1, s1, s2 = mods["P1"], mods["S1"], mods["S2"]
-    incl = hom_basis(s2, p1)[0]
+    # the one module map S2 -> P1 up to scale: S2 onto the arrow's span
+    incl = Mat(2, 1, {(1, 0): 1})
     return [
         ("zero on simple", s1, s1, Mat(1, 1)),
         ("identity of projective", p1, p1, Mat.identity(2)),
