@@ -6,7 +6,8 @@ Construction checks shapes, and the bracket targets of a table given as a
 dict; a bracket given as a callable is tabulated, and its targets
 checked, when the table is first used. Dgla.validate checks
 graded antisymmetry, the Leibniz rule and the graded Jacobi identity
-exactly (full sweep for small algebras, seeded sample above a size
+exactly, on Python ints after clearing the denominators of the bracket
+and of d (full sweep for small algebras, seeded sample above a size
 threshold), and runs where input enters: the command line's validate and
 file loading, or a test.
 
@@ -32,7 +33,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, product
+from math import lcm
 
 from .artin import ArtinAlgebra
 from .forms import fkey_d, fkey_mul
@@ -192,6 +194,14 @@ class Dgla:
         Raises DglaError on the first violation. mode "sample" checks a
         seeded random subset of triples; "auto" switches to sampling when
         the total dimension is large.
+
+        d^2 = 0 is checked on the Mats. The other three sweeps run on
+        Python ints: the bracket constants times D_b, the lcm of their
+        denominators, and the differential entries times D_d, the lcm of
+        theirs. Antisymmetry is homogeneous of degree 1 in the bracket,
+        Leibniz of degree (1, 1) in bracket and d, Jacobi of degree 2 in
+        the bracket, so each fails on the scaled tables exactly where it
+        fails on the rational ones.
         """
         if mode == "auto":
             mode = "full" if self.total_dim <= 16 else "sample"
@@ -200,67 +210,79 @@ class Dgla:
                 prod = self.diff(d + 1) @ self.diff(d)
                 if not prod.is_zero():
                     raise DglaError(f"d^2 != 0 at degree {d}")
+        dims = self.dims
+        br = self._br
+        db = lcm(*{c.denominator for val in br.values() for _, c in val})
+        get = {
+            key: tuple((k, c.numerator * (db // c.denominator)) for k, c in val)
+            for key, val in br.items()
+        }.get
+        dd = lcm(*{v.denominator for m in self.diffs.values()
+                   for r in m._rows for v in r.values()})
+        dcols = {deg: [()] * n for deg, n in dims.items()}  # d = 0: empty columns
+        for deg, m in self.diffs.items():
+            dcols[deg] = [
+                [(r, e.numerator * (dd // e.denominator)) for r, e in col]
+                for col in m.columns()
+            ]
         keys = list(self.basis_keys())
         rng = random.Random(seed)
         if mode == "full":
-            pair_iter = [(a, b) for a in keys for b in keys]
+            pair_iter = product(keys, repeat=2)
         else:
-            pair_iter = [
-                (rng.choice(keys), rng.choice(keys)) for _ in range(400)
-            ]
+            pair_iter = ((rng.choice(keys), rng.choice(keys)) for _ in range(400))
         for (d1, i), (d2, j) in pair_iter:
-            val = self.bracket_basis(d1, i, d2, j)
+            val = get((d1, i, d2, j), ())
             # antisymmetry
-            rev = self.bracket_basis(d2, j, d1, i)
             sign = -neg_one_pow(d1 * d2)
-            if dict(rev) != {k: sign * c for k, c in val}:
+            if dict(get((d2, j, d1, i), ())) != {k: sign * c for k, c in val}:
                 raise DglaError(
                     f"bracket not graded-antisymmetric on "
                     f"{self.name(d1, i)}, {self.name(d2, j)}"
                 )
             # Leibniz: d[x,y] = [dx,y] + (-1)^{|x|} [x,dy]
             tgt = d1 + d2
-            if self.dim(tgt + 1):
-                lhs = [ZERO] * self.dim(tgt + 1)
-                dm = self.diff_columns(tgt)
+            n = dims.get(tgt + 1)
+            if n:
+                lhs = [0] * n
                 for k, c in val:
-                    for r, e in dm[k]:
+                    for r, e in dcols[tgt][k]:
                         lhs[r] += c * e
-                rhs = [ZERO] * self.dim(tgt + 1)
-                for r, e in self.diff_columns(d1)[i]:
-                    for k, c in self.bracket_basis(d1 + 1, r, d2, j):
+                rhs = [0] * n
+                for r, e in dcols[d1][i]:
+                    for k, c in get((d1 + 1, r, d2, j), ()):
                         rhs[k] += e * c
                 sgn = neg_one_pow(d1)
-                for r, e in self.diff_columns(d2)[j]:
-                    for k, c in self.bracket_basis(d1, i, d2 + 1, r):
+                for r, e in dcols[d2][j]:
+                    for k, c in get((d1, i, d2 + 1, r), ()):
                         rhs[k] += sgn * e * c
                 if lhs != rhs:
                     raise DglaError(
                         f"Leibniz fails on {self.name(d1, i)}, {self.name(d2, j)}"
                     )
         if mode == "full":
-            triple_iter = [(a, b, c) for a in keys for b in keys for c in keys]
+            triple_iter = product(keys, repeat=3)
         else:
-            triple_iter = [
+            triple_iter = (
                 (rng.choice(keys), rng.choice(keys), rng.choice(keys))
                 for _ in range(400)
-            ]
+            )
         for (d1, i), (d2, j), (d3, k) in triple_iter:
-            if self.dim(d1 + d2 + d3) == 0:
+            n = dims.get(d1 + d2 + d3)
+            if not n:
                 continue
             # [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]]
-            n = self.dim(d1 + d2 + d3)
-            lhs = [ZERO] * n
-            for m, c in self.bracket_basis(d2, j, d3, k):
-                for r, e in self.bracket_basis(d1, i, d2 + d3, m):
+            lhs = [0] * n
+            for m, c in get((d2, j, d3, k), ()):
+                for r, e in get((d1, i, d2 + d3, m), ()):
                     lhs[r] += c * e
-            rhs = [ZERO] * n
-            for m, c in self.bracket_basis(d1, i, d2, j):
-                for r, e in self.bracket_basis(d1 + d2, m, d3, k):
+            rhs = [0] * n
+            for m, c in get((d1, i, d2, j), ()):
+                for r, e in get((d1 + d2, m, d3, k), ()):
                     rhs[r] += c * e
             sgn = neg_one_pow(d1 * d2)
-            for m, c in self.bracket_basis(d1, i, d3, k):
-                for r, e in self.bracket_basis(d2, j, d1 + d3, m):
+            for m, c in get((d1, i, d3, k), ()):
+                for r, e in get((d2, j, d1 + d3, m), ()):
                     rhs[r] += sgn * c * e
             if lhs != rhs:
                 raise DglaError(

@@ -86,8 +86,14 @@ def mat_from_json(obj, rows: int, cols: int, where: str) -> Mat:
             raise InputError(
                 f"expected a row of {cols} entries", f"{where}[{r}]"
             )
+        out = m._rows[r]
         for c, v in enumerate(row):
-            m.set_entry(r, c, num_from_json(v, f"{where}[{r}][{c}]"))
+            if type(v) is not int:  # an int needs no parsing, nor an error path
+                v = num_from_json(v, f"{where}[{r}][{c}]")
+                if v:
+                    out[c] = v
+            elif v:
+                out[c] = Q(v)
     return m
 
 
@@ -124,6 +130,9 @@ def _parse_int_key(key: str, where: str) -> int:
         raise InputError(f"key {key!r} is not an integer", where) from None
 
 
+_SIX_INTS = [int] * 6  # a bracket entry of five indices and an int coefficient
+
+
 def dgla_from_json(obj, where: str = "$") -> Dgla:
     obj = _require_dict(obj, where)
     if obj.get("schema", "dgla/1") != "dgla/1":
@@ -151,17 +160,20 @@ def dgla_from_json(obj, where: str = "$") -> Dgla:
         raise InputError("expected a list of bracket entries", f"{where}.brackets")
     table: dict = {}
     for t, entry in enumerate(brackets_raw):
-        ew = f"{where}.brackets[{t}]"
-        if not isinstance(entry, list) or len(entry) != 6:
-            raise InputError("expected [d1, i, d2, j, k, coeff]", ew)
-        d1, i, d2, j, k = (_int_from_json(v, ew) for v in entry[:5])
-        c = num_from_json(entry[5], ew)
-        if not 0 <= i < dim(d1):
-            raise InputError(f"index {i} out of range in degree {d1}", ew)
-        if not 0 <= j < dim(d2):
-            raise InputError(f"index {j} out of range in degree {d2}", ew)
-        if not 0 <= k < dim(d1 + d2):
-            raise InputError(f"index {k} out of range in degree {d1 + d2}", ew)
+        if type(entry) is list and [*map(type, entry)] == _SIX_INTS:
+            d1, i, d2, j, k, c = entry
+            c = Q(c)
+        else:
+            ew = f"{where}.brackets[{t}]"
+            if not isinstance(entry, list) or len(entry) != 6:
+                raise InputError("expected [d1, i, d2, j, k, coeff]", ew)
+            d1, i, d2, j, k = (_int_from_json(v, ew) for v in entry[:5])
+            c = num_from_json(entry[5], ew)
+        for idx, deg in ((i, d1), (j, d2), (k, d1 + d2)):
+            if not 0 <= idx < dim(deg):
+                raise InputError(
+                    f"index {idx} out of range in degree {deg}", f"{where}.brackets[{t}]"
+                )
         table.setdefault((d1, i, d2, j), []).append((k, c))
 
     label = obj.get("label", "")

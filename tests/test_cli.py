@@ -10,7 +10,15 @@ import sys
 import pytest
 
 import mcdescent
-from mcdescent.io import InputError, dgla_to_json, load_builtin, pipeline_from_json, sc_to_json
+from mcdescent.io import (
+    InputError,
+    dgla_from_json,
+    dgla_to_json,
+    load_builtin,
+    pipeline_from_json,
+    sc_from_json,
+    sc_to_json,
+)
 from mcdescent.pipeline import (
     build_H,
     lift_morphism,
@@ -381,3 +389,56 @@ def test_the_cli_imports_no_argparse_or_gettext():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+FLOAT = 'floats are not exact; use an int or "p/q"'
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("diffs", "-1", 4, 0), 1.5, f"$.diffs.-1[4][0]: {FLOAT}"),
+        (("diffs", "-1", 4, 0), True, "$.diffs.-1[4][0]: expected an exact number, got a boolean"),
+        (("diffs", "-1", 4, 0), "1/0", "$.diffs.-1[4][0]: not a rational literal: '1/0'"),
+        (("diffs", "0", 1, 3), "x", "$.diffs.0[1][3]: not a rational literal: 'x'"),
+        (("brackets", 3, 5), 1.5, f"$.brackets[3]: {FLOAT}"),
+        (("brackets", 3, 5), True, "$.brackets[3]: expected an exact number, got a boolean"),
+        (("brackets", 3, 5), "1/0", "$.brackets[3]: not a rational literal: '1/0'"),
+        (("brackets", 3, 5), "x", "$.brackets[3]: not a rational literal: 'x'"),
+        (("brackets", 3, 1), 1.5, "$.brackets[3]: expected an integer"),
+        (("brackets", 3, 1), True, "$.brackets[3]: expected an integer"),
+        (("brackets", 3, 1), "1/0", "$.brackets[3]: expected an integer"),
+        (("brackets", 3, 1), "x", "$.brackets[3]: expected an integer"),
+        (("brackets", 3, 1), 99, "$.brackets[3]: index 99 out of range in degree -1"),
+        (("brackets", 3, 3), 5, "$.brackets[3]: index 5 out of range in degree 1"),
+        (("brackets", 3, 4), -1, "$.brackets[3]: index -1 out of range in degree 0"),
+        (("brackets", 3, 0), 7, "$.brackets[3]: index 0 out of range in degree 7"),
+        (("brackets", 3), [-1, 0, 0, 0, 0], "$.brackets[3]: expected [d1, i, d2, j, k, coeff]"),
+        (("brackets", 3), {"a": 1}, "$.brackets[3]: expected [d1, i, d2, j, k, coeff]"),
+    ],
+)
+def test_a_bad_number_is_named_by_its_path(path, value, message):
+    """A float, a boolean, "1/0" or "x" as a matrix entry, bracket
+    coefficient or bracket index, an index out of range or a misshapen
+    bracket entry in end-two-step.json is refused with its JSON path."""
+    with open(os.path.join(DATA, "end-two-step.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    _set(doc, path, value)
+    with pytest.raises(InputError) as info:
+        dgla_from_json(doc)
+    assert str(info.value) == message
+
+
+def test_a_bad_coface_entry_is_named_by_its_path():
+    doc = sc_to_json(load_builtin("sc-cech")[1])
+    doc["cofaces"]["1,0"]["0"][2][1] = 0.5
+    with pytest.raises(InputError) as info:
+        sc_from_json(doc)
+    assert str(info.value) == f"$.cofaces['1,0'].0[2][1]: {FLOAT}"

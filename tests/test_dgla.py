@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -20,7 +21,7 @@ from mcdescent.forms import f_const, f_sub, f_var
 from mcdescent.io import builtin_input_names, load_builtin
 from mcdescent.linalg import ChainComplexQ, Mat
 from mcdescent.pipeline import end_dgla_of_complex, vector_complex
-from mcdescent.ratio import Q, rat
+from mcdescent.ratio import Q, neg_one_pow, rat
 
 from dense_views import dense_rows
 
@@ -682,3 +683,198 @@ def test_direct_sum_is_the_entry_by_entry_sum():
                 inj.validate()
                 validated += 1
     assert validated > 40
+
+
+# --- validate's integer sweeps against a rational reference -------------------
+
+
+def _lin(terms) -> dict:
+    """The linear combination of (coefficient, {(degree, index): Q}) terms."""
+    out = {}
+    for s, u in terms:
+        for key, a in u.items():
+            out[key] = out.get(key, Q(0)) + s * a
+    return {key: a for key, a in out.items() if a}
+
+
+def _d_of(g: Dgla, u: dict) -> dict:
+    return _lin(
+        (a, {(deg + 1, r): g.diff(deg).entry(r, i) for r in range(g.dim(deg + 1))})
+        for (deg, i), a in u.items()
+    )
+
+
+def _br_of(g: Dgla, u: dict, v: dict) -> dict:
+    return _lin(
+        (a * b, {(d1 + d2, k): c for k, c in g.bracket_basis(d1, i, d2, j)})
+        for (d1, i), a in u.items()
+        for (d2, j), b in v.items()
+    )
+
+
+def rational_sweep_violation(g: Dgla):
+    """Reference for Dgla.validate in full mode, in Q arithmetic straight
+    from the identities on elements {(degree, index): Q}: d^2 = 0 degree by
+    degree, then antisymmetry and Leibniz on every pair and Jacobi on every
+    triple of basis elements, in basis order. The message of the first
+    violation, or None."""
+    keys = list(g.basis_keys())
+    for deg in g.degrees():
+        if any(_d_of(g, _d_of(g, {(deg, i): Q(1)})) for i in range(g.dim(deg))):
+            return f"d^2 != 0 at degree {deg}"
+    for x in keys:
+        for y in keys:
+            bx, by, sxy = {x: Q(1)}, {y: Q(1)}, neg_one_pow(x[0] * y[0])
+            if _lin([(1, _br_of(g, bx, by)), (sxy, _br_of(g, by, bx))]):
+                return f"bracket not graded-antisymmetric on {g.name(*x)}, {g.name(*y)}"
+            leibniz = [
+                (1, _d_of(g, _br_of(g, bx, by))),
+                (-1, _br_of(g, _d_of(g, bx), by)),
+                (-neg_one_pow(x[0]), _br_of(g, bx, _d_of(g, by))),
+            ]
+            if _lin(leibniz):
+                return f"Leibniz fails on {g.name(*x)}, {g.name(*y)}"
+    for x in keys:
+        for y in keys:
+            for z in keys:
+                bx, by, bz = {x: Q(1)}, {y: Q(1)}, {z: Q(1)}
+                jacobi = [
+                    (1, _br_of(g, bx, _br_of(g, by, bz))),
+                    (-1, _br_of(g, _br_of(g, bx, by), bz)),
+                    (-neg_one_pow(x[0] * y[0]), _br_of(g, by, _br_of(g, bx, bz))),
+                ]
+                if _lin(jacobi):
+                    return f"Jacobi fails on {g.name(*x)}, {g.name(*y)}, {g.name(*z)}"
+    return None
+
+
+def _table(g: Dgla) -> dict:
+    return {
+        (d1, i, d2, j): dict(g.bracket_basis(d1, i, d2, j))
+        for d1, i in g.basis_keys()
+        for d2, j in g.basis_keys()
+    }
+
+
+def _rebased(g: Dgla, basis: dict) -> Dgla:
+    """g in a new basis: basis[d] is an invertible Mat whose columns are the
+    new basis vectors of degree d in the old ones."""
+    inv = {d: p.inverse() for d, p in basis.items()}
+    diffs = {d: inv[d + 1] @ g.diff(d) @ basis[d] for d in g.degrees() if g.dim(d + 1)}
+    col = {(d, i): {(d, r): basis[d].entry(r, i) for r in range(g.dim(d))} for d, i in g.basis_keys()}
+    table = {}
+    for x in g.basis_keys():
+        for y in g.basis_keys():
+            v = _br_of(g, col[x], col[y])
+            n = x[0] + y[0]
+            table[(*x, *y)] = [
+                (k, sum((inv[n].entry(k, r) * c for (_, r), c in v.items()), Q(0)))
+                for k in range(g.dim(n))
+            ]
+    return Dgla(g.dims, diffs, table)
+
+
+def _random_basis(rng, n: int) -> Mat:
+    while True:
+        p = Mat.from_rows(
+            [[Q(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        )
+        if p.rank() == n:
+            return p
+
+
+def _denominators(g: Dgla) -> tuple:
+    """The lcm of the bracket constants' denominators and of d's entries'."""
+    db = lcm(*(c.denominator for u in _table(g).values() for c in u.values()))
+    dd = lcm(*(
+        g.diff(d).entry(r, c).denominator
+        for d in g.degrees() for r in range(g.dim(d + 1)) for c in range(g.dim(d))
+    ))
+    return db, dd
+
+
+def _perturbed(rng, g: Dgla):
+    """Seeded copies of g with one change each: a bracket constant moved by
+    1/6 together with its antisymmetric partner, one differential entry
+    moved, or (every fourth copy) one orientation of a bracket alone."""
+    pairs = [
+        (x, y) for x in g.basis_keys() for y in g.basis_keys()
+        if x != y and g.dim(x[0] + y[0])
+    ]
+    degs = [d for d in g.degrees() if g.dim(d + 1)]
+    for n in range(24):
+        table = _table(g)
+        diffs = {d: g.diff(d).copy() for d in degs}
+        if n % 2 and degs:
+            m = diffs[rng.choice(degs)]
+            r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+            m.set_entry(r, c, m.entry(r, c) + Q(rng.choice((-1, 1)), rng.randint(1, 3)))
+        else:
+            x, y = rng.choice(pairs)
+            k = rng.randrange(g.dim(x[0] + y[0]))
+            moves = [((*x, *y), Q(1, 6))]
+            if n % 4 != 2:
+                moves.append(((*y, *x), -neg_one_pow(x[0] * y[0]) * Q(1, 6)))
+            for key, c in moves:
+                table[key][k] = table[key].get(k, Q(0)) + c
+        yield Dgla(g.dims, diffs, {key: list(u.items()) for key, u in table.items()})
+
+
+def test_validate_matches_a_rational_sweep_on_tables_with_denominators():
+    """Dgla.validate sweeps integer copies of the bracket and d. On sl2 in
+    the basis e/2, 3h, f/5, on End of a two-term complex in two seeded
+    fractional bases (where d and the bracket have different
+    denominators), and on seeded perturbations of each, validate passes
+    exactly when the rational reference does, and otherwise raises its
+    message."""
+    rng = random.Random(27)
+    end = end_dgla_of_complex(vector_complex(two_step_complex()))[0]
+    bases = [
+        _rebased(sl2(), {0: Mat.from_rows([[Q(1, 2), 0, 0], [0, 3, 0], [0, 0, Q(1, 5)]])})
+    ] + [
+        _rebased(end, {d: _random_basis(rng, n) for d, n in end.dims.items()})
+        for _ in range(2)
+    ]
+    assert _denominators(bases[0]) == (30, 1)
+    for g in bases[1:]:
+        db, dd = _denominators(g)
+        assert db > 1 and dd > 1 and db != dd
+    outcomes = {}
+    for g in bases:
+        for h in [g, *_perturbed(rng, g)]:
+            want = rational_sweep_violation(h)
+            try:
+                h.validate()
+                got = None
+            except DglaError as e:
+                got = str(e)
+            assert got == want
+            kind = want and want.split()[0]
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    # every branch is reached: passes, d^2, antisymmetry, Leibniz, Jacobi
+    assert set(outcomes) == {None, "d^2", "bracket", "Leibniz", "Jacobi"}, outcomes
+
+
+def test_the_sampled_check_draws_the_same_pairs_and_triples():
+    """validate(mode="auto") samples 400 pairs and 400 triples above total
+    dimension 16. Level 0 of builtin:sc-cech (dimension 27) with one
+    bracket constant [b[0,11], b[0,13]] moved by 1 at b[0,12], and its
+    antisymmetric partner, breaks Jacobi only: the messages below are what
+    each seed's draws find, and seed 3 draws no broken triple."""
+    g = load_builtin("sc-cech")[1].levels[0]
+    assert g.total_dim == 27
+    table = _table(g)
+    table[(0, 11, 0, 13)][12] = table[(0, 11, 0, 13)].get(12, Q(0)) + 1
+    table[(0, 13, 0, 11)][12] = table[(0, 13, 0, 11)].get(12, Q(0)) - 1
+    h = Dgla(g.dims, g.diffs, {key: list(u.items()) for key, u in table.items()})
+    want = {
+        0: "Jacobi fails on b[0,11], b[0,13], b[-1,4]",
+        1: "Jacobi fails on b[1,5], b[-1,4], b[0,13]",
+    }
+    for seed, message in want.items():
+        with pytest.raises(DglaError) as info:
+            h.validate(mode="auto", seed=seed)
+        assert str(info.value) == message
+    h.validate(mode="auto", seed=3)
+    with pytest.raises(DglaError, match=r"^Jacobi fails on b\[-1,4\], b\[0,11\], b\[0,13\]$"):
+        h.validate()
