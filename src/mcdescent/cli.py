@@ -237,7 +237,7 @@ def cmd_cohomology(cfg: RunConfig) -> dict:
             cx = (
                 ChainComplexQ(value.dims, value.diffs)
                 if kind == "dgla"
-                else total_complex(value)[0]
+                else total_complex(value)
             )
             cx.check()
         except ValueError as e:
@@ -277,87 +277,78 @@ def cmd_cohomology(cfg: RunConfig) -> dict:
     }
 
 
-# --- mc --------------------------------------------------------------------------
+# --- mc, gauge and decompose ------------------------------------------------------
+
+
+def _trial_report(cfg: RunConfig, command: str, checks: list, trial) -> dict:
+    """Run cfg.trials seeded trials on each dgLa of each input and report
+    the counts of checks. Each part gets a context over cfg's ring and
+    its own random.Random(cfg.seed); trial(ctx, rng) runs one trial and
+    counts it into checks."""
+    A = _artin_of(cfg)
+    parts = []
+    for spec in cfg.inputs:
+        kind, value = _load_valid(spec)
+        for name, g in _as_dglas(kind, value, spec):
+            parts.append({"input": spec, "part": name})
+            ctx = TensorCtx(g, A, ())
+            rng = random.Random(cfg.seed)
+            for _ in range(cfg.trials):
+                trial(ctx, rng)
+    return {
+        "schema": f"cli-{command}/1",
+        "command": command,
+        "ring": cfg.artin,
+        "seed": cfg.seed,
+        "trials": cfg.trials,
+        "parts": parts,
+        "checks": checks,
+        "ok": _checks_ok(checks),
+    }
 
 
 def cmd_mc(cfg: RunConfig) -> dict:
-    A = _artin_of(cfg)
     checks = [
         _check("d(x) + 1/2 [x, x] = 0 for gauge-exact x"),
         _check("y = gauge(a, x) satisfies d(y) + 1/2 [y, y] = 0"),
         _check("gauge(a, x) = x iff d(a) + [x, a] = 0"),
         _check("s = d(u) + [x, u] satisfies d(s) + [x, s] = 0 and gauge(s, x) = x"),
     ]
-    parts = []
-    for spec in cfg.inputs:
-        kind, value = _load_valid(spec)
-        for name, g in _as_dglas(kind, value, spec):
-            parts.append({"input": spec, "part": name})
-            ctx = TensorCtx(g, A, ())
-            rng = random.Random(cfg.seed)
-            for _ in range(cfg.trials):
-                x = random_mc(ctx, rng)
-                _count(checks[0], is_mc(x))
-                a = random_elem(ctx, 0, rng)
-                _count(checks[1], is_mc(gauge(a, x)))
-                flat = a.d().add(x.bracket(a)).is_zero()
-                _count(checks[2], gauge(a, x).eq(x) == flat)
-                u = random_elem(ctx, -1, rng)
-                s = stabilizer_log(x, u)
-                _count(
-                    checks[3],
-                    s.d().add(x.bracket(s)).is_zero() and gauge(s, x).eq(x),
-                )
-    return {
-        "schema": "cli-mc/1",
-        "command": "mc",
-        "ring": cfg.artin,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "parts": parts,
-        "checks": checks,
-        "ok": _checks_ok(checks),
-    }
 
+    def trial(ctx, rng):
+        x = random_mc(ctx, rng)
+        _count(checks[0], is_mc(x))
+        a = random_elem(ctx, 0, rng)
+        _count(checks[1], is_mc(gauge(a, x)))
+        flat = a.d().add(x.bracket(a)).is_zero()
+        _count(checks[2], gauge(a, x).eq(x) == flat)
+        u = random_elem(ctx, -1, rng)
+        s = stabilizer_log(x, u)
+        _count(checks[3], s.d().add(x.bracket(s)).is_zero() and gauge(s, x).eq(x))
 
-# --- gauge -----------------------------------------------------------------------
+    return _trial_report(cfg, "mc", checks, trial)
 
 
 def cmd_gauge(cfg: RunConfig) -> dict:
-    A = _artin_of(cfg)
     checks = [
         _check("gauge(a, gauge(b, x)) = gauge(bch(a, b), x)"),
         _check("bch(a, bch(b, c)) = bch(bch(a, b), c)"),
         _check("gauge(bch(a, -a), x) = x"),
         _check("gauge(stabilizer_log(x, u), x) = x"),
     ]
-    parts = []
-    for spec in cfg.inputs:
-        kind, value = _load_valid(spec)
-        for name, g in _as_dglas(kind, value, spec):
-            parts.append({"input": spec, "part": name})
-            ctx = TensorCtx(g, A, ())
-            rng = random.Random(cfg.seed)
-            for _ in range(cfg.trials):
-                x = random_mc(ctx, rng)
-                a = random_elem(ctx, 0, rng)
-                b = random_elem(ctx, 0, rng)
-                c = random_elem(ctx, 0, rng)
-                _count(checks[0], gauge(a, gauge(b, x)).eq(gauge(bch(a, b), x)))
-                _count(checks[1], bch(a, bch(b, c)).eq(bch(bch(a, b), c)))
-                _count(checks[2], gauge(bch(a, a.neg()), x).eq(x))
-                u = random_elem(ctx, -1, rng)
-                _count(checks[3], gauge(stabilizer_log(x, u), x).eq(x))
-    return {
-        "schema": "cli-gauge/1",
-        "command": "gauge",
-        "ring": cfg.artin,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "parts": parts,
-        "checks": checks,
-        "ok": _checks_ok(checks),
-    }
+
+    def trial(ctx, rng):
+        x = random_mc(ctx, rng)
+        a = random_elem(ctx, 0, rng)
+        b = random_elem(ctx, 0, rng)
+        c = random_elem(ctx, 0, rng)
+        _count(checks[0], gauge(a, gauge(b, x)).eq(gauge(bch(a, b), x)))
+        _count(checks[1], bch(a, bch(b, c)).eq(bch(bch(a, b), c)))
+        _count(checks[2], gauge(bch(a, a.neg()), x).eq(x))
+        u = random_elem(ctx, -1, rng)
+        _count(checks[3], gauge(stabilizer_log(x, u), x).eq(x))
+
+    return _trial_report(cfg, "gauge", checks, trial)
 
 
 # --- decompose -------------------------------------------------------------------
@@ -429,8 +420,6 @@ def _square_shape_ok(r, tb: int, sb: int) -> bool:
 
 
 def cmd_decompose(cfg: RunConfig) -> dict:
-    A = _artin_of(cfg)
-    slack = A.nu - 1
     checks = [
         _check(
             "decompose_path(x, xi) is t-divisible with no dt part, "
@@ -442,61 +431,41 @@ def cmd_decompose(cfg: RunConfig) -> dict:
             "t-divisible), degrees <= deg(xi) + (nu - 1), and gauge(r, x) = xi"
         ),
     ]
-    parts = []
-    for spec in cfg.inputs:
-        kind, value = _load_valid(spec)
-        for name, g in _as_dglas(kind, value, spec):
-            parts.append({"input": spec, "part": name})
-            ctx = TensorCtx(g, A, ())
-            ctx1 = ctx.with_vars(("t",))
-            ctx2 = ctx.with_vars(("t", "s"))
-            rng = random.Random(cfg.seed)
-            for _ in range(cfg.trials):
-                x = random_mc(ctx, rng)
-                xe1 = embed(x, ("t",), positions=[])
-                g1 = _random_path_log(ctx, ctx1, rng)
-                xi = gauge(g1, xe1)
-                p = decompose_path(x, xi)
-                _count(
-                    checks[0],
-                    xi.subs_values({0: 0}).eq(x)
-                    and _path_shape_ok(p, _var_degree(xi, 0) + slack)
-                    and gauge(p, xe1).eq(xi),
-                )
-                a = random_elem(ctx, 0, rng)
-                r = path_from_gauge(x, a)
-                line = decompose_path(x, r)
-                want = ctx1.zero()
-                ae = embed(a, ("t",), positions=[])
-                for (deg, idx, am, _, _), c in ae.terms.items():
-                    want = want.add(ctx1.term(deg, idx, c, am, (1,), ()))
-                _count(
-                    checks[1],
-                    line.eq(want) and gauge_from_path(x, r).eq(a),
-                )
-                xe2 = embed(x, ("t", "s"), positions=[])
-                g2 = _random_square_log(ctx, ctx2, rng)
-                xi2 = gauge(g2, xe2)
-                r2 = decompose_square(x, xi2)
-                _count(
-                    checks[2],
-                    _square_shape_ok(
-                        r2,
-                        _var_degree(xi2, 0) + slack,
-                        _var_degree(xi2, 1) + slack,
-                    )
-                    and gauge(r2, xe2).eq(xi2),
-                )
-    return {
-        "schema": "cli-decompose/1",
-        "command": "decompose",
-        "ring": cfg.artin,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "parts": parts,
-        "checks": checks,
-        "ok": _checks_ok(checks),
-    }
+
+    def trial(ctx, rng):
+        slack = ctx.artin.nu - 1
+        ctx1 = ctx.with_vars(("t",))
+        ctx2 = ctx.with_vars(("t", "s"))
+        x = random_mc(ctx, rng)
+        xe1 = embed(x, ("t",), positions=[])
+        g1 = _random_path_log(ctx, ctx1, rng)
+        xi = gauge(g1, xe1)
+        p = decompose_path(x, xi)
+        _count(
+            checks[0],
+            xi.subs_values({0: 0}).eq(x)
+            and _path_shape_ok(p, _var_degree(xi, 0) + slack)
+            and gauge(p, xe1).eq(xi),
+        )
+        a = random_elem(ctx, 0, rng)
+        r = path_from_gauge(x, a)
+        line = decompose_path(x, r)
+        want = ctx1.zero()
+        ae = embed(a, ("t",), positions=[])
+        for (deg, idx, am, _, _), c in ae.terms.items():
+            want = want.add(ctx1.term(deg, idx, c, am, (1,), ()))
+        _count(checks[1], line.eq(want) and gauge_from_path(x, r).eq(a))
+        xe2 = embed(x, ("t", "s"), positions=[])
+        g2 = _random_square_log(ctx, ctx2, rng)
+        xi2 = gauge(g2, xe2)
+        r2 = decompose_square(x, xi2)
+        _count(
+            checks[2],
+            _square_shape_ok(r2, _var_degree(xi2, 0) + slack, _var_degree(xi2, 1) + slack)
+            and gauge(r2, xe2).eq(xi2),
+        )
+
+    return _trial_report(cfg, "decompose", checks, trial)
 
 
 # --- descent ---------------------------------------------------------------------

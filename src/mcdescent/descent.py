@@ -429,7 +429,7 @@ def pi0_compare_square_zero(sc: ScDgla, artin: ArtinAlgebra) -> dict:
     if not artin.is_square_zero():
         raise DescentError("the comparison is only decided at square zero")
     k = artin.mdim
-    tot, _ = total_complex(sc)
+    tot = total_complex(sc)
     h1 = tot.cohomology(1)[0]
     z1 = tot.cocycles(1).rows
     b1 = tot.coboundaries(1).rows

@@ -2,8 +2,7 @@
 
 Sparse row-dict matrices with reduced row echelon form, kernels, images and
 solving; rational subspaces with canonical bases; bounded cochain complexes
-with cohomology (dimensions plus deterministic representatives) and
-mapping cones.
+with cohomology (dimensions plus deterministic representatives).
 
 A Mat is the one format for a basis and for a solution. A basis of k
 vectors of Q^n is a k x n Mat, one sparse row per vector, read off an
@@ -16,7 +15,7 @@ input boundary; a matrix of columns is the transpose of one of rows,
 and no method hands a row or a column back dense.
 
 Block matrices come from one constructor, Mat.blocks: every direct sum,
-total complex, cone and stacked linear system of the package places its
+total complex and stacked linear system of the package places its
 blocks through it, so where a summand sits in a sum is decided there.
 
 Everything is exact: no floats anywhere, no tolerances.
@@ -24,7 +23,6 @@ Everything is exact: no floats anywhere, no tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .ratio import ONE, ZERO, Q, neg_one_pow, rat
@@ -404,9 +402,6 @@ class ChainComplexQ:
             return Mat(self.dim(deg + 1), self.dim(deg))
         return m
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def euler(self) -> int:
         return sum(neg_one_pow(d) * n for d, n in self.dims.items())
 
@@ -490,46 +485,3 @@ class ChainComplexQ:
             raise AssertionError("cocycle failed to decompose")
         return Mat.wrap(X._rows[:hdim], V.cols)
 
-
-@dataclass
-class ChainMapQ:
-    """Degreewise map of complexes commuting with the differentials; the
-    constructor checks shapes only."""
-
-    source: ChainComplexQ
-    target: ChainComplexQ
-    mats: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for d, m in self.mats.items():
-            if not isinstance(m, Mat):
-                m = Mat.from_rows(m)
-            if m.rows != self.target.dim(d) or m.cols != self.source.dim(d):
-                raise ValueError(f"chain map shape mismatch at degree {d}")
-            if not m.is_zero():
-                clean[d] = m
-        self.mats = clean
-
-    def mat(self, deg: int) -> Mat:
-        m = self.mats.get(deg)
-        if m is None:
-            return Mat(self.target.dim(deg), self.source.dim(deg))
-        return m
-
-
-def cone(f: ChainMapQ) -> ChainComplexQ:
-    """Mapping cone: cone(f)^n = X^{n+1} ⊕ Y^n, d(x, y) = (-dx, fx + dy)."""
-    X, Y = f.source, f.target
-    degs = {d - 1 for d in X.dims} | set(Y.dims)
-    dims = {d: X.dim(d + 1) + Y.dim(d) for d in degs}
-    diffs = {}
-    for d in sorted(degs):
-        m = Mat.blocks(
-            (X.dim(d + 2), Y.dim(d + 1)),
-            (X.dim(d + 1), Y.dim(d)),
-            {(0, 0): X.diff(d + 1).neg(), (1, 0): f.mat(d + 1), (1, 1): Y.diff(d)},
-        )
-        if not m.is_zero():
-            diffs[d] = m
-    return ChainComplexQ(dims, diffs)

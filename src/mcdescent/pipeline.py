@@ -28,10 +28,12 @@ checked against the Euler form of the quiver. Every map out of a
 projective is read off the images of its generators (Yoneda,
 `from_generators`): the cover, the lift and every hom basis
 (`yoneda_basis`). Every direct sum places its blocks through one
-constructor, `Mat.blocks`: representations, End(S) and its faces, the
-two-open Čech pair and its cone. Any two choices of resolutions and lift
-give quasi-isomorphic diagrams, so the reported cohomology does not
-depend on them; the minimal ones are the smallest.
+constructor, `Mat.blocks`: representations, End(S) and its faces, and
+the two-open Čech pair and its projections. One routine,
+`total_complex`, totalises every diagram: the one `build_H` returns and,
+with two opens, the Čech diagram of its total complex. Any two choices
+of resolutions and lift give quasi-isomorphic diagrams, so the reported
+cohomology does not depend on them; the minimal ones are the smallest.
 `test_reported_cohomology_does_not_depend_on_the_resolution` checks this
 against a non-minimal resolution of the target. One reported list does
 follow the choice: `les_junctions` has one entry per degree from one
@@ -46,8 +48,8 @@ import functools
 import random
 from itertools import accumulate
 
-from .dgla import Dgla, DglaMap, direct_sum
-from .linalg import ChainComplexQ, ChainMapQ, Mat, Subspace, cone, vec, vzero
+from .dgla import Dgla, DglaMap, abelian_dgla, direct_sum
+from .linalg import ChainComplexQ, Mat, Subspace, vec, vzero
 from .ratio import ZERO, Q, rat
 from .semicosimplicial import ScDgla, total_complex
 
@@ -844,8 +846,8 @@ class MorphismDiagram(ScDgla):
         self.projs, self.fg, self.book_s = projs, fg, book_s
         self._total = None
 
-    def total(self) -> tuple:
-        """(complex, basis) of total_complex(self)."""
+    def total(self) -> ChainComplexQ:
+        """total_complex(self)."""
         if self._total is None:
             self._total = total_complex(self)
         return self._total
@@ -921,27 +923,30 @@ def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> MorphismDi
 def h_cohomology(sc: MorphismDiagram, n_opens: int = 1) -> dict:
     """Cohomology dimensions of the totalisation T of the diagram, taken
     over one or two synthetic opens. With two opens and identity gluings
-    the Čech complex has T on each open and T on their overlap, with the
-    Čech differential (a, b) -> b - a; it is the mapping cone of that
-    chain map T + T -> T shifted up one degree (Čech C^n = cone^(n-1))."""
+    the Čech diagram has T ⊕ T, T on each open, at level 0 and T on their
+    overlap at level 1, with the two projections as faces, so the faces'
+    alternating sum is the Čech differential (a, b) -> b - a; its
+    totalisation is quasi-isomorphic to T."""
     if n_opens not in (1, 2):
         raise PipelineError("only one or two synthetic opens are supported")
-    tot, _ = sc.total()
+    tot = sc.total()
     if n_opens == 1:
         return tot.betti()
-    pair = ChainComplexQ(
+    t = abelian_dgla(tot.dims, tot.diffs)
+    pair = abelian_dgla(
         {n: 2 * k for n, k in tot.dims.items()},
         {
             n: Mat.blocks((m.rows,) * 2, (m.cols,) * 2, {(0, 0): m, (1, 1): m})
             for n, m in tot.diffs.items()
         },
     )
-    difference = {
-        n: Mat.blocks((k,), (k, k), {(0, 0): Mat.identity(k).neg(), (0, 1): Mat.identity(k)})
-        for n, k in tot.dims.items()
-    }
-    cech = cone(ChainMapQ(pair, tot, difference))
-    return {n + 1: h for n, h in cech.betti().items()}
+    on = [
+        DglaMap(pair, t, {
+            n: Mat.blocks((k,), (k, k), {(0, i): Mat.identity(k)}) for n, k in tot.dims.items()
+        })
+        for i in (0, 1)
+    ]
+    return total_complex(ScDgla([pair, t], {(1, 0): on[1], (1, 1): on[0]})).betti()
 
 
 # --- the long exact sequence -----------------------------------------------------------
@@ -979,17 +984,17 @@ def les_check(sc: MorphismDiagram) -> dict:
     degree are read off together by classes, so each (complex, degree)
     pair is solved against once; images and kernels are compared as
     subspaces, not merely by dimension."""
-    tot, tb = sc.total()
+    tot = sc.total()
     lift = sc.lift
     cx = [g.complex() for g in sc.ends]
     cx_fg, book_fg = sc.fg
 
     def u_map(i):
-        slots = tb.slots.get(i, ())
+        # level 0's block comes first in each degree of the total complex
+        n0 = sc.levels[0].dim(i)
         level0 = Mat.wrap(
-            [{slots[j][1]: c for j, c in rep.items() if slots[j][0] == 0}
-             for rep in tot.cohomology(i)[1]._rows],
-            sc.levels[0].dim(i),
+            [{j: c for j, c in rep.items() if j < n0} for rep in tot.cohomology(i)[1]._rows],
+            n0,
         ).transpose()
         cf, cg = (
             _classes(cx[s], i, sc.projs[s].mat(i) @ level0, "projection") for s in (0, 1)
@@ -1009,10 +1014,11 @@ def les_check(sc: MorphismDiagram) -> dict:
 
     def theta_map(i):
         # the P_F -> P_G corner is End(S)'s last, so a map keeps its
-        # coordinates there, shifted past the other three corners
-        off = sc.levels[1].dim(i) - cx_fg.dim(i)
+        # coordinates there, shifted past level 0's block of the total
+        # complex and the other three corners
+        off = sc.levels[0].dim(i + 1) + sc.levels[1].dim(i) - cx_fg.dim(i)
         images = [
-            {tb.index(i + 1, 1, off + j): c for j, c in rep.items()}
+            {off + j: c for j, c in rep.items()}
             for rep in cx_fg.cohomology(i)[1]._rows
         ]
         V = Mat.wrap(images, tot.dim(i + 1)).transpose()

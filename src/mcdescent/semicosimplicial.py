@@ -206,51 +206,22 @@ def constant_sc(g: Dgla, top: int, label: str = "") -> ScDgla:
 # --- total complex ----------------------------------------------------------
 
 
-class TotBasis:
-    """Flat bases of the total complex: one slot per (level, lie index)
-    pair at each total degree n, with level-p slots drawn from the
-    internal degree n - p."""
-
-    def __init__(self, sc: ScDgla):
-        self.sc = sc
-        degs = set()
-        for p, g in enumerate(sc.levels):
-            for q in g.degrees():
-                degs.add(p + q)
-        self.slots = {}
-        for n in sorted(degs):
-            lst = []
-            for p, g in enumerate(sc.levels):
-                for idx in range(g.dim(n - p)):
-                    lst.append((p, idx))
-            if lst:
-                self.slots[n] = lst
-        self.pos = {
-            n: {pi: i for i, pi in enumerate(lst)}
-            for n, lst in self.slots.items()
-        }
-
-    def dim(self, n: int) -> int:
-        return len(self.slots.get(n, []))
-
-    def index(self, n: int, p: int, idx: int) -> int:
-        return self.pos[n][(p, idx)]
-
-
-def total_complex(sc: ScDgla) -> tuple:
+def total_complex(sc: ScDgla) -> ChainComplexQ:
     """The total complex of the diagram: degree n is the direct sum of the
-    internal degree n - p parts over levels p, and the differential on a
-    level-p slice is the alternating coface sum plus (-1)^p times the
-    internal differential. So it is a block matrix over the levels: block
-    (p, p) is ±diff_p and block (p + 1, p) the alternating coface sum.
-    Returns (complex, basis bookkeeping)."""
-    tb = TotBasis(sc)
-    dims = {n: len(slots) for n, slots in tb.slots.items()}
-    diffs = {}
-    for n in tb.slots:
-        if not tb.dim(n + 1):
-            continue
+    internal degree n - p parts over levels p, in level order, so level
+    p's block follows the blocks of levels 0, ..., p - 1. The
+    differential on a level-p slice is the alternating coface sum plus
+    (-1)^p times the internal differential. So it is a block matrix over
+    the levels: block (p, p) is ±diff_p and block (p + 1, p) the
+    alternating coface sum."""
+    degs = sorted({p + q for p, g in enumerate(sc.levels) for q in g.dims})
+    dims, diffs = {}, {}
+    for n in degs:
         cols = [g.dim(n - p) for p, g in enumerate(sc.levels)]
+        rows = [g.dim(n + 1 - p) for p, g in enumerate(sc.levels)]
+        dims[n] = sum(cols)
+        if not sum(rows):
+            continue
         placed = {}
         for p, g in enumerate(sc.levels):
             if not cols[p]:
@@ -261,11 +232,10 @@ def total_complex(sc: ScDgla) -> tuple:
                 placed[(p + 1, p)] = _alternating_sum(
                     [sc.face(p + 1, k).mat(n - p) for k in range(p + 2)]
                 )
-        rows = [g.dim(n + 1 - p) for p, g in enumerate(sc.levels)]
         m = Mat.blocks(rows, cols, placed)
         if not m.is_zero():
             diffs[n] = m
-    return ChainComplexQ(dims, diffs), tb
+    return ChainComplexQ(dims, diffs)
 
 
 def _alternating_sum(mats: list) -> Mat:
@@ -444,25 +414,9 @@ class TWElem:
             [a.add(b) for a, b in zip(self.comps, other.comps)],
         )
 
-    def sub(self, other):
-        self._chk(other)
-        return TWElem(
-            self.sc, self.artin,
-            [a.sub(b) for a, b in zip(self.comps, other.comps)],
-        )
-
-    def scale(self, c):
-        return TWElem(self.sc, self.artin, [a.scale(c) for a in self.comps])
-
-    def neg(self):
-        return self.scale(-1)
-
     def eq(self, other) -> bool:
         self._chk(other)
         return all(a.eq(b) for a, b in zip(self.comps, other.comps))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
 
     def d(self) -> "TWElem":
         return TWElem(self.sc, self.artin, [c.d() for c in self.comps])
@@ -525,40 +479,13 @@ class TotElem:
         self.artin = artin
         self.comps = comps
 
-    @classmethod
-    def zero(cls, sc: ScDgla, artin: ArtinAlgebra) -> "TotElem":
-        return cls(
-            sc, artin,
-            [TensorCtx(g, artin, ()).zero() for g in sc.levels],
-        )
-
     def _chk(self, other):
         if self.artin is not other.artin or not sc_same(self.sc, other.sc):
             raise ScError("elements over different diagrams")
 
-    def add(self, other):
-        self._chk(other)
-        return TotElem(
-            self.sc, self.artin,
-            [a.add(b) for a, b in zip(self.comps, other.comps)],
-        )
-
-    def sub(self, other):
-        self._chk(other)
-        return TotElem(
-            self.sc, self.artin,
-            [a.sub(b) for a, b in zip(self.comps, other.comps)],
-        )
-
-    def scale(self, c):
-        return TotElem(self.sc, self.artin, [a.scale(c) for a in self.comps])
-
     def eq(self, other) -> bool:
         self._chk(other)
         return all(a.eq(b) for a, b in zip(self.comps, other.comps))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
 
     def d(self) -> "TotElem":
         """Total differential: the level-p output is the alternating coface

@@ -1,4 +1,4 @@
-"""Rational linear algebra: RREF, kernels, complexes, cones.
+"""Rational linear algebra: RREF, kernels, complexes, block matrices.
 
 The oracle here is an independently written dense Gauss-Jordan over
 Fraction, plus hand-worked small cases with frozen expected values.
@@ -11,10 +11,8 @@ import pytest
 
 from mcdescent.linalg import (
     ChainComplexQ,
-    ChainMapQ,
     Mat,
     Subspace,
-    cone,
     vec,
     vzero,
 )
@@ -634,18 +632,6 @@ def test_class_of_and_same_class():
     assert cx.classes(0, from_dense_cols([vec([2, 2])], 2)) == Mat.from_rows([[2]])
 
 
-def test_cone_euler_and_quasi_iso():
-    rng = random.Random(31)
-    for _ in range(25):
-        cx = rand_complex(rng)
-        ident = ChainMapQ(cx, cx, {d: Mat.identity(n) for d, n in cx.dims.items()})
-        cn = cone(ident)
-        # cone of an iso is acyclic
-        for d in range(min(cn.dims, default=0), max(cn.dims, default=0) + 1):
-            assert cn.cohomology(d)[0] == 0
-        assert cn.euler() == 0
-
-
 # --- block matrices -----------------------------------------------------------
 
 
@@ -693,47 +679,6 @@ def test_blocks_match_a_dense_reference():
 def test_blocks_refuse_a_wrong_shaped_block(placed):
     with pytest.raises(ValueError, match="block"):
         Mat.blocks((2, 3), (1, 3), placed)
-
-
-def set_entry_cone(f: ChainMapQ) -> ChainComplexQ:
-    """The mapping cone placed entry by entry: cone(f)^n = X^{n+1} ⊕ Y^n
-    with d(x, y) = (-dx, fx + dy)."""
-    X, Y = f.source, f.target
-    degs = {d - 1 for d in X.dims} | set(Y.dims)
-    diffs = {}
-    for d in sorted(degs):
-        m = Mat(X.dim(d + 2) + Y.dim(d + 1), X.dim(d + 1) + Y.dim(d))
-        for i in range(X.dim(d + 2)):
-            for j in range(X.dim(d + 1)):
-                m.set_entry(i, j, -X.diff(d + 1).entry(i, j))
-        for i in range(Y.dim(d + 1)):
-            for j in range(X.dim(d + 1)):
-                m.set_entry(X.dim(d + 2) + i, j, f.mat(d + 1).entry(i, j))
-            for j in range(Y.dim(d)):
-                m.set_entry(X.dim(d + 2) + i, X.dim(d + 1) + j, Y.diff(d).entry(i, j))
-        diffs[d] = m
-    return ChainComplexQ({d: X.dim(d + 1) + Y.dim(d) for d in degs}, diffs)
-
-
-def test_cone_is_the_set_entry_cone():
-    """cone against the entry-by-entry placement on the identity of 20
-    seeded random complexes and on 40 seeded random maps between two of
-    them (the cone only places blocks, so the maps need not commute with
-    d, and the degrees of source and target need not line up)."""
-    rng = random.Random(37)
-    maps = []
-    for _ in range(20):
-        cx = rand_complex(rng)
-        maps.append(ChainMapQ(cx, cx, {d: Mat.identity(n) for d, n in cx.dims.items()}))
-    for _ in range(40):
-        X, Y = rand_complex(rng), rand_complex(rng)
-        mats = {d: rand_rational_mat(rng, Y.dim(d), X.dim(d)) for d in set(X.dims) & set(Y.dims)}
-        maps.append(ChainMapQ(X, Y, mats))
-    assert sum(bool(f.mats) and bool(f.source.diffs) for f in maps) > 30
-    for f in maps:
-        got, want = cone(f), set_entry_cone(f)
-        assert got.dims == want.dims
-        assert got.diffs == want.diffs
 
 
 def test_vec_helpers():

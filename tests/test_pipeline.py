@@ -1392,7 +1392,9 @@ def test_end_bracket_table_matches_the_conversion_reference():
 
 
 def test_one_total_complex_per_diagram(monkeypatch):
-    """h_cohomology and les_check share the diagram's total complex."""
+    """h_cohomology and les_check share the diagram's total complex T; a
+    two-open report totalises the diagram once and then its Čech diagram,
+    built on that same T."""
     built = []
     real = pipeline.total_complex
     monkeypatch.setattr(pipeline, "total_complex", lambda sc: built.append(sc) or real(sc))
@@ -1406,4 +1408,11 @@ def test_one_total_complex_per_diagram(monkeypatch):
     les_check(sc)
     assert len(built) == 2
     assert built[-1] is sc
-    assert h == real(sc)[0].betti()
+    assert h == real(sc).betti()
+    built.clear()
+    pipeline_report(f, g, alpha, n_opens=2)
+    assert len(built) == 2
+    assert isinstance(built[0], pipeline.MorphismDiagram)
+    cech = built[1]
+    assert cech.top == 1
+    assert cech.levels[0].dims == {n: 2 * k for n, k in real(built[0]).dims.items()}

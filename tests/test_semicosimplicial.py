@@ -65,7 +65,6 @@ from mcdescent.semicosimplicial import (
     TotDelMorphism,
     TotDelObject,
     TotElem,
-    TotBasis,
     TWElem,
     TwTruncMC,
     bch_many,
@@ -254,20 +253,20 @@ def test_cech_identity_cover_reproduces_section_cohomology():
     g, _ = end_dgla_of_complex(vector_complex(two_step_complex()))
     sc = sc_cech_identity(g, n_opens=3)
     assert validate_sc(sc)["ok"]
-    tot, _ = total_complex(sc)
+    tot = total_complex(sc)
     assert h_dims(tot) == h_dims(g.complex())
 
 
 def test_cech_identity_cover_two_opens():
     g = sl2()
     sc = sc_cech_identity(g, n_opens=2)
-    tot, _ = total_complex(sc)
+    tot = total_complex(sc)
     assert h_dims(tot) == h_dims(g.complex())
 
 
 def test_cech_twisted_cover_has_kernel_and_cokernel_line():
     sc = sc_twist()
-    tot, _ = total_complex(sc)
+    tot = total_complex(sc)
     assert tot.cohomology(0)[0] == 1
     assert tot.cohomology(1)[0] == 1
     assert tot.cohomology(2)[0] == 0
@@ -276,7 +275,7 @@ def test_cech_twisted_cover_has_kernel_and_cokernel_line():
 def test_cech_redundant_open_does_not_change_cohomology():
     sc = cech_from_cover(cover_twist_redundant())
     assert validate_sc(sc)["ok"]
-    tot, _ = total_complex(sc)
+    tot = total_complex(sc)
     assert tot.cohomology(0)[0] == 1
     assert tot.cohomology(1)[0] == 1
     assert tot.cohomology(2)[0] == 0
@@ -287,7 +286,7 @@ def test_cech_conjugated_cover_matches_untwisted_cohomology():
     for seed in (0, 5, 11):
         sc = sc_cech_conjugated(n_opens=3, seed=seed)
         assert validate_sc(sc)["ok"]
-        tot, _ = total_complex(sc)
+        tot = total_complex(sc)
         g, _ = end_dgla_of_complex(vector_complex(two_step_complex()))
         assert h_dims(tot) == h_dims(g.complex())
 
@@ -310,11 +309,11 @@ def test_total_complex_of_equalizer_diagram():
     ident = DglaMap.identity(g)
     double = DglaMap(g, g, {0: Mat.identity(1).scale(Q(2))})
     sc_eq = ScDgla([g, g], {(1, 0): ident, (1, 1): ident})
-    tot, _ = total_complex(sc_eq)
+    tot = total_complex(sc_eq)
     assert tot.cohomology(0)[0] == 1
     assert tot.cohomology(1)[0] == 1
     sc_ne = ScDgla([g, g], {(1, 0): ident, (1, 1): double})
-    tot2, _ = total_complex(sc_ne)
+    tot2 = total_complex(sc_ne)
     assert tot2.cohomology(0)[0] == 0
     assert tot2.cohomology(1)[0] == 0
 
@@ -325,7 +324,7 @@ def test_total_complex_of_constant_diagram_has_two_columns():
     # three degrees apart
     sc = sc_constant_end(3)
     g = sc.levels[0]
-    tot, _ = total_complex(sc)
+    tot = total_complex(sc)
     hg = h_dims(g.complex())
     expected = dict(hg)
     for d, n in hg.items():
@@ -342,15 +341,27 @@ def test_total_complex_squares_to_zero_on_cech_diagrams():
 # --- the block layouts against the entry-by-entry ones ---------------------------
 
 
+def total_slots(sc: ScDgla) -> dict:
+    """{n: [(p, idx), ...]}: the (level, lie index) pair at each position
+    of total degree n, level by level, level p drawn from internal degree
+    n - p, over the degrees that have one."""
+    degs = sorted({p + q for p, g in enumerate(sc.levels) for q in g.dims})
+    return {
+        n: [(p, idx) for p, g in enumerate(sc.levels) for idx in range(g.dim(n - p))]
+        for n in degs
+    }
+
+
 def accumulated_total_complex(sc: ScDgla) -> dict:
     """The differentials of the total complex, {n: Mat}, accumulated entry
-    by entry at the slots of TotBasis: column (p, idx) gets (-1)^k times
-    column idx of each coface into level p + 1 and (-1)^p times column
-    idx of the internal differential of level p."""
-    tb = TotBasis(sc)
+    by entry at the slots of total_slots: column (p, idx) gets (-1)^k
+    times column idx of each coface into level p + 1 and (-1)^p times
+    column idx of the internal differential of level p."""
+    all_slots = total_slots(sc)
     diffs = {}
-    for n, slots in tb.slots.items():
-        m = Mat(tb.dim(n + 1), len(slots))
+    for n, slots in all_slots.items():
+        below = {pi: i for i, pi in enumerate(all_slots.get(n + 1, ()))}
+        m = Mat(len(below), len(slots))
         for col, (p, idx) in enumerate(slots):
             q = n - p
             terms = [(p, neg_one_pow(p), sc.levels[p].diff(q))]
@@ -360,7 +371,7 @@ def accumulated_total_complex(sc: ScDgla) -> dict:
                 for r in range(fm.rows):
                     v = fm.entry(r, idx)
                     if v:
-                        rr = tb.index(n + 1, level, r)
+                        rr = below[(level, r)]
                         m.set_entry(rr, col, m.entry(rr, col) + sgn * v)
         diffs[n] = m
     return diffs
@@ -487,9 +498,9 @@ def test_total_complex_is_the_entry_by_entry_accumulation():
     diagrams += [random_unchecked_diagram(rng) for _ in range(60)]
     assert max(sc.top for sc in diagrams) == 3
     for n, sc in enumerate(diagrams):
-        tot, tb = total_complex(sc)
+        tot = total_complex(sc)
         want = accumulated_total_complex(sc)
-        assert tot.dims == {d: len(slots) for d, slots in tb.slots.items()}, n
+        assert tot.dims == {d: len(slots) for d, slots in total_slots(sc).items()}, n
         assert all(tot.diff(d) == m for d, m in want.items()), n
 
 
@@ -497,7 +508,8 @@ def test_total_element_derivative_matches_matrix_differential():
     sc = sc_cech_conjugated(n_opens=3, seed=4)
     A = dual_numbers()
     eps = A.maximal_basis[0]
-    tot, basis = total_complex(sc)
+    tot = total_complex(sc)
+    index = {n: {pi: i for i, pi in enumerate(slots)} for n, slots in total_slots(sc).items()}
     rng = random.Random(1)
     for deg in (-1, 0, 1):
         c = random_tot_elem(sc, A, deg, rng)
@@ -508,14 +520,14 @@ def test_total_element_derivative_matches_matrix_differential():
             for (key, coeff) in c.comps[p].terms.items():
                 kd, idx, am, pm, dm = key
                 if am == eps:
-                    flat[basis.index(n, p, idx)] = coeff
+                    flat[index[n][(p, idx)]] = coeff
         out = tot.diff(n) @ from_dense_cols([flat], tot.dim(n))
         flat_d = [Q(0)] * tot.dim(n + 1)
         for p in range(sc.top + 1):
             for (key, coeff) in dc.comps[p].terms.items():
                 kd, idx, am, pm, dm = key
                 if am == eps:
-                    flat_d[basis.index(n + 1, p, idx)] = coeff
+                    flat_d[index[n + 1][(p, idx)]] = coeff
         assert out == from_dense_cols([flat_d], tot.dim(n + 1))
 
 
