@@ -1,15 +1,14 @@
 """Differential graded Lie algebras over Q and their tensor elements.
 
 A Dgla is bounded with a finite basis in each degree: differentials are
-matrices, the bracket is a table of structure constants on basis pairs.
-Construction checks shapes, and the bracket targets of a table given as a
-dict; a bracket given as a callable is tabulated, and its targets
-checked, when the table is first used. Dgla.validate checks
-graded antisymmetry, the Leibniz rule and the graded Jacobi identity
-exactly, on Python ints after clearing the denominators of the bracket
-and of d (full sweep for small algebras, seeded sample above a size
-threshold), and runs where input enters: the command line's validate and
-file loading, or a test.
+matrices, the bracket is a table of structure constants on basis pairs,
+given as a dict or as a function that returns one. Construction checks
+shapes; the table is built, and its targets checked, when it is first
+used. Dgla.validate checks graded antisymmetry, the Leibniz rule and the
+graded Jacobi identity exactly, on Python ints after clearing the
+denominators of the bracket and of d (full sweep for small algebras,
+seeded sample above a size threshold), and runs where input enters: the
+command line's validate and file loading, or a test.
 
 Computations happen in tensors L (x) A (x) Omega: an Elem is a sparse dict
 keyed by (degree, basis index, coefficient-ring monomial, form monomial,
@@ -61,14 +60,14 @@ class Dgla:
 
     dims:    {degree: dimension}, zero dims may be omitted
     diffs:   {degree: Mat or rows} for d : L^deg -> L^{deg+1}
-    bracket: callable (d1, i, d2, j) -> iterable of (k, coeff), or a dict
-             with those keys; missing swapped pairs are filled in from
-             graded antisymmetry
+    bracket: {(d1, i, d2, j): iterable of (k, coeff)}, or a function of no
+             arguments that returns such a dict; missing swapped pairs are
+             filled in from graded antisymmetry
 
-    The constructor does not check the axioms; see validate. A dict is
-    tabulated and its targets checked here; a callable is kept, and
-    tabulated and checked when the table is first used (_br), so a dgLa
-    whose brackets nothing reads never computes them.
+    The constructor checks shapes only, and does not check the axioms;
+    see validate. The bracket is kept as given, and normalised and its
+    targets checked when the table is first used (_br), so a dgLa whose
+    brackets nothing reads never builds its table.
     """
 
     def __init__(self, dims: dict, diffs: dict, bracket, label: str = ""):
@@ -86,11 +85,17 @@ class Dgla:
             if not m.is_zero():
                 self.diffs[int(d)] = m
         self._dcols: dict = {}
-        if callable(bracket):
-            self._bracket = bracket
-            return
-        br = self._br = {}
-        for (d1, i, d2, j), val in bracket.items():
+        self._bracket = bracket
+
+    @cached_property
+    def _br(self) -> dict:
+        """The non-zero structure constants {(d1, i, d2, j): ((k, c), ...)},
+        built on first use from the bracket given to the constructor, which
+        is then dropped; the table stays as an instance attribute. Raises
+        DglaError if a bracket lands outside its target degree."""
+        table = self._bracket() if callable(self._bracket) else self._bracket
+        br = {}
+        for (d1, i, d2, j), val in table.items():
             val = _norm_bracket_value(val)
             self._check_targets(d1 + d2, val)
             if val:
@@ -101,28 +106,6 @@ class Dgla:
             if rev not in br and (d1, i) != (d2, j):
                 sign = -neg_one_pow(d1 * d2)
                 br[rev] = tuple((k, sign * c) for k, c in val)
-
-    @cached_property
-    def _br(self) -> dict:
-        """The non-zero structure constants {(d1, i, d2, j): ((k, c), ...)}
-        of a callable bracket: on first use the callable is asked for every
-        pair of basis elements whose degrees sum to a non-zero part of L,
-        then dropped, and the table stays as an instance attribute. Raises
-        DglaError if a bracket lands outside its target degree."""
-        br = {}
-        pairs = [
-            (d1, d2)
-            for d1 in self.dims
-            for d2 in self.dims
-            if self.dim(d1 + d2) > 0
-        ]
-        for d1, d2 in pairs:
-            for i in range(self.dim(d1)):
-                for j in range(self.dim(d2)):
-                    val = _norm_bracket_value(self._bracket(d1, i, d2, j) or ())
-                    self._check_targets(d1 + d2, val)
-                    if val:
-                        br[(d1, i, d2, j)] = val
         self._bracket = None
         return br
 
@@ -456,11 +439,20 @@ class Elem:
         Both operands are grouped by their (coefficient, form) slot. Each
         pair of slots is multiplied once, by mono_mul and fkey_mul, and its
         Lie pairs are looked up in the bracket table only when that slot
-        product survives.
+        product survives. The bracket is 0 without grouping when an
+        operand is 0, or when the operands' lowest coefficient levels sum
+        past the ring's top degree: m^i m^j lies in m^(i+j), and in a
+        monomial quotient every monomial above the top degree is in the
+        ideal.
         """
         self._chk(other)
         L = self.ctx.dgla
         A = self.ctx.artin
+        if not self.terms or not other.terms or (
+            A is not None
+            and self.min_artin_level() + other.min_artin_level() > A.max_degree
+        ):
+            return Elem.wrap(self.ctx, {})
         right = _by_slot(other.terms)
         out: dict = {}
         for (a1, p1, S1), lie1 in _by_slot(self.terms).items():
@@ -726,25 +718,17 @@ def direct_sum(parts: list) -> tuple:
         if m.rows and m.cols and not m.is_zero():
             diffs[d] = m
 
-    idx_of = {}
-    for d in degs:
-        for pi, p in enumerate(parts):
-            for i in range(p.dim(d)):
-                idx_of[(d, offs[d][pi] + i)] = (pi, i)
+    def table():
+        """Each summand's table with every index shifted by its offset."""
+        return {
+            (d1, offs[d1][pi] + i, d2, offs[d2][pi] + j): [
+                (offs[d1 + d2][pi] + k, c) for k, c in val
+            ]
+            for pi, p in enumerate(parts)
+            for (d1, i, d2, j), val in p._br.items()
+        }
 
-    def brk(d1, i, d2, j):
-        p1, i1 = idx_of[(d1, i)]
-        p2, j2 = idx_of[(d2, j)]
-        if p1 != p2:
-            return ()
-        off = offs.get(d1 + d2)
-        if off is None:
-            return ()
-        return [
-            (off[p1] + k, c) for k, c in parts[p1].bracket_basis(d1, i1, d2, j2)
-        ]
-
-    total = Dgla(dims, diffs, brk)
+    total = Dgla(dims, diffs, table)
     injs = []
     projs = []
     for pi, p in enumerate(parts):
@@ -762,28 +746,14 @@ def direct_sum(parts: list) -> tuple:
 
 
 def abelian_dgla(dims: dict, diffs: dict | None = None, label: str = "") -> Dgla:
-    return Dgla(dims, diffs or {}, lambda *a: (), label=label or "abelian")
+    return Dgla(dims, diffs or {}, {}, label=label or "abelian")
 
 
 def sl2() -> Dgla:
-    """sl_2 in degree 0 with basis e, h, f and zero differential."""
-    table = {
-        ("h", "e"): [("e", 2)],
-        ("h", "f"): [("f", -2)],
-        ("e", "f"): [("h", 1)],
-    }
-    order = {"e": 0, "h": 1, "f": 2}
-
-    def brk(d1, i, d2, j):
-        n1 = "ehf"[i]
-        n2 = "ehf"[j]
-        if (n1, n2) in table:
-            return [(order[k], c) for k, c in table[(n1, n2)]]
-        if (n2, n1) in table:
-            return [(order[k], -c) for k, c in table[(n2, n1)]]
-        return ()
-
-    return Dgla({0: 3}, {}, brk, label="sl2")
+    """sl_2 in degree 0 with basis e, h, f and zero differential:
+    [h, e] = 2e, [h, f] = -2f, [e, f] = h."""
+    return Dgla({0: 3}, {}, {(0, 1, 0, 0): [(0, 2)], (0, 1, 0, 2): [(2, -2)],
+                             (0, 0, 0, 2): [(1, 1)]}, label="sl2")
 
 
 def elem_base_change(f, e: "Elem") -> "Elem":

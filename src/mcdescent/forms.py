@@ -15,6 +15,7 @@ via the Dirichlet integral formula.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .ratio import ZERO, Q, rat
 
@@ -24,8 +25,10 @@ FKey = tuple  # (pmono tuple, dmask tuple sorted ascending)
 # --- key-level operations (shared with the tensor element type) -----------
 
 
+@lru_cache(maxsize=None)
 def fkey_mul(p1, S1, p2, S2):
-    """Multiply two form keys. Returns (pmono, dmask, sign) or None."""
+    """Multiply two form keys. Returns (pmono, dmask, sign) or None.
+    Memoised: the keys are small tuples, and few distinct ones occur."""
     if set(S1) & set(S2):
         return None
     # shuffle sign: count inversions between S1 and S2
@@ -39,15 +42,19 @@ def fkey_mul(p1, S1, p2, S2):
     return p, merged, (-1) ** inv
 
 
+@lru_cache(maxsize=None)
 def fkey_d(p, S):
-    """Exterior derivative of a key: yields (int_coeff, pmono, dmask)."""
+    """Exterior derivative of a key: a tuple of (int_coeff, pmono, dmask).
+    Memoised like fkey_mul."""
+    out = []
     for i, e in enumerate(p):
         if e == 0 or i in S:
             continue
         # dv_i moved into ascending position inside S u {i}
         sign = (-1) ** sum(1 for j in S if j < i)
         np = p[:i] + (e - 1,) + p[i + 1 :]
-        yield e * sign, np, tuple(sorted(S + (i,)))
+        out.append((e * sign, np, tuple(sorted(S + (i,)))))
+    return tuple(out)
 
 
 # --- dict-level scalar form algebra ---------------------------------------

@@ -3,10 +3,13 @@
 Everything runs inside tensors L (x) m (x) forms where m is the maximal
 ideal of a monomial-quotient Artin ring, so gauge exponentials and the
 composition product (Baker-Campbell-Hausdorff) are finite sums. The
-composition product is computed as log(e^a e^b) in the free associative
-algebra on two letters, truncated at the nilpotency index, with each word
-projected to a nested bracket (the classical (1/k) [x1,[x2,...,[x_{k-1},xk]]]
-projection, valid because the logarithm is a Lie element).
+composition product starts from log(e^a e^b) in the free associative
+algebra on two letters, truncated at the nilpotency index; each word
+x1...xk projects to the nested bracket (1/k) [x1,[x2,...,[x_{k-1},xk]]]
+(valid because the logarithm is a Lie element). For arguments of degree
+0, [x, x] = 0 and [y, x] = -[x, y], so the words collapse onto a short
+list of distinct nested brackets, computed once per word list and
+evaluated inner bracket first, each bracket once.
 
 Paths live in L[t,dt] (one form variable), squares in L[t,s,dt,ds]; both
 use the full differential, so a path of gauges acting on a constant object
@@ -176,26 +179,40 @@ def _bch_words(nu: int):
     return tuple(sorted(log.items()))
 
 
+@lru_cache(maxsize=None)
+def _bch_brackets(nu: int):
+    """The words of _bch_words(nu) as distinct nested brackets: words
+    ending in two equal letters dropped ([x, x] = 0), a word ending in
+    (1, 0) folded onto (..., 0, 1) with its sign flipped ([y, x] = -[x, y]),
+    each coefficient divided by its word's length, and equal words
+    merged. The words of length 1 are left out: they give a + b.
+    Returns ((word, coeff), ...), every word of length >= 2."""
+    out: dict = {}
+    for w, c in _bch_words(nu):
+        if len(w) < 2 or w[-1] == w[-2]:
+            continue
+        if w[-1] == 0:
+            w, c = w[:-2] + (0, 1), -c
+        out[w] = out.get(w, ZERO) + c / len(w)
+    return tuple((w, c) for w, c in sorted(out.items()) if c)
+
+
 def bch(a: Elem, b: Elem) -> Elem:
-    """Composition product a * b with e^{a*b} = e^a e^b, exact."""
+    """Composition product a * b with e^{a*b} = e^a e^b, exact: a + b
+    plus the nested brackets of _bch_brackets, each computed once from
+    the bracket of its suffix."""
     _require_gauge_arg(a)
     _require_gauge_arg(b)
     a._chk(b)
-    nu = a.ctx.artin.nu
-    out = a.ctx.zero()
     pair = (a, b)
-    for w, c in _bch_words(nu):
-        k = len(w)
-        if k == 1:
-            out = out.add(pair[w[0]].scale(c))
-            continue
-        r = pair[w[-1]]
-        for i in range(k - 2, -1, -1):
-            r = pair[w[i]].bracket(r)
-            if r.is_zero():
-                break
-        if not r.is_zero():
-            out = out.add(r.scale(c / k))
+    nested = {(0,): a, (1,): b}
+    out = a.add(b)
+    for w, c in _bch_brackets(a.ctx.artin.nu):
+        for i in range(len(w) - 2, -1, -1):
+            if w[i:] not in nested:
+                nested[w[i:]] = pair[w[i]].bracket(nested[w[i + 1:]])
+        if nested[w].terms:
+            out = out.add(nested[w].scale(c))
     return out
 
 

@@ -692,33 +692,33 @@ def end_dgla(cplx: ChainComplexQ, book: HomBook, label: str) -> Dgla:
 
     Basis element a of degree p is book.basis[p][a], one basis map of one
     block i -> i + p. So a∘b of two basis elements is one product,
-    nonzero only when b's target block is a's source block, and its
-    coordinates are book.coords of that product on b's source block.
-    Each composite is computed once and serves both [a, b] and [b, a].
-    The bracket table is built only when something first brackets (see
-    Dgla), which a pipeline report never does. The graded commutator of
-    composition is a dgLa by construction; the tests run its axiom
-    check."""
-    comps = {}
+    nonzero only when b's target block is a's source block, and the
+    table visits only those composable pairs: each composite, its
+    coordinates book.coords on b's source block, enters [a, b] with sign
+    1 and [b, a] with sign -(-1)^{|a||b|}. The table is built only when
+    something first brackets (see Dgla), which a pipeline report never
+    does. The graded commutator of composition is a dgLa by
+    construction; the tests run its axiom check."""
 
-    def comp(p1, a, p2, b):
-        """a∘b as {index: coefficient} in degree p1 + p2."""
-        key = (p1, a, p2, b)
-        out = comps.get(key)
-        if out is None:
-            i1, ma = book.basis[p1][a]
-            i2, mb = book.basis[p2][b]
-            out = comps[key] = book.coords(p1 + p2, {i2: ma @ mb}) if i1 == i2 + p2 else {}
-        return out
+    def table():
+        by_source = {}
+        for p, maps in book.basis.items():
+            for a, (i, m) in enumerate(maps):
+                by_source.setdefault(i, []).append((p, a, m))
+        out = {}
+        for p2, maps in book.basis.items():
+            for b, (i2, mb) in enumerate(maps):
+                for p1, a, ma in by_source.get(i2 + p2, ()):
+                    if not cplx.dim(p1 + p2):
+                        continue
+                    sign = 1 if (p1 * p2) % 2 else -1
+                    for t, c in book.coords(p1 + p2, {i2: ma @ mb}).items():
+                        for key, e in (((p1, a, p2, b), c), ((p2, b, p1, a), sign * c)):
+                            v = out.setdefault(key, {})
+                            v[t] = v.get(t, ZERO) + e
+        return {key: v.items() for key, v in out.items()}
 
-    def brk(p1, a, p2, b):
-        out = dict(comp(p1, a, p2, b))
-        odd = (p1 * p2) % 2
-        for t, c in comp(p2, b, p1, a).items():
-            out[t] = out.get(t, ZERO) + (c if odd else -c)
-        return [(t, c) for t, c in out.items() if c]
-
-    return Dgla(dict(cplx.dims), dict(cplx.diffs), brk, label=label)
+    return Dgla(dict(cplx.dims), dict(cplx.diffs), table, label=label)
 
 
 def end_dgla_of_complex(k: BddComplex, label: str = ""):
@@ -743,10 +743,10 @@ def graph_preserving_dgla(lift: ChainMapM, end_s: Dgla, book_s: HomBook, t_dims:
     corner with that corner last, so T is spanned by the first t_dims[p]
     basis maps of each degree p. End(S)'s differential keeps every
     corner, so T's is its leading block, and T is closed under the
-    bracket, so T's bracket is end_s.bracket_basis itself. L is T carried
-    across by u: its dimensions, differential and bracket are T's, and
-    its inclusion sends t to u∘t∘u⁻¹: one column of book_s.matrix per
-    basis map of T."""
+    bracket, so T's table is End(S)'s restricted to the prefix. L is T
+    carried across by u: its dimensions, differential and bracket are
+    T's, and its inclusion sends t to u∘t∘u⁻¹: one column of
+    book_s.matrix per basis map of T."""
     u, u_inv = {}, {}
     for d in set(lift.source.mods) | set(lift.target.mods):
         dims = (lift.source.dim(d), lift.target.dim(d))
@@ -760,7 +760,10 @@ def graph_preserving_dgla(lift: ChainMapM, end_s: Dgla, book_s: HomBook, t_dims:
             mats[p] = book_s.matrix(p, [{i: u[i + p] @ b @ u_inv[i]} for i, b in basis])
             lead = end_s.diff(p)._rows[:t_dims.get(p + 1, 0)]
             diffs[p] = Mat.wrap([dict(row) for row in lead], n)
-    l_g = Dgla(t_dims, diffs, end_s.bracket_basis, label="preserving")
+    l_g = Dgla(t_dims, diffs, lambda: {
+        (d1, i, d2, j): val for (d1, i, d2, j), val in end_s._br.items()
+        if i < t_dims.get(d1, 0) and j < t_dims.get(d2, 0)
+    }, label="preserving")
     return l_g, DglaMap(l_g, end_s, mats)
 
 
@@ -872,11 +875,11 @@ def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> MorphismDi
     End(P_G), the first two corners, and includes each as a diagonal
     block: two identity blocks. Face 1 projects onto L and includes it by
     t -> u∘t∘u⁻¹; a zero level 2 closes the diagram. Every dgLa here
-    keeps its bracket as a callable and tabulates it on first use: the
-    reports read only dimensions, differentials and face maps, so none of
-    them computes a bracket. Nothing here is validated: the dgLa axioms,
-    the faces and the coface identities hold by construction, and
-    validate_sc checks them in the tests. Cover data (one open or two)
+    builds its bracket table on first use (see Dgla): the reports read
+    only dimensions, differentials and face maps, so none of them builds
+    a table. Nothing here is validated: the dgLa axioms, the faces and
+    the coface identities hold by construction, and validate_sc checks
+    them in the tests. Cover data (one open or two)
     enters only in h_cohomology."""
     cxs = (res_f.cx, res_g.cx)
     homs = [hom_complex(cxs[a], cxs[b]) for a, b in CORNERS]

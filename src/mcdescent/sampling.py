@@ -32,14 +32,15 @@ from .semicosimplicial import (
 def random_elem(ctx: TensorCtx, deg: int, rng: random.Random) -> Elem:
     """Random formless element of one Lie degree with coefficients in the
     maximal ideal."""
-    e = ctx.zero()
+    pm = (0,) * ctx.nforms
+    terms = {}
     for idx in range(ctx.dgla.dim(deg)):
         for am in ctx.artin.maximal_basis:
             if rng.random() < 0.5:
                 c = rng.randint(-2, 2)
                 if c:
-                    e = e.add(ctx.term(deg, idx, c, am))
-    return e
+                    terms[deg, idx, am, pm, ()] = Q(c)
+    return Elem.wrap(ctx, terms)
 
 
 def random_mc(ctx: TensorCtx, rng: random.Random) -> Elem:

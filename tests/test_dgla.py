@@ -1,12 +1,12 @@
 """Graded Lie structure: validation, tensor elements, substitution."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 
 import pytest
 
-from mcdescent.artin import builtin_artin, mono_mul_raw, truncated_poly
+from mcdescent.artin import builtin_artin, builtin_artin_names, mono_mul_raw, truncated_poly
 from mcdescent.builders import acyclic_complex, cover_conjugated, random_chain_auto, two_step_complex
 from mcdescent.dgla import (
     Dgla,
@@ -51,15 +51,7 @@ def test_antisymmetry_violation_caught():
 
 def test_jacobi_violation_caught():
     # tampered sl2: [h, e] = e instead of 2e
-    def brk(d1, i, d2, j):
-        table = {(1, 0): [(0, 1)], (1, 2): [(2, -2)], (0, 2): [(1, 1)]}
-        if (i, j) in table:
-            return table[(i, j)]
-        if (j, i) in table:
-            return [(k, -c) for k, c in table[(j, i)]]
-        return ()
-
-    L = Dgla({0: 3}, {}, brk)
+    L = Dgla({0: 3}, {}, {(0, 1, 0, 0): [(0, 1)], (0, 1, 0, 2): [(2, -2)], (0, 0, 0, 2): [(1, 1)]})
     with pytest.raises(DglaError, match="Jacobi"):
         L.validate()
 
@@ -85,15 +77,15 @@ def test_derived_antisymmetry_fill():
 
 
 def test_a_callable_bracket_is_tabulated_and_checked_at_first_use():
-    """A bracket that lands outside its target degree is refused: a
-    callable one at the first bracket, a dict one at construction."""
+    """A bracket that lands outside its target degree is refused at the
+    first bracket, whether the table is given as a dict or as a function
+    that returns it; construction builds no table."""
     outside = {(0, 0, 0, 0): [(2, 1)]}
-    L = Dgla({0: 1}, {}, lambda *key: outside.get(key, ()))
-    assert "_br" not in vars(L)
-    with pytest.raises(DglaError, match="bracket lands on index 2"):
-        L.bracket_basis(0, 0, 0, 0)
-    with pytest.raises(DglaError, match="bracket lands on index 2"):
-        Dgla({0: 1}, {}, outside)
+    for bracket in (outside, lambda: outside):
+        L = Dgla({0: 1}, {}, bracket)
+        assert "_br" not in vars(L)
+        with pytest.raises(DglaError, match="bracket lands on index 2"):
+            L.bracket_basis(0, 0, 0, 0)
 
 
 def test_the_complex_of_a_dgla_is_built_once():
@@ -511,15 +503,18 @@ def _matrix_unit_end(cx: ChainComplexQ):
             return None
         return index[(p1 + p2, i2, r1, c2)]
 
-    def brk(p1, a, p2, b):
+    def table():
+        """[E1, E2] for every pair of matrix units."""
         out = {}
-        u1, u2 = units[p1][a], units[p2][b]
-        for k, sign in ((compose(p1, u1, p2, u2), 1), (compose(p2, u2, p1, u1), -(-1) ** (p1 * p2 % 2))):
-            if k is not None:
-                out[k] = out.get(k, 0) + sign
-        return [(k, v) for k, v in out.items() if v]
+        for (p1, us1), (p2, us2) in product(units.items(), repeat=2):
+            for (a, u1), (b, u2) in product(enumerate(us1), enumerate(us2)):
+                v = out.setdefault((p1, a, p2, b), {})
+                for k, sign in ((compose(p1, u1, p2, u2), 1), (compose(p2, u2, p1, u1), -(-1) ** (p1 * p2 % 2))):
+                    if k is not None:
+                        v[k] = v.get(k, 0) + sign
+        return {key: list(v.items()) for key, v in out.items()}
 
-    g = Dgla({p: len(us) for p, us in units.items()}, diffs, brk, label="matrix units")
+    g = Dgla({p: len(us) for p, us in units.items()}, diffs, table, label="matrix units")
     return g, units, index
 
 
@@ -614,6 +609,37 @@ def test_cover_conjugated_restrictions_are_the_index_loop_conjugations():
     assert moved > 20
 
 
+@pytest.mark.parametrize("ring", builtin_artin_names())
+def test_the_level_cut_off_matches_term_by_term(ring):
+    """Operands whose lowest coefficient levels sum past the ring's top
+    degree bracket to 0 at once; the term-by-term reference agrees on
+    them, on operands whose levels do not, and on a zero operand."""
+    L, _ = end_dgla_of_complex(vector_complex(ChainComplexQ({0: 1, 1: 2}, {0: [[1], [2]]})))
+    A = builtin_artin(ring)
+    ctx = TensorCtx(L, A, ("t", "s"))
+    rng = random.Random(ring)
+
+    def at_level(lo):
+        """A random element whose coefficient monomials have degree >= lo,
+        with one of degree exactly lo."""
+        x = ctx.zero()
+        while x.min_artin_level() != lo:
+            x = x.add(rand_elem(ctx, rng, rng.randint(-1, 1), nterms=3, min_level=lo))
+        return x
+
+    past = 0
+    for _ in range(20):
+        i, j = rng.randint(1, A.max_degree), rng.randint(1, A.max_degree)
+        x, y = at_level(i), at_level(j)
+        got = x.bracket(y).terms
+        assert got == naive_bracket(x, y)
+        if i + j > A.max_degree:
+            assert got == {}
+            past += 1
+        assert x.bracket(ctx.zero()).is_zero() and ctx.zero().bracket(y).is_zero()
+    assert past
+
+
 # --- direct sums against the entry-by-entry placement --------------------------
 
 
@@ -653,13 +679,36 @@ def _loop_direct_sum(parts):
     return diffs, injs, projs
 
 
+def _pairwise_sum_table(parts) -> dict:
+    """The bracket table of the direct sum of parts, asked of every pair of
+    basis elements of the sum: 0 across parts, else the part's bracket
+    shifted by the offsets."""
+
+    def off(d, pi):
+        return sum(q.dim(d) for q in parts[:pi])
+
+    where = {
+        (d, off(d, pi) + i): (pi, i)
+        for pi, p in enumerate(parts) for d in p.dims for i in range(p.dim(d))
+    }
+    out = {}
+    for (d1, i), (d2, j) in product(sorted(where), repeat=2):
+        (p1, i1), (p2, j2) = where[d1, i], where[d2, j]
+        if p1 == p2:
+            val = parts[p1].bracket_basis(d1, i1, d2, j2)
+            if val:
+                out[d1, i, d2, j] = tuple((off(d1 + d2, p1) + k, c) for k, c in val)
+    return out
+
+
 def test_direct_sum_is_the_entry_by_entry_sum():
     """direct_sum against _loop_direct_sum on every pair of builtin dgLas
     and on 40 seeded random lists of one to four parts, drawn from sl2, a
     two-term dgLa, abelian dgLas (one of them zero) and End of seeded
     random complexes, so parts start and end at different degrees and some
-    blocks are empty. The injections are also checked to be dgLa maps,
-    which reads the bracket of the sum."""
+    blocks are empty. The bracket table of the sum, built in closed form
+    from the parts' tables, is checked against the table asked pair by
+    pair, and the injections to be dgLa maps."""
     rng = random.Random(41)
     builtins = [g for kind, g in map(load_builtin, builtin_input_names()) if kind == "dgla"]
     pool = builtins + [
@@ -676,6 +725,7 @@ def test_direct_sum_is_the_entry_by_entry_sum():
         diffs, want_injs, want_projs = _loop_direct_sum(parts)
         assert total.dims == {d: m.cols for d, m in diffs.items() if m.cols}, n
         assert all(total.diff(d) == m for d, m in diffs.items()), n
+        assert total._br == _pairwise_sum_table(parts), n
         for inj, proj, want_inj, want_proj in zip(injs, projs, want_injs, want_projs):
             assert all(inj.mat(d) == m for d, m in want_inj.items()), n
             assert all(proj.mat(d) == m for d, m in want_proj.items()), n

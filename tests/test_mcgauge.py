@@ -12,11 +12,13 @@ import random
 
 import pytest
 
-from mcdescent.artin import builtin_artin, dual_numbers, fat_point, truncated_poly
-from mcdescent.dgla import TensorCtx
+from mcdescent.artin import builtin_artin, builtin_artin_names, dual_numbers, fat_point, truncated_poly
+from mcdescent.dgla import TensorCtx, sl2
 from mcdescent.linalg import ChainComplexQ, Mat
 from mcdescent.mcgauge import (
     GaugeError,
+    _bch_brackets,
+    _bch_words,
     bch,
     decompose_path,
     decompose_square,
@@ -154,6 +156,57 @@ def test_bch_closed_forms():
             .add(b.bracket(b.bracket(a)).scale("1/12"))
         )
         assert bch(a, b).eq(want)
+
+
+def bch_word_by_word(a, b):
+    """Reference composition product: every word w of log(e^a e^b), with
+    coefficient c, evaluated as its own nested bracket
+    (c/|w|) [w1, [w2, ..., [w_{k-1}, wk]]], innermost first."""
+    pair = (a, b)
+    out = a.ctx.zero()
+    for w, c in _bch_words(a.ctx.artin.nu):
+        r = pair[w[-1]]
+        for x in reversed(w[:-1]):
+            r = pair[x].bracket(r)
+        out = out.add(r.scale(c / len(w)))
+    return out
+
+
+def rand_gauge_arg(ctx, rng):
+    """A random element of total degree 0 in L (x) m (x) forms: Lie degree
+    -k times k form differentials, coefficient monomials in m."""
+    out = ctx.zero()
+    A, n = ctx.artin, ctx.nforms
+    for deg in ctx.dgla.degrees():
+        if not -n <= deg <= 0:
+            continue
+        for _ in range(4):
+            S = tuple(sorted(rng.sample(range(n), -deg)))
+            pm = tuple(rng.randint(0, 1) for _ in range(n))
+            idx = rng.randrange(ctx.dgla.dim(deg))
+            am = rng.choice(A.maximal_basis)
+            out = out.add(ctx.term(deg, idx, rng.randint(-2, 2), am, pm, S))
+    return out
+
+
+def test_the_distinct_brackets_of_t4_are_three():
+    assert [w for w, _ in _bch_brackets(4)] == [(0, 0, 1), (0, 1), (1, 0, 1)]
+
+
+@pytest.mark.parametrize("ring", builtin_artin_names())
+def test_bch_over_distinct_brackets_matches_word_by_word(ring):
+    """bch against the word-by-word reference on seeded gauge arguments,
+    on sl2 and on End(Q^2 -> Q) (Lie degrees -1, 0 and 1), in the plain,
+    (t, dt) and (t, s, dt, ds) contexts."""
+    rng = random.Random(ring)
+    A = builtin_artin(ring)
+    end_ctx, _ = make_ctx(CXD, A)
+    for L in (sl2(), end_ctx.dgla):
+        for form_vars in ((), ("t",), ("t", "s")):
+            ctx = TensorCtx(L, A, form_vars)
+            for _ in range(4):
+                a, b = rand_gauge_arg(ctx, rng), rand_gauge_arg(ctx, rng)
+                assert bch(a, b).eq(bch_word_by_word(a, b)), (ring, L, form_vars)
 
 
 def test_bch_group_laws():

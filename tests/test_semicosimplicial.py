@@ -333,9 +333,14 @@ def test_total_complex_of_constant_diagram_has_two_columns():
 
 
 def test_total_complex_squares_to_zero_on_cech_diagrams():
-    # the constructor verifies d*d = 0; building these is the assertion
     for sc in (sc_cech_identity(n_opens=3), sc_cech_conjugated(seed=3), sc_twist()):
-        total_complex(sc)
+        total_complex(sc).check()
+    # a coface scaled by 2 breaks the coface identities, and with them d∘d = 0
+    sc = sc_cech_identity(n_opens=3)
+    f = sc.face(2, 0)
+    cof = {**sc.cofaces, (2, 0): DglaMap(f.source, f.target, {d: m.scale(2) for d, m in f.mats.items()})}
+    with pytest.raises(ValueError, match=r"d\^2 != 0 at degree -1"):
+        total_complex(ScDgla(sc.levels, cof)).check()
 
 
 # --- the block layouts against the entry-by-entry ones ---------------------------
