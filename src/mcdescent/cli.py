@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .artin import ArtinError, builtin_artin, builtin_artin_names
 from .descent import (
@@ -75,8 +75,9 @@ from .semicosimplicial import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+# Not a dataclass: importing dataclasses adds inspect, ast, dis and tokenize
+# to every run's start-up (tests/test_cli.py::test_the_cli_imports_no_argparse_or_gettext).
+class RunConfig(namedtuple("RunConfig", "command inputs artin seed trials fmt max_degree")):
     """One resolved invocation: the command, its inputs, and the knobs.
 
     trials may be zero (hypothesis-only runs); the degree cap must be
@@ -85,19 +86,15 @@ class RunConfig:
     reproduces its report bytes exactly.
     """
 
-    command: str
-    inputs: tuple
-    artin: str = "t3"
-    seed: int = 0
-    trials: int = 8
-    fmt: str = "json"
-    max_degree: int = 4
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.trials < 0:
+    def __new__(cls, command: str, inputs: tuple, artin: str = "t3", seed: int = 0,
+                trials: int = 8, fmt: str = "json", max_degree: int = 4):
+        if trials < 0:
             raise InputError("trials must be >= 0", "--trials")
-        if self.max_degree < 1:
+        if max_degree < 1:
             raise InputError("max-degree must be >= 1", "--max-degree")
+        return tuple.__new__(cls, (command, inputs, artin, seed, trials, fmt, max_degree))
 
 
 def _artin_of(cfg: RunConfig):
@@ -757,9 +754,10 @@ def help_text() -> str:
         "  -h, --help",
         "      show this help message and exit",
     ]
+    default = RunConfig(command="", inputs=())
     for flag, (field, _, metavar, htext) in _OPTIONS.items():
         lines.append(f"  {flag} {metavar}")
-        lines.append(f"      {htext} (default {getattr(RunConfig, field)})")
+        lines.append(f"      {htext} (default {getattr(default, field)})")
     width = max(map(len, _COMMANDS))
     lines += ["", "commands:"]
     lines += [f"  {name:<{width}}  {htext}" for name, (_, htext) in _COMMANDS.items()]

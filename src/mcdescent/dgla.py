@@ -30,9 +30,9 @@ Sign conventions (Lie factor first):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, islice, product, repeat
 from math import lcm
 
 from .artin import ArtinAlgebra
@@ -43,6 +43,17 @@ from .ratio import ZERO, Q, neg_one_pow, rat
 
 class DglaError(ValueError):
     pass
+
+
+def _repeated_choice(rng: random.Random, seq, count: int) -> list:
+    """[rng.choice(seq) for _ in range(count)], drawn as Random.choice
+    draws an index: getrandbits(len(seq).bit_length()), redrawn while it
+    is not below len(seq). Same items, same state of rng afterwards."""
+    n = len(seq)
+    if not n:
+        raise IndexError("cannot choose from an empty sequence")
+    draws = filter(n.__gt__, map(rng.getrandbits, repeat(n.bit_length())))
+    return [seq[r] for r in islice(draws, count)]
 
 
 def _norm_bracket_value(val):
@@ -213,7 +224,8 @@ class Dgla:
         if mode == "full":
             pair_iter = product(keys, repeat=2)
         else:
-            pair_iter = ((rng.choice(keys), rng.choice(keys)) for _ in range(400))
+            draws = iter(_repeated_choice(rng, keys, 800))
+            pair_iter = zip(draws, draws)
         for (d1, i), (d2, j) in pair_iter:
             val = get((d1, i, d2, j), ())
             # antisymmetry
@@ -246,10 +258,8 @@ class Dgla:
         if mode == "full":
             triple_iter = product(keys, repeat=3)
         else:
-            triple_iter = (
-                (rng.choice(keys), rng.choice(keys), rng.choice(keys))
-                for _ in range(400)
-            )
+            draws = iter(_repeated_choice(rng, keys, 1200))
+            triple_iter = zip(draws, draws, draws)
         for (d1, i), (d2, j), (d3, k) in triple_iter:
             n = dims.get(d1 + d2 + d3)
             if not n:
@@ -274,16 +284,15 @@ class Dgla:
                 )
 
 
-@dataclass(frozen=True)
-class TensorCtx:
+# Not a dataclass: importing dataclasses adds inspect, ast, dis and tokenize
+# to every run's start-up (tests/test_cli.py::test_the_cli_imports_no_argparse_or_gettext).
+class TensorCtx(namedtuple("TensorCtx", "dgla artin form_vars")):
     """Ambient for computations: dgLa, coefficient ring, form variables."""
 
-    dgla: Dgla
-    artin: ArtinAlgebra | None = None
-    form_vars: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "form_vars", tuple(self.form_vars))
+    def __new__(cls, dgla: Dgla, artin: ArtinAlgebra | None = None, form_vars=()):
+        return tuple.__new__(cls, (dgla, artin, tuple(form_vars)))
 
     @property
     def nforms(self) -> int:
@@ -303,7 +312,7 @@ class TensorCtx:
         )
 
     def with_vars(self, form_vars) -> "TensorCtx":
-        return TensorCtx(self.dgla, self.artin, tuple(form_vars))
+        return TensorCtx(self.dgla, self.artin, form_vars)
 
     def zero(self) -> "Elem":
         return Elem(self, {})

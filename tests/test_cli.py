@@ -379,16 +379,49 @@ def test_short_and_long_help_print_the_same_text(capsys):
 
 
 def test_the_cli_imports_no_argparse_or_gettext():
-    """argparse and the gettext lookups of its first call were most of
-    the fixed cost of an invocation; nothing on the import path of the
-    CLI brings them back."""
+    """argparse and the gettext lookups of its first call, then dataclasses
+    and the inspect, ast, dis and tokenize it imports, were most of the
+    fixed cost of an invocation; nothing on the import path of the CLI
+    brings them back."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    code = "import mcdescent.cli, sys; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    slow = {"argparse", "gettext", "dataclasses", "inspect", "ast", "dis", "tokenize"}
+    code = f"import mcdescent.cli, sys; print(sorted({slow!r} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_a_run_config_is_a_frozen_record_with_the_documented_defaults():
+    from mcdescent.cli import RunConfig
+
+    cfg = RunConfig("mc", ("a.json",))
+    assert (cfg.artin, cfg.seed, cfg.trials, cfg.fmt, cfg.max_degree) == ("t3", 0, 8, "json", 4)
+    assert repr(cfg) == (
+        "RunConfig(command='mc', inputs=('a.json',), artin='t3', seed=0, trials=8, "
+        "fmt='json', max_degree=4)"
+    )
+    kw = dict(command="gauge", inputs=("a.json", "b.json"), artin="sqz2", seed=-3,
+              trials=0, fmt="markdown", max_degree=1)
+    assert RunConfig(**kw) == RunConfig(**kw)
+    assert hash(RunConfig(**kw)) == hash(RunConfig(**kw))
+    assert RunConfig(**kw) != RunConfig(**dict(kw, seed=4))
+    with pytest.raises(AttributeError):
+        cfg.seed = 1
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("trials", -1, "--trials: trials must be >= 0"),
+     ("max_degree", 0, "--max-degree: max-degree must be >= 1")],
+)
+def test_a_run_config_refuses_a_negative_trial_count_or_degree_cap(field, value, message):
+    from mcdescent.cli import RunConfig
+
+    with pytest.raises(InputError) as info:
+        RunConfig(command="mc", inputs=("a.json",), **{field: value})
+    assert str(info.value) == message
 
 
 def _set(doc, path, value):

@@ -13,6 +13,7 @@ from mcdescent.dgla import (
     DglaError,
     DglaMap,
     TensorCtx,
+    _repeated_choice,
     abelian_dgla,
     direct_sum,
     sl2,
@@ -928,3 +929,37 @@ def test_the_sampled_check_draws_the_same_pairs_and_triples():
     h.validate(mode="auto", seed=3)
     with pytest.raises(DglaError, match=r"^Jacobi fails on b\[-1,4\], b\[0,11\], b\[0,13\]$"):
         h.validate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 27, 64])
+def test_repeated_choice_draws_what_random_choice_draws(n):
+    """The sampled validate draws its keys with _repeated_choice; it must
+    pick the keys rng.choice picks and leave rng in the same state."""
+    seq = [f"k{i}" for i in range(n)]
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for count in (1, 800, 1200):
+            assert _repeated_choice(rng, seq, count) == [ref.choice(seq) for _ in range(count)]
+            assert rng.getstate() == ref.getstate()
+    with pytest.raises(IndexError):
+        _repeated_choice(random.Random(0), [], 1)
+
+
+def test_a_tensor_context_is_a_frozen_record_of_its_fields():
+    L = sl2()
+    ctx = TensorCtx(L, form_vars=["t", "s"])
+    assert ctx.form_vars == ("t", "s")
+    assert repr(ctx) == "TensorCtx(dgla=Dgla({0:3} 'sl2'), artin=None, form_vars=('t', 's'))"
+    same = TensorCtx(dgla=L, artin=None, form_vars=("t", "s"))
+    assert ctx == same and hash(ctx) == hash(same)
+    assert ctx != TensorCtx(L) and ctx != TensorCtx(sl2(), None, ("t", "s"))
+    assert TensorCtx(L).artin is None and TensorCtx(L).form_vars == ()
+    with pytest.raises(AttributeError):
+        ctx.form_vars = ()
+    with pytest.raises(AttributeError):
+        ctx.label = "x"
+    # the Artin ring compares by value and has no hash, so neither does the context
+    A = builtin_artin("t3")
+    assert TensorCtx(L, A) == TensorCtx(L, builtin_artin("t3"))
+    with pytest.raises(TypeError):
+        hash(TensorCtx(L, A))
