@@ -4,8 +4,10 @@ Everything here is desk scale: small rational complexes, their
 endomorphism dgLas, and synthetic covers whose Cech diagrams exercise
 the totalisation and descent machinery. End of a complex is End over the
 ground field, end_dgla_of_complex(vector_complex(cx)) from pipeline, and
-a chain automorphism acts on it by conjugation through its HomBook. The
-builders are deterministic (seeded) so frozen test values stay valid.
+a chain automorphism acts on it by conjugation through its HomBook
+(matrix units, so coords reads entries and subtracts no tails), each
+automorphism inverted once, by its invertibility test. The builders are
+deterministic (seeded) so frozen test values stay valid.
 """
 
 from __future__ import annotations
@@ -172,69 +174,67 @@ def random_chain_auto(cx: ChainComplexQ, rng: random.Random) -> dict:
     """A random invertible chain automorphism of the complex of the shape
     identity plus a differential-commuting perturbation built from a
     random degree -1 homotopy (scaled down until invertible)."""
+    return _chain_auto_and_inverse(cx, rng)[0]
+
+
+def _chain_auto_and_inverse(cx: ChainComplexQ, rng: random.Random) -> tuple:
+    """random_chain_auto's φ and φ⁻¹, which its invertibility test finds."""
     degs = sorted(cx.dims)
-    h = {}
-    for d in degs:
-        rows, cols = cx.dim(d - 1), cx.dim(d)
-        h[d] = Mat.from_rows(
-            [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)], cols=cols
-        )
+    h = {d: Mat.from_rows([[rng.randint(-2, 2) for _ in range(cx.dim(d))]
+                           for _ in range(cx.dim(d - 1))], cols=cx.dim(d)) for d in degs}
     scale = Q(1)
     for _ in range(8):
-        phi = {}
-        ok = True
+        phi, inv = {}, {}
         for d in degs:
             n = cx.dim(d)
             pert = Mat(n, n)
-            if d in h and h[d].rows:
+            if h[d].rows:
                 pert = pert.add(cx.diff(d - 1) @ h[d])
             if (d + 1) in h and cx.dim(d + 1):
                 pert = pert.add(h[d + 1] @ cx.diff(d))
-            m = Mat.identity(n).add(pert.scale(scale))
-            if m.inverse() is None:
-                ok = False
+            phi[d] = Mat.identity(n).add(pert.scale(scale))
+            inv[d] = phi[d].inverse()
+            if inv[d] is None:
                 break
-            phi[d] = m
-        if ok:
-            return phi
+        else:
+            return phi, inv
         scale = scale / 2
-    return {d: Mat.identity(cx.dim(d)) for d in degs}
+    one = {d: Mat.identity(cx.dim(d)) for d in degs}
+    return one, one
 
 
 def cover_conjugated(
     cx: ChainComplexQ | None = None, n_opens: int = 3, seed: int = 0
 ) -> CoverModel:
     """Every intersection carries the endomorphism dgLa of the same
-    complex, but each tuple of opens is twisted by its own random chain
-    automorphism; restrictions are the comparison conjugations, which
-    commute on the nose."""
+    complex, but each tuple of opens T is twisted by its own random chain
+    automorphism φ_T; restrictions are the comparison conjugations by
+    φ_T φ_S⁻¹, which commute on the nose. φ_T⁻¹ comes from the test that
+    φ_T is invertible, and the inverse of φ_T φ_S⁻¹ is the product
+    φ_S φ_T⁻¹."""
     if cx is None:
         cx = two_step_complex()
     g, book = end_dgla_of_complex(vector_complex(cx), label="end")
 
-    def conjugation(phi: dict) -> DglaMap:
+    def conjugation(phi: dict, inv: dict) -> DglaMap:
         # t -> φ∘t∘φ⁻¹, one column per basis map t of the HomBook
-        inv = {d: m.inverse() for d, m in phi.items()}
         return DglaMap(g, g, {
             p: book.matrix(p, [{i: phi[i + p] @ b @ inv[i]} for i, b in basis])
             for p, basis in book.basis.items()
         })
 
     rng = random.Random(seed)
-    autos = {}
+    autos, invs, sections, restrictions = {}, {}, {}, {}
     for size in range(1, n_opens + 1):
         for T in combinations(range(n_opens), size):
-            autos[T] = random_chain_auto(cx, rng)
-    sections = {}
-    restrictions = {}
-    for size in range(1, n_opens + 1):
-        for T in combinations(range(n_opens), size):
+            phi, inv = autos[T], invs[T] = _chain_auto_and_inverse(cx, rng)
             sections[T] = g
             if size > 1:
                 for k in range(size):
                     S = T[:k] + T[k + 1 :]
                     restrictions[(S, T)] = conjugation(
-                        {d: autos[T][d] @ autos[S][d].inverse() for d in autos[T]}
+                        {d: m @ invs[S][d] for d, m in phi.items()},
+                        {d: autos[S][d] @ m for d, m in inv.items()},
                     )
     return CoverModel(n_opens, sections, restrictions)
 

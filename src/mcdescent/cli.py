@@ -316,9 +316,10 @@ def cmd_mc(cfg: RunConfig) -> dict:
         x = random_mc(ctx, rng)
         _count(checks[0], is_mc(x))
         a = random_elem(ctx, 0, rng)
-        _count(checks[1], is_mc(gauge(a, x)))
+        y = gauge(a, x)
+        _count(checks[1], is_mc(y))
         flat = a.d().add(x.bracket(a)).is_zero()
-        _count(checks[2], gauge(a, x).eq(x) == flat)
+        _count(checks[2], y.eq(x) == flat)
         u = random_elem(ctx, -1, rng)
         s = stabilizer_log(x, u)
         _count(checks[3], s.d().add(x.bracket(s)).is_zero() and gauge(s, x).eq(x))
@@ -339,8 +340,9 @@ def cmd_gauge(cfg: RunConfig) -> dict:
         a = random_elem(ctx, 0, rng)
         b = random_elem(ctx, 0, rng)
         c = random_elem(ctx, 0, rng)
-        _count(checks[0], gauge(a, gauge(b, x)).eq(gauge(bch(a, b), x)))
-        _count(checks[1], bch(a, bch(b, c)).eq(bch(bch(a, b), c)))
+        ab = bch(a, b)
+        _count(checks[0], gauge(a, gauge(b, x)).eq(gauge(ab, x)))
+        _count(checks[1], bch(a, bch(b, c)).eq(bch(ab, c)))
         _count(checks[2], gauge(bch(a, a.neg()), x).eq(x))
         u = random_elem(ctx, -1, rng)
         _count(checks[3], gauge(stabilizer_log(x, u), x).eq(x))

@@ -419,9 +419,7 @@ class Elem:
 
     def min_artin_level(self) -> int | None:
         """Smallest coefficient-monomial degree present; None for 0."""
-        if not self.terms:
-            return None
-        return min(sum(k[2]) for k in self.terms)
+        return min((sum(k[2]) for k in self.terms), default=None)
 
     def artin_level_component(self, level: int) -> "Elem":
         return Elem(
@@ -443,50 +441,8 @@ class Elem:
 
     def bracket(self, other: "Elem") -> "Elem":
         """Graded bracket, term by term with the Koszul and shuffle signs
-        of the module docstring.
-
-        Both operands are grouped by their (coefficient, form) slot. Each
-        pair of slots is multiplied once, by mono_mul and fkey_mul, and its
-        Lie pairs are looked up in the bracket table only when that slot
-        product survives. The bracket is 0 without grouping when an
-        operand is 0, or when the operands' lowest coefficient levels sum
-        past the ring's top degree: m^i m^j lies in m^(i+j), and in a
-        monomial quotient every monomial above the top degree is in the
-        ideal.
-        """
-        self._chk(other)
-        L = self.ctx.dgla
-        A = self.ctx.artin
-        if not self.terms or not other.terms or (
-            A is not None
-            and self.min_artin_level() + other.min_artin_level() > A.max_degree
-        ):
-            return Elem.wrap(self.ctx, {})
-        right = _by_slot(other.terms)
-        out: dict = {}
-        for (a1, p1, S1), lie1 in _by_slot(self.terms).items():
-            for (a2, p2, S2), lie2 in right.items():
-                if A is not None:
-                    am = A.mono_mul(a1, a2)
-                    if am is None:
-                        continue
-                else:
-                    am = ()
-                r = fkey_mul(p1, S1, p2, S2)
-                if r is None:
-                    continue
-                pm, S, fsign = r
-                for d1, i1, c1 in lie1:
-                    for d2, i2, c2 in lie2:
-                        val = L.bracket_basis(d1, i1, d2, i2)
-                        if not val:
-                            continue
-                        base = c1 * c2
-                        if fsign * neg_one_pow(len(S1) * d2) < 0:
-                            base = -base
-                        for k, c in val:
-                            _bump(out, (d1 + d2, k, am, pm, S), base * c)
-        return Elem.wrap(self.ctx, out)
+        of the module docstring (see ad)."""
+        return ad(self)(other)
 
     # --- form-slot manipulation ----------------------------------------------
 
@@ -617,6 +573,60 @@ def _by_slot(terms: dict) -> dict:
     return slots
 
 
+def ad(x: Elem):
+    """The map y -> x.bracket(y). Both operands are grouped by their
+    (coefficient, form) slot. Each pair of slots is multiplied once, by
+    mono_mul and fkey_mul, and its Lie pairs are looked up in the bracket
+    table only when that slot product survives. The bracket is 0 without
+    grouping when an operand is 0, or when the operands' lowest
+    coefficient levels sum past the ring's top degree: m^i m^j lies in
+    m^(i+j), and in a monomial quotient every monomial above the top
+    degree is in the ideal. x's level and slots are found at their first
+    use and kept, so an x that brackets many elements (gauge, bch) makes
+    the map once."""
+    ctx, L, A, level, left = x.ctx, x.ctx.dgla, x.ctx.artin, None, None
+
+    def apply(y: Elem) -> Elem:
+        nonlocal level, left
+        x._chk(y)
+        if not x.terms or not y.terms:
+            return Elem.wrap(ctx, {})
+        if A is not None:
+            if level is None:
+                level = x.min_artin_level()
+            if level + y.min_artin_level() > A.max_degree:
+                return Elem.wrap(ctx, {})
+        if left is None:
+            left = _by_slot(x.terms)
+        right = _by_slot(y.terms)
+        out: dict = {}
+        for (a1, p1, S1), lie1 in left.items():
+            for (a2, p2, S2), lie2 in right.items():
+                if A is not None:
+                    am = A.mono_mul(a1, a2)
+                    if am is None:
+                        continue
+                else:
+                    am = ()
+                r = fkey_mul(p1, S1, p2, S2)
+                if r is None:
+                    continue
+                pm, S, fsign = r
+                for d1, i1, c1 in lie1:
+                    for d2, i2, c2 in lie2:
+                        val = L.bracket_basis(d1, i1, d2, i2)
+                        if not val:
+                            continue
+                        base = c1 * c2
+                        if fsign * neg_one_pow(len(S1) * d2) < 0:
+                            base = -base
+                        for k, c in val:
+                            _bump(out, (d1 + d2, k, am, pm, S), base * c)
+        return Elem.wrap(ctx, out)
+
+    return apply
+
+
 def _left_brackets(g: Dgla) -> dict:
     """The non-empty basis brackets of g grouped by left argument:
     {(d1, i): [(d2, j, [b(d1,i), b(d2,j)]), ...]}."""
@@ -711,10 +721,10 @@ class DglaMap:
         return all(self.mat(d) == other.mat(d) for d in degs)
 
 
-def direct_sum(parts: list) -> tuple:
-    """Direct sum of dgLas. Returns (sum, injections, projections): the
-    differential is block diagonal, and each projection is the transpose
-    of its injection."""
+def sum_dgla(parts: list, label: str = "") -> Dgla:
+    """Direct sum of dgLas: the differential is block diagonal, and the
+    bracket table is each summand's with every index shifted by its
+    offset."""
     degs = set().union(*(p.dims for p in parts))
     sizes = {d: [p.dim(d) for p in parts] for d in degs | {d + 1 for d in degs}}
     offs = {d: list(accumulate(sizes[d], initial=0)) for d in degs}
@@ -728,7 +738,6 @@ def direct_sum(parts: list) -> tuple:
             diffs[d] = m
 
     def table():
-        """Each summand's table with every index shifted by its offset."""
         return {
             (d1, offs[d1][pi] + i, d2, offs[d2][pi] + j): [
                 (offs[d1 + d2][pi] + k, c) for k, c in val
@@ -737,12 +746,18 @@ def direct_sum(parts: list) -> tuple:
             for (d1, i, d2, j), val in p._br.items()
         }
 
-    total = Dgla(dims, diffs, table)
-    injs = []
-    projs = []
+    return Dgla(dims, diffs, table, label)
+
+
+def direct_sum(parts: list) -> tuple:
+    """sum_dgla(parts) with its injections and projections. Returns (sum,
+    injections, projections): each projection is the transpose of its
+    injection."""
+    total, degs = sum_dgla(parts), set().union(*(p.dims for p in parts))
+    injs, projs = [], []
     for pi, p in enumerate(parts):
         imats = {
-            d: Mat.blocks(sizes[d], (n,), {(pi, 0): Mat.identity(n)})
+            d: Mat.blocks([q.dim(d) for q in parts], (n,), {(pi, 0): Mat.identity(n)})
             for d in degs
             if (n := p.dim(d))
         }

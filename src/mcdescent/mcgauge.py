@@ -31,8 +31,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .dgla import Elem, TensorCtx
-from .forms import f_var
+from .dgla import Elem, TensorCtx, ad
 from .linalg import Mat
 from .ratio import ZERO, Q
 
@@ -122,7 +121,8 @@ def gauge(a: Elem, x: Elem) -> Elem:
     """Gauge action e^a * x = x + sum_n ad_a^n/(n+1)! ([a,x] - da)."""
     _require_gauge_arg(a)
     a._chk(x)
-    cur = a.bracket(x).sub(a.d())
+    ad_a = ad(a)
+    cur = ad_a(x).sub(a.d())
     out = x
     n = 0
     nu = a.ctx.artin.nu
@@ -130,7 +130,7 @@ def gauge(a: Elem, x: Elem) -> Elem:
         if n >= nu:
             raise GaugeError("gauge series failed to terminate")
         out = out.add(cur.scale(Q(1, math.factorial(n + 1))))
-        cur = a.bracket(cur)
+        cur = ad_a(cur)
         n += 1
     return out
 
@@ -204,13 +204,13 @@ def bch(a: Elem, b: Elem) -> Elem:
     _require_gauge_arg(a)
     _require_gauge_arg(b)
     a._chk(b)
-    pair = (a, b)
+    pair = (ad(a), ad(b))
     nested = {(0,): a, (1,): b}
     out = a.add(b)
     for w, c in _bch_brackets(a.ctx.artin.nu):
         for i in range(len(w) - 2, -1, -1):
             if w[i:] not in nested:
-                nested[w[i:]] = pair[w[i]].bracket(nested[w[i + 1:]])
+                nested[w[i:]] = pair[w[i]](nested[w[i + 1:]])
         if nested[w].terms:
             out = out.add(nested[w].scale(c))
     return out
@@ -251,13 +251,26 @@ def morphism_equal(x: Elem, a1: Elem, a2: Elem) -> bool:
 
 
 def embed(x: Elem, new_vars, positions=None) -> Elem:
-    """Reinterpret x in a larger form context; positions[i] says where the
-    i-th old variable goes (default: the identity prefix)."""
-    n = len(new_vars)
+    """Reinterpret x in a larger form context; positions[i], all
+    distinct, says where the i-th old variable goes (default: the
+    identity prefix). Each form slot's exponents and differentials move
+    to their new positions, with the sign of sorting the moved
+    differentials: x.form_subst with one-variable images, read off
+    directly."""
     if positions is None:
-        positions = list(range(x.ctx.nforms))
-    images = [f_var(p, n) for p in positions]
-    return x.form_subst(images, tuple(new_vars))
+        positions = range(x.ctx.nforms)
+    slots, out = {}, {}
+    for (deg, idx, am, pm, S), c in x.terms.items():
+        if (pm, S) not in slots:
+            npm = [0] * len(new_vars)
+            for p, e in zip(positions, pm, strict=True):
+                npm[p] = e
+            moved = [positions[i] for i in S]
+            odd = sum(a > b for k, a in enumerate(moved) for b in moved[k + 1:]) % 2
+            slots[pm, S] = tuple(npm), tuple(sorted(moved)), odd
+        npm, nS, odd = slots[pm, S]
+        out[deg, idx, am, npm, nS] = -c if odd else c
+    return Elem.wrap(x.ctx.with_vars(tuple(new_vars)), out)
 
 
 # --- the shape solvers -------------------------------------------------------

@@ -585,19 +585,25 @@ class HomBook:
     i; build_H: End(S) corner by corner). Every basis map is 1 at its
     free entry, its first nonzero entry in column-major order, where
     every other basis map of its block is 0; free[p] takes that position
-    (i, r, c) to the map's coordinate. Coordinates are sparse {index:
-    nonzero Q} dicts, and a map's are its nonzero entries at the free
-    positions, read with no elimination."""
+    (i, r, c) to the map's coordinate. A map's other entries are its
+    tail, kept in tails[p] as (i, r, c, y) entries under its coordinate
+    when there are any (never for End of a vector complex: matrix
+    units). Coordinates are sparse {index: nonzero Q} dicts, and a map's
+    are its nonzero entries at the free positions, read with no
+    elimination."""
 
     def __init__(self, src_dims: dict, tgt_dims: dict, basis: dict):
         self.src_dims, self.tgt_dims = src_dims, tgt_dims
         self.basis = {p: maps for p, maps in basis.items() if maps}
-        self.free = {}
+        self.free, self.tails = {}, {}
         for p, maps in self.basis.items():
-            free = self.free[p] = {}
+            free, tails = self.free.setdefault(p, {}), self.tails.setdefault(p, {})
             for j, (i, b) in enumerate(maps):
                 c, r = min((c, r) for r, row in enumerate(b._rows) for c in row)
                 free[(i, r, c)] = j
+                if tail := tuple((i, r2, c2, y) for r2, row in enumerate(b._rows)
+                                 for c2, y in row.items() if (r2, c2) != (r, c)):
+                    tails[j] = tail
 
     def dim(self, p: int) -> int:
         return len(self.basis.get(p, ()))
@@ -620,24 +626,30 @@ class HomBook:
         }
 
     def coords(self, p: int, mats: dict) -> dict:
-        """Coordinates of the degree-p map given as {source degree:
-        matrix}: its nonzero entries at the free positions. The map is
-        rebuilt from them and compared, so a map outside the hom space,
-        a block of the wrong shape or a component outside the book's
-        blocks raises PipelineError."""
-        free, out, given = self.free.get(p, {}), {}, {}
+        """Coordinates x of the degree-p map given as {source degree:
+        matrix}: its nonzero entries at the free positions. It lies in the
+        hom space exactly when its other entries are those of Σ x_j·tail_j
+        (every other basis map of a block is 0 at a free entry): the test
+        to_mats(p, x) == the map, with no rebuild. A map outside the hom
+        space, a block of the wrong shape or a component outside the
+        book's blocks raises PipelineError."""
+        free, out, rest = self.free.get(p, {}), {}, {}
         for i, t in mats.items():
             if (t.rows, t.cols) != (self.tgt_dims.get(i + p, 0), self.src_dims.get(i, 0)):
                 raise PipelineError("map does not lie in the hom space")
-            if t.is_zero():
-                continue
-            given[i] = t
             for r, row in enumerate(t._rows):
                 for c, x in row.items():
                     j = free.get((i, r, c))
-                    if j is not None:
+                    if j is None:
+                        rest[(i, r, c)] = x
+                    else:
                         out[j] = x
-        if self.to_mats(p, out) != given:
+        tails = self.tails.get(p)
+        if tails:
+            for j, x in out.items():
+                for i2, r2, c2, y in tails.get(j, ()):
+                    rest[i2, r2, c2] = rest.get((i2, r2, c2), ZERO) - x * y
+        if any(rest.values()):
             raise PipelineError("map does not lie in the hom space")
         return out
 
@@ -694,11 +706,12 @@ def end_dgla(cplx: ChainComplexQ, book: HomBook, label: str) -> Dgla:
     block i -> i + p. So a∘b of two basis elements is one product,
     nonzero only when b's target block is a's source block, and the
     table visits only those composable pairs: each composite, its
-    coordinates book.coords on b's source block, enters [a, b] with sign
-    1 and [b, a] with sign -(-1)^{|a||b|}. The table is built only when
-    something first brackets (see Dgla), which a pipeline report never
-    does. The graded commutator of composition is a dgLa by
-    construction; the tests run its axiom check."""
+    coordinates book.coords on b's source block (its free entries, its
+    membership checked against the basis maps' tails), enters [a, b]
+    with sign 1 and [b, a] with sign -(-1)^{|a||b|}. The table is built
+    only when something first brackets (see Dgla), which a pipeline
+    report never does. The graded commutator of composition is a dgLa
+    by construction; the tests run its axiom check."""
 
     def table():
         by_source = {}

@@ -34,7 +34,7 @@ import math
 from itertools import combinations
 
 from .artin import ArtinAlgebra
-from .dgla import Dgla, DglaError, DglaMap, Elem, TensorCtx, direct_sum
+from .dgla import Dgla, DglaError, DglaMap, Elem, TensorCtx, sum_dgla
 from .forms import (
     coface_images,
     f_const,
@@ -256,7 +256,7 @@ class CoverModel:
 
     sections is keyed by ascending tuples of open indices; restrictions
     by (src_tuple, tgt_tuple) with src obtained from tgt by removing one
-    entry. Longer restrictions are composed one entry at a time; the
+    entry. The Cech diagram reads only these one-step maps; the
     compatibility of the two-step squares is what violations() checks.
     """
 
@@ -318,18 +318,6 @@ class CoverModel:
             raise KeyError(f"restriction {src} -> {tgt}")
         return m
 
-    def restriction(self, src: tuple, tgt: tuple) -> DglaMap:
-        """Restriction along any inclusion of tuples, composed one removed
-        entry at a time (largest removed position first); two-step
-        compatibility makes the result path independent."""
-        src, tgt = tuple(src), tuple(tgt)
-        if src == tgt:
-            return DglaMap.identity(self.sections[src])
-        extra = [v for v in tgt if v not in src]
-        drop = extra[-1]
-        mid = tuple(v for v in tgt if v != drop)
-        return self.one_step(mid, tgt).compose(self.restriction(src, mid))
-
 
 def cech_from_cover(cover: CoverModel, depth: int | None = None) -> ScDgla:
     """The Cech diagram of a cover: level p is the direct sum of sections
@@ -340,26 +328,21 @@ def cech_from_cover(cover: CoverModel, depth: int | None = None) -> ScDgla:
     if depth is not None:
         top = min(top, depth)
     tuples = [cover.tuples(p) for p in range(top + 1)]
-    levels = []
-    for p, tp in enumerate(tuples):
-        total = direct_sum([cover.sections[T] for T in tp])[0]
-        total.label = f"cech level {p}"
-        levels.append(total)
+    levels = [sum_dgla([cover.sections[T] for T in tp], f"cech level {p}")
+              for p, tp in enumerate(tuples)]
     cof = {}
     for p in range(1, top + 1):
         degs = set(levels[p - 1].dims) | set(levels[p].dims)
         pos = {S: si for si, S in enumerate(tuples[p - 1])}
         for k in range(p + 1):
-            restr = []
-            for ti, T in enumerate(tuples[p]):
-                S = T[:k] + T[k + 1 :]
-                restr.append((ti, pos[S], cover.restriction(S, T)))
+            restr = {(ti, pos[S]): cover.one_step(S, T)
+                     for ti, T in enumerate(tuples[p]) for S in [T[:k] + T[k + 1 :]]}
             mats = {}
             for d in degs:
                 m = Mat.blocks(
                     [cover.sections[T].dim(d) for T in tuples[p]],
                     [cover.sections[S].dim(d) for S in tuples[p - 1]],
-                    {(ti, si): r.mat(d) for ti, si, r in restr},
+                    {key: r.mat(d) for key, r in restr.items()},
                 )
                 if not m.is_zero():
                     mats[d] = m
@@ -672,7 +655,7 @@ def tw_mc_conditions(e: TwTruncMC) -> list:
     c1 = gauge(e.p.subs_values({0: 1}), x0).eq(x1)
 
     lhs2 = e.p.map_lie(f(2, 0))
-    rhs2 = e.r.subs_values({0: 0}).form_subst([f_var(0, 1)], ("t",))
+    rhs2 = embed(e.r.subs_values({0: 0}), ("t",))
     c2 = lhs2.eq(rhs2)
 
     lhs3 = e.p.map_lie(f(2, 1))
@@ -680,9 +663,7 @@ def tw_mc_conditions(e: TwTruncMC) -> list:
     c3 = lhs3.eq(rhs3)
 
     p22 = e.p.map_lie(f(2, 2))
-    rdiag = e.r.form_subst(
-        [f_var(0, 1), f_sub(f_const(1, 1), f_var(0, 1))], ("t",)
-    )
+    rdiag = e.r.form_subst([f_var(0, 1), f_sub(f_const(1, 1), f_var(0, 1))], ("t",))
     r01 = embed(e.r.subs_values({0: 0, 1: 1}), ("t",), positions=[])
     corner = embed(x0.map_lie(f(2, 2)), ("t",), positions=[])
     loop = bch_many([p22.neg(), rdiag, r01.neg()])
@@ -707,14 +688,9 @@ def tw_mc_to_element(e: TwTruncMC) -> TWElem:
     sc2 = e.sc.truncate(2)
     f = e.sc.face
     x0 = e.x.map_lie(f(1, 0))
-    xi1 = gauge(
-        e.p.form_subst([f_var(0, 1)], level_vars(1)),
-        embed(x0, level_vars(1), positions=[]),
-    )
-    corner = embed(
-        x0.map_lie(f(2, 0)), level_vars(2), positions=[]
-    )
-    r_std = e.r.form_subst([f_var(1, 2), f_var(0, 2)], level_vars(2))
+    xi1 = gauge(embed(e.p, level_vars(1)), embed(x0, level_vars(1), positions=[]))
+    corner = embed(x0.map_lie(f(2, 0)), level_vars(2), positions=[])
+    r_std = embed(e.r, level_vars(2), positions=[1, 0])
     xi2 = gauge(r_std, corner)
     return TWElem(sc2, e.artin, [e.x, xi1, xi2])
 
@@ -732,11 +708,9 @@ def tw_mc_from_element(w: TWElem) -> TwTruncMC:
     f = sc.face
     x = w.comps[0]
     x0 = x.map_lie(f(1, 0))
-    p = decompose_path(x0, w.comps[1]).form_subst([f_var(0, 1)], ("t",))
+    p = embed(decompose_path(x0, w.comps[1]), ("t",))
     corner = x0.map_lie(f(2, 0))
-    xi2_paper = w.comps[2].form_subst(
-        [f_var(1, 2), f_var(0, 2)], ("t", "s")
-    )
+    xi2_paper = embed(w.comps[2], ("t", "s"), positions=[1, 0])
     r = decompose_square(corner, xi2_paper)
     return TwTruncMC(sc, x.ctx.artin, x, p, r)
 

@@ -73,6 +73,8 @@ TEST_ORACLES = {
     # seeded test inputs
     "pipeline.random_a2_module": "test_pipeline.py::test_les_exact_on_random_instances",
     "pipeline.random_module_map": "test_pipeline.py::test_les_exact_on_random_instances",
+    "builders.random_chain_auto":
+        "test_dgla.py::test_cover_conjugated_restrictions_are_the_index_loop_conjugations",
 }
 
 

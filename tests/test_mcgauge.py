@@ -14,6 +14,7 @@ import pytest
 
 from mcdescent.artin import builtin_artin, builtin_artin_names, dual_numbers, fat_point, truncated_poly
 from mcdescent.dgla import TensorCtx, sl2
+from mcdescent.forms import f_var
 from mcdescent.linalg import ChainComplexQ, Mat
 from mcdescent.mcgauge import (
     GaugeError,
@@ -518,6 +519,38 @@ def test_decompose_square_raises_when_one_monomial_block_is_inconsistent():
             assert {k[2] for k in bad.sub(xi).terms} == {am}
             with pytest.raises(GaugeError, match="no shape solution at coefficient level 1"):
                 decompose_square(x, bad)
+
+
+def test_embed_matches_form_subst_with_one_variable_images():
+    """embed moves exponents and differentials to their new positions
+    directly; form_subst with the one-variable images f_var is the
+    reference. Seeded elements over three variables with masks of every
+    size, embedded at non-monotone positions among five, and at the
+    identity prefix, give the same terms in the same order."""
+    A = builtin_artin("t3")
+    ctx = make_ctx(CXD, A)[0].with_vars(("u", "v", "w"))
+    new_vars = ("a", "b", "c", "d", "e")
+    rng = random.Random(19)
+    big_masks = odd = 0
+    for _ in range(30):
+        x = ctx.zero()
+        for _ in range(rng.randint(1, 12)):
+            mask = tuple(sorted(rng.sample(range(3), rng.randint(0, 3))))
+            big_masks += len(mask) >= 2
+            pm = tuple(rng.randint(0, 2) for _ in range(3))
+            deg = rng.choice((-1, 0, 1))
+            if ctx.dgla.dim(deg):
+                am = rng.choice(A.maximal_basis)
+                x = x.add(ctx.term(deg, rng.randrange(ctx.dgla.dim(deg)), rng.randint(-3, 3), am, pm, mask))
+        positions = rng.sample(range(5), 3)
+        odd += positions != sorted(positions)
+        for pos in (positions, None):
+            images = [f_var(q, 5) for q in (pos or range(3))]
+            want = x.form_subst(images, new_vars)
+            got = embed(x, new_vars, positions=pos)
+            assert got.ctx.form_vars == new_vars
+            assert list(got.terms.items()) == list(want.terms.items())
+    assert big_masks >= 20 and odd >= 20
 
 
 def test_elem_linear_solve_consistency():

@@ -9,7 +9,7 @@ import pytest
 from mcdescent import pipeline
 from mcdescent.cli import render_markdown
 from mcdescent.descent import check_hypothesis
-from mcdescent.linalg import Mat, Subspace
+from mcdescent.linalg import ChainComplexQ, Mat, Subspace
 from mcdescent.pipeline import (
     BddComplex,
     ChainMapM,
@@ -43,6 +43,7 @@ from mcdescent.pipeline import (
     random_module_map,
     representation,
     resolve,
+    vector_complex,
     yoneda_basis,
     zero_module,
 )
@@ -1300,6 +1301,65 @@ def test_hom_coords_match_an_elimination_on_every_block():
                 cols = book.matrix(p, images).transpose()._rows
                 assert cols == [book.coords(p, x) for x in images]
     assert off_hom > 1000
+
+
+def _rebuild_coords(book, p, mats):
+    """The rebuild reference for HomBook.coords: the map's entries at the
+    free positions, or None when to_mats does not rebuild the map from
+    them."""
+    free, x = book.free.get(p, {}), {}
+    for i, t in mats.items():
+        for r, row in enumerate(t._rows):
+            for c, v in row.items():
+                if (i, r, c) in free:
+                    x[free[i, r, c]] = v
+    given = {i: t for i, t in mats.items() if not t.is_zero()}
+    return x if book.to_mats(p, x) == given else None
+
+
+def test_hom_coords_reject_exactly_what_the_rebuild_rejects():
+    """coords checks membership by subtracting the basis maps' tails, with
+    no rebuild. Seeded combinations of the basis maps of every degree,
+    across blocks, are perturbed at a free entry, at a tail entry and at
+    any entry of any block, on the hom books of the pipeline instances
+    (whose Yoneda maps have tails) and of End of vector complexes (matrix
+    units, no tails). coords raises on exactly the maps that the to_mats
+    rebuild rejects, and on the others returns the rebuild's coordinates.
+    Both outcomes occur for perturbations at free entries and anywhere."""
+    rng = random.Random(31)
+    books = [hom_complex(k, m)[1] for kf, kg, ks in _instance_complexes()
+             for k, m in ((kf, kf), (kg, kg), (kf, kg), (ks, ks))]
+    books += [parts[3] for _, parts in _instance_graphs()]
+    for cx in (ChainComplexQ({0: 2, 1: 1}, {0: [[1, 0]]}),
+               ChainComplexQ({0: 1, 1: 2, 2: 1}, {0: [[1], [0]], 1: [[0, 1]]}),
+               ChainComplexQ({-1: 2, 0: 3}, {-1: [[1, 2], [0, 1], [3, 0]]})):
+        books.append(end_dgla_of_complex(vector_complex(cx))[1])
+    seen = {}
+    for book in books:
+        for p, maps in book.basis.items():
+            tails = [entry[:3] for tail in book.tails.get(p, {}).values() for entry in tail]
+            anywhere = [(i, r, c) for i, n in book.src_dims.items()
+                        for r in range(book.tgt_dims.get(i + p, 0)) for c in range(n)]
+            for kind, where in (("free", list(book.free[p])), ("tail", tails), ("any", anywhere)):
+                for _ in range(2 if where else 0):
+                    picked = rng.sample(range(len(maps)), min(len(maps), 3))
+                    mats = book.to_mats(p, {j: Q(rng.choice((-2, -1, 1, 3)), rng.randrange(1, 3))
+                                            for j in picked})
+                    i, r, c = rng.choice(where)
+                    t = mats.get(i, Mat(book.tgt_dims[i + p], book.src_dims[i])).copy()
+                    t.set_entry(r, c, t.entry(r, c) + Q(rng.choice((-1, 1, 2)), rng.randrange(1, 3)))
+                    mats[i] = t
+                    want = _rebuild_coords(book, p, mats)
+                    if want is None:
+                        with pytest.raises(PipelineError, match="hom space"):
+                            book.coords(p, mats)
+                    else:
+                        assert book.coords(p, mats) == want
+                    seen[kind, want is None] = seen.get((kind, want is None), 0) + 1
+    # a tail entry moves off the span: the free entries fix the coordinates
+    assert ("tail", False) not in seen
+    assert all(seen.get(key, 0) >= 100 for key in (
+        ("free", False), ("free", True), ("tail", True), ("any", False), ("any", True))), seen
 
 
 def _free_entry(b):

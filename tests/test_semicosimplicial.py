@@ -384,7 +384,7 @@ def accumulated_total_complex(sc: ScDgla) -> dict:
 
 def injected_cech_cofaces(cover: CoverModel, top: int) -> dict:
     """The cofaces of the Čech diagram, {(p, k): {degree: Mat}}, each the
-    sum over (p+1)-tuples T of inj_T ∘ restriction(S, T) ∘ proj_S with S
+    sum over (p+1)-tuples T of inj_T ∘ one_step(S, T) ∘ proj_S with S
     = T minus its k-th entry; the coordinate inclusions are built here
     from offsets summed by hand, and their transposes are the
     projections."""
@@ -407,7 +407,7 @@ def injected_cech_cofaces(cover: CoverModel, top: int) -> dict:
                 for t, T in enumerate(tuples[p]):
                     S = T[:k] + T[k + 1 :]
                     s = tuples[p - 1].index(S)
-                    restricted = cover.restriction(S, T).mat(d)
+                    restricted = cover.one_step(S, T).mat(d)
                     m = m.add(inj(p, t, d) @ restricted @ inj(p - 1, s, d).transpose())
                 mats[d] = m
             out[(p, k)] = mats
