@@ -353,9 +353,9 @@ def decompose_path(x: Elem, xi: Elem) -> Elem:
     """
     if xi.ctx.nforms != 1:
         raise GaugeError("expected a one-variable path")
-    if not xi.subs_values({0: 0}).eq(x.form_subst([], ())):
+    if not xi.subs_values({0: 0}).eq(x):
         raise GaugeError("path does not start at the given object")
-    xe = embed(x.form_subst([], ()), xi.ctx.form_vars, positions=[])
+    xe = embed(x, xi.ctx.form_vars, positions=[])
     return _decompose(xe, xi)
 
 
@@ -365,9 +365,9 @@ def decompose_square(x: Elem, xi: Elem) -> Elem:
     """
     if xi.ctx.nforms != 2:
         raise GaugeError("expected a two-variable square")
-    if not xi.subs_values({0: 0, 1: 0}).eq(x.form_subst([], ())):
+    if not xi.subs_values({0: 0, 1: 0}).eq(x):
         raise GaugeError("square does not start at the given object")
-    xe = embed(x.form_subst([], ()), xi.ctx.form_vars, positions=[])
+    xe = embed(x, xi.ctx.form_vars, positions=[])
     return _decompose(xe, xi)
 
 

@@ -1,7 +1,7 @@
 """Graded Lie structure: validation, tensor elements, substitution."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import lcm
 
 import pytest
@@ -19,7 +19,7 @@ from mcdescent.dgla import (
     sl2,
 )
 from mcdescent.forms import f_const, f_sub, f_var
-from mcdescent.io import builtin_input_names, load_builtin
+from mcdescent.io import builtin_input_names, dgla_from_json, load_builtin
 from mcdescent.linalg import ChainComplexQ, Mat
 from mcdescent.pipeline import end_dgla_of_complex, vector_complex
 from mcdescent.ratio import Q, neg_one_pow, rat
@@ -785,18 +785,20 @@ def rational_sweep_violation(g: Dgla):
             ]
             if _lin(leibniz):
                 return f"Leibniz fails on {g.name(*x)}, {g.name(*y)}"
-    for x in keys:
-        for y in keys:
-            for z in keys:
-                bx, by, bz = {x: Q(1)}, {y: Q(1)}, {z: Q(1)}
-                jacobi = [
-                    (1, _br_of(g, bx, _br_of(g, by, bz))),
-                    (-1, _br_of(g, _br_of(g, bx, by), bz)),
-                    (-neg_one_pow(x[0] * y[0]), _br_of(g, by, _br_of(g, bx, bz))),
-                ]
-                if _lin(jacobi):
-                    return f"Jacobi fails on {g.name(*x)}, {g.name(*y)}, {g.name(*z)}"
+    for x, y, z in product(keys, repeat=3):
+        if _jacobiator(g, x, y, z):
+            return f"Jacobi fails on {g.name(*x)}, {g.name(*y)}, {g.name(*z)}"
     return None
+
+
+def _jacobiator(g: Dgla, x, y, z) -> dict:
+    """[x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]] on basis keys."""
+    bx, by, bz = {x: Q(1)}, {y: Q(1)}, {z: Q(1)}
+    return _lin([
+        (1, _br_of(g, bx, _br_of(g, by, bz))),
+        (-1, _br_of(g, _br_of(g, bx, by), bz)),
+        (-neg_one_pow(x[0] * y[0]), _br_of(g, by, _br_of(g, bx, bz))),
+    ])
 
 
 def _table(g: Dgla) -> dict:
@@ -871,6 +873,14 @@ def _perturbed(rng, g: Dgla):
         yield Dgla(g.dims, diffs, {key: list(u.items()) for key, u in table.items()})
 
 
+def _validate_message(g: Dgla, **kw):
+    try:
+        g.validate(**kw)
+    except DglaError as e:
+        return str(e)
+    return None
+
+
 def test_validate_matches_a_rational_sweep_on_tables_with_denominators():
     """Dgla.validate sweeps integer copies of the bracket and d. On sl2 in
     the basis e/2, 3h, f/5, on End of a two-term complex in two seeded
@@ -894,16 +904,101 @@ def test_validate_matches_a_rational_sweep_on_tables_with_denominators():
     for g in bases:
         for h in [g, *_perturbed(rng, g)]:
             want = rational_sweep_violation(h)
-            try:
-                h.validate()
-                got = None
-            except DglaError as e:
-                got = str(e)
-            assert got == want
+            assert _validate_message(h) == want
             kind = want and want.split()[0]
             outcomes[kind] = outcomes.get(kind, 0) + 1
     # every branch is reached: passes, d^2, antisymmetry, Leibniz, Jacobi
     assert set(outcomes) == {None, "d^2", "bracket", "Leibniz", "Jacobi"}, outcomes
+
+
+def _antisymmetric_perturbations(rng, g: Dgla, count: int):
+    """Seeded copies of g with one bracket constant [x, y] at k moved by
+    +-1/c, together with its graded-antisymmetric partner [y, x] at k; a
+    pair (x, x) with x odd is its own partner. Every key stays given, so
+    none is filled, and the bracket stays graded-antisymmetric."""
+    keys = list(g.basis_keys())
+    pairs = [
+        (x, y) for x in keys for y in keys
+        if x <= y and g.dim(x[0] + y[0]) and (x != y or x[0] % 2)
+    ]
+    for _ in range(count):
+        table = _table(g)
+        x, y = rng.choice(pairs)
+        k = rng.randrange(g.dim(x[0] + y[0]))
+        c = Q(rng.choice((-1, 1)), rng.randint(1, 6))
+        table[(*x, *y)][k] = table[(*x, *y)].get(k, Q(0)) + c
+        if x != y:
+            partner = table[(*y, *x)]
+            partner[k] = partner.get(k, Q(0)) - neg_one_pow(x[0] * y[0]) * c
+        yield Dgla(g.dims, g.diffs, {key: list(u.items()) for key, u in table.items()})
+
+
+def test_full_validate_checks_each_unordered_triple_once_and_names_the_first():
+    """Full mode checks Jacobi once per sorted triple. On seeded
+    perturbations of sl2, End(two-step) and level 2 of sc-cech that keep
+    the bracket graded-antisymmetric, validate raises the message of the
+    ordered-triple reference. The two graded algebras also enter without
+    their differential, so that Leibniz holds and the perturbations reach
+    Jacobi on odd elements. Where Jacobi fails, the failing triples are
+    closed under permutation (the Jacobiator is graded-alternating), they
+    include unsorted triples the sweep never visits, and the first of them
+    in basis order is sorted."""
+    rng = random.Random(32)
+    graded = [load_builtin("end-two-step")[1], load_builtin("sc-cech")[1].levels[2]]
+    algebras = [sl2(), *graded] + [
+        Dgla(g.dims, {}, {key: list(u.items()) for key, u in _table(g).items()})
+        for g in graded
+    ]
+    outcomes, skipped = {}, 0
+    for g in algebras:
+        keys = list(g.basis_keys())
+        for h in _antisymmetric_perturbations(rng, g, 16):
+            want = rational_sweep_violation(h)
+            assert _validate_message(h) == want
+            kind = want and want.split()[0]
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+            if kind == "Jacobi":
+                failing = {t for t in product(keys, repeat=3) if _jacobiator(h, *t)}
+                assert all(set(permutations(t)) <= failing for t in failing)
+                first = min(failing)
+                assert list(first) == sorted(first)
+                assert want == "Jacobi fails on " + ", ".join(h.name(*x) for x in first)
+                skipped += sum(list(t) != sorted(t) for t in failing)
+    assert "bracket" not in outcomes, outcomes
+    assert outcomes.get("Jacobi", 0) >= 30 and skipped, (outcomes, skipped)
+
+
+def test_a_repeated_odd_triple_is_checked():
+    """Degree-1 x with [x, x] = y and [x, y] = z: J(x, x, x) = 3z, and no
+    other triple has a nonzero target. A sweep over triples of distinct
+    elements would pass it."""
+    g = Dgla({1: 1, 2: 1, 3: 1}, {}, {(1, 0, 1, 0): [(0, 1)], (1, 0, 2, 0): [(0, 1)]})
+    message = "Jacobi fails on b[1,0], b[1,0], b[1,0]"
+    assert rational_sweep_violation(g) == message
+    assert _validate_message(g) == message
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # [e0, e1] = 2 e0 given in two entries, [e1, e0] = -e0
+        ([[0, 0, 0, 1, 0, 1], [0, 0, 0, 1, 0, 1], [0, 1, 0, 0, 0, -1]],
+         "bracket not graded-antisymmetric on b[0,0], b[0,1]"),
+        # the same with [e1, e0] = -2 e0: the two-dimensional non-abelian Lie algebra
+        ([[0, 0, 0, 1, 0, 1], [0, 0, 0, 1, 0, 1], [0, 1, 0, 0, 0, -2]], None),
+        # [e0, e1] given as 0 is not filled from [e1, e0] = e0
+        ([[0, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 1]],
+         "bracket not graded-antisymmetric on b[0,0], b[0,1]"),
+    ],
+    ids=["duplicate-entries-broken", "duplicate-entries-valid", "given-zero"],
+)
+def test_validate_reads_the_table_as_written(entries, message):
+    """Coefficients given to one index are summed, and a key given with
+    zero coefficients stays 0: validate judges the bracket that every
+    consumer reads, as the rational reference does."""
+    g = dgla_from_json({"schema": "dgla/1", "dims": {"0": 2}, "brackets": entries})
+    assert rational_sweep_violation(g) == message
+    assert _validate_message(g) == message
 
 
 def test_the_sampled_check_draws_the_same_pairs_and_triples():
