@@ -366,13 +366,14 @@ class ChainComplexQ:
     Degrees with zero dimension may be omitted. The constructor checks
     shapes only; check() verifies d∘d = 0.
     A complex is not changed after construction: each degree's cohomology
-    is computed once.
+    and each differential's rank (hdim) are computed once.
     """
 
     def __init__(self, dims: dict, diffs: dict):
         self.dims = {d: n for d, n in dims.items() if n}
         self.diffs = {}
         self._coh: dict = {}
+        self._ranks: dict = {}
         for d, m in diffs.items():
             if not isinstance(m, Mat):
                 m = Mat.from_rows(m)
@@ -453,15 +454,21 @@ class ChainComplexQ:
         reps = [cyc._rows[p - bnd.rows] for p in pivots if p >= bnd.rows]
         return hdim, Mat.wrap(reps, self.dim(deg))
 
+    def hdim(self, deg: int) -> int:
+        """dim H^deg = dim C^deg - rank d^deg - rank d^(deg-1), read off the
+        representatives when cohomology has kept them. Each rank is one
+        elimination, kept as an int: a kept RREF costs memory."""
+        got = self._coh.get(deg)
+        if got is not None:
+            return got[0]
+        for d in (deg, deg - 1):
+            if d not in self._ranks:
+                self._ranks[d] = self.diffs[d].rank() if d in self.diffs else 0
+        return self.dim(deg) - self._ranks[deg] - self._ranks[deg - 1]
+
     def betti(self) -> dict:
-        out = {}
-        lo = min(self.dims) if self.dims else 0
-        hi = max(self.dims) if self.dims else -1
-        for d in range(lo, hi + 1):
-            h, _ = self.cohomology(d)
-            if h:
-                out[d] = h
-        return out
+        degs = range(min(self.dims, default=0), max(self.dims, default=-1) + 1)
+        return {d: h for d in degs if (h := self.hdim(d))}
 
     def classes(self, deg: int, V: Mat) -> Mat | None:
         """The classes of the columns of V against this degree's

@@ -15,25 +15,28 @@ its vertex tuple), a lift of the morphism between the resolutions of
 source and target by the comparison theorem (one linear solve per
 degree, `factor_through`), End(S) of S = P_F ⊕ P_G assembled from its
 four corner hom complexes Hom(P_a, P_b), each built once (`CORNERS`;
-End(P_F), End(P_G) and Hom(P_F, P_G) are three of them; S itself is
-never built), the dgLa L of the endomorphisms of S preserving the graph
+End(P_F), End(P_G) and Hom(P_F, P_G) are three of them; a report places
+no map in S), the dgLa L of the endomorphisms of S preserving the graph
 of that lift (`graph_preserving_dgla`: L = u T u⁻¹, the block
 upper-triangular part T of End(S) conjugated by the chain automorphism u
-that takes P_F ⊕ 0 onto the graph), the two-level diagram whose
-totalisation controls deformations of the morphism (`build_H`, a
-`MorphismDiagram` that carries the parts its checks read), and a
-long-exact-sequence checker (`les_check`) that ties its cohomology to
-Ext groups computed from the hom complex of a resolution, themselves
-checked against the Euler form of the quiver. Every map out of a
-projective is read off the images of its generators (Yoneda,
-`from_generators`): the cover, the lift and every hom basis
-(`yoneda_basis`). Every direct sum places its blocks through one
-constructor, `Mat.blocks`: representations, End(S) and its faces, and
-the two-open Čech pair and its projections. One routine,
-`total_complex`, totalises every diagram: the one `build_H` returns and,
-with two opens, the Čech diagram of its total complex. Any two choices
-of resolutions and lift give quasi-isomorphic diagrams, so the reported
-cohomology does not depend on them; the minimal ones are the smallest.
+that takes P_F ⊕ 0 onto the graph, included corner by corner), the
+two-level diagram whose totalisation controls deformations of the
+morphism (`build_H`, a `MorphismDiagram` that carries the parts its
+checks read), and a long-exact-sequence checker (`les_check`) that ties
+its cohomology to Ext groups computed from the hom complexes of the same
+two resolutions into the modules (each module is resolved once per
+report), themselves checked against the Euler form of the quiver. A
+cohomology dimension is read off ranks (`ChainComplexQ.hdim`) unless its
+representatives are kept. Every map out of a projective is read off the
+images of its generators (Yoneda, `from_generators`): the cover, the
+lift and every hom basis (`yoneda_basis`). Every direct sum places its
+blocks through one constructor, `Mat.blocks`: representations, End(S)'s
+differential and its faces, and the two-open Čech pair and its
+projections. One routine, `total_complex`, totalises every diagram: the
+one `build_H` returns and, with two opens, the Čech diagram of its total
+complex. Any two choices of resolutions and lift give quasi-isomorphic
+diagrams, so the reported cohomology does not depend on them; the
+minimal ones are the smallest.
 `test_reported_cohomology_does_not_depend_on_the_resolution` checks this
 against a non-minimal resolution of the target. One reported list does
 follow the choice: `les_junctions` has one entry per degree from one
@@ -50,7 +53,7 @@ from itertools import accumulate
 
 from .dgla import Dgla, DglaMap, abelian_dgla, direct_sum
 from .linalg import ChainComplexQ, Mat, Subspace, vec, vzero
-from .ratio import ZERO, Q, rat
+from .ratio import ONE, ZERO, Q, rat
 from .semicosimplicial import ScDgla, total_complex
 
 
@@ -698,9 +701,10 @@ def hom_complex(k: BddComplex, m: BddComplex):
     return ChainComplexQ({p: len(basis) for p, basis in book.basis.items()}, diffs), book
 
 
-def end_dgla(cplx: ChainComplexQ, book: HomBook, label: str) -> Dgla:
+def end_dgla(cplx: ChainComplexQ, book_of, label: str) -> Dgla:
     """The endomorphism dgLa on the complex cplx of a hom complex k -> k
-    in the coordinates of its book, with the graded commutator bracket.
+    in the coordinates of its book = book_of(), with the graded commutator
+    bracket.
 
     Basis element a of degree p is book.basis[p][a], one basis map of one
     block i -> i + p. So a∘b of two basis elements is one product,
@@ -710,11 +714,12 @@ def end_dgla(cplx: ChainComplexQ, book: HomBook, label: str) -> Dgla:
     membership checked against the basis maps' tails), enters [a, b]
     with sign 1 and [b, a] with sign -(-1)^{|a||b|}. The table is built
     only when something first brackets (see Dgla), which a pipeline
-    report never does. The graded commutator of composition is a dgLa
-    by construction; the tests run its axiom check."""
+    report never does; only then is book_of called. The graded commutator
+    of composition is a dgLa by construction; the tests run its axiom
+    check."""
 
     def table():
-        by_source = {}
+        book, by_source = book_of(), {}
         for p, maps in book.basis.items():
             for a, (i, m) in enumerate(maps):
                 by_source.setdefault(i, []).append((p, a, m))
@@ -740,39 +745,53 @@ def end_dgla_of_complex(k: BddComplex, label: str = ""):
     commutator bracket (end_dgla on hom_complex(k, k)). Returns (Dgla,
     HomBook)."""
     cplx, book = hom_complex(k, k)
-    return end_dgla(cplx, book, label or "End"), book
+    return end_dgla(cplx, lambda: book, label or "End"), book
 
 
-def graph_preserving_dgla(lift: ChainMapM, end_s: Dgla, book_s: HomBook, t_dims: dict):
+def graph_preserving_dgla(lift: ChainMapM, end_s: Dgla, books):
     """The dgLa L of the endomorphisms of S = P_F ⊕ P_G that preserve the
-    graph Γ of the lift, with its inclusion into End(S) = end_s, whose
-    HomBook is book_s. Returns (L, inclusion).
+    graph Γ of the lift λ, with its inclusion into End(S) = end_s, whose
+    basis is that of the corner HomBooks books, in CORNERS order. Returns
+    (L, inclusion).
 
     With N the lift placed in the P_F -> P_G corner, u = 1 + N is a chain
     automorphism of S, because the lift is a chain map, with inverse 1 -
     N (N∘N = 0); it is the identity on 0 ⊕ P_G and takes P_F ⊕ 0 onto Γ.
-    So L = u T u⁻¹, with T the endomorphisms preserving P_F ⊕ 0: those
-    whose P_F -> P_G corner vanishes. build_H assembles End(S) corner by
-    corner with that corner last, so T is spanned by the first t_dims[p]
-    basis maps of each degree p. End(S)'s differential keeps every
-    corner, so T's is its leading block, and T is closed under the
-    bracket, so T's table is End(S)'s restricted to the prefix. L is T
-    carried across by u: its dimensions, differential and bracket are
-    T's, and its inclusion sends t to u∘t∘u⁻¹: one column of
-    book_s.matrix per basis map of T."""
-    u, u_inv = {}, {}
-    for d in set(lift.source.mods) | set(lift.target.mods):
-        dims = (lift.source.dim(d), lift.target.dim(d))
-        one = {(0, 0): Mat.identity(dims[0]), (1, 1): Mat.identity(dims[1])}
-        u[d] = Mat.blocks(dims, dims, {**one, (1, 0): lift.comp(d)})
-        u_inv[d] = Mat.blocks(dims, dims, {**one, (1, 0): lift.comp(d).neg()})
+    So L = u T u⁻¹, with T the endomorphisms preserving P_F ⊕ 0: the
+    first three corners, the first t_dims[p] basis maps of each degree p.
+    End(S)'s differential keeps every corner, so T's is its leading
+    block, and T is closed under the bracket, so T's table is End(S)'s
+    restricted to the prefix. L is T carried across by u: its dimensions,
+    differential and bracket are T's, and its inclusion sends t to
+    u∘t∘u⁻¹ = t - t∘N + N∘(t - t∘N). For t: P_a -> P_b, t∘N = t∘λ is 0
+    unless a is G and lies in corner (F, b); N∘x = λ∘x is 0 unless b is F
+    and lies in corner (a, G), or (F, G) for x = t∘N. So FF a ↦ a + λa,
+    GG b ↦ b - bλ and GF c ↦ c - cλ + λc - λcλ (the corner formula): each
+    column is t's own coordinate plus these corrections, read in their
+    corners' books, with no u, no u⁻¹ and no product of S's size."""
+    lam, corner = lift.comps, {ab: c for c, ab in enumerate(CORNERS)}
+    t_dims = {p: n - books[-1].dim(p) for p, n in end_s.dims.items()}
     mats, diffs = {}, {}
     for p, n in t_dims.items():
-        if n:
-            basis = book_s.basis[p][:n]
-            mats[p] = book_s.matrix(p, [{i: u[i + p] @ b @ u_inv[i]} for i, b in basis])
-            lead = end_s.diff(p)._rows[:t_dims.get(p + 1, 0)]
-            diffs[p] = Mat.wrap([dict(row) for row in lead], n)
+        if not n:
+            continue
+        off = list(accumulate((book.dim(p) for book in books), initial=0))
+        rows = [{} for _ in range(end_s.dim(p))]
+        for (a, b), book, o in zip(CORNERS, books[:3], off):
+            for k, (i, t) in enumerate(book.basis.get(p, ()), o):
+                rows[k][k], img = ONE, {}
+                if a == 1 and i in lam:
+                    img[0, b] = (t @ lam[i]).neg()
+                if b == 0 and i + p in lam:
+                    img[a, 1] = lam[i + p] @ t
+                    if (0, 0) in img:
+                        img[0, 1] = lam[i + p] @ img[0, 0]
+                for ab, m in img.items():
+                    for r, x in books[corner[ab]].coords(p, {i: m}).items():
+                        rows[off[corner[ab]] + r][k] = x
+        mats[p] = Mat.wrap(rows, n)
+        lead = end_s.diff(p)._rows[:t_dims.get(p + 1, 0)]
+        diffs[p] = Mat.wrap([dict(row) for row in lead], n)
     l_g = Dgla(t_dims, diffs, lambda: {
         (d1, i, d2, j): val for (d1, i, d2, j), val in end_s._br.items()
         if i < t_dims.get(d1, 0) and j < t_dims.get(d2, 0)
@@ -783,50 +802,43 @@ def graph_preserving_dgla(lift: ChainMapM, end_s: Dgla, book_s: HomBook, t_dims:
 # --- Ext oracle --------------------------------------------------------------------
 
 
-def ext_bruteforce(f: FinMod, g: FinMod):
-    """Dimensions of Ext^i computed from an explicit projective
-    resolution and its hom complex into the target module."""
-    if f.alg is not g.alg and f.alg.label != g.alg.label:
+def ext_bruteforce(res: Resolution, g: FinMod):
+    """Dimensions of Ext^i(F, g), i = 0 .. len(res), for the module F that
+    the projective resolution res resolves: hdim of the hom complex of res
+    into g. pipeline_report passes the resolutions of its diagram."""
+    if res.cx.alg is not g.alg and res.cx.alg.label != g.alg.label:
         raise PipelineError("modules live over different algebras")
-    res = resolve(f)
     if not res.cx.mods:
         return []
     cplx, _ = hom_complex(res.cx, module_as_complex(g))
-    lo, _ = res.cx.deg_range()
-    out = []
-    for i in range(0, -lo + 1):
-        out.append(cplx.cohomology(i)[0])
-    return out
+    return [cplx.hdim(i) for i in range(0, 1 - res.cx.deg_range()[0])]
 
 
-def euler_form(m: FinMod, n: FinMod) -> int:
-    """<dim m, dim n> = sum_i x_i y_i - sum over arrows s -> t of x_s y_t,
-    with x_i = dim e_i m read off as the rank of the action of e_i. The
+def euler_form(f: FinMod, g: FinMod) -> dict:
+    """The Euler form <x, y> = sum_i x_i y_i - sum over arrows s -> t of
+    x_s y_t on the pairs FF, GG and FG of the dimension vectors of f and
+    g, x_i = dim e_i m read off as the rank of the action of e_i. The
     arrows are the radical basis elements outside J^2, each a = e_t a e_s.
-    Over a path algebra without relations this is dim Hom(m, n) - dim
-    Ext^1(m, n), and Ext^2 and above vanish (Assem–Simson–Skowroński I,
-    §III.3). Uses neither a resolution nor a hom space."""
-    alg = m.alg
-    x = [m.acts[e].rank() for e in alg.idempotents]
-    y = [n.acts[e].rank() for e in alg.idempotents]
+    Each vector and the arrows are read once for the three pairs. Over a
+    path algebra without relations <m, n> is dim Hom(m, n) - dim Ext^1(m,
+    n), and Ext^2 and above vanish (Assem–Simson–Skowroński I, §III.3).
+    Uses neither a resolution nor a hom space."""
+    alg = f.alg
+    x, y = ([m.acts[e].rank() for e in alg.idempotents] for m in (f, g))
     j2 = Subspace(
         alg.dim, Mat.from_rows([alg.mul[r][q] for r in alg.radical for q in alg.radical], alg.dim)
     )
-    out = sum(a * b for a, b in zip(x, y))
-    for a in alg.radical:
-        if not j2.contains(Mat(1, alg.dim, {(0, a): 1})):
-            s, t = alg.ends[a]
-            out -= x[s] * y[t]
-    return out
+    arrows = [alg.ends[a] for a in alg.radical if not j2.contains(Mat(1, alg.dim, {(0, a): 1}))]
+    return {key: sum(a * b for a, b in zip(u, v)) - sum(u[s] * v[t] for s, t in arrows)
+            for key, (u, v) in {"FF": (x, x), "GG": (y, y), "FG": (x, y)}.items()}
 
 
 def ext_matches_euler_form(ext: dict, f: FinMod, g: FinMod) -> bool:
     """The Ext lists keyed FF, GG and FG against the Euler form: Hom
     minus Ext^1 equals it and nothing lies above degree 1."""
-    pairs = {"FF": (f, f), "GG": (g, g), "FG": (f, g)}
-    for key, (m, n) in pairs.items():
+    for key, chi in euler_form(f, g).items():
         hom, ext1 = (ext[key] + [0, 0])[:2]
-        if hom - ext1 != euler_form(m, n) or any(ext[key][2:]):
+        if hom - ext1 != chi or any(ext[key][2:]):
             return False
     return True
 
@@ -840,12 +852,14 @@ class MorphismDiagram(ScDgla):
     for the source F and 1 for the target G:
 
     - lift: the chain map P_F -> P_G between the two resolutions;
-    - ends, books: End(P_F) and End(P_G), the FF and GG corners of End(S)
-      for S = P_F ⊕ P_G, with their HomBooks;
+    - ends: End(P_F) and End(P_G), the FF and GG corners of End(S) for
+      S = P_F ⊕ P_G;
+    - books: the HomBooks of the four corners of End(S), in CORNERS order;
     - projs: the projections of level 0 onto ends;
     - fg: (complex, HomBook) of Hom(P_F, P_G), the last corner of End(S);
-    - book_s: the HomBook of End(S), which is level 1: the basis maps of
-      the four corners placed in S, in CORNERS order.
+    - book_s(): the HomBook of End(S), which is level 1: the basis maps
+      of the four corners placed in S, in CORNERS order, built on the
+      first call (End(S)'s bracket table, the tests), which no report makes.
 
     The third summand of level 0, L = u T u⁻¹ (graph_preserving_dgla),
     is reached through face 1, which includes it into End(S) by
@@ -890,31 +904,33 @@ def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> MorphismDi
     t -> u∘t∘u⁻¹; a zero level 2 closes the diagram. Every dgLa here
     builds its bracket table on first use (see Dgla): the reports read
     only dimensions, differentials and face maps, so none of them builds
-    a table. Nothing here is validated: the dgLa axioms, the faces and
-    the coface identities hold by construction, and validate_sc checks
-    them in the tests. Cover data (one open or two)
-    enters only in h_cohomology."""
+    a table or places the corner maps in S (book_s). Nothing here is
+    validated: the dgLa axioms, the faces and the coface identities hold
+    by construction, and validate_sc checks them in the tests. Cover data
+    (one open or two) enters only in h_cohomology."""
     cxs = (res_f.cx, res_g.cx)
     homs = [hom_complex(cxs[a], cxs[b]) for a, b in CORNERS]
-    sides = {d: (cxs[0].dim(d), cxs[1].dim(d)) for d in set(cxs[0].mods) | set(cxs[1].mods)}
-    basis, diffs = {}, {}
-    for p in sorted(set().union(*(cx.dims for cx, _ in homs))):
-        basis[p] = [
+    books = tuple(book for _, book in homs)
+    degrees = sorted(set().union(*(cx.dims for cx, _ in homs)))
+    cplx_s = ChainComplexQ({p: sum(cx.dim(p) for cx, _ in homs) for p in degrees}, {
+        p: Mat.blocks([cx.dim(p + 1) for cx, _ in homs], [cx.dim(p) for cx, _ in homs],
+                      {(c, c): cx.diff(p) for c, (cx, _) in enumerate(homs)})
+        for p in degrees
+    })
+
+    @functools.cache
+    def book_s():
+        sides = {d: (cxs[0].dim(d), cxs[1].dim(d)) for d in set(cxs[0].mods) | set(cxs[1].mods)}
+        s_dims = {d: sum(n) for d, n in sides.items()}
+        return HomBook(s_dims, s_dims, {p: [
             (i, Mat.blocks(sides[i + p], sides[i], {(b, a): t}))
-            for (a, b), (_, book) in zip(CORNERS, homs) for i, t in book.basis.get(p, ())
-        ]
-        diffs[p] = Mat.blocks(
-            [cx.dim(p + 1) for cx, _ in homs], [cx.dim(p) for cx, _ in homs],
-            {(c, c): cx.diff(p) for c, (cx, _) in enumerate(homs)},
-        )
-    s_dims = {d: sum(n) for d, n in sides.items()}
-    book_s = HomBook(s_dims, s_dims, basis)
-    cplx_s = ChainComplexQ({p: len(maps) for p, maps in basis.items()}, diffs)
+            for (a, b), book in zip(CORNERS, books) for i, t in book.basis.get(p, ())
+        ] for p in degrees})
+
     end_s = end_dgla(cplx_s, book_s, "End(ambient)")
-    t_dims = {p: n - homs[-1][0].dim(p) for p, n in end_s.dims.items()}
-    l_g, l_incl = graph_preserving_dgla(lift, end_s, book_s, t_dims)
-    end_f = end_dgla(*homs[0], "End(source res)")
-    end_g = end_dgla(*homs[1], "End(target res)")
+    l_g, l_incl = graph_preserving_dgla(lift, end_s, books)
+    end_f = end_dgla(homs[0][0], lambda: books[0], "End(source res)")
+    end_g = end_dgla(homs[1][0], lambda: books[1], "End(target res)")
     level0, _, projs = direct_sum([end_f, end_g, l_g])
 
     def face0(p):
@@ -933,7 +949,7 @@ def build_H(res_f: Resolution, res_g: Resolution, lift: ChainMapM) -> MorphismDi
         (2, 2): DglaMap(end_s, z, {}),
     }
     return MorphismDiagram([level0, end_s, z], cof, lift, (end_f, end_g),
-                           (homs[0][1], homs[1][1]), tuple(projs[:2]), homs[-1], book_s)
+                           books, tuple(projs[:2]), homs[-1], book_s)
 
 
 def h_cohomology(sc: MorphismDiagram, n_opens: int = 1) -> dict:
@@ -1067,16 +1083,19 @@ def pipeline_report(fmod: FinMod, gmod: FinMod, alpha: Mat, n_opens: int = 1) ->
     res_g = resolve(gmod)
     res_f, lift = lift_morphism(alpha, fmod, gmod, res_g)
     sc = build_H(res_f, res_g, lift)
+    # run first, les_check keeps the representatives that h_cohomology and
+    # end_matches_ext read, so each complex is eliminated once
+    les = les_check(sc) if n_opens == 1 else None
     hdims = h_cohomology(sc, n_opens)
     ext = {
-        "FF": ext_bruteforce(fmod, fmod),
-        "GG": ext_bruteforce(gmod, gmod),
-        "FG": ext_bruteforce(fmod, gmod),
+        "FF": ext_bruteforce(res_f, fmod),
+        "GG": ext_bruteforce(res_g, gmod),
+        "FG": ext_bruteforce(res_f, gmod),
     }
     # H of End(P_F), End(P_G) and Hom(P_F, P_G) against the Ext lists
-    corners = {"FF": sc.ends[0], "GG": sc.ends[1], "FG": sc.fg[0]}
+    corners = {"FF": sc.ends[0].complex(), "GG": sc.ends[1].complex(), "FG": sc.fg[0]}
     match = all(
-        cx.cohomology(i)[0] == dim for key, cx in corners.items() for i, dim in enumerate(ext[key])
+        cx.hdim(i) == dim for key, cx in corners.items() for i, dim in enumerate(ext[key])
     )
     out = {
         "schema": "pipeline-report/1",
@@ -1092,8 +1111,7 @@ def pipeline_report(fmod: FinMod, gmod: FinMod, alpha: Mat, n_opens: int = 1) ->
         "tangent_dim": hdims.get(1, 0),
         "obstruction_dim": hdims.get(2, 0),
     }
-    if n_opens == 1:
-        les = les_check(sc)
+    if les is not None:
         out["les_exact"] = les["exact"]
         out["les_junctions"] = les["junctions"]
     return out

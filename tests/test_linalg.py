@@ -516,6 +516,35 @@ def test_cohomology_representatives_are_the_first_come_cocycles():
     assert skipped > 10
 
 
+def test_hdim_is_rank_nullity_and_reads_what_is_kept(monkeypatch):
+    """hdim(d) = dim C^d - rank d^d - rank d^(d-1) equals
+    cohomology(d)[0] on seeded random complexes, gaps and zero
+    differentials among them, at every degree and one past each end.
+    Each differential's rank is taken once, and a degree whose
+    cohomology is kept reads its dimension from it: neither eliminates
+    again."""
+    rng = random.Random(83)
+    gaps = zero_diffs = 0
+    seen = []
+    for _ in range(80):
+        cx = rand_complex(rng, max_deg_span=5, max_dim=4)
+        degs = range(min(cx.dims, default=0) - 1, max(cx.dims, default=0) + 2)
+        kept = ChainComplexQ(cx.dims, cx.diffs)
+        assert [cx.hdim(d) for d in degs] == [kept.cohomology(d)[0] for d in degs]
+        assert cx.betti() == {d: h for d in degs if (h := kept.cohomology(d)[0])}
+        gaps += any(not cx.dim(d) for d in degs[1:-1])
+        zero_diffs += any(cx.dim(d) and cx.dim(d + 1) and d not in cx.diffs for d in degs)
+        seen.append((cx, kept, degs))
+    assert gaps > 10 and zero_diffs > 10, (gaps, zero_diffs)
+
+    def eliminated_again(self):
+        raise AssertionError("hdim eliminated again")
+
+    monkeypatch.setattr(Mat, "rref", eliminated_again)
+    for cx, kept, degs in seen:
+        assert [cx.hdim(d) for d in degs] == [kept.hdim(d) for d in degs]
+
+
 def test_cohomology_euler():
     rng = random.Random(29)
     for _ in range(30):

@@ -321,13 +321,13 @@ def test_broken_resolution_is_rejected():
 def test_ext_oracle_golden_values():
     mods = a2_modules()
     p1, p2, s1, s2 = mods["P1"], mods["P2"], mods["S1"], mods["S2"]
-    assert ext_bruteforce(s1, s2) == [0, 1]
-    assert ext_bruteforce(s1, s1) == [1, 0]
-    assert ext_bruteforce(s2, s1) == [0]
-    assert ext_bruteforce(p1, p1) == [1]
-    assert ext_bruteforce(p1, s1) == [1]
-    assert ext_bruteforce(s1, p1) == [0, 0]
-    assert ext_bruteforce(p2, p1) == [1]
+    assert ext_bruteforce(resolve(s1), s2) == [0, 1]
+    assert ext_bruteforce(resolve(s1), s1) == [1, 0]
+    assert ext_bruteforce(resolve(s2), s1) == [0]
+    assert ext_bruteforce(resolve(p1), p1) == [1]
+    assert ext_bruteforce(resolve(p1), s1) == [1]
+    assert ext_bruteforce(resolve(s1), p1) == [0, 0]
+    assert ext_bruteforce(resolve(p2), p1) == [1]
 
 
 KRONECKER = path_algebra(2, ((0, 1), (0, 1)), "Kronecker")
@@ -432,12 +432,12 @@ def test_kronecker_ext_is_line_bundle_cohomology():
         _line_bundle(a).check()
         for b in range(4):
             k = b - a
-            ext = ext_bruteforce(_line_bundle(a), _line_bundle(b))
+            ext = ext_bruteforce(resolve(_line_bundle(a)), _line_bundle(b))
             assert (ext + [0, 0])[:2] == [max(0, k + 1), max(0, -k - 1)], (a, b)
             assert not any(ext[2:])
     # and additively on sums, which _line_bundle_sum builds in vertex order
     for src, tgt in (((0, 2), (1,)), ((1,), (0, 2)), ((0, 1), (0, 3))):
-        ext = ext_bruteforce(_line_bundle_sum(*src), _line_bundle_sum(*tgt))
+        ext = ext_bruteforce(resolve(_line_bundle_sum(*src)), _line_bundle_sum(*tgt))
         ks = [b - a for a in src for b in tgt]
         want = [sum(max(0, k + 1) for k in ks), sum(max(0, -k - 1) for k in ks)]
         assert (ext + [0, 0])[:2] == want, (src, tgt)
@@ -456,6 +456,17 @@ def test_kronecker_line_bundle_morphisms_pass_every_check():
         assert rep["les_exact"] is True, (src, tgt)
 
 
+def test_kronecker_zero_map_reports_an_obstruction_space():
+    """The zero map O(2) -> O ⊕ O(2) has H^2 = 1 (golden values): the
+    report reads the tangent space at H^1 and the obstruction space at
+    H^2, not at H^3."""
+    f, g = _line_bundle(2), _line_bundle_sum(0, 2)
+    rep = pipeline_report(f, g, Mat(g.dim, f.dim))
+    assert rep["h_cohomology"] == {"0": 6, "1": 2, "2": 1}
+    assert (rep["tangent_dim"], rep["obstruction_dim"]) == (2, 1)
+    assert rep["les_exact"] and rep["end_matches_ext"] and rep["ext_matches_euler_form"]
+
+
 def test_ext_vanishes_beyond_degree_one():
     """The path algebra is hereditary, so no random module has higher
     extensions."""
@@ -463,7 +474,7 @@ def test_ext_vanishes_beyond_degree_one():
     for _ in range(6):
         m = random_a2_module(rng)
         n = random_a2_module(rng)
-        dims = ext_bruteforce(m, n)
+        dims = ext_bruteforce(resolve(m), n)
         assert all(d == 0 for d in dims[2:])
 
 
@@ -475,7 +486,7 @@ def test_end_complex_cohomology_matches_ext_oracle():
         if not r.cx.mods:
             continue
         eg, _ = end_dgla_of_complex(r.cx)
-        expected = ext_bruteforce(m, m)
+        expected = ext_bruteforce(resolve(m), m)
         for i, dim_exp in enumerate(expected):
             assert eg.cohomology(i)[0] == dim_exp
         lo, _ = r.cx.deg_range()
@@ -493,13 +504,13 @@ def test_end_dgla_validates_in_full():
 def test_the_dglas_of_a_morphism_diagram_pass_the_axiom_check(monkeypatch):
     """The pipeline report builds its resolutions, lift and diagram
     without checking them. Recorded as pipeline_report builds them, each
-    passes its check: the five resolutions (two for the diagram, three
-    for the Ext oracle) and their complexes, the lift with its augmented
-    square, the diagram with its faces and coface identities, the
-    graph-preserving part L and its inclusion, and the End dgLas. End(S)
-    reads only the dimensions of S = P_F ⊕ P_G: those of the direct sum
-    of the two resolutions, a complex whose inclusions pass their
-    check."""
+    passes its check: the two resolutions, one per module, which the
+    diagram and the Ext oracle share, and their complexes, the lift with
+    its augmented square, the diagram with its faces and coface
+    identities, the graph-preserving part L and its inclusion, and the
+    End dgLas. End(S) reads only the dimensions of S = P_F ⊕ P_G: those
+    of the direct sum of the two resolutions, a complex whose inclusions
+    pass their check."""
     built = {"resolve": [], "lift": [], "L": [], "H": []}
 
     def recording(name, fn, key):
@@ -523,7 +534,7 @@ def test_the_dglas_of_a_morphism_diagram_pass_the_axiom_check(monkeypatch):
         for key in built:
             built[key].clear()
         pipeline_report(f, g, alpha)
-        assert len(built["resolve"]) == 5
+        assert len(built["resolve"]) == 2
         for _, res in built["resolve"]:
             res.cx.check()
             res.check()
@@ -536,7 +547,7 @@ def test_the_dglas_of_a_morphism_diagram_pass_the_axiom_check(monkeypatch):
         s.check()
         for m in (inj_f, inj_g):
             m.check()
-        assert sc.book_s.src_dims == sc.book_s.tgt_dims == {d: s.dim(d) for d in s.mods}
+        assert sc.book_s().src_dims == sc.book_s().tgt_dims == {d: s.dim(d) for d in s.mods}
         assert validate_sc(sc) == {"ok": True, "violations": []}
         l_incl.validate()
         for dg in (*sc.ends, sc.levels[1], l_g):
@@ -547,7 +558,9 @@ def test_a_pipeline_report_tabulates_no_bracket(monkeypatch):
     """A pipeline report reads dimensions, differentials and face maps
     only, so no dgLa of the diagram tabulates its bracket: neither the
     levels, nor the End dgLas of the two resolutions, nor the part L
-    preserving the graph, the third summand of level 0."""
+    preserving the graph, the third summand of level 0. Nor does it
+    place the corner basis maps in S: book_s is built with End(S)'s
+    table, here through L's."""
     built = []
 
     def recording(name):
@@ -567,9 +580,11 @@ def test_a_pipeline_report_tabulates_no_bracket(monkeypatch):
         (l_g, _), sc = built
         dglas = (*sc.levels, *sc.ends, l_g)
         assert all("_br" not in vars(dg) for dg in dglas)
+        assert sc.book_s.cache_info().currsize == 0
         # the table is still there for whoever brackets
         sc.levels[0].bracket_basis(0, 0, 0, 0)
         assert "_br" in vars(sc.levels[0])
+        assert sc.book_s.cache_info().currsize == 1
 
 
 def test_hom_complex_into_a_module():
@@ -605,6 +620,12 @@ def _sum_complex(kf, kg):
     return s, *injs
 
 
+def _bare_diagram(lift):
+    """build_H around the lift alone: it reads only the complexes of the
+    two resolutions."""
+    return build_H(Resolution(lift.source, None, None), Resolution(lift.target, None, None), lift)
+
+
 def _graph_parts(lift):
     """What build_H builds around the lift: End(S) of the direct sum S of
     source and target with its HomBook and the dimensions of its block
@@ -612,11 +633,10 @@ def _graph_parts(lift):
     inclusion; also the inclusions of source and target into S
     (_sum_complex). Returns (L, inclusion, End(S), HomBook, t_dims,
     inj_f, inj_g)."""
-    # build_H reads only the complexes of the two resolutions
-    sc = build_H(Resolution(lift.source, None, None), Resolution(lift.target, None, None), lift)
-    end_s, book_s = sc.levels[1], sc.book_s
+    sc = _bare_diagram(lift)
+    end_s, book_s = sc.levels[1], sc.book_s()
     t_dims = {p: n - sc.fg[0].dim(p) for p, n in end_s.dims.items()}
-    l_g, incl = graph_preserving_dgla(lift, end_s, book_s, t_dims)
+    l_g, incl = graph_preserving_dgla(lift, end_s, sc.books)
     _, inj_f, inj_g = _sum_complex(lift.source, lift.target)
     return l_g, incl, end_s, book_s, t_dims, inj_f, inj_g
 
@@ -894,14 +914,17 @@ def test_reports_on_morphisms_that_were_slow():
         assert rep["end_matches_ext"] is True
         assert rep["ext_matches_euler_form"] is True
         chi = sum((-1) ** int(d) * h for d, h in rep["h_cohomology"].items())
-        assert chi == euler_form(f, f) + euler_form(g, g) - euler_form(f, g)
+        euler = euler_form(f, g)
+        assert chi == euler["FF"] + euler["GG"] - euler["FG"]
 
 
 def test_euler_form_check_can_fail():
-    """<S1, S2> = -1 (Ext^1(S1, S2) = Q), <S1, S1> = 1, <S2, S1> = 0."""
+    """<S1, S2> = -1 (Ext^1(S1, S2) = Q), <S1, S1> = <S2, S2> = 1 and
+    <S2, S1> = 0."""
     mods = a2_modules()
     s1, s2 = mods["S1"], mods["S2"]
-    assert (euler_form(s1, s2), euler_form(s1, s1), euler_form(s2, s1)) == (-1, 1, 0)
+    assert euler_form(s1, s2) == {"FF": 1, "GG": 1, "FG": -1}
+    assert euler_form(s2, s1)["FG"] == 0
     good = {"FF": [1, 0], "GG": [1], "FG": [0, 1]}
     assert ext_matches_euler_form(good, s1, s2)
     for key, wrong in (("FG", [0, 0]), ("FF", [1, 1]), ("GG", [1, 0, 1])):
@@ -919,7 +942,7 @@ def test_zero_morphism_splits_the_degree_zero_cohomology():
         res_f, lift = lift_morphism(Mat(g.dim, f.dim), f, g, res_g)
         sc = build_H(res_f, res_g, lift)
         h = h_cohomology(sc)
-        assert h.get(0, 0) == ext_bruteforce(f, f)[0] + ext_bruteforce(g, g)[0]
+        assert h.get(0, 0) == ext_bruteforce(resolve(f), f)[0] + ext_bruteforce(resolve(g), g)[0]
 
 
 def test_pipeline_report_fields_and_consistency():
@@ -1020,7 +1043,14 @@ def test_zero_module_edge_cases():
     z = zero_module(alg)
     r = resolve(z)
     assert not r.cx.mods
-    assert ext_bruteforce(z, a2_modules()["P1"]) == []
+    assert ext_bruteforce(resolve(z), a2_modules()["P1"]) == []
+    # every Ext list of a zero source is empty, and Hom - Ext^1 = 0 - 0
+    # matches its Euler form 0
+    g = a2_modules()["P1"]
+    rep = pipeline_report(z, g, Mat(g.dim, 0))
+    assert rep["ext"] == {"FF": [], "GG": [1], "FG": []}
+    assert rep["ext_matches_euler_form"] is True
+    assert ext_matches_euler_form({"FF": [], "GG": [1], "FG": []}, z, g)
 
 
 def test_field_algebra_round_trip():
@@ -1034,8 +1064,8 @@ def test_field_algebra_round_trip():
     assert pi == Mat.identity(2)
     r = resolve(m)
     assert sorted(r.cx.mods) == [0]
-    assert ext_bruteforce(m, m) == [4]
-    assert euler_form(m, m) == 4
+    assert ext_bruteforce(resolve(m), m) == [4]
+    assert euler_form(m, m) == {"FF": 4, "GG": 4, "FG": 4}
 
 
 def test_resolutions_are_minimal():
@@ -1229,6 +1259,54 @@ def test_l_is_exactly_the_endomorphisms_preserving_the_graph():
             assert incl.mat(p).rank() == l_g.dim(p) == n - oracle.rank()
 
 
+def _conjugated_inclusion(lift, book_s, t_dims):
+    """The inclusion of L that graph_preserving_dgla's corner formula
+    replaced, kept as its reference: each basis map t of T placed in S
+    and conjugated by full S-sized products, u∘t∘u⁻¹ with u = 1 + N and
+    u⁻¹ = 1 - N, read back through book_s.matrix. Returns {degree: Mat}."""
+    u, u_inv = {}, {}
+    for d in set(lift.source.mods) | set(lift.target.mods):
+        dims = (lift.source.dim(d), lift.target.dim(d))
+        one = {(0, 0): Mat.identity(dims[0]), (1, 1): Mat.identity(dims[1])}
+        u[d] = Mat.blocks(dims, dims, {**one, (1, 0): lift.comp(d)})
+        u_inv[d] = Mat.blocks(dims, dims, {**one, (1, 0): lift.comp(d).neg()})
+    return {
+        p: book_s.matrix(p, [{i: u[i + p] @ b @ u_inv[i]} for i, b in book_s.basis[p][:n]])
+        for p, n in t_dims.items() if n
+    }
+
+
+def test_corner_formula_matches_the_placed_conjugation():
+    """Face (1, 1) of build_H includes L by the corner formula. On its L
+    block it equals the placed conjugation (_conjugated_inclusion), and it
+    is zero on the End pair: on _instances(), on 40 more seeded A2
+    triples, on the Kronecker line-bundle sums and with the zero lift."""
+    lifts = [lift for lift, _ in _instance_graphs()]
+    for seed in range(100, 140):
+        rng = random.Random(seed)
+        f = random_a2_module(rng)
+        g = random_a2_module(rng)
+        lifts.append(lift_morphism(random_module_map(f, g, rng), f, g, resolve(g))[1])
+    for src, tgt in (((0, 2), (1,)), ((1, 3), (2, 4))):
+        f, g = _line_bundle_sum(*src), _line_bundle_sum(*tgt)
+        alpha = random_module_map(f, g, random.Random(0))
+        lifts.append(lift_morphism(alpha, f, g, resolve(g))[1])
+    lifts += [ChainMapM(lift.source, lift.target, {}) for lift in lifts[:5]]
+    corrected = 0
+    for lift in lifts:
+        sc = _bare_diagram(lift)
+        t_dims = {p: n - sc.fg[0].dim(p) for p, n in sc.levels[1].dims.items()}
+        ref = _conjugated_inclusion(lift, sc.book_s(), t_dims)
+        for p in sc.levels[0].dims:
+            face, n = sc.face(1, 1).mat(p), t_dims.get(p, 0)
+            cols = face.transpose()._rows
+            pair = len(cols) - n
+            assert not any(cols[:pair]), p
+            assert Mat.wrap(cols[pair:], face.rows) == ref.get(p, Mat(n, face.rows)).transpose(), p
+            corrected += n and ref[p] != Mat(face.rows, n, {(k, k): 1 for k in range(n)})
+    assert corrected >= 20, corrected
+
+
 def test_dropping_u_breaks_the_graph_check():
     """With the zero chain map in place of the lift, u = 1 and
     graph_preserving_dgla includes T itself. For a nonzero lift some image
@@ -1238,7 +1316,7 @@ def test_dropping_u_breaks_the_graph_check():
     nonzero = 0
     for lift, (l_g, _, end_s, book_s, t_dims, inj_f, inj_g) in _instance_graphs():
         zero = ChainMapM(lift.source, lift.target, {})
-        t_g, t_incl = graph_preserving_dgla(zero, end_s, book_s, t_dims)
+        t_g, t_incl = graph_preserving_dgla(zero, end_s, _bare_diagram(lift).books)
         assert t_g.dims == l_g.dims
         leaves = any(
             any(_graph_defect(lift, inj_f, inj_g, book_s, p, v))
