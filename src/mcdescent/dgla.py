@@ -4,13 +4,17 @@ A Dgla is bounded with a finite basis in each degree: differentials are
 matrices, the bracket is a table of structure constants on basis pairs,
 given as a dict or as a function that returns one. Construction checks
 shapes; the table is built, and its targets checked, when it is first
-used. Dgla.validate checks graded antisymmetry, the Leibniz rule and the
-graded Jacobi identity exactly, on Python ints after clearing the
-denominators of the bracket and of d (full sweep for small algebras,
-seeded sample above a size threshold), and runs where input enters: the
-command line's validate and file loading, or a test. The full sweep takes
-antisymmetry once per unordered pair and Jacobi once per unordered triple:
-with antisymmetry in hand, the Jacobiator is graded-alternating.
+used. Dgla.validate checks d^2 = 0, graded antisymmetry, the Leibniz rule
+and the graded Jacobi identity (full sweep for small algebras, seeded
+sample above a size threshold), and DglaMap.validate that a map commutes
+with d and brackets, exactly, on Python ints: an IntTable holds a dgLa's d
+and bracket with their denominators cleared. They run where input enters:
+the command line's validate and file loading, or a test. validate_sc
+builds each level's table once, shares it with the faces into and out of
+that level, and drops it when the next level's faces are checked. The full
+sweep takes antisymmetry once per unordered pair and Jacobi once per
+unordered triple: with antisymmetry in hand, the Jacobiator is
+graded-alternating.
 
 Computations happen in tensors L (x) A (x) Omega: an Elem is a sparse dict
 keyed by (degree, basis index, coefficient-ring monomial, form monomial,
@@ -40,7 +44,7 @@ from math import lcm
 from .artin import ArtinAlgebra
 from .forms import fkey_d, fkey_mul
 from .linalg import ChainComplexQ, Mat
-from .ratio import ZERO, Q, neg_one_pow, rat
+from .ratio import Q, neg_one_pow, rat
 
 
 class DglaError(ValueError):
@@ -184,7 +188,7 @@ class Dgla:
 
     # --- validation ----------------------------------------------------
 
-    def validate(self, mode: str = "full", seed: int = 0):
+    def validate(self, mode: str = "full", seed: int = 0, table: IntTable | None = None):
         """Check d^2 = 0, graded antisymmetry, Leibniz and Jacobi.
 
         Raises DglaError on the first violation. mode "sample" checks a
@@ -201,38 +205,23 @@ class Dgla:
             J(y, x, z) = -(-1)^{|x||y|} J(x, y, z),
             J(x, z, y) = -(-1)^{|y||z|} J(x, y, z),
         so a triple fails exactly when its sorted permutation does, and the
-        sorted permutation is the first of its orbit in basis order.
+        sorted permutation is the first of its orbit in basis order. A triple
+        whose [y,z], [x,y] and [x,z] are all empty is skipped (both sides 0).
 
-        d^2 = 0 is checked on the Mats. The other three sweeps run on
-        Python ints: the bracket constants times D_b, the lcm of their
-        denominators, and the differential entries times D_d, the lcm of
-        theirs. Antisymmetry is homogeneous of degree 1 in the bracket,
-        Leibniz of degree (1, 1) in bracket and d, Jacobi of degree 2 in
-        the bracket, so each fails on the scaled tables exactly where it
-        fails on the rational ones.
+        All four sweeps run on Python ints, on table, this dgLa's IntTable
+        (built here when not given). Each axiom is homogeneous in d and in
+        the bracket, so it fails on the scaled tables exactly where it fails
+        on the rational ones.
         """
         if mode == "auto":
             mode = "full" if self.total_dim <= 16 else "sample"
+        t = IntTable(self) if table is None else table
+        dims, dcols = self.dims, t.dcols
         for d in self.degrees():
-            if self.dim(d + 2):
-                prod = self.diff(d + 1) @ self.diff(d)
-                if not prod.is_zero():
-                    raise DglaError(f"d^2 != 0 at degree {d}")
-        dims = self.dims
-        br = self._br
-        db = lcm(*{c.denominator for val in br.values() for _, c in val})
-        get = {
-            key: tuple((k, c.numerator * (db // c.denominator)) for k, c in val)
-            for key, val in br.items()
-        }.get
-        dd = lcm(*{v.denominator for m in self.diffs.values()
-                   for r in m._rows for v in r.values()})
-        dcols = {deg: [()] * n for deg, n in dims.items()}  # d = 0: empty columns
-        for deg, m in self.diffs.items():
-            dcols[deg] = [
-                [(r, e.numerator * (dd // e.denominator)) for r, e in col]
-                for col in m.columns()
-            ]
+            n = dims.get(d + 2)
+            if n and any([any(_image(dcols.get(d + 1), col, n)) for col in dcols[d]]):
+                raise DglaError(f"d^2 != 0 at degree {d}")
+        get = t.bracket[1].get
         keys = list(self.basis_keys())
         rng = random.Random(seed)
         if mode == "full":
@@ -244,8 +233,8 @@ class Dgla:
             val = get((d1, i, d2, j), ())
             # antisymmetry; in full mode (y, x) with y > x passed at (x, y)
             if mode != "full" or (d1, i) <= (d2, j):
-                sign = -neg_one_pow(d1 * d2)
-                if dict(get((d2, j, d1, i), ())) != {k: sign * c for k, c in val}:
+                neg = val if d1 * d2 % 2 or not val else tuple([(k, -c) for k, c in val])
+                if get((d2, j, d1, i), ()) != neg:
                     raise DglaError(
                         f"bracket not graded-antisymmetric on "
                         f"{self.name(d1, i)}, {self.name(d2, j)}"
@@ -253,17 +242,15 @@ class Dgla:
             # Leibniz: d[x,y] = [dx,y] + (-1)^{|x|} [x,dy]
             tgt = d1 + d2
             n = dims.get(tgt + 1)
-            if n:
-                lhs = [0] * n
-                for k, c in val:
-                    for r, e in dcols[tgt][k]:
-                        lhs[r] += c * e
+            dx, dy = dcols[d1][i], dcols[d2][j]
+            if n and (val or dx or dy):
+                lhs = _image(dcols.get(tgt), val, n)
                 rhs = [0] * n
-                for r, e in dcols[d1][i]:
+                for r, e in dx:
                     for k, c in get((d1 + 1, r, d2, j), ()):
                         rhs[k] += e * c
                 sgn = neg_one_pow(d1)
-                for r, e in dcols[d2][j]:
+                for r, e in dy:
                     for k, c in get((d1, i, d2 + 1, r), ()):
                         rhs[k] += sgn * e * c
                 if lhs != rhs:
@@ -279,17 +266,20 @@ class Dgla:
             n = dims.get(d1 + d2 + d3)
             if not n:
                 continue
+            yz, xy, xz = get((d2, j, d3, k), ()), get((d1, i, d2, j), ()), get((d1, i, d3, k), ())
+            if not (yz or xy or xz):
+                continue
             # [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]]
             lhs = [0] * n
-            for m, c in get((d2, j, d3, k), ()):
+            for m, c in yz:
                 for r, e in get((d1, i, d2 + d3, m), ()):
                     lhs[r] += c * e
             rhs = [0] * n
-            for m, c in get((d1, i, d2, j), ()):
+            for m, c in xy:
                 for r, e in get((d1 + d2, m, d3, k), ()):
                     rhs[r] += c * e
             sgn = neg_one_pow(d1 * d2)
-            for m, c in get((d1, i, d3, k), ()):
+            for m, c in xz:
                 for r, e in get((d2, j, d1 + d3, m), ()):
                     rhs[r] += sgn * c * e
             if lhs != rhs:
@@ -297,6 +287,50 @@ class Dgla:
                     f"Jacobi fails on {self.name(d1, i)}, "
                     f"{self.name(d2, j)}, {self.name(d3, k)}"
                 )
+
+
+def _cleared(mats: dict) -> tuple:
+    """(D, rows, cols): the Mats' entries times D, the lcm of their
+    denominators, as sparse integer rows and columns by degree."""
+    den = lcm(*{v.denominator for m in mats.values() for r in m._rows for v in r.values()})
+
+    def ints(vecs):
+        return [[(j, v.numerator * (den // v.denominator)) for j, v in vec] for vec in vecs]
+
+    rows = {d: ints(r.items() for r in m._rows) for d, m in mats.items()}
+    return den, rows, {d: ints(m.columns()) for d, m in mats.items()}
+
+
+def _image(cols, vec, n: int, scale: int = 1) -> list:
+    """scale times the image of the sparse integer vector vec, [(k, c), ...],
+    under the matrix with sparse integer columns cols, as a list of n ints."""
+    out = [0] * n
+    for k, c in vec:
+        c *= scale
+        for r, e in cols[k]:
+            out[r] += c * e
+    return out
+
+
+class IntTable:
+    """A dgLa's d and bracket with denominators cleared: dcols[deg] are the
+    integer columns of D_d d, D_d = dd the lcm of d's denominators; bracket
+    is (D_b, Dgla._br times D_b, the keys of _br by left argument), built
+    on first use, so that a check reads d before a bad bracket raises."""
+
+    def __init__(self, g: Dgla):
+        self.g = g
+        self.dd, _, cols = _cleared(g.diffs)
+        self.dcols = {deg: cols.get(deg) or [()] * n for deg, n in g.dims.items()}
+
+    @cached_property
+    def bracket(self) -> tuple:
+        br, left = self.g._br, {}
+        db = lcm(*{c.denominator for val in br.values() for _, c in val})
+        for key in br:
+            left.setdefault(key[:2], []).append(key)
+        return db, {key: tuple([(k, c.numerator * (db // c.denominator)) for k, c in val])
+                    for key, val in br.items()}, left
 
 
 # Not a dataclass: importing dataclasses adds inspect, ast, dis and tokenize
@@ -642,15 +676,6 @@ def ad(x: Elem):
     return apply
 
 
-def _left_brackets(g: Dgla) -> dict:
-    """The non-empty basis brackets of g grouped by left argument:
-    {(d1, i): [(d2, j, [b(d1,i), b(d2,j)]), ...]}."""
-    out: dict = {}
-    for (d1, i, d2, j), val in g._br.items():
-        out.setdefault((d1, i), []).append((d2, j, val))
-    return out
-
-
 class DglaMap:
     """Map of dgLas: degreewise matrices commuting with d and brackets.
 
@@ -681,36 +706,43 @@ class DglaMap:
             cols = self._cols[deg] = self.mat(deg).columns()
         return cols
 
-    def validate(self):
+    def validate(self, src: IntTable | None = None, tgt: IntTable | None = None):
+        """Check f d = d f, then f[x, y] = [f x, f y], on Python ints: M is
+        the map times D_f, the lcm of its denominators, and src and tgt the
+        IntTables (built when not given). They compare D_ds T_d M with D_dt
+        M S_d, and D_f D_t sum T_s M with D_s sum M M T_t."""
+        s = IntTable(self.source) if src is None else src
+        t = IntTable(self.target) if tgt is None else tgt
+        df, rows, cols = _cleared(self.mats)
+        cols = {d: cols.get(d) or [()] * n for d, n in self.source.dims.items()}
+        rows = {d: rows.get(d) or [()] * n for d, n in self.target.dims.items()}
         for d in self.source.degrees():
-            lhs = self.target.diff(d) @ self.mat(d)
-            rhs = self.mat(d + 1) @ self.source.diff(d)
-            if lhs != rhs:
+            n, td, fd = self.target.dim(d + 1), t.dcols.get(d), cols.get(d + 1)
+            if n and any([_image(td, fx, n, s.dd) != _image(fd, dx, n, t.dd)
+                          for fx, dx in zip(cols[d], s.dcols[d])]):
                 raise DglaError(f"map does not commute with d at degree {d}")
-        # f[x, y] = [f x, f y] for every pair of source basis elements, one
-        # x at a time: diff[(d2, j)] collects f[x, y_j] - [f x, f y_j] from
-        # the brackets whose left argument is x (source) or a row of f x
-        # (target), f y_j read off the rows of mats[d2].
-        src_left = _left_brackets(self.source)
-        tgt_left = _left_brackets(self.target)
+        # f[x, y] - [f x, f y] for one x: diff[(d2, j)] sums the brackets whose
+        # left argument is x (source) or a row of f x (target), times M.
+        (ds, sbr, src_left), (dt, tbr, tgt_left) = s.bracket, t.bracket
+        lsc = df * dt
         for d1, i in self.source.basis_keys():
             diff: dict = {}
-            for d2, j, val in src_left.get((d1, i), ()):
-                m = self.columns(d1 + d2)
-                v = diff.setdefault((d2, j), {})
-                for k, c in val:
+            for key in src_left.get((d1, i), ()):
+                m = cols[d1 + key[2]]
+                v = diff.setdefault(key[2:], {})
+                for k, c in sbr[key]:
+                    c *= lsc
                     for r, e in m[k]:
-                        v[r] = v.get(r, ZERO) + c * e
-            for r1, a in self.columns(d1)[i]:
-                for d2, r2, val in tgt_left.get((d1, r1), ()):
-                    m = self.mats.get(d2)
-                    if m is None:
-                        continue
-                    for j, b in m._rows[r2].items():
+                        v[r] = v.get(r, 0) + c * e
+            for r1, a in cols[d1][i]:
+                a *= ds
+                for key in tgt_left.get((d1, r1), ()):
+                    d2 = key[2]
+                    for j, b in rows[d2][key[3]]:
                         ab = a * b
                         v = diff.setdefault((d2, j), {})
-                        for k, c in val:
-                            v[k] = v.get(k, ZERO) - ab * c
+                        for k, c in tbr[key]:
+                            v[k] = v.get(k, 0) - ab * c
             bad = [key for key, v in diff.items() if any(v.values())]
             if bad:
                 d2, j = min(bad)

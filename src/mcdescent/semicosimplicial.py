@@ -34,7 +34,7 @@ import math
 from itertools import combinations
 
 from .artin import ArtinAlgebra
-from .dgla import Dgla, DglaError, DglaMap, Elem, TensorCtx, sum_dgla
+from .dgla import Dgla, DglaError, DglaMap, Elem, IntTable, TensorCtx, sum_dgla
 from .forms import (
     coface_images,
     f_const,
@@ -71,9 +71,8 @@ class ScDgla:
     cofaces is keyed by (i, k) with 0 <= k <= i <= N and holds the k-th
     coface map g_{i-1} -> g_i. The coface identities
     face(i+1, k+1) o face(i, j) = face(i+1, j) o face(i, k) for k >= j
-    are not checked on construction: violations() names every broken
-    face map or identity, and validate_sc adds the dgLa axioms of each
-    level.
+    are not checked on construction: validate_sc names every level that
+    breaks the dgLa axioms and every broken face map or identity.
     """
 
     __slots__ = ("levels", "cofaces", "label")
@@ -94,42 +93,6 @@ class ScDgla:
         if not (1 <= i <= self.top and 0 <= k <= i):
             raise ScError(f"no face ({k},{i}) in a diagram with top {self.top}")
         return self.cofaces[(i, k)]
-
-    def violations(self) -> list:
-        out = []
-        for key in self.cofaces:
-            i, k = key
-            if not (1 <= i <= self.top and 0 <= k <= i):
-                out.append(f"stray face map keyed {key}")
-        for i in range(1, self.top + 1):
-            for k in range(i + 1):
-                m = self.cofaces.get((i, k))
-                if m is None:
-                    out.append(f"missing face ({k},{i})")
-                    continue
-                if m.source is not self.levels[i - 1]:
-                    out.append(f"face ({k},{i}) has the wrong source")
-                    continue
-                if m.target is not self.levels[i]:
-                    out.append(f"face ({k},{i}) has the wrong target")
-                    continue
-                try:
-                    m.validate()
-                except DglaError as e:
-                    out.append(f"face ({k},{i}): {e}")
-        if out:
-            return out
-        for i in range(1, self.top):
-            for j in range(i + 1):
-                for k in range(j, i + 1):
-                    lhs = self.face(i + 1, k + 1).compose(self.face(i, j))
-                    rhs = self.face(i + 1, j).compose(self.face(i, k))
-                    if not lhs.eq(rhs):
-                        out.append(
-                            f"coface identity fails: ({k + 1},{i + 1})o({j},{i})"
-                            f" != ({j},{i + 1})o({k},{i})"
-                        )
-        return out
 
     def truncate(self, i: int) -> "ScDgla":
         """Discard all levels above i (the diagram they span is zero)."""
@@ -164,15 +127,43 @@ def sc_same(a: ScDgla, b: ScDgla) -> bool:
 
 
 def validate_sc(g: ScDgla) -> dict:
-    """Full validation report: dgLa axioms per level plus coface identities."""
-    violations = []
+    """Full validation report: level i's IntTable checks level i, then with
+    level i-1's the faces (i, 0..i), and level i-1's is dropped. Level
+    violations come first, then stray, missing, misplaced and failing
+    faces in (i, k) order; the coface identities only if no face failed."""
+    levels, prev = [], None
+    faces = [f"stray face map keyed {(i, k)}" for i, k in g.cofaces
+             if not (1 <= i <= g.top and 0 <= k <= i)]
     for i, lv in enumerate(g.levels):
+        cur = IntTable(lv)
         try:
-            lv.validate(mode="auto")
+            lv.validate(mode="auto", table=cur)
         except DglaError as e:
-            violations.append(f"level {i}: {e}")
-    violations.extend(g.violations())
-    return {"ok": not violations, "violations": violations}
+            levels.append(f"level {i}: {e}")
+        for k in range(i + 1 if i else 0):
+            m = g.cofaces.get((i, k))
+            if m is None:
+                faces.append(f"missing face ({k},{i})")
+            elif m.source is not g.levels[i - 1]:
+                faces.append(f"face ({k},{i}) has the wrong source")
+            elif m.target is not lv:
+                faces.append(f"face ({k},{i}) has the wrong target")
+            else:
+                try:
+                    m.validate(prev, cur)
+                except DglaError as e:
+                    faces.append(f"face ({k},{i}): {e}")
+        prev = cur
+    if not faces:
+        for i in range(1, g.top):
+            for j in range(i + 1):
+                for k in range(j, i + 1):
+                    lhs = g.face(i + 1, k + 1).compose(g.face(i, j))
+                    rhs = g.face(i + 1, j).compose(g.face(i, k))
+                    if not lhs.eq(rhs):
+                        faces.append(f"coface identity fails: ({k + 1},{i + 1})o({j},{i})"
+                                     f" != ({j},{i + 1})o({k},{i})")
+    return {"ok": not (levels or faces), "violations": levels + faces}
 
 
 def face_map_of_injection(sc: ScDgla, image, n_tgt: int) -> DglaMap:

@@ -34,7 +34,7 @@ from mcdescent.descent import (
     totdel_base_change,
     tw_lift,
 )
-from mcdescent.dgla import DglaMap, TensorCtx, direct_sum
+from mcdescent.dgla import DglaMap, TensorCtx, abelian_dgla, direct_sum
 from mcdescent.io import builtin_input_names, load_builtin, sc_from_json, sc_to_json
 from mcdescent.mcgauge import (
     bch,
@@ -63,6 +63,7 @@ from mcdescent.sampling import (
     random_tw_mc,
 )
 from mcdescent.semicosimplicial import (
+    ScDgla,
     TwTruncMC,
     cech_from_cover,
     elem_times_form,
@@ -77,6 +78,7 @@ from mcdescent.semicosimplicial import (
     tw_mc_from_element,
     tw_mc_to_element,
     tw_mc_verify,
+    validate_sc,
 )
 
 
@@ -678,3 +680,14 @@ def test_glued_systems_are_the_stacked_blocks():
 def test_pi0_rejects_fat_coefficients():
     with pytest.raises(DescentError):
         pi0_compare_square_zero(sc_twist(), truncated_poly(3))
+
+
+def test_negative_cohomology_at_level_one_breaks_the_weak_hypothesis():
+    """H^-1(L_1) != 0 with no negative cohomology at level 0: level 1's
+    degree -1 feeds the gluing window, so weak is false. A level loop that
+    skipped level 1 would call this diagram weak."""
+    l0, l1 = abelian_dgla({0: 1}), abelian_dgla({-1: 1, 0: 1})
+    face = DglaMap(l0, l1, {0: Mat.identity(1)})
+    sc = ScDgla([l0, l1], {(1, 0): face, (1, 1): face})
+    assert validate_sc(sc)["ok"]
+    assert check_hypothesis(sc) == {"strong": False, "weak": False, "table": {(1, -1): 1}}

@@ -458,6 +458,45 @@ def test_map_validate_matches_the_pair_sweep_on_perturbed_builtin_cofaces():
     assert outcomes["d"] > 20 and outcomes["lie"] > 100 and outcomes["ok"] > 0, outcomes
 
 
+def test_map_validate_matches_the_pair_sweep_on_rescaled_cech_diagrams():
+    """Each builtin Cech diagram with one basis vector per level rescaled
+    by 1/2 or 3, and its cofaces conjugated to match, so that brackets,
+    differentials and cofaces all have denominators (no builtin level has
+    a fractional bracket constant). The integer face check accepts the
+    rescaled faces and, on seeded perturbations, names what the rational
+    pair sweep names."""
+    rng = random.Random(34)
+    outcomes, dens = {"ok": 0, "bad": 0}, set()
+    for name in ("sc-cech", "sc-conjugated", "sc-twist", "sc-twist-redundant"):
+        sc = load_builtin(name)[1]
+        bases, levels = [], []
+        for p, g in enumerate(sc.levels):
+            d0 = rng.choice(g.degrees())
+            basis = {d: Mat.identity(n) for d, n in g.dims.items()}
+            basis[d0].set_entry(0, 0, Q(1, 2) if p % 2 == 0 else Q(3))
+            bases.append(basis)
+            levels.append(_rebased(g, basis))
+        dens.update(_denominators(g) for g in levels)
+        for (i, k), f in sorted(sc.cofaces.items()):
+            inv = {d: m.inverse() for d, m in bases[i].items()}
+            face = DglaMap(levels[i - 1], levels[i], {
+                d: inv[d] @ f.mat(d) @ bases[i - 1][d]
+                for d in levels[i - 1].dims if levels[i].dim(d)})
+            assert pair_sweep_violation(face) is None
+            face.validate()
+            for g in _perturbed_cofaces(rng, face, 6):
+                want = pair_sweep_violation(g)
+                try:
+                    g.validate()
+                    got = None
+                except DglaError as e:
+                    got = str(e)
+                assert got == want, (name, i, k)
+                outcomes["ok" if want is None else "bad"] += 1
+    assert outcomes["bad"] > 20 and outcomes["ok"] > 0, outcomes
+    assert any(db > 1 for db, _ in dens) and any(dd > 1 for _, dd in dens), dens
+
+
 # --- End of a vector-space complex against its matrix units -------------------
 
 

@@ -32,6 +32,7 @@ from mcdescent.builders import (
 from mcdescent.dgla import (
     DglaMap,
     TensorCtx,
+    Dgla,
     abelian_dgla,
     direct_sum,
     sl2,
@@ -864,3 +865,32 @@ def test_totdel_mor_assemble_rejects_non_gauge():
     assert "gauge of the source by a is not the target" in rep["violations"]
     with pytest.raises(ScError):
         totdel_mor_assemble(o, tgt, bad)
+
+
+def test_validate_sc_lists_every_violation_in_order():
+    """The whole violation list: level messages first, then the faces in
+    (i, k) order, and the coface identities only when every face passed."""
+    g = sl2()
+    ident = DglaMap.identity(g)
+    # [e, h] = -3 e breaks Jacobi on level 1; doubling is no Lie map
+    bad = Dgla({0: 3}, {}, {(0, 1, 0, 0): [(0, 2)], (0, 1, 0, 2): [(2, -2)],
+                            (0, 0, 0, 2): [(1, 1)], (0, 0, 0, 1): [(0, 3)]})
+    double = DglaMap(g, bad, {0: Mat.identity(3).scale(Q(2))})
+    sc = ScDgla([g, bad], {(1, 0): double, (1, 1): DglaMap(g, bad, {0: Mat.identity(3)})})
+    assert validate_sc(sc)["violations"] == [
+        "level 1: bracket not graded-antisymmetric on b[0,0], b[0,1]",
+        "face (0,1): map is not a Lie homomorphism on (0,0), (0,1)",
+        "face (1,1): map is not a Lie homomorphism on (0,0), (0,1)",
+    ]
+    # a missing face hides the broken identity (2,2)o(0,1) != (0,2)o(1,1)
+    swap = DglaMap(g, g, {0: Mat.from_rows([[0, 0, 1], [0, -1, 0], [1, 0, 0]])})
+    sc = ScDgla([g, g, g], {(1, 0): ident, (2, 0): swap, (2, 1): ident, (2, 2): ident})
+    assert validate_sc(sc) == {"ok": False, "violations": ["missing face (1,1)"]}
+    # a bracket outside its degree fails the level and every face that reads it
+    one = abelian_dgla({0: 1})
+    lands = Dgla({0: 1}, {}, {(0, 0, 0, 0): [(3, 1)]})
+    to = DglaMap(one, lands, {0: Mat.identity(1)})
+    msg = "bracket lands on index 3 in degree 0 (dim 1)"
+    assert validate_sc(ScDgla([one, lands], {(1, 0): to, (1, 1): to}))["violations"] == [
+        f"level 1: {msg}", f"face (0,1): {msg}", f"face (1,1): {msg}",
+    ]
