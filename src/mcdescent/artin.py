@@ -91,6 +91,8 @@ class ArtinAlgebra:
         basis.sort(key=lambda m: (mono_degree(m), m))
         self.basis: list[Mono] = basis
         self.index = {m: i for i, m in enumerate(basis)}
+        # each basis monomial's m-adic level (its total degree), in basis order
+        self.levels: dict = {m: mono_degree(m) for m in basis}
         self.unit: Mono = (0,) * nvars
         assert self.basis[0] == self.unit
         self.maximal_basis: list[Mono] = basis[1:]
@@ -131,11 +133,12 @@ class ArtinAlgebra:
         return self._products[a, b]
 
     def level(self, m: Mono) -> int:
-        """m-adic level: the total degree (the quotient is graded)."""
-        return mono_degree(m)
+        """m-adic level of a basis monomial: its total degree (the quotient
+        is graded), read from levels."""
+        return self.levels[m]
 
     def monomials_of_level(self, k: int) -> list[Mono]:
-        return [m for m in self.basis if mono_degree(m) == k]
+        return [m for m, level in self.levels.items() if level == k]
 
     def is_square_zero(self) -> bool:
         """True when m^2 = 0."""

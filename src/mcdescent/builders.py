@@ -217,11 +217,21 @@ def cover_conjugated(
     g, book = end_dgla_of_complex(vector_complex(cx), label="end")
 
     def conjugation(phi: dict, inv: dict) -> DglaMap:
-        # t -> φ∘t∘φ⁻¹, one column per basis map t of the HomBook
-        return DglaMap(g, g, {
-            p: book.matrix(p, [{i: phi[i + p] @ b @ inv[i]} for i, b in basis])
-            for p, basis in book.basis.items()
-        })
+        # t -> φ∘t∘φ⁻¹ for each basis map t = E_rc of the HomBook: column r
+        # of φ times row c of φ⁻¹, written into the book's free positions
+        mats = {}
+        for p, basis in book.basis.items():
+            free, rows = book.free[p], [{} for _ in basis]
+            for k, (i, t) in enumerate(basis):
+                (r, c, one), = [(r, c, v) for r, row in enumerate(t._rows) for c, v in row.items()]
+                if one != 1:
+                    raise ValueError(f"basis map {k} of degree {p} is not a matrix unit")
+                col = [(a, x) for a, row in enumerate(phi[i + p]._rows) if (x := row.get(r))]
+                for b, y in inv[i]._rows[c].items():
+                    for a, x in col:
+                        rows[free[i, a, b]][k] = x * y
+            mats[p] = Mat.wrap(rows, len(basis))
+        return DglaMap(g, g, mats)
 
     rng = random.Random(seed)
     autos, invs, sections, restrictions = {}, {}, {}, {}

@@ -18,7 +18,9 @@ graded-alternating.
 
 Computations happen in tensors L (x) A (x) Omega: an Elem is a sparse dict
 keyed by (degree, basis index, coefficient-ring monomial, form monomial,
-form differential mask). The coefficient ring is a local Artinian monomial
+form differential mask), its coefficients ints where integral and Qs
+otherwise, like the entries of the bracket table and of the cached d and
+map columns (see ratio). The coefficient ring is a local Artinian monomial
 quotient (or nothing), the form slot a polynomial-forms algebra in named
 variables (or nothing). Total degree = Lie degree + number of differentials
 in the mask; the coefficient ring is inert degree 0.
@@ -44,7 +46,7 @@ from math import lcm
 from .artin import ArtinAlgebra
 from .forms import fkey_d, fkey_mul
 from .linalg import ChainComplexQ, Mat
-from .ratio import Q, neg_one_pow, rat
+from .ratio import Q, narrow, neg_one_pow, rat
 
 
 class DglaError(ValueError):
@@ -63,12 +65,13 @@ def _repeated_choice(rng: random.Random, seq, count: int) -> list:
 
 
 def _norm_bracket_value(val):
-    """Sum the coefficients given to each index k, drop zeros, sort by k."""
+    """Sum the coefficients given to each index k, drop zeros, sort by k;
+    an integral sum is kept as an int."""
     out: dict = {}
     for k, c in val:
-        k, c = int(k), rat(c)
+        k, c = int(k), c if type(c) is int else rat(c)
         out[k] = out[k] + c if k in out else c
-    return tuple(sorted(kc for kc in out.items() if kc[1]))
+    return tuple(sorted((k, narrow(c)) for k, c in out.items() if c))
 
 
 class Dgla:
@@ -151,11 +154,12 @@ class Dgla:
         return m if m is not None else Mat(self.dim(deg + 1), self.dim(deg))
 
     def diff_columns(self, deg: int) -> list:
-        """Sparse columns of diff(deg) (see Mat.columns), built once on
-        first use."""
+        """Sparse columns of diff(deg) (see Mat.columns), integral entries
+        as ints, built once on first use."""
         cols = self._dcols.get(deg)
         if cols is None:
-            cols = self._dcols[deg] = self.diff(deg).columns()
+            cols = [[(r, narrow(v)) for r, v in col] for col in self.diff(deg).columns()]
+            self._dcols[deg] = cols
         return cols
 
     def name(self, deg: int, idx: int) -> str:
@@ -372,18 +376,18 @@ class TensorCtx(namedtuple("TensorCtx", "dgla artin form_vars")):
         if pmono is None:
             pmono = (0,) * self.nforms
         key = (int(deg), int(idx), tuple(amono), tuple(pmono), tuple(sorted(dmask)))
-        return Elem(self, {key: rat(coeff)})
+        return Elem(self, {key: coeff if type(coeff) is int else rat(coeff)})
 
 
 class Elem:
     """Sparse tensor L (x) A (x) Omega element.
 
-    terms: {(deg, idx, amono, pmono, dmask): Q}, zero-free: no value is 0,
-    so the zero element is the empty dict and two elements are equal
-    exactly when their dicts are. The constructor drops zeros; operations
-    that build a zero-free dict themselves hand it over through wrap(),
-    without a copy. Do not mutate in place; all operations return fresh
-    elements.
+    terms: {(deg, idx, amono, pmono, dmask): int or Q}, zero-free: no value
+    is 0, so the zero element is the empty dict and two elements are equal
+    exactly when their dicts are (a Q equals the int of its value). The
+    constructor drops zeros; operations that build a zero-free dict
+    themselves hand it over through wrap(), without a copy. Do not mutate
+    in place; all operations return fresh elements.
     """
 
     __slots__ = ("ctx", "terms")
@@ -437,7 +441,8 @@ class Elem:
         return Elem.wrap(self.ctx, out)
 
     def scale(self, c) -> "Elem":
-        c = rat(c)
+        if type(c) is not int:
+            c = narrow(rat(c))
         if not c:
             return Elem.wrap(self.ctx, {})
         if c == 1:
@@ -468,12 +473,12 @@ class Elem:
 
     def min_artin_level(self) -> int | None:
         """Smallest coefficient-monomial degree present; None for 0."""
-        return min((sum(k[2]) for k in self.terms), default=None)
+        lv = self.ctx.artin.levels if self.ctx.artin else {(): 0}
+        return min([lv[k[2]] for k in self.terms], default=None)
 
     def artin_level_component(self, level: int) -> "Elem":
-        return Elem(
-            self.ctx, {k: c for k, c in self.terms.items() if sum(k[2]) == level}
-        )
+        lv = self.ctx.artin.levels if self.ctx.artin else {(): 0}
+        return Elem.wrap(self.ctx, {k: c for k, c in self.terms.items() if lv[k[2]] == level})
 
     # --- dgLa operations ----------------------------------------------------
 
@@ -483,7 +488,7 @@ class Elem:
         for (deg, idx, am, pm, S), c in self.terms.items():
             for r, e in L.diff_columns(deg)[idx]:
                 _bump(out, (deg + 1, r, am, pm, S), c * e)
-            sgn = neg_one_pow(deg)
+            sgn = -1 if deg % 2 else 1
             for m, np_, nS in fkey_d(pm, S):
                 _bump(out, (deg, idx, am, np_, nS), c * (m * sgn))
         return Elem.wrap(self.ctx, out)
@@ -699,11 +704,12 @@ class DglaMap:
         return m if m is not None else Mat(self.target.dim(deg), self.source.dim(deg))
 
     def columns(self, deg: int) -> list:
-        """Sparse columns of mat(deg) (see Mat.columns), built once on
-        first use."""
+        """Sparse columns of mat(deg) (see Mat.columns), integral entries
+        as ints, built once on first use."""
         cols = self._cols.get(deg)
         if cols is None:
-            cols = self._cols[deg] = self.mat(deg).columns()
+            cols = [[(r, narrow(v)) for r, v in col] for col in self.mat(deg).columns()]
+            self._cols[deg] = cols
         return cols
 
     def validate(self, src: IntTable | None = None, tgt: IntTable | None = None):

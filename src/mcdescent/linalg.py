@@ -165,14 +165,15 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("matmul shape mismatch")
-        out = Mat(self.rows, other.cols)
+        orows, out = other._rows, [None] * self.rows
         for i, r in enumerate(self._rows):
             acc: dict = {}
             for k, a in r.items():
-                for j, b in other._rows[k].items():
-                    acc[j] = acc.get(j, ZERO) + a * b
-            out._rows[i] = {j: v for j, v in acc.items() if v}
-        return out
+                for j, b in orows[k].items():
+                    v = acc.get(j)
+                    acc[j] = a * b if v is None else v + a * b
+            out[i] = {j: v for j, v in acc.items() if v}
+        return Mat.wrap(out, other.cols)
 
     def add(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):

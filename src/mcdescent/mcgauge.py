@@ -33,7 +33,7 @@ from functools import lru_cache
 
 from .dgla import Elem, TensorCtx, ad
 from .linalg import Mat
-from .ratio import ZERO, Q
+from .ratio import ZERO, Q, narrow, rat
 
 
 class GaugeError(ValueError):
@@ -64,7 +64,7 @@ def elem_linear_solve(map_fn, target: Elem, basis: list):
             m.set_entry(pos[k], j, c)
     rhs = Mat(len(keys), 1)
     for k, c in target.terms.items():
-        rhs._rows[pos[k]][0] = c
+        rhs._rows[pos[k]][0] = rat(c)
     sol = m.solve(rhs)
     if sol is None:
         return None
@@ -87,8 +87,8 @@ def lie_basis_elems(ctx: TensorCtx, deg: int, min_level: int = 1) -> list:
     if A is None:
         raise GaugeError("a coefficient ring is required")
     out = []
-    for am in A.basis:
-        if sum(am) < min_level:
+    for am, level in A.levels.items():
+        if level < min_level:
             continue
         for idx in range(ctx.dgla.dim(deg)):
             out.append(ctx.term(deg, idx, 1, am))
@@ -108,12 +108,13 @@ def is_mc(x: Elem) -> bool:
 
 
 def _require_gauge_arg(a: Elem, who: str = "gauge argument"):
-    if a.ctx.artin is None:
+    A = a.ctx.artin
+    if A is None:
         raise GaugeError(f"{who} needs Artin coefficients")
     for (deg, _, am, _, S) in a.terms:
         if deg + len(S) != 0:
             raise GaugeError(f"{who} must have total degree 0")
-        if sum(am) < 1:
+        if am == A.unit:
             raise GaugeError(f"{who} must lie in the maximal ideal")
 
 
@@ -297,16 +298,16 @@ def _level_solve(piece: Elem, monos: list):
     for (deg, idx, am, pm, S), c in piece.terms.items():
         if deg == 0 and S == (0,):
             e = pm[0] + 1
-            pm, S, c = (e,) + pm[1:], (), c / -e
+            pm, S, c = (e,) + pm[1:], (), rat(c) / -e
         elif deg == -1 and S == (0, 1):
             e = pm[0] + 1
-            pm, S, c = (e, pm[1]), (1,), c / e
+            pm, S, c = (e, pm[1]), (1,), rat(c) / e
         elif deg == 0 and S == (1,) and pm[0] == 0:
             e = pm[1] + 1
-            pm, S, c = (0, e), (), c / -e
+            pm, S, c = (0, e), (), rat(c) / -e
         else:
             continue
-        found.append(((rank[am], -deg, pm, idx), (deg, idx, am, pm, S), c))
+        found.append(((rank[am], -deg, pm, idx), (deg, idx, am, pm, S), narrow(c)))
     found.sort(key=lambda f: f[0])
     delta = Elem.wrap(piece.ctx, {key: c for _, key, c in found})
     if not delta.d().add(piece).is_zero():

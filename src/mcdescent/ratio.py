@@ -17,6 +17,10 @@ normalised result into a bare instance, with a shorter path when both
 denominators are 1. Results are therefore the same (numerator,
 denominator) pairs Fraction computes, and of type Q. Any other operand
 (a Fraction, a float, a bool) goes to the Fraction method unchanged.
+
+The tensor layer (dgla, mcgauge, sampling, semicosimplicial) carries a
+coefficient as an int when it is integral (narrow) and as a Q otherwise,
+so integer arithmetic runs in C; each true division there has a Q operand.
 """
 
 from __future__ import annotations
@@ -265,6 +269,11 @@ def rat(value, den=None):
             return Q(int(num.strip())) / Q(int(d.strip()))
         return Q(int(s))
     return Q(value)
+
+
+def narrow(c):
+    """A Q as an int when it is integral; anything else as it is."""
+    return c._numerator if type(c) is Q and c._denominator == 1 else c
 
 
 def neg_one_pow(n: int) -> int:

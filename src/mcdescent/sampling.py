@@ -13,7 +13,6 @@ import random
 from .artin import ArtinAlgebra
 from .dgla import Elem, TensorCtx
 from .mcgauge import bch_many, gauge, stabilizer_log
-from .ratio import Q
 from .semicosimplicial import (
     ScDgla,
     TotDelMorphism,
@@ -39,7 +38,7 @@ def random_elem(ctx: TensorCtx, deg: int, rng: random.Random) -> Elem:
             if rng.random() < 0.5:
                 c = rng.randint(-2, 2)
                 if c:
-                    terms[deg, idx, am, pm, ()] = Q(c)
+                    terms[deg, idx, am, pm, ()] = c
     return Elem.wrap(ctx, terms)
 
 
@@ -79,10 +78,10 @@ def bump_elem(
     if n == 0 or e.is_zero():
         return e
     # multiply by 1 - t1 - ... - tn
-    poly = {(0,) * n: Q(1)}
+    poly = {(0,) * n: 1}
     for i in range(n):
         key = tuple(1 if j == i else 0 for j in range(n))
-        poly[key] = Q(-1)
+        poly[key] = -1
     acc = ctx.zero()
     for pm, c in poly.items():
         acc = acc.add(elem_times_form(e, {(pm, ()): c}))

@@ -53,7 +53,7 @@ from .mcgauge import (
     morphism_equal,
     stabilizer_log,
 )
-from .ratio import Q, neg_one_pow
+from .ratio import Q, narrow, neg_one_pow
 
 
 class ScError(ValueError):
@@ -169,7 +169,8 @@ def validate_sc(g: ScDgla) -> dict:
 def face_map_of_injection(sc: ScDgla, image, n_tgt: int) -> DglaMap:
     """The diagram map attached to the monotone injection with the given
     vertex image inside 0..n_tgt, as a composition of coface maps (the
-    outermost factor always misses the largest absent vertex)."""
+    outermost factor always misses the largest absent vertex); a one-step
+    injection gives the coface map itself."""
     image = tuple(image)
     n_src = len(image) - 1
     if n_src < 0 or n_tgt > sc.top:
@@ -180,10 +181,10 @@ def face_map_of_injection(sc: ScDgla, image, n_tgt: int) -> DglaMap:
         raise ScError("vertex image must be strictly increasing in range")
     if n_src == n_tgt:
         return DglaMap.identity(sc.levels[n_src])
-    missing = sorted(set(range(n_tgt + 1)) - set(image))
-    j = missing[-1]
-    inner_image = tuple(v if v < j else v - 1 for v in image)
-    inner = face_map_of_injection(sc, inner_image, n_tgt - 1)
+    j = max(set(range(n_tgt + 1)) - set(image))
+    if n_src == n_tgt - 1:
+        return sc.face(n_tgt, j)
+    inner = face_map_of_injection(sc, tuple(v if v < j else v - 1 for v in image), n_tgt - 1)
     return sc.face(n_tgt, j).compose(inner)
 
 
@@ -483,14 +484,15 @@ def elem_times_form(e: Elem, form: dict) -> Elem:
     """Right-multiply an element by a scalar polynomial form in the same
     chart (wedge on the form slot, Lie and coefficient slots untouched)."""
     out: dict = {}
+    form = [(fk, narrow(fc)) for fk, fc in form.items()]
     for (deg, idx, am, pm, dm), c in e.terms.items():
-        for (fp, fS), fc in form.items():
+        for (fp, fS), fc in form:
             r = fkey_mul(pm, dm, fp, fS)
             if r is None:
                 continue
             np_, nS, sgn = r
             key = (deg, idx, am, np_, nS)
-            v = out.get(key, Q(0)) + c * fc * sgn
+            v = out.get(key, 0) + c * fc * sgn
             if v == 0:
                 out.pop(key, None)
             else:

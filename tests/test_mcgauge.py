@@ -13,13 +13,16 @@ import random
 import pytest
 
 from mcdescent.artin import builtin_artin, builtin_artin_names, dual_numbers, fat_point, truncated_poly
-from mcdescent.dgla import TensorCtx, sl2
+from mcdescent.descent import phi2_obj
+from mcdescent.dgla import Dgla, Elem, TensorCtx, sl2
 from mcdescent.forms import f_var
+from mcdescent.io import builtin_input_names, load_builtin
 from mcdescent.linalg import ChainComplexQ, Mat
 from mcdescent.mcgauge import (
     GaugeError,
     _bch_brackets,
     _bch_words,
+    _level_solve,
     bch,
     decompose_path,
     decompose_square,
@@ -36,7 +39,9 @@ from mcdescent.mcgauge import (
     stabilizer_log,
 )
 from mcdescent.pipeline import end_dgla_of_complex, vector_complex
-from mcdescent.ratio import Q
+from mcdescent.ratio import Q, rat
+from mcdescent.sampling import random_elem, random_mc, random_tw_mc
+from mcdescent.semicosimplicial import tw_mc_from_element
 
 CX = ChainComplexQ({0: 1, 1: 1, 2: 1}, {0: [[0]], 1: [[0]]})  # zero differential
 CXD = ChainComplexQ({0: 2, 1: 1}, {0: [[1, 0]]})
@@ -560,3 +565,104 @@ def test_elem_linear_solve_consistency():
     sol = elem_linear_solve(lambda e: e.d(), target, basis)
     assert sol is not None and sol.d().eq(target)
     assert elem_linear_solve(lambda e: ctx.zero(), basis[0], basis) is None
+
+
+# --- coefficient types ---------------------------------------------------------
+
+
+def _builtins(kind: str) -> dict:
+    loaded = {name: load_builtin(name) for name in builtin_input_names()}
+    return {name: value for name, (k, value) in loaded.items() if k == kind}
+
+
+def _builtin_dglas() -> dict:
+    """Each builtin dgLa and each level of each builtin diagram, plus sl2
+    with h doubled, whose bracket has the non-integral constant 1/2."""
+    out = _builtins("dgla")
+    for name, sc in _builtins("sc").items():
+        out.update((f"{name}[{p}]", g) for p, g in enumerate(sc.levels))
+    out["sl2-doubled-h"] = Dgla({0: 3}, {}, {(0, 1, 0, 0): [(0, 4)], (0, 1, 0, 2): [(2, -4)],
+                                             (0, 0, 0, 2): [(1, Q(1, 2))]})
+    return out
+
+
+def _int_or_q(e) -> bool:
+    return all(type(c) is int or type(c) is Q for c in e.terms.values())
+
+
+def _int_when_integral(values) -> bool:
+    return all(type(v) is int or (type(v) is Q and v.denominator != 1) for v in values)
+
+
+def _square_log(a, b, u):
+    """a t + b s + u t ds in the chart (t, s), for a, b of degree 0 and u of
+    degree -1: a square log in the shape decompose_square reads off."""
+    terms = {(d, i, am, (1, 0), ()): c for (d, i, am, _, _), c in a.terms.items()}
+    terms.update({(d, i, am, (0, 1), ()): c for (d, i, am, _, _), c in b.terms.items()})
+    terms.update({(d, i, am, (1, 0), (1,)): c for (d, i, am, _, _), c in u.terms.items()})
+    return Elem(a.ctx.with_vars(("t", "s")), terms)
+
+
+def _gauge_results(x, a, b, u) -> list:
+    """gauge, bch and both decompositions on seeded MC x, degree-0 a and b,
+    and degree -1 u; the decompositions recover the logs they are given."""
+    r = _square_log(a, b, u)
+    square = gauge(r, embed(x, ("t", "s"), positions=[]))
+    line = decompose_path(x, path_from_gauge(x, a))
+    rdec = decompose_square(x, square)
+    assert rdec.eq(r) and line.subs_values({0: 1}).eq(a)
+    return [gauge(a, x), bch(a, b), line, square, rdec]
+
+
+@pytest.mark.parametrize("ring", ["t3", "t4", "sqz2", "fat2"])
+def test_tensor_coefficients_are_ints_or_qs(ring):
+    A, rng = builtin_artin(ring), random.Random(43)
+    for name, L in _builtin_dglas().items():
+        ctx = TensorCtx(L, A)
+        x = random_mc(ctx, rng)
+        a, b, u = random_elem(ctx, 0, rng), random_elem(ctx, 0, rng), random_elem(ctx, -1, rng)
+        assert all(_int_or_q(e) for e in [x, a, b, u, *_gauge_results(x, a, b, u)]), name
+    for name, sc in _builtins("sc").items():
+        w = random_tw_mc(sc, A, rng)
+        found = list(w.comps)
+        if sc.top >= 2:
+            e = tw_mc_from_element(w.truncate(2))
+            o = phi2_obj(e)
+            found += [e.x, e.p, e.r, o.l, o.m, o.u]
+        assert all(_int_or_q(e) for e in found), name
+
+
+def test_integral_table_entries_are_ints():
+    dglas = _builtin_dglas()
+    for name, L in dglas.items():
+        br = [c for val in L._br.values() for _, c in val]
+        cols = [v for d in L.dims for col in L.diff_columns(d) for _, v in col]
+        assert _int_when_integral(br) and _int_when_integral(cols), name
+    assert Q(1, 2) in [c for val in dglas["sl2-doubled-h"]._br.values() for _, c in val]
+    for name, sc in _builtins("sc").items():
+        for key, f in sc.cofaces.items():
+            cols = [v for d in f.source.dims for col in f.columns(d) for _, v in col]
+            assert _int_when_integral(cols), (name, key)
+
+
+def test_level_solve_divides_with_a_rational_operand():
+    # -d(c t^2) = t dt for c = -1/2: an int coefficient divided by an int
+    # must give the rational, not a float
+    A = truncated_poly(3)
+    piece = Elem(TensorCtx(sl2(), A, ("t",)), {(0, 0, (1,), (1,), (0,)): 1})
+    [(key, c)] = _level_solve(piece, A.monomials_of_level(1)).terms.items()
+    assert key == (0, 0, (1,), (2,), ()) and type(c) is Q and c == Q(-1, 2)
+
+
+@pytest.mark.parametrize("which", ["end-two-step", "sc-conjugated[1]"])
+def test_int_and_q_coefficients_give_the_same_results(which):
+    ctx = TensorCtx(_builtin_dglas()[which], truncated_poly(4))
+    rng = random.Random(44)
+    x = random_mc(ctx, rng)
+    ints = [x, random_elem(ctx, 0, rng), random_elem(ctx, 0, rng), random_elem(ctx, -1, rng)]
+    qs = [Elem(e.ctx, {k: rat(c) for k, c in e.terms.items()}) for e in ints]
+    assert any(type(c) is int for e in ints for c in e.terms.values())
+    assert all(type(c) is Q for e in qs for c in e.terms.values())
+    for got, want in zip(_gauge_results(*qs), _gauge_results(*ints), strict=True):
+        assert got.eq(want) and repr(got) == repr(want)
+    assert ctx.term(0, 0, Q(2)).eq(ctx.term(0, 0, 2))

@@ -10,6 +10,7 @@ stabiliser is valid by construction.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -193,6 +194,35 @@ def test_face_map_full_injection_is_identity():
     sc = sc_constant_sl2(2)
     f = face_map_of_injection(sc, (0, 1, 2), 2)
     assert f.eq(DglaMap.identity(sc.levels[2]))
+
+
+def _composite_reference(sc, image, n_tgt):
+    """The face map of an injection as the composite of coface maps, the
+    outermost missing the largest absent vertex, down to an identity."""
+    n_src = len(image) - 1
+    if n_src == n_tgt:
+        return DglaMap.identity(sc.levels[n_src])
+    j = max(set(range(n_tgt + 1)) - set(image))
+    inner = _composite_reference(sc, tuple(v if v < j else v - 1 for v in image), n_tgt - 1)
+    return sc.face(n_tgt, j).compose(inner)
+
+
+def test_face_map_of_every_injection_matches_the_composite_of_cofaces():
+    seen = 0
+    for name in builtin_input_names():
+        kind, sc = load_builtin(name)
+        if kind != "sc":
+            continue
+        for n in range(sc.top + 1):
+            for k in range(1, n + 2):
+                for image in combinations(range(n + 1), k):
+                    got = face_map_of_injection(sc, image, n)
+                    assert got.eq(_composite_reference(sc, image, n)), (name, image, n)
+                    if k == n:
+                        (j,) = set(range(n + 1)) - set(image)
+                        assert got is sc.face(n, j), (name, image, n)
+                    seen += 1
+    assert seen > 100
 
 
 def test_face_map_rejects_bad_image():
